@@ -25,7 +25,7 @@ print()
 print("=== interval (0, pi/24): the symbolic length keeps the spectrum exact ===")
 s = interval_spectrum("pi/24", "dirichlet", 1e4)
 print("values:", list(s.values))
-print("exact rationals:", s.exact_entries)
+print("exact rationals:", s.exact_nums.tolist(), "over", s.exact_den)
 
 print()
 print("=== side-10 square, Neumann: multiplicities aggregate lattice points ===")
@@ -54,7 +54,7 @@ iv = interval_spectrum("pi/24", "dirichlet", 600)
 sph = sphere2_spectrum(600)
 prod = product_spectrum(iv, sph, 600)
 print("(0, pi/24) x S^2 below 600:", list(prod.entries()))
-print("exact values:", prod.exact_entries)
+print("exact values:", prod.exact_nums.tolist(), "over", prod.exact_den)
 
 print()
 print("=== CSV round trip ===")

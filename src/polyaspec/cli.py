@@ -18,7 +18,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from datetime import datetime, timezone
 from typing import Optional
@@ -36,8 +35,6 @@ from .reproduce import (
     sphere_thin_bundle,
     square_triangle_bundle,
 )
-
-DEFAULT_SEED = 20240601
 
 __all__ = ["main", "build_spec", "SpectrumSpec"]
 
@@ -296,7 +293,7 @@ def _cmd_reproduce(args) -> int:
     if args.example == "sphere-thin":
         bundle = sphere_thin_bundle()
     else:
-        bundle = square_triangle_bundle(threads=args.threads)
+        bundle = square_triangle_bundle()
     _emit_json(bundle, args)
     return 0 if bundle["ok"] else 1
 
@@ -310,10 +307,6 @@ def _make_parser() -> argparse.ArgumentParser:
     common.add_argument("--output", choices=["csv", "json"], default="json",
                         help="output format (default json)")
     common.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
-    common.add_argument("--threads", type=int, default=os.cpu_count(),
-                        help="worker threads for scan partitioning")
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help="seed for randomized scans (reserved; default fixed)")
     common.add_argument("--no-timestamp", action="store_true",
                         help="omit the timestamp field for byte-identical reruns")
     common.add_argument("--exact", action="store_true",

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, ValidationError
+from .errors import ValidationError
 
 __all__ = ["PiRational", "parse_length", "as_pi_rational"]
 
@@ -126,8 +126,3 @@ def as_pi_rational(value) -> PiRational | None:
             return PiRational(Fraction(int(value)))
         return None
     raise ValidationError(f"unsupported length value {value!r}")
-
-
-def require_positive(value: float, name: str) -> None:
-    if not value > 0:
-        raise DomainError(f"{name} must be positive, got {value}")

@@ -8,17 +8,16 @@ against a monotone bound.
 
 Float comparisons use a guard band: relative margins within 1e-9 are
 re-evaluated at high precision (exactly, when the stream carries exact
-values).  Genuine ties count as satisfied, since the inequalities are
-non-strict.  Streams without exact values cannot certify margins below
-float resolution; those near-ties are accepted and counted in
-``tie_breaks``.
+rational values and the volume is exact).  Genuine ties count as satisfied,
+since the inequalities are non-strict.  Streams without exact values cannot
+certify margins below float resolution; those near-ties are accepted and
+counted in ``tie_breaks``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import mpmath
@@ -97,21 +96,27 @@ def polya_weyl_term(meta: DomainMeta, k) -> float:
     return factor * np.asarray(k, float) ** (2.0 / d)
 
 
-def _reevaluate(value, exact_value: Optional[Fraction], meta: DomainMeta, k: int,
+def _reevaluate(value, exact_value: Optional[tuple[int, int]], meta: DomainMeta, k: int,
                 side: str) -> tuple[bool, bool]:
     """High-precision re-check of one comparison near a float tie.
 
-    Returns (satisfied, was_tie).  Exact stream values enter the comparison
-    as rationals; float values are taken at face value, and margins below
-    float resolution count as ties.
+    Returns (satisfied, was_tie).  An exact stream value enters the
+    comparison as the rational numerator / denominator; float values are
+    taken at face value, and margins below float resolution count as ties.
+    The Weyl term uses the exact volume when the metadata has one.
     """
     d = meta.dimension
     with mpmath.workdps(_MP_DPS):
         omega = mpmath.pi ** (mpmath.mpf(d) / 2) / mpmath.gamma(mpmath.mpf(d) / 2 + 1)
-        w = 4 * mpmath.pi ** 2 / (omega * meta.volume) ** (mpmath.mpf(2) / d) \
+        volume = meta.volume
+        if meta.exact_volume is not None:
+            vol = meta.exact_volume
+            volume = mpmath.mpf(vol.coeff.numerator) / vol.coeff.denominator \
+                * mpmath.pi ** vol.pi_power
+        w = 4 * mpmath.pi ** 2 / (omega * volume) ** (mpmath.mpf(2) / d) \
             * mpmath.mpf(k) ** (mpmath.mpf(2) / d)
         if exact_value is not None:
-            lhs = mpmath.mpf(exact_value.numerator) / exact_value.denominator
+            lhs = mpmath.mpf(exact_value[0]) / exact_value[1]
             band = EQUALITY_BAND_EXACT
         else:
             lhs = mpmath.mpf(value)
@@ -127,21 +132,19 @@ def _per_eigenvalue(s: EigenvalueStream, meta: DomainMeta, k_max: int,
                     side: str) -> VerificationReport:
     if k_max < 1:
         raise DomainError(f"k_max must be >= 1, got {k_max}")
-    eigs = s.expanded()
-    exact_expanded: Optional[list[Fraction]] = None
-    if s.exact and s.pi_power == 0:
-        exact_expanded = [e for e, m in zip(s.exact_entries, s.multiplicities)
-                          for _ in range(int(m))]
     if side == "dirichlet":
         if s.index_origin != 1:
             raise ModeError("Dirichlet verification needs a stream without the zero mode")
-        candidates = eigs
-        exact_candidates = exact_expanded
+        origin = 0
     else:
         if s.index_origin != 0:
             raise ModeError("Neumann verification needs the zero mode at index 0")
-        candidates = eigs[1:]  # k = 0 is the zero mode, trivially below the bound
-        exact_candidates = exact_expanded[1:] if exact_expanded is not None else None
+        origin = 1  # k = 0 is the zero mode, trivially below the bound
+    candidates = s.expanded()[origin:]
+    # the exact tie band needs both sides exact: rational values, exact volume
+    exact_nums = None
+    if s.exact and s.pi_power == 0 and meta.exact_volume is not None:
+        exact_nums = np.repeat(s.exact_nums, s.multiplicities)[origin:]
     if candidates.size == 0:
         raise CoverageError("stream holds no eigenvalues to verify")
 
@@ -156,7 +159,7 @@ def _per_eigenvalue(s: EigenvalueStream, meta: DomainMeta, k_max: int,
     adjusted = margins.copy()
     suspicious = np.nonzero(np.abs(margins) <= GUARD_BAND)[0]
     for i in suspicious:
-        exact_val = exact_candidates[i] if exact_candidates is not None else None
+        exact_val = (int(exact_nums[i]), s.exact_den) if exact_nums is not None else None
         ok, tie = _reevaluate(float(values[i]), exact_val, meta, int(i) + 1, side)
         tie_breaks += tie
         if ok and adjusted[i] < 0:
@@ -194,9 +197,11 @@ def verify_exact_power(s: EigenvalueStream, c_num: int, c_den: int, dimension: i
     """Integer-only Polya check: value_k^d * c_den vs c_num * k^2.
 
     Valid when the stream is exact with rational values and the caller has
-    rationalized the Polya constant: w_k^d = (c_num / c_den) * k^2.  The
-    Dirichlet side requires >=, the Neumann side (skipping the zero mode)
-    <=.  No floating point enters any comparison.
+    rationalized the Polya constant: w_k^d = (c_num / c_den) * k^2.  With
+    value_k = n_k / den this compares n_k^d * c_den against
+    c_num * k^2 * den^d in Python ints.  The Dirichlet side requires >=,
+    the Neumann side (skipping the zero mode) <=.  No floating point enters
+    any comparison; each margin is one correctly rounded int division.
     """
     if side not in ("dirichlet", "neumann"):
         raise DomainError(f"side must be 'dirichlet' or 'neumann', got {side!r}")
@@ -206,32 +211,37 @@ def verify_exact_power(s: EigenvalueStream, c_num: int, c_den: int, dimension: i
         raise DomainError(f"k_max must be >= 1, got {k_max}")
     if not s.exact or s.pi_power != 0:
         raise ModeError("exact verification needs a stream with rational exact values")
-    expanded: list[Fraction] = [e for e, m in zip(s.exact_entries, s.multiplicities)
-                                for _ in range(int(m))]
+    mults = s.multiplicities.tolist()
     if side == "neumann":
         if s.index_origin != 0:
             raise ModeError("Neumann verification needs the zero mode at index 0")
-        expanded = expanded[1:]
+        mults[0] -= 1
     elif s.index_origin != 1:
         raise ModeError("Dirichlet verification needs a stream without the zero mode")
-    if not expanded:
+    checked = min(k_max, sum(mults))
+    if not checked:
         raise CoverageError("stream holds no eigenvalues to verify")
 
-    checked = min(k_max, len(expanded))
+    den = s.exact_den
+    rhs_unit = c_num * den ** dimension
     failures = []
     worst_margin = math.inf
     worst_k = 1
-    for k in range(1, checked + 1):
-        lam = expanded[k - 1]
-        lhs = lam ** dimension * c_den
-        rhs = c_num * k * k
-        satisfied = lhs >= rhs if side == "dirichlet" else lhs <= rhs
-        rel = float((lhs - rhs) / rhs) if side == "dirichlet" else float((rhs - lhs) / rhs)
-        if rel < worst_margin:
-            worst_margin = rel
-            worst_k = k
-        if not satisfied:
-            failures.append((float(k), float(lam), float(rhs) / c_den))
+    k = 0
+    for n, m in zip(s.exact_nums.tolist(), mults):
+        lhs = n ** dimension * c_den
+        for _ in range(min(m, checked - k)):
+            k += 1
+            rhs = rhs_unit * k * k
+            satisfied = lhs >= rhs if side == "dirichlet" else lhs <= rhs
+            rel = (lhs - rhs) / rhs if side == "dirichlet" else (rhs - lhs) / rhs
+            if rel < worst_margin:
+                worst_margin = rel
+                worst_k = k
+            if not satisfied:
+                failures.append((float(k), n / den, float(c_num * k * k) / c_den))
+        if k == checked:
+            break
     return VerificationReport(
         mode="per_eigenvalue_exact",
         checked=checked,

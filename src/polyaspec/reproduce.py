@@ -16,9 +16,7 @@ which obeys an explicit two-term bound; the assembled remainder constant
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
@@ -171,8 +169,7 @@ def composite_bound(lam):
     return (100.0 + math.sqrt(3.0) / 4.0) * lam / (4.0 * math.pi) + 50.0 * np.sqrt(lam)
 
 
-def square_triangle_bundle(cutoff: float = SQUARE_TRIANGLE_CUTOFF,
-                           threads: Optional[int] = None) -> dict:
+def square_triangle_bundle(cutoff: float = SQUARE_TRIANGLE_CUTOFF) -> dict:
     """Counting bounds for the square-with-triangle domain and its threshold."""
     volume = 100.0 + math.sqrt(3.0) / 4.0
     lambda_min = SQUARE_TRIANGLE_LAMBDA_MIN
@@ -186,27 +183,13 @@ def square_triangle_bundle(cutoff: float = SQUARE_TRIANGLE_CUTOFF,
     cf_triangle = ct.CountingFunction.from_stream(triangle, sp.triangle_meta())
     cf_sum = ct.SumCountingFunction([cf_square, cf_triangle])
 
-    def scan_square():
-        return pv.verify_counting_bound(cf_square, square_bound, "upper",
-                                        lambda_min=lambda_min, lambda_max=cutoff)
-
-    def scan_triangle():
-        return pv.verify_counting_bound(cf_triangle, triangle_bound, "upper",
-                                        lambda_min=lambda_min, lambda_max=cutoff)
-
-    def scan_composite():
-        return pv.verify_counting_bound(cf_sum, composite_bound, "upper",
-                                        lambda_min=lambda_min, lambda_max=cutoff,
-                                        jumps=cf_sum.jump_values())
-
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            f1 = pool.submit(scan_square)
-            f2 = pool.submit(scan_triangle)
-            f3 = pool.submit(scan_composite)
-            rep_square, rep_triangle, rep_sum = f1.result(), f2.result(), f3.result()
-    else:
-        rep_square, rep_triangle, rep_sum = scan_square(), scan_triangle(), scan_composite()
+    rep_square = pv.verify_counting_bound(cf_square, square_bound, "upper",
+                                          lambda_min=lambda_min, lambda_max=cutoff)
+    rep_triangle = pv.verify_counting_bound(cf_triangle, triangle_bound, "upper",
+                                            lambda_min=lambda_min, lambda_max=cutoff)
+    rep_sum = pv.verify_counting_bound(cf_sum, composite_bound, "upper",
+                                       lambda_min=lambda_min, lambda_max=cutoff,
+                                       jumps=cf_sum.jump_values())
 
     thr = threshold_a0(ThresholdRequest(
         ThresholdCase.DIRICHLET_THIN_D2, volume=volume, c_remainder=50.0))

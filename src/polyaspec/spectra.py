@@ -7,10 +7,12 @@ composes two spectra by pairwise sums, which is how product domains get
 their eigenvalues.
 
 A stream records eigenvalues strictly below a cutoff, with multiplicities.
-When the generating lengths are rational multiples of pi, the stream also
-carries exact rational representations of its values (``exact_entries``,
-scaled by ``pi**pi_power``), enabling integer-only inequality checks
-downstream.
+When the generating lengths are rational, or rational multiples of pi, the
+stream also carries its values exactly as integer numerators over one
+common denominator, in units of ``pi**pi_power`` (``exact_nums``,
+``exact_den``), enabling integer-only inequality checks downstream.
+Numerators are int64 until one reaches ``_INT64_GUARD``; past it they are
+Python ints in an object array.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -94,19 +95,33 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _numerators(nums) -> np.ndarray:
+    """Integer numerators as int64, or as Python ints in an object array
+    once any of them reaches ``_INT64_GUARD``."""
+    arr = np.asarray(nums)
+    if arr.dtype.kind in "iu" or not arr.size:
+        if not arr.size or -_INT64_GUARD < arr.min() and arr.max() < _INT64_GUARD:
+            return arr.astype(np.int64, copy=False)
+        arr = arr.astype(object)
+    if arr.dtype != object or not all(isinstance(n, int) for n in arr.tolist()):
+        raise ValidationError("exact numerators must be integers")
+    return arr if max(map(abs, arr.tolist())) >= _INT64_GUARD else arr.astype(np.int64)
+
+
 @dataclass(frozen=True)
 class EigenvalueStream:
     """Increasing (value, multiplicity) pairs below a cutoff.
 
-    ``exact_entries``, when present, holds the same values as exact
-    ``Fraction`` coefficients of ``pi**pi_power``; the float ``values`` are
-    derived from them.
+    ``exact_nums``, when present, holds the same values exactly: value i is
+    ``exact_nums[i] / exact_den * pi**pi_power``, kept in lowest terms.  The
+    float ``values`` are derived from them by the generators.
     """
 
     values: np.ndarray
     multiplicities: np.ndarray
     cutoff: float
-    exact_entries: Optional[tuple[Fraction, ...]] = None
+    exact_nums: Optional[np.ndarray] = None
+    exact_den: int = 1
     pi_power: int = 0
 
     def __post_init__(self):
@@ -125,13 +140,21 @@ class EigenvalueStream:
                 raise ValidationError("all eigenvalues must lie strictly below the cutoff")
         if np.any(mults < 1):
             raise ValidationError("multiplicities must be positive integers")
-        if self.exact_entries is not None:
-            exact = tuple(Fraction(e) for e in self.exact_entries)
-            if len(exact) != values.size:
-                raise ValidationError("exact_entries length does not match values")
-            if any(b <= a for a, b in zip(exact, exact[1:])):
-                raise ValidationError("exact_entries must be strictly increasing")
-            object.__setattr__(self, "exact_entries", exact)
+        if self.exact_nums is not None:
+            nums = _numerators(self.exact_nums)
+            den = self.exact_den
+            if not isinstance(den, int) or den < 1:
+                raise ValidationError(f"exact_den must be a positive integer, got {den!r}")
+            if nums.shape != values.shape:
+                raise ValidationError("exact_nums length does not match values")
+            if np.any(nums[1:] <= nums[:-1]):
+                raise ValidationError("exact_nums must be strictly increasing")
+            # lowest terms; a lone zero numerator stays as it is
+            g = math.gcd(den, int(np.gcd.reduce(nums)))
+            if g > 1 and nums.any():
+                nums = _numerators(nums // g)
+            object.__setattr__(self, "exact_nums", _readonly(nums))
+            object.__setattr__(self, "exact_den", den // g)
         object.__setattr__(self, "values", _readonly(values))
         object.__setattr__(self, "multiplicities", _readonly(mults))
 
@@ -139,7 +162,7 @@ class EigenvalueStream:
 
     @property
     def exact(self) -> bool:
-        return self.exact_entries is not None
+        return self.exact_nums is not None
 
     @property
     def index_origin(self) -> int:
@@ -186,12 +209,9 @@ class EigenvalueStream:
         """The same stream restricted to values strictly below ``cutoff``."""
         self._check_range(cutoff)
         mask = self.values < cutoff
-        exact = None
-        if self.exact_entries is not None:
-            exact = tuple(e for e, keep in zip(self.exact_entries, mask) if keep)
-        return EigenvalueStream(
-            self.values[mask], self.multiplicities[mask], cutoff, exact, self.pi_power
-        )
+        nums = self.exact_nums[mask] if self.exact else None
+        return EigenvalueStream(self.values[mask], self.multiplicities[mask], cutoff,
+                                nums, self.exact_den, self.pi_power)
 
 
 # ---------------------------------------------------------------------------
@@ -213,23 +233,22 @@ def _aggregate_float(values: np.ndarray, mults: np.ndarray, rtol: float = FLOAT_
     return agg_v, agg_m
 
 
-def _stream_from_exact(nums: Iterable[int], mults: Iterable[int], den: int,
-                       pi_power: int, cutoff: float) -> EigenvalueStream:
-    """Aggregate integer numerators (over a common denominator) into a stream."""
-    table: dict[int, int] = {}
-    for n, m in zip(nums, mults):
-        table[n] = table.get(n, 0) + int(m)
-    scale = (math.pi ** pi_power) / den
-    items = sorted(table.items())
-    vals, ms, exact = [], [], []
-    for n, m in items:
-        v = n * scale
-        if v < cutoff:
-            vals.append(v)
-            ms.append(m)
-            exact.append(Fraction(n, den))
-    return EigenvalueStream(np.array(vals, float), np.array(ms, np.int64),
-                            cutoff, tuple(exact), pi_power)
+def _aggregate_exact(nums, mults) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct integer numerators, ascending, with summed multiplicities."""
+    nums = _numerators(nums)
+    order = np.argsort(nums, kind="stable")
+    uniq, starts = np.unique(nums[order], return_index=True)
+    return uniq, np.add.reduceat(np.asarray(mults, np.int64)[order], starts)
+
+
+def _stream_from_exact(nums, mults, den: int, pi_power: int,
+                       cutoff: float) -> EigenvalueStream:
+    """Aggregate integer numerators (over a common denominator) into a stream;
+    value i is ``nums[i] * (pi**pi_power / den)``."""
+    uniq, counts = _aggregate_exact(nums, mults)
+    values = np.asarray(uniq * ((math.pi ** pi_power) / den), dtype=float)
+    keep = values < cutoff
+    return EigenvalueStream(values[keep], counts[keep], cutoff, uniq[keep], den, pi_power)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +282,7 @@ def interval_spectrum(a, bc: BoundaryCondition, cutoff: float) -> EigenvalueStre
         raise DomainError(f"interval length must be positive, got {a}")
 
     if a_pi is not None:
-        coeff = PiRational(Fraction(1), 2) / (a_pi * a_pi)  # pi^2 / a^2
+        coeff = PiRational(1, 2) / (a_pi * a_pi)  # pi^2 / a^2
         ls = _axis_modes(a_float, float(coeff), bc, cutoff)
         den = coeff.coeff.denominator
         w = int(coeff.coeff * den)
@@ -291,7 +310,7 @@ def box_spectrum(sides: Sequence, bc: BoundaryCondition, cutoff: float) -> Eigen
     if any(not s > 0 for s in side_floats):
         raise DomainError("all sides must be positive")
 
-    coeff_pis = [PiRational(Fraction(1), 2) / (p * p) if p is not None else None
+    coeff_pis = [PiRational(1, 2) / (p * p) if p is not None else None
                  for p in side_pis]
     exact = all(c is not None for c in coeff_pis) and len({c.pi_power for c in coeff_pis}) == 1
     coeff_floats = [float(c) if c is not None else math.pi ** 2 / s ** 2
@@ -307,10 +326,8 @@ def box_spectrum(sides: Sequence, bc: BoundaryCondition, cutoff: float) -> Eigen
             grids = np.meshgrid(*axes, indexing="ij", sparse=True)
             nums = sum(w * g.astype(np.int64) ** 2 for w, g in zip(weights, grids))
             nums = np.asarray(nums).ravel()
-            scale = (math.pi ** pi_power) / den
-            keep = nums * scale < cutoff
-            uniq, counts = np.unique(nums[keep], return_counts=True)
-            return _stream_from_exact(uniq.tolist(), counts.tolist(), den, pi_power, cutoff)
+            nums = nums[nums * ((math.pi ** pi_power) / den) < cutoff]
+            return _stream_from_exact(nums, np.ones(nums.size, np.int64), den, pi_power, cutoff)
         # fall through to the float path on (unrealistic) overflow risk
 
     axis_vals = [c * ax.astype(float) ** 2 for c, ax in zip(coeff_floats, axes)]
@@ -327,14 +344,9 @@ def sphere2_spectrum(cutoff: float) -> EigenvalueStream:
     """Spectrum of the round 2-sphere: k(k+1) with multiplicity 2k+1."""
     if not cutoff > 0:
         raise DomainError(f"cutoff must be positive, got {cutoff}")
-    ks = []
-    k = 0
-    while k * (k + 1) < cutoff:
-        ks.append(k)
-        k += 1
-    nums = [k * (k + 1) for k in ks]
-    mults = [2 * k + 1 for k in ks]
-    return _stream_from_exact(nums, mults, 1, 0, cutoff)
+    ks = np.arange(math.isqrt(int(cutoff)) + 1, dtype=np.int64)
+    ks = ks[ks * (ks + 1) < cutoff]
+    return _stream_from_exact(ks * (ks + 1), 2 * ks + 1, 1, 0, cutoff)
 
 
 # -- equilateral triangle (Neumann), side length 1 --------------------------
@@ -364,29 +376,21 @@ def triangle_neumann_counting(lam: float) -> int:
     """Neumann counting function of the unit-side equilateral triangle.
 
     Weighted lattice count: 1/6 per regular pair with 3|(m+n), 1/3 per pair
-    on the exceptional lines, plus a constant 2/3.  Assembled in exact
-    rational arithmetic; a non-integer total is an internal error.
+    on the exceptional lines, plus a constant 2/3.  Assembled in integer
+    sixths; a non-integer total is an internal error.
     """
-    return _triangle_count(lam, inclusive=False)
-
-
-def _triangle_count(lam: float, inclusive: bool) -> int:
     if not lam > 0:
         raise DomainError(f"lambda must be positive, got {lam}")
     limit_q = 27.0 * lam / (16.0 * math.pi ** 2)
     q_regular, q_special = _triangle_lattice(limit_q + 1.0)
-    if inclusive:
-        reg = int(np.sum(q_regular * _TRI_FACTOR <= lam))
-        spe = int(np.sum(q_special * _TRI_FACTOR <= lam))
-    else:
-        reg = int(np.sum(q_regular * _TRI_FACTOR < lam))
-        spe = int(np.sum(q_special * _TRI_FACTOR < lam))
-    total = Fraction(reg, 6) + Fraction(spe, 3) + Fraction(2, 3)
-    if total.denominator != 1:
+    reg = int(np.sum(q_regular * _TRI_FACTOR < lam))
+    spe = int(np.sum(q_special * _TRI_FACTOR < lam))
+    sixths = reg + 2 * spe + 4
+    if sixths % 6:
         raise InternalConsistencyError(
-            f"triangle count assembled to non-integer {total} at lambda={lam}"
+            f"triangle count assembled to non-integer {sixths}/6 at lambda={lam}"
         )
-    return int(total)
+    return sixths // 6
 
 
 def triangle_neumann_spectrum(cutoff: float) -> EigenvalueStream:
@@ -394,30 +398,38 @@ def triangle_neumann_spectrum(cutoff: float) -> EigenvalueStream:
 
     Derived from the counting formula: the multiplicity at quadratic-form
     value q is the weighted number of lattice pairs sitting exactly at q,
-    and must come out a nonnegative integer.
+    counted in sixths, and must come out a nonnegative integer.
     """
     if not cutoff > 0:
         raise DomainError(f"cutoff must be positive, got {cutoff}")
     limit_q = 27.0 * cutoff / (16.0 * math.pi ** 2)
     q_regular, q_special = _triangle_lattice(limit_q + 1.0)
-    weights: dict[int, Fraction] = {0: Fraction(2, 3)}  # constant term joins the zero mode
-    for q_arr, w in ((q_regular, Fraction(1, 6)), (q_special, Fraction(1, 3))):
-        uniq, counts = np.unique(q_arr, return_counts=True)
-        for q, c in zip(uniq.tolist(), counts.tolist()):
-            weights[q] = weights.get(q, Fraction(0)) + w * c
-    nums, mults = [], []
-    for q in sorted(weights):
-        mult = weights[q]
-        if mult == 0:
-            continue
-        if mult.denominator != 1:
-            raise InternalConsistencyError(
-                f"triangle multiplicity at q={q} is non-integer: {mult}"
-            )
-        if q * _TRI_FACTOR < cutoff:
-            nums.append(16 * q)
-            mults.append(int(mult))
-    return _stream_from_exact(nums, mults, 27, 2, cutoff)
+    # the constant term 2/3 = 4/6 joins the zero mode
+    q, sixths = _aggregate_exact(
+        np.concatenate(([0], q_regular, q_special)),
+        np.concatenate(([4], np.full(q_regular.size, 1), np.full(q_special.size, 2))))
+    odd = np.flatnonzero(sixths % 6)
+    if odd.size:
+        raise InternalConsistencyError(
+            f"triangle multiplicity at q={q[odd[0]]} is non-integer: {sixths[odd[0]]}/6"
+        )
+    keep = q * _TRI_FACTOR < cutoff
+    return _stream_from_exact(16 * q[keep], sixths[keep] // 6, 27, 2, cutoff)
+
+
+def _pair_sums(x1: np.ndarray, m1: np.ndarray, x2: np.ndarray, m2: np.ndarray,
+               below: Callable[[np.ndarray], np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Pairwise sums x1[i] + x2[j] with multiplied multiplicities, one row
+    slice per x1[i]; ``below`` marks the sums under the cutoff.  Both inputs
+    are increasing, so each row keeps a prefix and the rows shrink."""
+    sums, mults = [x2[:0]], [m2[:0]]
+    for a, m in zip(x1.tolist(), m1.tolist()):
+        idx = int(np.count_nonzero(below(x2 + a)))
+        if not idx:
+            break
+        sums.append(x2[:idx] + a)
+        mults.append(m * m2[:idx])
+    return np.concatenate(sums), np.concatenate(mults)
 
 
 def product_spectrum(s1: EigenvalueStream, s2: EigenvalueStream,
@@ -438,34 +450,22 @@ def product_spectrum(s1: EigenvalueStream, s2: EigenvalueStream,
     s2 = s2.truncated(cutoff)
 
     if s1.exact and s2.exact and s1.pi_power == s2.pi_power:
-        pi_power = s1.pi_power
-        d1 = math.lcm(*(e.denominator for e in s1.exact_entries)) if s1.exact_entries else 1
-        d2 = math.lcm(*(e.denominator for e in s2.exact_entries)) if s2.exact_entries else 1
-        den = math.lcm(d1, d2)
-        n1 = np.array([int(e * den) for e in s1.exact_entries], dtype=np.int64)
-        n2 = np.array([int(e * den) for e in s2.exact_entries], dtype=np.int64)
-        if (not n1.size or not n2.size
-                or int(n1.max()) + int(n2.max()) < _INT64_GUARD):
-            scale = (math.pi ** pi_power) / den
-            table: dict[int, int] = {}
-            for num1, mult1 in zip(n1.tolist(), s1.multiplicities.tolist()):
-                idx = int(np.searchsorted((n2 + num1) * scale, cutoff, side="left"))
-                for num2, mult2 in zip(n2[:idx].tolist(), s2.multiplicities[:idx].tolist()):
-                    key = num1 + num2
-                    table[key] = table.get(key, 0) + mult1 * mult2
-            return _stream_from_exact(table.keys(), table.values(), den, pi_power, cutoff)
+        # both denominators are in lowest terms; past the guard the sums
+        # are taken over Python ints
+        den = math.lcm(s1.exact_den, s2.exact_den)
+        factors = (den // s1.exact_den, den // s2.exact_den)
+        top = sum(int(s.exact_nums[-1]) * f for s, f in zip((s1, s2), factors)
+                  if s.exact_nums.size)
+        dtype = np.int64 if top < _INT64_GUARD else object
+        n1, n2 = (s.exact_nums.astype(dtype) * f for s, f in zip((s1, s2), factors))
+        scale = (math.pi ** s1.pi_power) / den
+        nums, mults = _pair_sums(n1, s1.multiplicities, n2, s2.multiplicities,
+                                 lambda row: np.asarray(row * scale, dtype=float) < cutoff)
+        return _stream_from_exact(nums, mults, den, s1.pi_power, cutoff)
 
-    sums, mults = [], []
-    for v1, m1 in s1.entries():
-        idx = int(np.searchsorted(v1 + s2.values, cutoff, side="left"))
-        if idx:
-            sums.append(v1 + s2.values[:idx])
-            mults.append(m1 * s2.multiplicities[:idx])
-    if sums:
-        vals, ms = _aggregate_float(np.concatenate(sums), np.concatenate(mults))
-    else:
-        vals, ms = np.empty(0), np.empty(0, np.int64)
-    return EigenvalueStream(vals, ms, cutoff)
+    vals, mults = _pair_sums(s1.values, s1.multiplicities, s2.values, s2.multiplicities,
+                             lambda row: row < cutoff)
+    return EigenvalueStream(*_aggregate_float(vals, mults), cutoff)
 
 
 def tabulated_spectrum(entries: Iterable, cutoff: float,
@@ -517,8 +517,11 @@ def tabulated_spectrum(entries: Iterable, cutoff: float,
                 raise ModeError(f"{bc.value} spectra must start with the zero mode")
         elif arr.size and arr[0] == 0.0:
             raise ModeError("dirichlet spectra must not contain the zero mode")
-    exact_entries = tuple(exacts) if (all_exact and len(exacts) == len(values)) else None
-    return EigenvalueStream(arr, np.array(mults, np.int64), cutoff, exact_entries, 0)
+    if not all_exact:
+        return EigenvalueStream(arr, np.array(mults, np.int64), cutoff)
+    den = math.lcm(*(f.denominator for f in exacts))
+    nums = [f.numerator * (den // f.denominator) for f in exacts]
+    return EigenvalueStream(arr, np.array(mults, np.int64), cutoff, nums, den)
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +541,7 @@ def box_meta(sides: Sequence, bc: BoundaryCondition) -> DomainMeta:
     surface = sum(2.0 * volume / s for s in floats) if len(floats) > 1 else 2.0
     exact = None
     if all(p is not None for p in pis):
-        exact = PiRational(Fraction(1))
+        exact = PiRational(1)
         for p in pis:
             exact = exact * p
     return DomainMeta(len(floats), volume, BoundaryCondition(bc),
@@ -547,7 +550,7 @@ def box_meta(sides: Sequence, bc: BoundaryCondition) -> DomainMeta:
 
 def sphere2_meta() -> DomainMeta:
     return DomainMeta(2, 4.0 * math.pi, BoundaryCondition.CLOSED,
-                      exact_volume=PiRational(Fraction(4), 1))
+                      exact_volume=PiRational(4, 1))
 
 
 def triangle_meta() -> DomainMeta:
@@ -597,17 +600,25 @@ def stream_from_csv(fp, cutoff: Optional[float] = None) -> EigenvalueStream:
 
 
 def stream_to_json_dict(stream: EigenvalueStream) -> dict:
-    return {
+    """Cutoff and entries; an exact stream adds its numerators (plain ints),
+    denominator and pi power, so it reloads exact."""
+    data = {
         "cutoff": stream.cutoff,
         "exact": stream.exact,
         "entries": [[v, m] for v, m in stream.entries()],
     }
+    if stream.exact:
+        data.update(exact_nums=stream.exact_nums.tolist(), exact_den=stream.exact_den,
+                    pi_power=stream.pi_power)
+    return data
 
 
 def stream_from_json_dict(data: dict) -> EigenvalueStream:
     try:
-        cutoff = float(data["cutoff"])
-        entries = data["entries"]
+        stream = tabulated_spectrum(data["entries"], float(data["cutoff"]))
+        if "exact_nums" not in data:
+            return stream
+        exact = (data["exact_nums"], data["exact_den"], data["pi_power"])
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed spectrum JSON: {exc}") from exc
-    return tabulated_spectrum(entries, cutoff)
+    return EigenvalueStream(stream.values, stream.multiplicities, stream.cutoff, *exact)

@@ -185,12 +185,26 @@ def test_reproduce_sphere_thin(capsys):
 
 
 def test_reproduce_square_triangle(capsys):
-    code, out, _ = run_cli(capsys, "reproduce", "square-triangle", "--no-timestamp",
-                           "--threads", "2")
+    code, out, _ = run_cli(capsys, "reproduce", "square-triangle", "--no-timestamp")
     assert code == 0
     data = json.loads(out)
     assert data["ok"] is True
     assert data["threshold_covers_claim"] is True
+
+
+def test_verify_exact_interval_equality_exits_zero(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--spec",
+                           '{"interval":{"a":"pi/24","bc":"dirichlet"}}',
+                           "--k-max", "20", "--no-timestamp")
+    assert code == 0
+    data = json.loads(out)
+    assert data["verdict"] == "holds" and data["tie_breaks"] > 0
+
+
+@pytest.mark.parametrize("flag", ["--threads", "--seed"])
+def test_removed_flags_are_rejected(flag):
+    with pytest.raises(SystemExit):
+        main(["reproduce", "square-triangle", flag, "2"])
 
 
 def test_console_entry_point_subprocess():

@@ -128,6 +128,30 @@ def test_interval_polya_is_equality_for_all_lengths():
     assert len(set(verdicts)) == 1 and verdicts[0] == "holds"
 
 
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("a", ["pi/24", "pi/3", "2pi/7", "pi"])
+def test_exact_interval_equality_is_a_tie_not_a_failure(a, bc):
+    # exact values against a Weyl term from the exact volume: the equality
+    # is settled inside the exact tie band, not failed by float volume error
+    meta = interval_meta(a, bc)
+    s = interval_spectrum(a, bc, (21 * PI / meta.volume) ** 2)
+    rep = (verify_dirichlet if bc == "dirichlet" else verify_neumann)(s, meta, 20)
+    assert rep.holds and rep.checked == 20
+    assert rep.tie_breaks > 0
+
+
+def test_overflow_guard_fallback_verifies_exactly():
+    a = "4294967296pi/4294967295"  # numerators pass _INT64_GUARD
+    meta = interval_meta(a, "dirichlet")
+    s = interval_spectrum(a, "dirichlet", 200.0)
+    assert s.exact and s.exact_nums.dtype == object
+    c = rationalized_polya_constant(1, meta.exact_volume)
+    rep = verify_exact_power(s, c.numerator, c.denominator, 1, s.total_count, "dirichlet")
+    assert rep.holds and rep.checked == s.total_count
+    assert rep.worst_margin == 0.0  # 1-D Polya is an equality
+    assert verify_dirichlet(s, meta, s.total_count).holds
+
+
 # ---------------------------------------------------------------------------
 # exact integer path
 

@@ -1,4 +1,5 @@
 import io
+import json
 import math
 from fractions import Fraction
 
@@ -24,7 +25,7 @@ from polyaspec import (
     triangle_neumann_counting,
     triangle_neumann_spectrum,
 )
-from polyaspec.spectra import DomainMeta
+from polyaspec.spectra import _INT64_GUARD, DomainMeta, EigenvalueStream
 
 PI2 = math.pi ** 2
 TRI_FIRST_NONZERO = 16.0 * PI2 / 9.0
@@ -51,7 +52,7 @@ def test_interval_pi_over_24_is_exact_integers():
     s = interval_spectrum("pi/24", "dirichlet", 1e4)
     assert list(s.values) == [576.0, 2304.0, 5184.0, 9216.0]
     assert s.exact and s.pi_power == 0
-    assert s.exact_entries == (Fraction(576), Fraction(2304), Fraction(5184), Fraction(9216))
+    assert s.exact_nums.tolist() == [576, 2304, 5184, 9216] and s.exact_den == 1
 
 
 def test_interval_float_length_is_inexact():
@@ -102,7 +103,7 @@ def test_box_single_side_equals_interval():
     si = interval_spectrum(1, "dirichlet", 300.0)
     assert list(sb.values) == list(si.values)
     assert list(sb.multiplicities) == list(si.multiplicities)
-    assert sb.exact_entries == si.exact_entries
+    assert np.array_equal(sb.exact_nums, si.exact_nums) and sb.exact_den == si.exact_den
 
 
 def test_box_unit_square_first_mode_only():
@@ -204,8 +205,8 @@ def test_triangle_stream_agrees_with_closed_form(rng):
 def test_triangle_stream_is_exact_pi_squared_scale():
     stream = triangle_neumann_spectrum(100.0)
     assert stream.exact and stream.pi_power == 2
-    assert stream.exact_entries[0] == 0
-    assert stream.exact_entries[1] == Fraction(16, 9)  # times pi^2
+    assert stream.exact_nums[0] == 0
+    assert Fraction(int(stream.exact_nums[1]), stream.exact_den) == Fraction(16, 9)  # times pi^2
 
 
 # ---------------------------------------------------------------------------
@@ -340,10 +341,43 @@ def test_csv_rejects_bad_header():
 def test_json_round_trip():
     s = sphere2_spectrum(50.0)
     d = stream_to_json_dict(s)
-    assert set(d) == {"cutoff", "exact", "entries"}
+    assert set(d) == {"cutoff", "exact", "entries", "exact_nums", "exact_den", "pi_power"}
     back = stream_from_json_dict(d)
     assert list(back.values) == list(s.values)
     assert list(back.multiplicities) == list(s.multiplicities)
+
+
+@pytest.mark.parametrize("make", [lambda: sphere2_spectrum(50.0),
+                                  lambda: triangle_neumann_spectrum(300.0)],
+                         ids=["sphere2", "triangle"])
+def test_json_round_trip_keeps_exactness(make):
+    s = make()
+    back = stream_from_json_dict(json.loads(json.dumps(stream_to_json_dict(s))))
+    assert back.exact and s.exact
+    assert back.pi_power == s.pi_power
+    assert np.array_equal(back.exact_nums, s.exact_nums)
+    assert back.exact_den == s.exact_den
+    assert np.array_equal(back.values, s.values)
+    assert np.array_equal(back.multiplicities, s.multiplicities)
+
+
+def test_json_float_only_dict_loads_inexact():
+    s = box_spectrum([1.1, 2.3], "neumann", 100.0)
+    d = stream_to_json_dict(s)
+    assert set(d) == {"cutoff", "exact", "entries"}
+    back = stream_from_json_dict(d)
+    assert not back.exact
+    assert np.array_equal(back.values, s.values)
+
+
+@pytest.mark.parametrize("key,bad", [("exact_den", 0), ("exact_den", 1.5),
+                                     ("exact_nums", [0, 2]),
+                                     ("exact_nums", [0.0, 2.5, 6.0, 12.0, 20.0, 30.0, 42.0]),
+                                     ("exact_nums", [42, 30, 20, 12, 6, 2, 0])])
+def test_json_rejects_bad_exact_fields(key, bad):
+    d = stream_to_json_dict(sphere2_spectrum(50.0))
+    with pytest.raises(ValidationError):
+        stream_from_json_dict({**d, key: bad})
 
 
 def test_stream_values_are_immutable():
@@ -356,3 +390,100 @@ def test_count_above_cutoff_raises():
     s = sphere2_spectrum(10.0)
     with pytest.raises(CoverageError):
         s.count(11.0)
+
+
+# ---------------------------------------------------------------------------
+# exact representation: lowest terms, the int64 guard, a Fraction oracle
+
+
+def test_exact_values_are_kept_in_lowest_terms():
+    s = EigenvalueStream(np.array([0.5, 1.0]), [1, 2], 2.0, np.array([2, 4], dtype=object), 4)
+    assert s.exact_nums.dtype == np.int64
+    assert s.exact_nums.tolist() == [1, 2] and s.exact_den == 2
+
+
+#: interval length whose numerators (2**32 - 1)**2 * l**2 pass _INT64_GUARD
+BIG_A = "4294967296pi/4294967295"
+
+
+def test_overflow_guard_keeps_streams_exact():
+    s = interval_spectrum(BIG_A, "dirichlet", 50.0)
+    assert s.exact and s.pi_power == 0 and s.exact_den == 2 ** 64
+    assert s.exact_nums.dtype == object and s.exact_nums[0] >= _INT64_GUARD
+    assert s.exact_nums.tolist() == [(2 ** 32 - 1) ** 2 * l * l
+                                     for l in range(1, s.values.size + 1)]
+    sphere = sphere2_spectrum(50.0)
+    p = product_spectrum(s, sphere, 50.0)
+    assert p.exact and p.exact_nums.dtype == object
+    coeff = Fraction((2 ** 32 - 1) ** 2, 2 ** 64)
+    factors = [[(coeff * l * l, 1) for l in range(1, 8)],
+               [(Fraction(k * (k + 1)), 2 * k + 1) for k in range(8)]]
+    assert _exact_pairs(p) == _sum_oracle(factors, 50.0, 0)
+
+
+def _exact_pairs(stream) -> dict:
+    """(rational, multiplicity) pairs of an exact stream, away from its cutoff."""
+    return {Fraction(n, stream.exact_den): m
+            for n, m, v in zip(stream.exact_nums.tolist(), stream.multiplicities.tolist(),
+                               stream.values)
+            if abs(v - stream.cutoff) > 1e-9 * stream.cutoff}
+
+
+def _sum_oracle(factors, cutoff: float, pi_power: int) -> dict:
+    """Sums of one value per factor, by slow Fraction enumeration: the
+    (rational, multiplicity) pairs below the cutoff, in units of pi**pi_power."""
+    scale = math.pi ** pi_power
+    table = {Fraction(0): 1}
+    for factor in factors:
+        grown = {}
+        for v, m in table.items():
+            for w, n in factor:
+                if float(v + w) * scale < cutoff * (1 + 1e-9):
+                    grown[v + w] = grown.get(v + w, 0) + m * n
+        table = grown
+    return {v: m for v, m in table.items() if abs(float(v) * scale - cutoff) > 1e-9 * cutoff}
+
+
+def _interval_factor(p: int, q: int, bc: str, pi_power: int, cutoff: float):
+    """Modes of the interval of length p/q (pi_power 2) or p pi/q (pi_power
+    0): (l q / p)**2 in units of pi**pi_power."""
+    top = int(p / q * math.sqrt(cutoff / math.pi ** pi_power)) + 2
+    return [(Fraction((l * q) ** 2, p * p), 1)
+            for l in range(0 if bc == "neumann" else 1, top + 1)]
+
+
+def _length(p: int, q: int, pi_power: int) -> str:
+    return f"{p}pi/{q}" if pi_power == 0 else f"{p}/{q}"
+
+
+LENGTHS = st.tuples(st.integers(1, 4), st.integers(1, 4))
+BCS = st.sampled_from(["dirichlet", "neumann"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(sides=st.lists(LENGTHS, min_size=1, max_size=3), pi_power=st.sampled_from([0, 2]),
+       bc=BCS, frac=st.floats(0.02, 1.0))
+def test_exact_box_matches_fraction_oracle(sides, pi_power, bc, frac):
+    cutoff = frac * (150.0 if len(sides) < 3 else 40.0)
+    s = box_spectrum([_length(p, q, pi_power) for p, q in sides], bc, cutoff)
+    assert s.exact and s.pi_power == pi_power
+    factors = [_interval_factor(p, q, bc, pi_power, cutoff) for p, q in sides]
+    assert _exact_pairs(s) == _sum_oracle(factors, cutoff, pi_power)
+
+
+@settings(max_examples=40, deadline=None)
+@given(a1=LENGTHS, a2=LENGTHS, pi_power=st.sampled_from([0, 2]), bc1=BCS, bc2=BCS,
+       sphere=st.booleans(), swap=st.booleans(), frac=st.floats(0.02, 1.0))
+def test_exact_product_matches_fraction_oracle(a1, a2, pi_power, bc1, bc2, sphere, swap, frac):
+    cutoff = frac * 150.0
+    s1 = interval_spectrum(_length(*a1, pi_power), bc1, cutoff)
+    factors = [_interval_factor(*a1, bc1, pi_power, cutoff)]
+    if sphere and pi_power == 0:
+        s2 = sphere2_spectrum(cutoff)
+        factors.append([(Fraction(k * (k + 1)), 2 * k + 1) for k in range(13)])
+    else:
+        s2 = interval_spectrum(_length(*a2, pi_power), bc2, cutoff)
+        factors.append(_interval_factor(*a2, bc2, pi_power, cutoff))
+    p = product_spectrum(s2, s1, cutoff) if swap else product_spectrum(s1, s2, cutoff)
+    assert p.exact and p.pi_power == pi_power
+    assert _exact_pairs(p) == _sum_oracle(factors, cutoff, pi_power)
