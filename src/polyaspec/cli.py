@@ -5,8 +5,12 @@ Subcommands: ``spectrum``, ``count``, ``riesz``, ``constants``, ``verify``,
 
     '{"product": [{"interval": {"a": "pi/24", "bc": "dirichlet"}}, {"sphere2": {}}]}'
 
-Lengths accept symbolic tokens ("pi", "pi/24", "1/4pi") so exact-mode
-verification can recognize integer spectra.  Outputs are deterministic:
+and turned into a stream and its metadata by ``polyaspec.spec``
+(``build_spec``, ``stream_covering_k``), the same path the reproduction
+bundles take; ``SpectrumSpec``, ``build_spec`` and ``stream_covering_k``
+stay importable from here.  Lengths accept symbolic tokens ("pi",
+"pi/24", "1/4pi") so exact-mode verification can recognize integer
+spectra.  Outputs are deterministic:
 identical configurations produce byte-identical CSV/JSON, except for the
 timestamp field, which --no-timestamp removes.  Exit status is 0 iff all
 requested verifications hold, 1 on a failed verification, 2 on bad input.
@@ -35,104 +39,9 @@ from .reproduce import (
     sphere_thin_bundle,
     square_triangle_bundle,
 )
+from .spec import SpectrumSpec, build_spec, stream_covering_k
 
 __all__ = ["main", "build_spec", "SpectrumSpec"]
-
-
-# ---------------------------------------------------------------------------
-# spectrum specifications
-
-
-class SpectrumSpec:
-    """A recursive spectrum description: model generator or product of two."""
-
-    def __init__(self, kind: str, params: dict, children: Optional[list] = None):
-        self.kind = kind
-        self.params = params
-        self.children = children or []
-
-    def meta(self) -> sp.DomainMeta:
-        if self.kind == "interval":
-            return sp.interval_meta(self.params["a"], self.params["bc"])
-        if self.kind == "box":
-            return sp.box_meta(self.params["sides"], self.params["bc"])
-        if self.kind == "sphere2":
-            return sp.sphere2_meta()
-        if self.kind == "triangle":
-            return sp.triangle_meta()
-        if self.kind == "tabulated":
-            if "dimension" not in self.params or "volume" not in self.params:
-                raise ConfigError("tabulated specs need 'dimension' and 'volume' for metadata")
-            return sp.DomainMeta(
-                int(self.params["dimension"]), float(self.params["volume"]),
-                sp.BoundaryCondition(self.params.get("bc", "dirichlet")),
-                surface_area=self.params.get("surface_area"),
-            )
-        if self.kind == "product":
-            return sp.product_meta(self.children[0].meta(), self.children[1].meta())
-        raise ConfigError(f"unknown spectrum kind {self.kind!r}")
-
-    def stream(self, cutoff: float) -> sp.EigenvalueStream:
-        if self.kind == "interval":
-            return sp.interval_spectrum(self.params["a"], self.params["bc"], cutoff)
-        if self.kind == "box":
-            return sp.box_spectrum(self.params["sides"], self.params["bc"], cutoff)
-        if self.kind == "sphere2":
-            return sp.sphere2_spectrum(cutoff)
-        if self.kind == "triangle":
-            return sp.triangle_neumann_spectrum(cutoff)
-        if self.kind == "tabulated":
-            return sp.tabulated_spectrum(self.params["entries"], cutoff)
-        if self.kind == "product":
-            s1 = self.children[0].stream(cutoff)
-            s2 = self.children[1].stream(cutoff)
-            return sp.product_spectrum(s1, s2, cutoff)
-        raise ConfigError(f"unknown spectrum kind {self.kind!r}")
-
-    def counting(self, cutoff: float) -> ct.CountingFunction:
-        return ct.CountingFunction.from_stream(self.stream(cutoff), self.meta())
-
-
-def build_spec(node) -> SpectrumSpec:
-    """Parse the recursive JSON spectrum description."""
-    if isinstance(node, str):
-        node = json.loads(node)
-    if not isinstance(node, dict) or len(node) != 1:
-        raise ConfigError("spectrum spec must be an object with exactly one key")
-    kind, params = next(iter(node.items()))
-    if kind == "product":
-        if not isinstance(params, list) or len(params) != 2:
-            raise ConfigError("'product' takes a list of exactly two specs")
-        return SpectrumSpec("product", {}, [build_spec(p) for p in params])
-    if kind in ("interval", "box", "sphere2", "triangle", "tabulated"):
-        if params is None:
-            params = {}
-        if not isinstance(params, dict):
-            raise ConfigError(f"{kind!r} parameters must be an object")
-        if kind == "interval" and "a" not in params:
-            raise ConfigError("'interval' needs a length 'a'")
-        if kind == "box" and not params.get("sides"):
-            raise ConfigError("'box' needs a nonempty 'sides' list")
-        if kind == "tabulated" and "entries" not in params:
-            raise ConfigError("'tabulated' needs an 'entries' list")
-        if kind in ("interval", "box") and "bc" not in params:
-            raise ConfigError(f"{kind!r} needs a boundary condition 'bc'")
-        return SpectrumSpec(kind, params)
-    raise ConfigError(f"unknown spectrum kind {kind!r}")
-
-
-def stream_covering_k(spec: SpectrumSpec, k_max: int):
-    """Build a stream holding at least k_max eigenvalues (beyond the zero mode)."""
-    meta = spec.meta()
-    d = meta.dimension
-    cutoff = (1.3 * (k_max + 50) / (c_d(d) * meta.volume)) ** (2.0 / d)
-    for _ in range(10):
-        stream = spec.stream(cutoff)
-        have = stream.total_count - (1 if stream.index_origin == 0 else 0)
-        if have >= k_max:
-            return stream, meta
-        cutoff *= 1.5
-    raise ConfigError(f"could not cover k_max={k_max}; last cutoff {cutoff}")
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,8 @@ bounds).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,71 +31,31 @@ __all__ = [
 
 
 class CountingFunction:
-    """An eigenvalue counting function with its domain metadata.
+    """The counting function of an eigenvalue stream, with its domain metadata."""
 
-    Backed either by an eigenvalue stream or by a closed-form counter (as
-    for the equilateral triangle).  Closed-form counters may supply their
-    jump locations separately so jump scans stay possible.
-    """
-
-    def __init__(self, meta: DomainMeta, *, stream: Optional[EigenvalueStream] = None,
-                 fn: Optional[Callable[[float], int]] = None,
-                 fn_right: Optional[Callable[[float], int]] = None,
-                 jump_values: Optional[np.ndarray] = None,
-                 cutoff: Optional[float] = None):
-        if (stream is None) == (fn is None):
-            raise DomainError("provide exactly one of stream= or fn=")
+    def __init__(self, meta: DomainMeta, *, stream: EigenvalueStream):
         self.meta = meta
         self.stream = stream
-        self._fn = fn
-        self._fn_right = fn_right
-        self._jump_values = np.asarray(jump_values, float) if jump_values is not None else None
-        self._cutoff = cutoff if cutoff is not None else (stream.cutoff if stream else None)
 
     @classmethod
     def from_stream(cls, stream: EigenvalueStream, meta: DomainMeta) -> "CountingFunction":
         return cls(meta, stream=stream)
 
-    @classmethod
-    def from_callable(cls, fn: Callable[[float], int], meta: DomainMeta, *,
-                      fn_right: Optional[Callable[[float], int]] = None,
-                      jump_values: Optional[Sequence[float]] = None,
-                      cutoff: Optional[float] = None) -> "CountingFunction":
-        return cls(meta, fn=fn, fn_right=fn_right,
-                   jump_values=np.asarray(jump_values, float) if jump_values is not None else None,
-                   cutoff=cutoff)
-
     @property
-    def cutoff(self) -> Optional[float]:
-        return self._cutoff
-
-    def _check(self, lam: float) -> None:
-        if self._cutoff is not None and lam > self._cutoff:
-            raise CoverageError(f"lambda={lam} exceeds covered range {self._cutoff}")
+    def cutoff(self) -> float:
+        return self.stream.cutoff
 
     def count(self, lam: float) -> int:
         """Number of eigenvalues strictly below ``lam``."""
-        if self.stream is not None:
-            return self.stream.count(lam)
-        self._check(lam)
-        return int(self._fn(lam))
+        return self.stream.count(lam)
 
     def count_right(self, lam: float) -> int:
         """Right limit of the counting step at ``lam`` (counts values <= lam)."""
-        if self.stream is not None:
-            return self.stream.count_right(lam)
-        self._check(lam)
-        if self._fn_right is not None:
-            return int(self._fn_right(lam))
-        return int(self._fn(math.nextafter(lam, math.inf)))
+        return self.stream.count_right(lam)
 
     def jump_values(self) -> np.ndarray:
         """Distinct eigenvalues below the covered range, ascending."""
-        if self.stream is not None:
-            return self.stream.values
-        if self._jump_values is None:
-            raise CoverageError("this closed-form counter carries no jump list")
-        return self._jump_values
+        return self.stream.values
 
 
 class SumCountingFunction:
@@ -117,9 +76,8 @@ class SumCountingFunction:
         return np.unique(np.concatenate([p.jump_values() for p in self.parts]))
 
     @property
-    def cutoff(self) -> Optional[float]:
-        cuts = [p.cutoff for p in self.parts if p.cutoff is not None]
-        return min(cuts) if cuts else None
+    def cutoff(self) -> float:
+        return min(p.cutoff for p in self.parts)
 
 
 def jump_points(stream: EigenvalueStream) -> list[tuple[float, int, int]]:

@@ -7,11 +7,12 @@ finite sweep: per eigenvalue up to k_max, or at counting-function jumps
 against a monotone bound.
 
 Float comparisons use a guard band: relative margins within 1e-9 are
-re-evaluated at high precision (exactly, when the stream carries exact
-rational values and the volume is exact).  Genuine ties count as satisfied,
-since the inequalities are non-strict.  Streams without exact values cannot
-certify margins below float resolution; those near-ties are accepted and
-counted in ``tie_breaks``.
+re-evaluated at high precision, against the 1e-25 exact tie band when the
+stream carries exact values (rational multiples of a power of pi) and the
+volume is exact.  Genuine ties count as satisfied, since the inequalities
+are non-strict.  Streams without exact values cannot certify margins below
+float resolution; those near-ties are accepted and counted in
+``tie_breaks``.
 """
 
 from __future__ import annotations
@@ -96,13 +97,15 @@ def polya_weyl_term(meta: DomainMeta, k) -> float:
     return factor * np.asarray(k, float) ** (2.0 / d)
 
 
-def _reevaluate(value, exact_value: Optional[tuple[int, int]], meta: DomainMeta, k: int,
+def _reevaluate(value, exact_value: Optional[tuple[int, int, int]], meta: DomainMeta, k: int,
                 side: str) -> tuple[bool, bool]:
     """High-precision re-check of one comparison near a float tie.
 
     Returns (satisfied, was_tie).  An exact stream value enters the
-    comparison as the rational numerator / denominator; float values are
-    taken at face value, and margins below float resolution count as ties.
+    comparison as (numerator, denominator, pi power), evaluated as
+    numerator / denominator * pi**pi_power at the working precision; float
+    values are taken at face value, and margins below float resolution
+    count as ties.
     The Weyl term uses the exact volume when the metadata has one.
     """
     d = meta.dimension
@@ -116,7 +119,8 @@ def _reevaluate(value, exact_value: Optional[tuple[int, int]], meta: DomainMeta,
         w = 4 * mpmath.pi ** 2 / (omega * volume) ** (mpmath.mpf(2) / d) \
             * mpmath.mpf(k) ** (mpmath.mpf(2) / d)
         if exact_value is not None:
-            lhs = mpmath.mpf(exact_value[0]) / exact_value[1]
+            num, den, pi_power = exact_value
+            lhs = mpmath.mpf(num) / den * mpmath.pi ** pi_power
             band = EQUALITY_BAND_EXACT
         else:
             lhs = mpmath.mpf(value)
@@ -141,9 +145,9 @@ def _per_eigenvalue(s: EigenvalueStream, meta: DomainMeta, k_max: int,
             raise ModeError("Neumann verification needs the zero mode at index 0")
         origin = 1  # k = 0 is the zero mode, trivially below the bound
     candidates = s.expanded()[origin:]
-    # the exact tie band needs both sides exact: rational values, exact volume
+    # the exact tie band needs both sides exact: exact values, exact volume
     exact_nums = None
-    if s.exact and s.pi_power == 0 and meta.exact_volume is not None:
+    if s.exact and meta.exact_volume is not None:
         exact_nums = np.repeat(s.exact_nums, s.multiplicities)[origin:]
     if candidates.size == 0:
         raise CoverageError("stream holds no eigenvalues to verify")
@@ -159,7 +163,8 @@ def _per_eigenvalue(s: EigenvalueStream, meta: DomainMeta, k_max: int,
     adjusted = margins.copy()
     suspicious = np.nonzero(np.abs(margins) <= GUARD_BAND)[0]
     for i in suspicious:
-        exact_val = (int(exact_nums[i]), s.exact_den) if exact_nums is not None else None
+        exact_val = (int(exact_nums[i]), s.exact_den, s.pi_power) \
+            if exact_nums is not None else None
         ok, tie = _reevaluate(float(values[i]), exact_val, meta, int(i) + 1, side)
         tie_breaks += tie
         if ok and adjusted[i] < 0:
@@ -268,8 +273,6 @@ def verify_counting_bound(cf: CountingFunction, bound: Callable[[float], float],
         raise DomainError(f"side must be 'upper' or 'lower', got {side!r}")
     jump_arr = np.asarray(jumps, float) if jumps is not None else cf.jump_values()
     if lambda_max is None:
-        if cf.cutoff is None:
-            raise CoverageError("no lambda_max and the counting function has no cutoff")
         lambda_max = float(cf.cutoff)
 
     if side == "upper":

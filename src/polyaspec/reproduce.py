@@ -11,6 +11,10 @@ unit equilateral triangle attached to one side.  Its Neumann counting
 function is bounded by the sum of the parts' counting functions, each of
 which obeys an explicit two-term bound; the assembled remainder constant
 50 feeds the thin-product threshold, which comes out above 1/(4 pi).
+
+Every domain is built from a spectrum spec (``polyaspec.spec``), the path
+the command line takes too; the thin-sphere streams come from
+``stream_covering_k``, the one cutoff-growth loop.
 """
 
 from __future__ import annotations
@@ -30,8 +34,8 @@ from .constants import (
     omega_d_exact,
     threshold_a0,
 )
-from .errors import InternalConsistencyError
 from .pivals import PiRational
+from .spec import SpectrumSpec, build_spec, stream_covering_k
 
 __all__ = [
     "rationalized_polya_constant",
@@ -60,23 +64,9 @@ def rationalized_polya_constant(dimension: int, exact_volume: PiRational) -> Fra
     return c.as_fraction()
 
 
-def _sphere_product(a, bc: str, cutoff: float):
-    interval = sp.interval_spectrum(a, bc, cutoff)
-    sphere = sp.sphere2_spectrum(cutoff)
-    stream = sp.product_spectrum(interval, sphere, cutoff)
-    meta = sp.product_meta(sp.interval_meta(a, bc), sp.sphere2_meta())
-    return stream, meta
-
-
-def _grow_cutoff_for_k(build, k_needed: int, start: float):
-    cutoff = start
-    for _ in range(8):
-        stream, meta = build(cutoff)
-        have = stream.total_count - (1 if stream.index_origin == 0 else 0)
-        if have >= k_needed:
-            return stream, meta
-        cutoff *= 1.4
-    raise InternalConsistencyError(f"could not cover {k_needed} eigenvalues below {cutoff}")
+def _thin_sphere(a, bc: str) -> SpectrumSpec:
+    """The product (0, a) x S^2."""
+    return build_spec({"product": [{"interval": {"a": a, "bc": bc}}, {"sphere2": {}}]})
 
 
 def empirical_weyl_onset(stream: sp.EigenvalueStream, factor: float) -> float:
@@ -90,15 +80,10 @@ def empirical_weyl_onset(stream: sp.EigenvalueStream, factor: float) -> float:
 
 def sphere_thin_bundle(k_max: int = SPHERE_THIN_KMAX) -> dict:
     """Exact Polya verification for (0, pi/24) x S^2 plus the large-a failures."""
+    stream_d, meta_d = stream_covering_k(_thin_sphere("pi/24", "dirichlet"), k_max)
+    stream_n, meta_n = stream_covering_k(_thin_sphere("pi/24", "neumann"), k_max)
     # the integer constant, re-derived from the exact volume rather than assumed
-    meta_d = sp.product_meta(sp.interval_meta("pi/24", "dirichlet"), sp.sphere2_meta())
     constant = rationalized_polya_constant(3, meta_d.exact_volume)
-
-    weyl_guess = (1.3 * (k_max + 50) / (c_d(3) * meta_d.volume)) ** (2.0 / 3.0)
-    stream_d, _ = _grow_cutoff_for_k(
-        lambda c: _sphere_product("pi/24", "dirichlet", c), k_max, weyl_guess)
-    stream_n, meta_n = _grow_cutoff_for_k(
-        lambda c: _sphere_product("pi/24", "neumann", c), k_max, weyl_guess)
 
     rep_d = pv.verify_exact_power(stream_d, constant.numerator, constant.denominator,
                                   3, k_max, "dirichlet")
@@ -108,7 +93,7 @@ def sphere_thin_bundle(k_max: int = SPHERE_THIN_KMAX) -> dict:
     rep_n_float = pv.verify_neumann(stream_n, meta_n, k_max)
 
     # thresholds behind the a = pi/24 claim
-    sphere_stream = sp.sphere2_spectrum(1.0e4)
+    sphere_stream = build_spec({"sphere2": {}}).stream(1.0e4)
     onset = empirical_weyl_onset(sphere_stream, factor=c_d(3) * math.pi * 4.0 * math.pi)
     thr_d = threshold_a0(ThresholdRequest(
         ThresholdCase.MANIFOLD_DIRICHLET_D1EQ1_D2EQ2, volume=4.0 * math.pi, c_remainder=1.0))
@@ -117,11 +102,11 @@ def sphere_thin_bundle(k_max: int = SPHERE_THIN_KMAX) -> dict:
 
     # large-a failure cases, witnessed by the first interval mode pi^2/a^2
     a_fail_d = math.pi
-    fail_d_stream, fail_d_meta = _sphere_product(a_fail_d, "dirichlet", 5.0)
-    fail_d = pv.verify_dirichlet(fail_d_stream, fail_d_meta, 1)
+    fail_d_spec = _thin_sphere(a_fail_d, "dirichlet")
+    fail_d = pv.verify_dirichlet(fail_d_spec.stream(5.0), fail_d_spec.meta(), 1)
     a_fail_n = 0.99 * math.sqrt(2.0 / 3.0) * math.pi
-    fail_n_stream, fail_n_meta = _sphere_product(a_fail_n, "neumann", 5.0)
-    fail_n = pv.verify_neumann(fail_n_stream, fail_n_meta, 1)
+    fail_n_spec = _thin_sphere(a_fail_n, "neumann")
+    fail_n = pv.verify_neumann(fail_n_spec.stream(5.0), fail_n_spec.meta(), 1)
 
     ok = (rep_d.holds and rep_n.holds and rep_d_float.holds and rep_n_float.holds
           and rep_d.checked >= k_max and rep_n.checked >= k_max
@@ -177,10 +162,9 @@ def square_triangle_bundle(cutoff: float = SQUARE_TRIANGLE_CUTOFF) -> dict:
     # so the Dirichlet count of the composite domain vanishes below the floor
     faber_krahn_floor = 4.0 * math.pi / volume
 
-    square = sp.box_spectrum([10, 10], "neumann", cutoff * 1.0001)
-    cf_square = ct.CountingFunction.from_stream(square, sp.box_meta([10, 10], "neumann"))
-    triangle = sp.triangle_neumann_spectrum(cutoff * 1.0001)
-    cf_triangle = ct.CountingFunction.from_stream(triangle, sp.triangle_meta())
+    square = build_spec({"box": {"sides": [10, 10], "bc": "neumann"}})
+    cf_square = square.counting(cutoff * 1.0001)
+    cf_triangle = build_spec({"triangle": {}}).counting(cutoff * 1.0001)
     cf_sum = ct.SumCountingFunction([cf_square, cf_triangle])
 
     rep_square = pv.verify_counting_bound(cf_square, square_bound, "upper",

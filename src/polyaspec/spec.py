@@ -1,0 +1,135 @@
+"""Spectrum specifications: one description, one (stream, meta) pair.
+
+A spec is the recursive JSON form used by the command line, e.g.
+
+    {"product": [{"interval": {"a": "pi/24", "bc": "dirichlet"}}, {"sphere2": {}}]}
+
+``build_spec`` validates it into a ``SpectrumSpec``, whose ``stream`` and
+``meta`` build the eigenvalue stream and the domain metadata of the same
+domain; ``stream_covering_k`` grows the cutoff until the stream holds
+k_max eigenvalues.  The command line and the reproduction bundles build
+every domain this way.
+"""
+
+from __future__ import annotations
+
+import json
+from typing import Callable, NamedTuple, Optional
+
+from . import counting as ct
+from . import spectra as sp
+from .constants import c_d
+from .errors import ConfigError
+
+__all__ = ["SpectrumSpec", "build_spec", "stream_covering_k"]
+
+
+def _tabulated_meta(p: dict) -> sp.DomainMeta:
+    if "dimension" not in p or "volume" not in p:
+        raise ConfigError("tabulated specs need 'dimension' and 'volume' for metadata")
+    return sp.DomainMeta(
+        int(p["dimension"]), float(p["volume"]),
+        sp.BoundaryCondition(p.get("bc", "dirichlet")),
+        surface_area=p.get("surface_area"),
+    )
+
+
+def _tabulated_stream(p: dict, cutoff: float) -> sp.EigenvalueStream:
+    # with metadata present, its boundary condition is checked against the entries
+    meta = _tabulated_meta(p) if "dimension" in p and "volume" in p else None
+    return sp.tabulated_spectrum(p["entries"], cutoff, meta)
+
+
+class _Kind(NamedTuple):
+    needs: tuple[str, ...]
+    stream: Callable[["SpectrumSpec", float], sp.EigenvalueStream]
+    meta: Callable[["SpectrumSpec"], sp.DomainMeta]
+
+
+#: every spectrum kind: required parameters, stream builder, metadata builder
+_KINDS = {
+    "interval": _Kind(
+        ("a", "bc"),
+        lambda s, c: sp.interval_spectrum(s.params["a"], s.params["bc"], c),
+        lambda s: sp.interval_meta(s.params["a"], s.params["bc"])),
+    "box": _Kind(
+        ("sides", "bc"),
+        lambda s, c: sp.box_spectrum(s.params["sides"], s.params["bc"], c),
+        lambda s: sp.box_meta(s.params["sides"], s.params["bc"])),
+    "sphere2": _Kind((), lambda s, c: sp.sphere2_spectrum(c), lambda s: sp.sphere2_meta()),
+    "triangle": _Kind((), lambda s, c: sp.triangle_neumann_spectrum(c),
+                      lambda s: sp.triangle_meta()),
+    "tabulated": _Kind(("entries",), lambda s, c: _tabulated_stream(s.params, c),
+                       lambda s: _tabulated_meta(s.params)),
+    "product": _Kind(
+        (),
+        lambda s, c: sp.product_spectrum(*(child.stream(c) for child in s.children), c),
+        lambda s: sp.product_meta(*(child.meta() for child in s.children))),
+}
+
+#: what a missing parameter should have been, for the error message
+_NEEDS = {
+    "a": "a length 'a'",
+    "bc": "a boundary condition 'bc'",
+    "sides": "a nonempty 'sides' list",
+    "entries": "an 'entries' list",
+}
+
+
+class SpectrumSpec:
+    """A recursive spectrum description: model generator or product of two."""
+
+    def __init__(self, kind: str, params: dict, children: Optional[list] = None):
+        if kind not in _KINDS:
+            raise ConfigError(f"unknown spectrum kind {kind!r}")
+        self.kind = kind
+        self.params = params
+        self.children = children or []
+
+    def meta(self) -> sp.DomainMeta:
+        return _KINDS[self.kind].meta(self)
+
+    def stream(self, cutoff: float) -> sp.EigenvalueStream:
+        return _KINDS[self.kind].stream(self, cutoff)
+
+    def counting(self, cutoff: float) -> ct.CountingFunction:
+        return ct.CountingFunction.from_stream(self.stream(cutoff), self.meta())
+
+
+def build_spec(node) -> SpectrumSpec:
+    """Parse the recursive JSON spectrum description (a string or a dict)."""
+    if isinstance(node, str):
+        node = json.loads(node)
+    if not isinstance(node, dict) or len(node) != 1:
+        raise ConfigError("spectrum spec must be an object with exactly one key")
+    kind, params = next(iter(node.items()))
+    if kind not in _KINDS:
+        raise ConfigError(f"unknown spectrum kind {kind!r}")
+    if kind == "product":
+        if not isinstance(params, list) or len(params) != 2:
+            raise ConfigError("'product' takes a list of exactly two specs")
+        return SpectrumSpec(kind, {}, [build_spec(p) for p in params])
+    if params is None:
+        params = {}
+    if not isinstance(params, dict):
+        raise ConfigError(f"{kind!r} parameters must be an object")
+    for key in _KINDS[kind].needs:
+        if key not in params or (key == "sides" and not params[key]):
+            raise ConfigError(f"{kind!r} needs {_NEEDS[key]}")
+    return SpectrumSpec(kind, params)
+
+
+def stream_covering_k(spec: SpectrumSpec, k_max: int):
+    """Build a stream holding at least k_max eigenvalues (beyond the zero
+    mode), with its metadata.  The first cutoff is the Weyl guess with 30%
+    headroom; each retry raises it by half."""
+    meta = spec.meta()
+    d = meta.dimension
+    cutoff = (1.3 * (k_max + 50) / (c_d(d) * meta.volume)) ** (2.0 / d)
+    for _ in range(10):
+        stream = spec.stream(cutoff)
+        have = stream.total_count - (1 if stream.index_origin == 0 else 0)
+        if have >= k_max:
+            return stream, meta
+        cutoff *= 1.5
+    raise ConfigError(f"could not cover k_max={k_max}; last cutoff {cutoff}")

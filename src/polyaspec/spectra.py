@@ -321,14 +321,14 @@ def box_spectrum(sides: Sequence, bc: BoundaryCondition, cutoff: float) -> Eigen
         pi_power = coeff_pis[0].pi_power
         den = math.lcm(*(c.coeff.denominator for c in coeff_pis))
         weights = [int(c.coeff * den) for c in coeff_pis]
-        bound = sum(w * int(ax.max()) ** 2 for w, ax in zip(weights, axes) if ax.size)
-        if bound < _INT64_GUARD:
-            grids = np.meshgrid(*axes, indexing="ij", sparse=True)
-            nums = sum(w * g.astype(np.int64) ** 2 for w, g in zip(weights, grids))
-            nums = np.asarray(nums).ravel()
-            nums = nums[nums * ((math.pi ** pi_power) / den) < cutoff]
-            return _stream_from_exact(nums, np.ones(nums.size, np.int64), den, pi_power, cutoff)
-        # fall through to the float path on (unrealistic) overflow risk
+        # past the guard the sums are taken over Python ints; every weight
+        # enters the bound, as a weight past int64 overflows even on mode 0
+        bound = sum(w * int(ax.max(initial=1)) ** 2 for w, ax in zip(weights, axes))
+        dtype = np.int64 if bound < _INT64_GUARD else object
+        grids = np.meshgrid(*(ax.astype(dtype) for ax in axes), indexing="ij", sparse=True)
+        nums = np.asarray(sum(w * g ** 2 for w, g in zip(weights, grids))).ravel()
+        nums = nums[np.asarray(nums * ((math.pi ** pi_power) / den), dtype=float) < cutoff]
+        return _stream_from_exact(nums, np.ones(nums.size, np.int64), den, pi_power, cutoff)
 
     axis_vals = [c * ax.astype(float) ** 2 for c, ax in zip(coeff_floats, axes)]
     total = axis_vals[0]

@@ -173,6 +173,25 @@ def test_bad_spec_json_is_config_error(capsys):
     assert "error" in json.loads(err)
 
 
+@pytest.mark.parametrize("argv", [
+    ("count", "--spec", '{"tabulated":{"entries":[[1,2],[3,1]],"dimension":1,'
+     '"volume":1,"bc":"neumann"}}', "--lambda", "2", "--cutoff", "4", "--weyl"),
+    ("riesz", "--spec", '{"tabulated":{"entries":[[0,1],[2,1]],"dimension":1,'
+     '"volume":1,"bc":"dirichlet"}}', "--gamma", "1", "--two-term", "--cutoff", "3"),
+])
+def test_tabulated_metadata_is_checked(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--no-timestamp")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "ModeError"
+
+
+def test_tabulated_spectrum_without_metadata(capsys):
+    code, out, _ = run_cli(capsys, "spectrum", "--spec", '{"tabulated":{"entries":[[0,1],[2,3]]}}',
+                           "--cutoff", "5", "--no-timestamp")
+    assert code == 0
+    assert json.loads(out)["entries"] == [[0.0, 1], [2.0, 3]]
+
+
 def test_reproduce_sphere_thin(capsys):
     code, out, _ = run_cli(capsys, "reproduce", "sphere-thin", "--no-timestamp")
     assert code == 0

@@ -70,12 +70,10 @@ def test_count_above_cutoff_raises():
 
 def test_closed_form_counting_function():
     tri_stream = triangle_neumann_spectrum(300.0)
-    cf = CountingFunction.from_callable(
-        triangle_neumann_counting,
-        DomainMeta(2, math.sqrt(3) / 4, "neumann", surface_area=3.0),
-        jump_values=tri_stream.values,
-        cutoff=300.0,
-    )
+    cf = CountingFunction.from_stream(
+        tri_stream, DomainMeta(2, math.sqrt(3) / 4, "neumann", surface_area=3.0))
+    for lam in (1.0, 50.0, 299.0):
+        assert cf.count(lam) == triangle_neumann_counting(lam)
     assert cf.count(1.0) == 1
     assert cf.count_right(0.0) == 1
     assert list(cf.jump_values()) == list(tri_stream.values)

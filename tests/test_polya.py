@@ -26,7 +26,7 @@ from polyaspec import (
     weyl_leading,
 )
 from polyaspec.reproduce import rationalized_polya_constant
-from polyaspec.spectra import DomainMeta
+from polyaspec.spectra import DomainMeta, EigenvalueStream
 
 PI = math.pi
 PI2 = math.pi ** 2
@@ -138,6 +138,17 @@ def test_exact_interval_equality_is_a_tie_not_a_failure(a, bc):
     rep = (verify_dirichlet if bc == "dirichlet" else verify_neumann)(s, meta, 20)
     assert rep.holds and rep.checked == 20
     assert rep.tie_breaks > 0
+
+
+def test_exact_pi_power_near_violation_fails():
+    # w_k = pi^2 k^2 on the unit interval; the first value sits 1e-13 below
+    # it, under the float tie band, so only the exact tie band rejects it
+    den = 10 ** 13
+    nums = [den - 1, 4 * den, 9 * den]
+    values = np.array([n / den * PI2 for n in nums])
+    s = EigenvalueStream(values, [1, 1, 1], 100.0, np.array(nums), den, 2)
+    rep = verify_dirichlet(s, interval_meta(1, "dirichlet"), 3)
+    assert rep.verdict == "fails" and rep.worst_location == 1.0
 
 
 def test_overflow_guard_fallback_verifies_exactly():

@@ -421,6 +421,18 @@ def test_overflow_guard_keeps_streams_exact():
     assert _exact_pairs(p) == _sum_oracle(factors, 50.0, 0)
 
 
+@pytest.mark.parametrize("sides, bc, dtype", [
+    ([BIG_A, "pi"], "dirichlet", object),
+    (["1/4294967296", 1], "neumann", np.int64),  # a weight past the guard, mode 0 only
+])
+def test_overflow_guard_keeps_boxes_exact(sides, bc, dtype):
+    box = box_spectrum(sides, bc, 50.0)
+    assert box.exact and box.exact_nums.dtype == dtype
+    p = product_spectrum(*(interval_spectrum(a, bc, 50.0) for a in sides), 50.0)
+    assert box.exact_nums.tolist() == p.exact_nums.tolist()
+    assert (box.exact_den, box.pi_power) == (p.exact_den, p.pi_power)
+
+
 def _exact_pairs(stream) -> dict:
     """(rational, multiplicity) pairs of an exact stream, away from its cutoff."""
     return {Fraction(n, stream.exact_den): m
