@@ -98,8 +98,9 @@ def _cmd_count(args) -> int:
     cutoff = args.cutoff if args.cutoff else max(lams)
     cf = spec.counting(cutoff)
     rows = []
-    for lam in lams:
-        row = {"lambda": lam, "count": cf.count(lam)}
+    # tolist() keeps the counts Python ints, which JSON can serialise
+    for lam, count in zip(lams, cf.count_many(lams).tolist()):
+        row = {"lambda": lam, "count": count}
         if args.weyl:
             bound = ct.weyl_leading(cf.meta, lam)
             sign = 1.0 if cf.meta.bc is sp.BoundaryCondition.DIRICHLET else -1.0

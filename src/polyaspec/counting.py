@@ -5,6 +5,12 @@ with multiplicity.  It is a nondecreasing integer step function whose jumps
 sit at the eigenvalues; bound checks against monotone bounds therefore only
 need to look at jumps (right limits for upper bounds, values for lower
 bounds).
+
+Every count is an index into the stream's prefix-count array
+``[0, cumsum(multiplicities)]``: ``count_many`` / ``count_right_many``
+answer a whole scan with one ``searchsorted``, and the scalar ``count`` /
+``count_right`` are one-point calls of the same.  Right limits need
+``lambda`` strictly below the cutoff, counts need ``lambda <= cutoff``.
 """
 
 from __future__ import annotations
@@ -53,6 +59,14 @@ class CountingFunction:
         """Right limit of the counting step at ``lam`` (counts values <= lam)."""
         return self.stream.count_right(lam)
 
+    def count_many(self, lams) -> np.ndarray:
+        """``count`` at each of ``lams``, as an int64 array."""
+        return self.stream.count_many(lams)
+
+    def count_right_many(self, lams) -> np.ndarray:
+        """``count_right`` at each of ``lams``, as an int64 array."""
+        return self.stream.count_right_many(lams)
+
     def jump_values(self) -> np.ndarray:
         """Distinct eigenvalues below the covered range, ascending."""
         return self.stream.values
@@ -67,10 +81,16 @@ class SumCountingFunction:
         self.parts = list(parts)
 
     def count(self, lam: float) -> int:
-        return sum(p.count(lam) for p in self.parts)
+        return int(self.count_many(lam))
 
     def count_right(self, lam: float) -> int:
-        return sum(p.count_right(lam) for p in self.parts)
+        return int(self.count_right_many(lam))
+
+    def count_many(self, lams) -> np.ndarray:
+        return sum(p.count_many(lams) for p in self.parts)
+
+    def count_right_many(self, lams) -> np.ndarray:
+        return sum(p.count_right_many(lams) for p in self.parts)
 
     def jump_values(self) -> np.ndarray:
         return np.unique(np.concatenate([p.jump_values() for p in self.parts]))
@@ -82,13 +102,8 @@ class SumCountingFunction:
 
 def jump_points(stream: EigenvalueStream) -> list[tuple[float, int, int]]:
     """One ``(lambda_j, N(lambda_j), N(lambda_j+))`` triple per distinct eigenvalue."""
-    cum = stream.cumulative_counts()
-    out = []
-    before = 0
-    for v, after in zip(stream.values, cum):
-        out.append((float(v), int(before), int(after)))
-        before = after
-    return out
+    cum = stream.cumulative_counts().tolist()
+    return list(zip(stream.values.tolist(), cum[:-1], cum[1:]))
 
 
 def product_count(s1: EigenvalueStream, cf2: CountingFunction, lam: float) -> int:
@@ -96,12 +111,8 @@ def product_count(s1: EigenvalueStream, cf2: CountingFunction, lam: float) -> in
     sum over first-factor eigenvalues v of mult(v) * N_2(lam - v)."""
     if lam > s1.cutoff:
         raise CoverageError(f"first factor covers only [0, {s1.cutoff}), needs {lam}")
-    total = 0
-    for v, m in s1.entries():
-        if v >= lam:
-            break
-        total += m * cf2.count(lam - v)
-    return total
+    below = s1.values < lam
+    return int(np.dot(s1.multiplicities[below], cf2.count_many(lam - s1.values[below])))
 
 
 def weyl_leading(meta: DomainMeta, lam: float) -> float:
@@ -154,9 +165,15 @@ def estimate_seeley_constant(cf: CountingFunction, meta: DomainMeta, cutoff: flo
     lower side uses the jump value N(lambda_j) and the reversed sign.  The
     jump at lambda = 0 is always skipped: the normalizer vanishes there and
     the bound is trivial.
+
+    Raises ``CoverageError`` when ``cutoff`` exceeds ``cf.cutoff`` (jumps
+    past the counter's cutoff are unknown) or the window holds no jump.
     """
     if side not in ("upper", "lower"):
         raise DomainError(f"side must be 'upper' or 'lower', got {side!r}")
+    if cutoff > cf.cutoff:
+        raise CoverageError(
+            f"scan window ends at {cutoff}, past the counting function's cutoff {cf.cutoff}")
     jumps = cf.jump_values()
     jumps = jumps[(jumps > max(lambda_min, 0.0)) & (jumps <= cutoff)]
     if jumps.size == 0:
@@ -164,11 +181,9 @@ def estimate_seeley_constant(cf: CountingFunction, meta: DomainMeta, cutoff: flo
     d = meta.dimension
     lead = c_d(d) * meta.volume * jumps ** (d / 2.0)
     if side == "upper":
-        counts = np.array([cf.count_right(v) for v in jumps], float)
-        remainder = counts - lead
+        remainder = cf.count_right_many(jumps).astype(float) - lead
     else:
-        counts = np.array([cf.count(v) for v in jumps], float)
-        remainder = lead - counts
+        remainder = lead - cf.count_many(jumps).astype(float)
     ratios = np.maximum(remainder, 0.0) / jumps ** ((d - 1) / 2.0)
     order = np.argsort(ratios)[::-1][:5]
     top = tuple((float(ratios[i]), float(jumps[i])) for i in order)

@@ -268,12 +268,19 @@ def verify_counting_bound(cf: CountingFunction, bound: Callable[[float], float],
     lambda_min itself), which is equivalent to N <= bound on all of
     (lambda_min, lambda_max].  Lower side: N(lambda_j) >= bound(lambda_j)
     at every jump plus the endpoint.
+
+    Raises ``CoverageError`` when ``lambda_max`` exceeds ``cf.cutoff``, when
+    an upper-side point (``lambda_min`` included) is not below ``cf.cutoff``
+    (the right limit there is unknown), or when the window holds no point.
     """
     if side not in ("upper", "lower"):
         raise DomainError(f"side must be 'upper' or 'lower', got {side!r}")
     jump_arr = np.asarray(jumps, float) if jumps is not None else cf.jump_values()
     if lambda_max is None:
         lambda_max = float(cf.cutoff)
+    if lambda_max > cf.cutoff:
+        raise CoverageError(
+            f"window ends at {lambda_max}, past the counting function's cutoff {cf.cutoff}")
 
     if side == "upper":
         # the right-limit check at a jump covers the plateau to its right, so
@@ -281,13 +288,13 @@ def verify_counting_bound(cf: CountingFunction, bound: Callable[[float], float],
         points = jump_arr[(jump_arr >= lambda_min) & (jump_arr <= lambda_max)]
         if lambda_min > 0:
             points = np.unique(np.concatenate([[lambda_min], points]))
-        counts = np.array([cf.count_right(p) for p in points], float)
+        counts = cf.count_right_many(points).astype(float)
         bounds = np.array([bound(p) for p in points], float)
         margins = bounds - counts
     else:
         jump_arr = jump_arr[(jump_arr > lambda_min) & (jump_arr <= lambda_max)]
         points = np.unique(np.concatenate([jump_arr, [lambda_max]]))
-        counts = np.array([cf.count(p) for p in points], float)
+        counts = cf.count_many(points).astype(float)
         bounds = np.array([bound(p) for p in points], float)
         margins = counts - bounds
     if points.size == 0:

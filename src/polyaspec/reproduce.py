@@ -73,7 +73,7 @@ def empirical_weyl_onset(stream: sp.EigenvalueStream, factor: float) -> float:
     """Smallest onset C1 such that N(lambda) > factor * lambda at every jump
     above C1 (scanned up to the stream cutoff; conditional beyond it)."""
     jumps = stream.values[stream.values > 0]
-    counts = np.array([stream.count(v) for v in jumps], float)
+    counts = stream.count_many(jumps).astype(float)
     bad = jumps[counts <= factor * jumps]
     return float(bad.max()) if bad.size else float(jumps[0])
 

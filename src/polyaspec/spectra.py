@@ -189,21 +189,42 @@ class EigenvalueStream:
                 f"lambda={lam} exceeds stream cutoff {self.cutoff}; regenerate with a larger cutoff"
             )
 
+    def cumulative_counts(self) -> np.ndarray:
+        """Read-only ``[0, cumsum(multiplicities)]``, built on first use:
+        entry i counts the eigenvalues below ``values[i]``, entry i + 1 those
+        up to and including it."""
+        cum = self.__dict__.get("_cumulative")
+        if cum is None:
+            cum = _readonly(np.concatenate([[0], np.cumsum(self.multiplicities)]))
+            object.__setattr__(self, "_cumulative", cum)
+        return cum
+
+    def count_many(self, lams) -> np.ndarray:
+        """Eigenvalues strictly below each of ``lams`` (with multiplicity)."""
+        lams = np.asarray(lams, dtype=float)
+        if lams.size:
+            self._check_range(lams.max())
+        return self.cumulative_counts()[np.searchsorted(self.values, lams, side="left")]
+
+    def count_right_many(self, lams) -> np.ndarray:
+        """Eigenvalues ``<= lam`` for each of ``lams``: the right limits of the
+        counting steps.  Each ``lam`` must lie below the cutoff, since values
+        at the cutoff itself are not recorded."""
+        lams = np.asarray(lams, dtype=float)
+        if lams.size and lams.max() >= self.cutoff:
+            raise CoverageError(
+                f"lambda={lams.max()} is not below stream cutoff {self.cutoff}, so the right "
+                "limit N(lambda+) is unknown; regenerate with a larger cutoff"
+            )
+        return self.cumulative_counts()[np.searchsorted(self.values, lams, side="right")]
+
     def count(self, lam: float) -> int:
         """Number of eigenvalues strictly below ``lam`` (with multiplicity)."""
-        self._check_range(lam)
-        idx = np.searchsorted(self.values, lam, side="left")
-        return int(self.multiplicities[:idx].sum())
+        return int(self.count_many(lam))
 
     def count_right(self, lam: float) -> int:
         """Number of eigenvalues ``<= lam``: the right limit of the counting step."""
-        self._check_range(lam)
-        idx = np.searchsorted(self.values, lam, side="right")
-        return int(self.multiplicities[:idx].sum())
-
-    def cumulative_counts(self) -> np.ndarray:
-        """``cumulative_counts()[i]`` counts eigenvalues <= values[i]."""
-        return np.cumsum(self.multiplicities)
+        return int(self.count_right_many(lam))
 
     def truncated(self, cutoff: float) -> "EigenvalueStream":
         """The same stream restricted to values strictly below ``cutoff``."""

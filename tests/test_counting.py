@@ -1,7 +1,11 @@
+import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyaspec import (
     CountingFunction,
@@ -19,12 +23,16 @@ from polyaspec import (
     product_spectrum,
     sphere2_meta,
     sphere2_spectrum,
+    tabulated_spectrum,
     triangle_neumann_counting,
     triangle_neumann_spectrum,
     two_term_bound,
+    verify_counting_bound,
     weyl_leading,
 )
-from polyaspec.spectra import DomainMeta
+from polyaspec.cli import main
+from polyaspec.reproduce import empirical_weyl_onset, square_triangle_bundle
+from polyaspec.spectra import DomainMeta, EigenvalueStream
 
 PI2 = math.pi ** 2
 
@@ -66,6 +74,85 @@ def test_count_above_cutoff_raises():
     cf = _cf(sphere2_spectrum(10), sphere2_meta())
     with pytest.raises(CoverageError):
         cf.count(11.0)
+
+
+def test_count_right_at_cutoff_raises():
+    # values at the cutoff are not recorded: here N(4+) = 2, not 1
+    s = interval_spectrum("pi", "dirichlet", 4.0)
+    assert s.count(4.0) == 1
+    with pytest.raises(CoverageError):
+        s.count_right(4.0)
+    with pytest.raises(CoverageError):
+        s.count_right_many([1.0, 4.0])
+    assert s.count_right(3.999) == 1
+
+
+def test_cumulative_counts_prefix_array():
+    s = sphere2_spectrum(7)
+    assert s.cumulative_counts().tolist() == [0, 1, 4, 9]
+    assert s.cumulative_counts() is s.cumulative_counts()
+    assert not s.cumulative_counts().flags.writeable
+    assert s.count_many([]).shape == (0,)
+
+
+def _slow_count(entries, lam, right=False):
+    return sum(m for v, m in entries if (v <= lam if right else v < lam))
+
+
+def _probes(entries, cutoff):
+    """Every jump, every midpoint, 0, a negative point and the cutoff."""
+    vals = [v for v, _ in entries]
+    mids = [(a + b) / 2 for a, b in zip(vals, vals[1:] + [cutoff])]
+    return vals + mids + [0.0, -1.0, cutoff]
+
+
+ENTRIES = st.lists(st.tuples(st.floats(0.0, 100.0), st.integers(1, 6)),
+                   max_size=30, unique_by=lambda e: e[0]).map(sorted)
+
+
+@settings(max_examples=80, deadline=None)
+@given(entries=ENTRIES, gap=st.floats(1e-6, 10.0), exact=st.booleans())
+def test_count_many_matches_slow_oracle(entries, gap, exact):
+    if exact:  # eighths take the exact path
+        entries = sorted({Fraction(round(v * 8), 8): m for v, m in entries}.items())
+    pairs = [(float(v), m) for v, m in entries]
+    cutoff = (pairs[-1][0] if pairs else 0.0) + gap
+    s = tabulated_spectrum(entries, cutoff)
+    assert s.exact == (exact or not entries)
+    probes = _probes(pairs, cutoff)
+    left = s.count_many(probes)
+    assert left.tolist() == [_slow_count(pairs, p) for p in probes]
+    below = probes[:-1]  # right limits stop short of the cutoff
+    right = s.count_right_many(below)
+    assert right.tolist() == [_slow_count(pairs, p, right=True) for p in below]
+    assert [s.count(p) for p in probes] == left.tolist()
+    assert [s.count_right(p) for p in below] == right.tolist()
+    with pytest.raises(CoverageError):
+        s.count_right_many(probes)
+    with pytest.raises(CoverageError):
+        s.count_many([cutoff * (1 + 1e-9) + 1e-9])
+
+
+@settings(max_examples=60, deadline=None)
+@given(first=ENTRIES, second=ENTRIES, gaps=st.tuples(st.floats(1e-6, 10.0), st.floats(1e-6, 10.0)))
+def test_sum_count_many_matches_slow_oracle(first, second, gaps):
+    meta = DomainMeta(2, 1.0, "dirichlet")
+    streams = [tabulated_spectrum(e, (e[-1][0] if e else 0.0) + g)
+               for e, g in zip((first, second), gaps)]
+    cf = SumCountingFunction([CountingFunction.from_stream(t, meta) for t in streams])
+    assert cf.cutoff == min(t.cutoff for t in streams)
+    probes = [p for p in _probes(sorted(first + second), cf.cutoff) if p <= cf.cutoff]
+    left = cf.count_many(probes)
+    assert left.tolist() == [_slow_count(first + second, p) for p in probes]
+    below = [p for p in probes if p < cf.cutoff]
+    right = cf.count_right_many(below)
+    assert right.tolist() == [_slow_count(first + second, p, right=True) for p in below]
+    assert [cf.count(p) for p in probes] == left.tolist()
+    with pytest.raises(CoverageError):  # the part with the smaller cutoff refuses
+        cf.count_right(cf.cutoff)
+    if streams[0].cutoff != streams[1].cutoff:
+        with pytest.raises(CoverageError):
+            cf.count_many([max(t.cutoff for t in streams)])
 
 
 def test_closed_form_counting_function():
@@ -114,6 +201,38 @@ def test_product_count_matches_product_spectrum(rng):
     prod = product_spectrum(s1, s2, cutoff)
     cf2 = _cf(s2, box_meta([1, 2], "neumann"))
     for lam in rng.uniform(1.0, cutoff, 120):
+        assert product_count(s1, cf2, lam) == prod.count(lam)
+
+
+def _product_factor(kind, length, cutoff):
+    if kind == "sphere":
+        return sphere2_spectrum(cutoff)
+    bc = "neumann" if kind.endswith("n") else "dirichlet"
+    if kind.startswith("box"):
+        return box_spectrum([length, 1.5], bc, cutoff)
+    return interval_spectrum(length, bc, cutoff)
+
+
+FACTOR_KINDS = st.sampled_from(["interval-d", "interval-n", "box-d", "box-n", "sphere"])
+FACTOR_LENGTHS = st.one_of(st.floats(0.3, 3.0),
+                           st.sampled_from(["pi/3", "pi/2", "2pi/3", "pi", "3/2", "2"]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(kinds=st.tuples(FACTOR_KINDS, FACTOR_KINDS),
+       lengths=st.tuples(FACTOR_LENGTHS, FACTOR_LENGTHS),
+       cutoff=st.floats(5.0, 200.0), fracs=st.lists(st.floats(0.0, 1.0), max_size=20))
+def test_product_count_matches_product_spectrum_oracle(kinds, lengths, cutoff, fracs):
+    s1, s2 = (_product_factor(k, a, cutoff) for k, a in zip(kinds, lengths))
+    prod = product_spectrum(s1, s2, cutoff)
+    cf2 = CountingFunction.from_stream(s2, DomainMeta(2, 1.0, "dirichlet"))
+    vals = prod.values.tolist()
+    # midpoints between product values, plus random points, kept clear of
+    # the values so float rounding of the sums cannot move a count
+    probes = [(a + b) / 2 for a, b in zip(vals, vals[1:])] + [f * cutoff for f in fracs]
+    for lam in probes:
+        if vals and np.min(np.abs(prod.values - lam)) <= 1e-9 * max(lam, 1.0):
+            continue
         assert product_count(s1, cf2, lam) == prod.count(lam)
 
 
@@ -206,6 +325,42 @@ def test_seeley_window_monotone_in_lower_end(cutoff):
         est = estimate_seeley_constant(cf, cf.meta, cutoff, "upper", lambda_min=lo)
         assert est.value <= last + 1e-12
         last = est.value
+
+
+def test_seeley_window_past_cutoff_raises():
+    stream = box_spectrum([1, 1], "neumann", 1000.0)
+    cf = _cf(stream, box_meta([1, 1], "neumann"))
+    for side in ("upper", "lower"):
+        with pytest.raises(CoverageError):
+            estimate_seeley_constant(cf, cf.meta, 1e5, side)
+        estimate_seeley_constant(cf, cf.meta, 1000.0, side)
+
+
+# ---------------------------------------------------------------------------
+# every scan counts through the vector forms
+
+
+def test_scans_make_no_scalar_count_calls(monkeypatch, capsys):
+    def refuse(self, lam):
+        raise AssertionError("scalar count called from a scan")
+
+    monkeypatch.setattr(EigenvalueStream, "count", refuse)
+    monkeypatch.setattr(EigenvalueStream, "count_right", refuse)
+
+    assert square_triangle_bundle(cutoff=2000.0)["ok"]
+    stream = box_spectrum([10, 10], "neumann", 1.0001e3)
+    cf = _cf(stream, box_meta([10, 10], "neumann"))
+    for side in ("upper", "lower"):
+        estimate_seeley_constant(cf, cf.meta, 1e3, side)
+        verify_counting_bound(cf, lambda lam: 1e9 if side == "upper" else -1.0, side,
+                              lambda_min=0.1, lambda_max=1e3)
+    assert empirical_weyl_onset(sphere2_spectrum(500.0), 1.0) > 0
+    s1 = interval_spectrum("pi/24", "dirichlet", 700)
+    assert product_count(s1, _cf(sphere2_spectrum(700), sphere2_meta()), 600.0) == 25
+    assert main(["count", "--spec", '{"sphere2": {}}', "--lambda", "3", "--lambda", "6",
+                 "--no-timestamp"]) == 0
+    rows = json.loads(capsys.readouterr().out)["results"]
+    assert [r["count"] for r in rows] == [4, 4]
 
 
 # ---------------------------------------------------------------------------

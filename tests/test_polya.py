@@ -280,3 +280,23 @@ def test_counting_bound_rejects_bad_side():
     cf = CountingFunction.from_stream(stream, sphere2_meta())
     with pytest.raises(DomainError):
         verify_counting_bound(cf, lambda lam: lam, "diagonal")
+
+
+def test_counting_bound_right_limit_at_cutoff_raises():
+    # N(4+) = 2 > sqrt(4) - 0.5, but the stream cannot see the value at 4
+    s = interval_spectrum("pi", "dirichlet", 4.0)
+    cf = CountingFunction.from_stream(s, interval_meta("pi", "dirichlet"))
+    with pytest.raises(CoverageError):
+        verify_counting_bound(cf, lambda lam: lam ** 0.5 - 0.5 + 1e-9, "upper",
+                              lambda_min=4.0, lambda_max=4.0)
+
+
+@pytest.mark.parametrize("side", ["upper", "lower"])
+def test_counting_bound_window_past_cutoff_raises(side):
+    stream = box_spectrum([1, 1], "neumann", 1000.0)
+    cf = CountingFunction.from_stream(stream, box_meta([1, 1], "neumann"))
+    bound = (lambda lam: 1e9) if side == "upper" else (lambda lam: 0.0)
+    with pytest.raises(CoverageError):
+        verify_counting_bound(cf, bound, side, lambda_min=0.1, lambda_max=1e5)
+    rep = verify_counting_bound(cf, bound, side, lambda_min=0.1, lambda_max=1000.0)
+    assert rep.holds
