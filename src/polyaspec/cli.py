@@ -138,7 +138,7 @@ def _cmd_riesz(args) -> int:
     if not lams:
         raise ConfigError("give at least one --lambda or use --two-term")
     stream = spec.stream(max(lams))
-    rows = [(lam, rz.riesz_mean(stream, args.gamma, lam)) for lam in lams]
+    rows = list(zip(lams, rz.riesz_mean_many(stream, args.gamma, lams).tolist()))
     if args.output == "csv":
         _emit_csv(["lambda", "riesz"], rows, args)
     else:

@@ -267,7 +267,9 @@ def verify_counting_bound(cf: CountingFunction, bound: Callable[[float], float],
     Upper side: N(lambda_j+) <= bound(lambda_j) at every jump (plus at
     lambda_min itself), which is equivalent to N <= bound on all of
     (lambda_min, lambda_max].  Lower side: N(lambda_j) >= bound(lambda_j)
-    at every jump plus the endpoint.
+    at every jump plus the endpoint.  ``jumps`` adds points to the
+    counter's own jump set; it never replaces it, since a missing jump could
+    hide a violation.
 
     Raises ``CoverageError`` when ``lambda_max`` exceeds ``cf.cutoff``, when
     an upper-side point (``lambda_min`` included) is not below ``cf.cutoff``
@@ -275,7 +277,9 @@ def verify_counting_bound(cf: CountingFunction, bound: Callable[[float], float],
     """
     if side not in ("upper", "lower"):
         raise DomainError(f"side must be 'upper' or 'lower', got {side!r}")
-    jump_arr = np.asarray(jumps, float) if jumps is not None else cf.jump_values()
+    jump_arr = cf.jump_values()
+    if jumps is not None:
+        jump_arr = np.union1d(np.asarray(jumps, float), jump_arr)
     if lambda_max is None:
         lambda_max = float(cf.cutoff)
     if lambda_max > cf.cutoff:

@@ -124,6 +124,27 @@ def test_riesz_values_and_two_term(capsys):
     assert data["lambda_star"] is not None
 
 
+def test_riesz_rows_keep_the_given_lambda_order(capsys):
+    def riesz(gamma, *lams, output="json"):
+        argv = ["riesz", "--spec", '{"sphere2":{}}', "--gamma", gamma,
+                "--output", output, "--no-timestamp"]
+        for lam in lams:
+            argv += ["--lambda", lam]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        return out
+
+    rows = json.loads(riesz("1", "6", "2", "6", "0", "12"))["results"]
+    assert [(r["lambda"], r["riesz"]) for r in rows] == [
+        (6.0, 18.0), (2.0, 2.0), (6.0, 18.0), (0.0, 0.0), (12.0, 12 + 3 * 10 + 5 * 6)]
+    lines = riesz("1.5", "6", "2", "6", "0", output="csv").strip().splitlines()
+    assert lines[0] == "lambda,riesz"
+    rows = [tuple(map(float, line.split(","))) for line in lines[1:]]
+    r6 = 6 ** 1.5 + 3 * 4 ** 1.5
+    assert [lam for lam, _ in rows] == [6.0, 2.0, 6.0, 0.0]
+    assert [r for _, r in rows] == pytest.approx([r6, 2 ** 1.5, r6, 0.0], rel=1e-14)
+
+
 def test_constants_json(capsys):
     code, out, _ = run_cli(capsys, "constants", "--d", "3", "--gamma", "1.5",
                            "--no-timestamp")

@@ -300,3 +300,23 @@ def test_counting_bound_window_past_cutoff_raises(side):
         verify_counting_bound(cf, bound, side, lambda_min=0.1, lambda_max=1e5)
     rep = verify_counting_bound(cf, bound, side, lambda_min=0.1, lambda_max=1000.0)
     assert rep.holds
+
+
+def test_counting_bound_jumps_add_points_never_drop_them():
+    # N(49.35+) = 3 > 2; a jump list holding only the first value hid it
+    s = box_spectrum([1, 1], "dirichlet", 200.0)
+    cf = CountingFunction.from_stream(s, box_meta([1, 1], "dirichlet"))
+    full = verify_counting_bound(cf, lambda lam: 2.0, "upper", lambda_max=150.0)
+    partial = verify_counting_bound(cf, lambda lam: 2.0, "upper", lambda_max=150.0,
+                                    jumps=[s.values[0]])
+    assert full.verdict == partial.verdict == "fails"
+    assert partial.checked == full.checked and partial.failures == full.failures
+    # an extra point between jumps joins the scan
+    extra = verify_counting_bound(cf, lambda lam: 2.0, "upper", lambda_max=150.0,
+                                  jumps=[s.values[0], 100.0])
+    assert extra.checked == full.checked + 1
+    for side in ("upper", "lower"):
+        plain = verify_counting_bound(cf, lambda lam: lam / 10.0, side, lambda_max=150.0)
+        given = verify_counting_bound(cf, lambda lam: lam / 10.0, side, lambda_max=150.0,
+                                      jumps=cf.jump_values())
+        assert given == plain

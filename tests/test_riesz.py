@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyaspec import (
     ConfigError,
@@ -21,11 +24,14 @@ from polyaspec import (
     riesz_mean_many,
     sphere2_meta,
     sphere2_spectrum,
+    tabulated_spectrum,
     two_term_riesz_scan,
     window_infimum_dirichlet,
     window_infimum_neumann,
     window_supremum_neumann,
 )
+from polyaspec.riesz import _CHUNK
+from polyaspec.spectra import EigenvalueStream
 
 PI = math.pi
 PI2 = math.pi ** 2
@@ -89,6 +95,84 @@ def test_riesz_mean_log_convex_in_gamma():
     for g1, g2 in ((1.0, 2.0), (1.5, 3.0), (2.0, 5.0)):
         mid = riesz_mean(s, (g1 + g2) / 2.0, lam)
         assert mid ** 2 <= riesz_mean(s, g1, lam) * riesz_mean(s, g2, lam) * (1 + 1e-12)
+
+
+def _riesz_oracle(s, gamma: float, lam: float) -> float:
+    """Direct sum over the values below lam, correctly rounded by fsum."""
+    return math.fsum(m * (lam - v) ** gamma
+                     for v, m in zip(s.values.tolist(), s.multiplicities.tolist()) if v < lam)
+
+
+@st.composite
+def _streams(draw):
+    """A float stream (spread out or clustered) or an exact tabulated one,
+    with its cutoff above the top value."""
+    kind = draw(st.sampled_from(["float", "cluster", "exact"]))
+    if kind == "float":
+        values = sorted(set(draw(st.lists(st.floats(0.0, 1e3), min_size=0, max_size=60))))
+        entries = [(v, draw(st.integers(1, 5))) for v in values]
+    elif kind == "cluster":
+        # values a relative 1e-12 .. 1e-3 apart, where lambda sits just above many of them
+        center = draw(st.floats(1.0, 1e3))
+        step = center * 10.0 ** -draw(st.integers(3, 12))
+        offsets = sorted(set(draw(st.lists(st.integers(0, 50), min_size=1, max_size=30))))
+        values = sorted({center + i * step for i in offsets})
+        entries = [(v, draw(st.integers(1, 5))) for v in values]
+    else:
+        den = draw(st.integers(1, 40))
+        nums = sorted(set(draw(st.lists(st.integers(0, 4000), min_size=0, max_size=60))))
+        entries = [(Fraction(n, den), draw(st.integers(1, 5))) for n in nums]
+    top = float(entries[-1][0]) if entries else 0.0
+    return tabulated_spectrum(entries, top + draw(st.floats(1e-6, 50.0)))
+
+
+@st.composite
+def _lambdas(draw, s):
+    """Unsorted lambdas with repeats, more than a dense block's worth: jumps, 0,
+    the cutoff and points in between."""
+    special = [0.0, s.cutoff, *s.values.tolist()]
+    pool = st.one_of(st.sampled_from(special), st.floats(0.0, s.cutoff))
+    lams = draw(st.lists(pool, min_size=_CHUNK + 1, max_size=3 * _CHUNK))
+    return lams + draw(st.lists(st.sampled_from(lams), max_size=10))
+
+
+GAMMAS = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0]), st.floats(0.0, 4.0))
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), s=_streams(), gamma=GAMMAS)
+def test_riesz_mean_many_matches_direct_sum(data, s, gamma):
+    lams = data.draw(_lambdas(s))
+    got = riesz_mean_many(s, gamma, lams)
+    expected = [_riesz_oracle(s, gamma, lam) for lam in lams]
+    assert got.shape == (len(lams),)
+    assert got.tolist() == pytest.approx(expected, rel=1e-11, abs=0.0)
+
+
+@pytest.mark.parametrize("gamma", [1.0, 2.0])
+def test_riesz_moments_do_not_cancel_above_a_cluster(gamma):
+    # lambda * P_0 - P_1 about 0 lost every digit here (relative error 1.0 at gamma 2)
+    s = EigenvalueStream(np.array([1.0, 1 + 1e-9, 1 + 2e-9, 2.0]), [3, 2, 1, 1], 3.0)
+    lams = s.values[1:].tolist() + [1 + 3e-9]
+    expected = [_riesz_oracle(s, gamma, lam) for lam in lams]
+    assert riesz_mean_many(s, gamma, lams).tolist() == pytest.approx(expected, rel=1e-11, abs=0.0)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0, 1.5, 2.0, 2.5])
+def test_riesz_mean_many_edges(gamma):
+    s = box_spectrum([1, 2], "neumann", 100.0)
+    empty = riesz_mean_many(s, gamma, [])
+    assert empty.shape == (0,) and empty.dtype == float
+    assert riesz_mean_many(s, gamma, [0.0, 100.0]).tolist() == pytest.approx(
+        [0.0, _riesz_oracle(s, gamma, 100.0)], rel=1e-12, abs=0.0)
+    with pytest.raises(CoverageError):
+        riesz_mean_many(s, gamma, [1.0, 100.5])
+    with pytest.raises(CoverageError):
+        riesz_mean(s, gamma, 100.5)
+    with pytest.raises(DomainError):
+        riesz_mean_many(s, -gamma - 0.5, [1.0])
+    empty_stream = EigenvalueStream(np.array([]), np.array([], int), 10.0)
+    assert riesz_mean_many(empty_stream, gamma, [0.0, 5.0, 10.0]).tolist() == [0.0, 0.0, 0.0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 import io
+import itertools
 import json
 import math
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -499,3 +501,38 @@ def test_exact_product_matches_fraction_oracle(a1, a2, pi_power, bc1, bc2, spher
     p = product_spectrum(s2, s1, cutoff) if swap else product_spectrum(s1, s2, cutoff)
     assert p.exact and p.pi_power == pi_power
     assert _exact_pairs(p) == _sum_oracle(factors, cutoff, pi_power)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 3), top=st.integers(3, 12), bc=BCS, pi_power=st.sampled_from([0, 2]),
+       where=st.sampled_from(["below", "above", "past int64"]), delta=st.integers(0, 1000),
+       product=st.booleans())
+def test_exact_spectra_across_int64_guard(n, top, bc, pi_power, where, delta, product):
+    """Boxes and products of n equal sides P/Q, whose largest numerator
+    S * Q**2 (S the largest sum of n squared modes <= top) lands just below
+    or just above _INT64_GUARD, or past int64 itself, against the slow
+    Fraction oracle."""
+    start = 0 if bc == "neumann" else 1
+    modes = range(start, math.isqrt(top) + 1)
+    s_max = max(x for x in map(sum, itertools.product([m * m for m in modes], repeat=n))
+                if x <= top)
+    q0 = math.isqrt((_INT64_GUARD - 1) // s_max)
+    q = {"below": q0 - delta, "above": q0 + 1 + delta, "past int64": 2 * q0 + delta}[where]
+    above = where != "below"
+    # P coprime to Q and to every mode sum keeps the stream over P**2 in lowest terms
+    p = next(p for p in itertools.count(q + 1) if math.gcd(p, q * math.lcm(*range(1, 13))) == 1)
+    cutoff = (top + 0.5) * (q / p) ** 2 * math.pi ** pi_power
+    side = _length(p, q, pi_power)
+    if product:
+        s = reduce(lambda a, b: product_spectrum(a, b, cutoff),
+                   [interval_spectrum(side, bc, cutoff) for _ in range(n)])
+    else:
+        s = box_spectrum([side] * n, bc, cutoff)
+    assert s.exact and s.pi_power == pi_power and s.exact_den == p * p
+    top_num = max(s.exact_nums.tolist())
+    assert top_num == s_max * q * q and (top_num >= _INT64_GUARD) == above
+    assert s.exact_nums.dtype == (object if above else np.int64)
+    oracle = _sum_oracle([_interval_factor(p, q, bc, pi_power, cutoff)] * n, cutoff, pi_power)
+    assert _exact_pairs(s) == oracle
+    expected = sorted(float(v) * math.pi ** pi_power for v in oracle)
+    assert s.values.tolist() == pytest.approx(expected, rel=1e-15, abs=0.0)
