@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -212,7 +213,10 @@ def _cmd_reproduce(args) -> int:
 # argument parsing
 
 
+@functools.cache
 def _make_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first ``main`` call;
+    parsing leaves it unchanged, so later calls reuse it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", choices=["csv", "json"], default="json",
                         help="output format (default json)")

@@ -10,7 +10,9 @@ Every count is an index into the stream's prefix-count array
 ``[0, cumsum(multiplicities)]``: ``count_many`` / ``count_right_many``
 answer a whole scan with one ``searchsorted``, and the scalar ``count`` /
 ``count_right`` are one-point calls of the same.  Right limits need
-``lambda`` strictly below the cutoff, counts need ``lambda <= cutoff``.
+``lambda`` strictly below the cutoff, counts need ``lambda <= cutoff``,
+and a NaN ``lambda`` is a ``DomainError``; ``EigenvalueStream.check_range``
+checks all three.
 """
 
 from __future__ import annotations
@@ -109,8 +111,7 @@ def jump_points(stream: EigenvalueStream) -> list[tuple[float, int, int]]:
 def product_count(s1: EigenvalueStream, cf2: CountingFunction, lam: float) -> int:
     """Count of the product spectrum below ``lam`` without forming it:
     sum over first-factor eigenvalues v of mult(v) * N_2(lam - v)."""
-    if lam > s1.cutoff:
-        raise CoverageError(f"first factor covers only [0, {s1.cutoff}), needs {lam}")
+    lam = float(s1.check_range(lam))
     below = s1.values < lam
     return int(np.dot(s1.multiplicities[below], cf2.count_many(lam - s1.values[below])))
 

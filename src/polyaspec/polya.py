@@ -13,6 +13,11 @@ volume is exact.  Genuine ties count as satisfied, since the inequalities
 are non-strict.  Streams without exact values cannot certify margins below
 float resolution; those near-ties are accepted and counted in
 ``tie_breaks``.
+
+``verify_exact_power`` decides rational exact streams in Python ints, one
+comparison per distinct value: within a run of equal values the margin is
+monotone in k, so the run's end point settles it.  Its cost is O(V) for V
+distinct values, plus one entry per failure, independent of k_max.
 """
 
 from __future__ import annotations
@@ -145,10 +150,6 @@ def _per_eigenvalue(s: EigenvalueStream, meta: DomainMeta, k_max: int,
             raise ModeError("Neumann verification needs the zero mode at index 0")
         origin = 1  # k = 0 is the zero mode, trivially below the bound
     candidates = s.expanded()[origin:]
-    # the exact tie band needs both sides exact: exact values, exact volume
-    exact_nums = None
-    if s.exact and meta.exact_volume is not None:
-        exact_nums = np.repeat(s.exact_nums, s.multiplicities)[origin:]
     if candidates.size == 0:
         raise CoverageError("stream holds no eigenvalues to verify")
 
@@ -162,9 +163,13 @@ def _per_eigenvalue(s: EigenvalueStream, meta: DomainMeta, k_max: int,
     failures = []
     adjusted = margins.copy()
     suspicious = np.nonzero(np.abs(margins) <= GUARD_BAND)[0]
-    for i in suspicious:
-        exact_val = (int(exact_nums[i]), s.exact_den, s.pi_power) \
-            if exact_nums is not None else None
+    # the exact tie band needs both sides exact: exact values, exact volume;
+    # each suspicious k reads its numerator from the run holding it
+    exact_vals = [None] * suspicious.size
+    if s.exact and meta.exact_volume is not None:
+        runs = np.searchsorted(s.cumulative_counts(), suspicious + origin, side="right") - 1
+        exact_vals = [(n, s.exact_den, s.pi_power) for n in s.exact_nums[runs].tolist()]
+    for i, exact_val in zip(suspicious, exact_vals):
         ok, tie = _reevaluate(float(values[i]), exact_val, meta, int(i) + 1, side)
         tie_breaks += tie
         if ok and adjusted[i] < 0:
@@ -207,6 +212,14 @@ def verify_exact_power(s: EigenvalueStream, c_num: int, c_den: int, dimension: i
     c_num * k^2 * den^d in Python ints.  The Dirichlet side requires >=,
     the Neumann side (skipping the zero mode) <=.  No floating point enters
     any comparison; each margin is one correctly rounded int division.
+
+    The sweep runs over distinct values, not over k.  Within a run of equal
+    values w_k rises with k, so the Dirichlet margin falls along the run and
+    the Neumann margin rises: one comparison at the run's last k
+    (Dirichlet) or first k (Neumann) decides the whole run and gives its
+    worst margin.  When it fails, the failing k of the run follow in closed
+    form from ``math.isqrt``, and each is listed as before.  The cost is
+    O(V + failures) for V distinct values, whatever ``k_max``.
     """
     if side not in ("dirichlet", "neumann"):
         raise DomainError(f"side must be 'dirichlet' or 'neumann', got {side!r}")
@@ -229,22 +242,33 @@ def verify_exact_power(s: EigenvalueStream, c_num: int, c_den: int, dimension: i
 
     den = s.exact_den
     rhs_unit = c_num * den ** dimension
+    dirichlet = side == "dirichlet"
     failures = []
     worst_margin = math.inf
     worst_k = 1
     k = 0
     for n, m in zip(s.exact_nums.tolist(), mults):
+        first, k = k + 1, min(k + m, checked)
+        if k < first:
+            continue  # the Neumann zero mode, skipped above
         lhs = n ** dimension * c_den
-        for _ in range(min(m, checked - k)):
-            k += 1
-            rhs = rhs_unit * k * k
-            satisfied = lhs >= rhs if side == "dirichlet" else lhs <= rhs
-            rel = (lhs - rhs) / rhs if side == "dirichlet" else (rhs - lhs) / rhs
-            if rel < worst_margin:
-                worst_margin = rel
-                worst_k = k
-            if not satisfied:
-                failures.append((float(k), n / den, float(c_num * k * k) / c_den))
+        # w_k rises with k, so the run's smallest margin sits at its last k
+        # (Dirichlet) or its first k (Neumann); if that k holds, all do
+        at = k if dirichlet else first
+        rhs = rhs_unit * at * at
+        rel = (lhs - rhs) / rhs if dirichlet else (rhs - lhs) / rhs
+        if rel < worst_margin:
+            worst_margin = rel
+            worst_k = at
+        if dirichlet and lhs < rhs:
+            # lhs < rhs_unit * j^2 exactly when j > isqrt(lhs // rhs_unit)
+            bad = range(max(first, math.isqrt(lhs // rhs_unit) + 1), k + 1)
+        elif not dirichlet and lhs > rhs:
+            # lhs > rhs_unit * j^2 exactly when j <= isqrt((lhs - 1) // rhs_unit)
+            bad = range(first, min(k, math.isqrt((lhs - 1) // rhs_unit)) + 1)
+        else:
+            bad = ()
+        failures.extend((float(j), n / den, float(c_num * j * j) / c_den) for j in bad)
         if k == checked:
             break
     return VerificationReport(

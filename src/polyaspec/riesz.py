@@ -63,9 +63,7 @@ def riesz_mean_many(s: EigenvalueStream, gamma: float, lams: Sequence[float]) ->
     """
     if gamma < 0:
         raise DomainError(f"gamma must be >= 0, got {gamma}")
-    lams = np.asarray(lams, float)
-    if lams.size and lams.max() > s.cutoff:
-        raise CoverageError(f"lambda={lams.max()} exceeds stream cutoff {s.cutoff}")
+    lams = s.check_range(lams)
     if gamma == 0:
         return s.count_many(lams).astype(float)
     idx = np.searchsorted(s.values, lams, side="left")

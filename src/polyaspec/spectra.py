@@ -183,11 +183,27 @@ class EigenvalueStream:
         """Eigenvalues repeated with multiplicity, ascending."""
         return np.repeat(self.values, self.multiplicities)
 
-    def _check_range(self, lam: float) -> None:
-        if lam > self.cutoff:
-            raise CoverageError(
-                f"lambda={lam} exceeds stream cutoff {self.cutoff}; regenerate with a larger cutoff"
-            )
+    def check_range(self, lams, right: bool = False) -> np.ndarray:
+        """``lams`` as a float array, each a number within the stream's
+        range: at most the cutoff, or below it when ``right`` asks for right
+        limits (values at the cutoff itself are not recorded).  Every
+        counting and Riesz query checks its lambdas here."""
+        lams = np.asarray(lams, dtype=float)
+        if lams.size:
+            if np.isnan(lams).any():
+                raise DomainError("lambda must be a number, got nan")
+            top = lams.max()
+            if right and top >= self.cutoff:
+                raise CoverageError(
+                    f"lambda={top} is not below stream cutoff {self.cutoff}, so the right "
+                    "limit N(lambda+) is unknown; regenerate with a larger cutoff"
+                )
+            if top > self.cutoff:
+                raise CoverageError(
+                    f"lambda={top} exceeds stream cutoff {self.cutoff}; "
+                    "regenerate with a larger cutoff"
+                )
+        return lams
 
     def cumulative_counts(self) -> np.ndarray:
         """Read-only ``[0, cumsum(multiplicities)]``, built on first use:
@@ -201,21 +217,14 @@ class EigenvalueStream:
 
     def count_many(self, lams) -> np.ndarray:
         """Eigenvalues strictly below each of ``lams`` (with multiplicity)."""
-        lams = np.asarray(lams, dtype=float)
-        if lams.size:
-            self._check_range(lams.max())
+        lams = self.check_range(lams)
         return self.cumulative_counts()[np.searchsorted(self.values, lams, side="left")]
 
     def count_right_many(self, lams) -> np.ndarray:
         """Eigenvalues ``<= lam`` for each of ``lams``: the right limits of the
         counting steps.  Each ``lam`` must lie below the cutoff, since values
         at the cutoff itself are not recorded."""
-        lams = np.asarray(lams, dtype=float)
-        if lams.size and lams.max() >= self.cutoff:
-            raise CoverageError(
-                f"lambda={lams.max()} is not below stream cutoff {self.cutoff}, so the right "
-                "limit N(lambda+) is unknown; regenerate with a larger cutoff"
-            )
+        lams = self.check_range(lams, right=True)
         return self.cumulative_counts()[np.searchsorted(self.values, lams, side="right")]
 
     def count(self, lam: float) -> int:
@@ -228,7 +237,7 @@ class EigenvalueStream:
 
     def truncated(self, cutoff: float) -> "EigenvalueStream":
         """The same stream restricted to values strictly below ``cutoff``."""
-        self._check_range(cutoff)
+        self.check_range(cutoff)
         mask = self.values < cutoff
         nums = self.exact_nums[mask] if self.exact else None
         return EigenvalueStream(self.values[mask], self.multiplicities[mask], cutoff,

@@ -247,6 +247,41 @@ def test_removed_flags_are_rejected(flag):
         main(["reproduce", "square-triangle", flag, "2"])
 
 
+def test_parser_is_built_once_and_reused(capsys):
+    # one parser serves every call in a process; neither a repeated
+    # --lambda list nor a rejected call may leak into the next call
+    from polyaspec.cli import _make_parser
+
+    sphere = '{"sphere2":{}}'
+    calls = [
+        ["riesz", "--spec", sphere, "--gamma", "1", "--lambda", "7", "--lambda", "3",
+         "--no-timestamp"],
+        ["count", "--spec", sphere, "--lambda", "10", "--weyl", "--output", "csv"],
+        ["verify", "--spec", THIN_SPHERE_SPEC, "--k-max", "bad"],
+        ["verify", "--spec", THIN_SPHERE_SPEC, "--k-max", "500", "--exact", "--no-timestamp"],
+        ["riesz", "--spec", sphere, "--gamma", "1.5", "--lambda", "5", "--no-timestamp"],
+        ["constants", "--d", "2", "--no-timestamp"],
+    ]
+
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    warm = [outcome(argv) for argv in calls]
+    assert _make_parser() is _make_parser()
+    fresh = []
+    for argv in calls:
+        _make_parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert warm == fresh
+    assert warm[2][0] == ("SystemExit", 2) and "--k-max" in warm[2][2]
+    assert [r["lambda"] for r in json.loads(warm[4][1])["results"]] == [5.0]
+
+
 def test_console_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "polyaspec.cli", "constants", "--d", "2",

@@ -87,6 +87,23 @@ def test_count_right_at_cutoff_raises():
     assert s.count_right(3.999) == 1
 
 
+def test_nan_lambda_is_a_domain_error():
+    # a NaN passed the cutoff check and counted every eigenvalue (13 here)
+    s = box_spectrum([1, 1], "neumann", 100.0)
+    cf = _cf(s, box_meta([1, 1], "neumann"))
+    both = SumCountingFunction([cf, _cf(sphere2_spectrum(50.0), sphere2_meta())])
+    for query in (s.count_many, s.count_right_many, cf.count_many, cf.count_right_many,
+                  both.count_many, both.count_right_many):
+        with pytest.raises(DomainError):
+            query([1.0, math.nan])
+    for query in (s.count, s.count_right, cf.count, both.count, both.count_right):
+        with pytest.raises(DomainError):
+            query(math.nan)
+    with pytest.raises(DomainError):
+        product_count(s, _cf(sphere2_spectrum(100.0), sphere2_meta()), math.nan)
+    assert s.count_many([1.0, 100.0]).tolist() == [1, 13]
+
+
 def test_cumulative_counts_prefix_array():
     s = sphere2_spectrum(7)
     assert s.cumulative_counts().tolist() == [0, 1, 4, 9]

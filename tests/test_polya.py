@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyaspec import (
     CountingFunction,
@@ -26,7 +28,8 @@ from polyaspec import (
     weyl_leading,
 )
 from polyaspec.reproduce import rationalized_polya_constant
-from polyaspec.spectra import DomainMeta, EigenvalueStream
+from polyaspec.polya import VerificationReport
+from polyaspec.spectra import _INT64_GUARD, DomainMeta, EigenvalueStream
 
 PI = math.pi
 PI2 = math.pi ** 2
@@ -212,6 +215,102 @@ def test_exact_detects_failure():
     rep = verify_exact_power(s, c.numerator, c.denominator, 3, 50, "dirichlet")
     flt = verify_dirichlet(s, meta, 50)
     assert rep.verdict == flt.verdict  # agreement regardless of outcome
+
+
+def _slow_exact_power(s, c_num, c_den, d, k_max, side):
+    """Reference for ``verify_exact_power``: one Python-int comparison per k."""
+    mults = s.multiplicities.tolist()
+    if side == "neumann":
+        mults[0] -= 1
+    checked = min(k_max, sum(mults))
+    den = s.exact_den
+    rhs_unit = c_num * den ** d
+    failures = []
+    worst_margin = math.inf
+    worst_k = 1
+    k = 0
+    for n, m in zip(s.exact_nums.tolist(), mults):
+        lhs = n ** d * c_den
+        for _ in range(min(m, checked - k)):
+            k += 1
+            rhs = rhs_unit * k * k
+            satisfied = lhs >= rhs if side == "dirichlet" else lhs <= rhs
+            rel = (lhs - rhs) / rhs if side == "dirichlet" else (rhs - lhs) / rhs
+            if rel < worst_margin:
+                worst_margin = rel
+                worst_k = k
+            if not satisfied:
+                failures.append((float(k), n / den, float(c_num * k * k) / c_den))
+        if k == checked:
+            break
+    return VerificationReport(
+        mode="per_eigenvalue_exact",
+        checked=checked,
+        requested=k_max,
+        verdict="fails" if failures else "holds",
+        worst_margin=worst_margin,
+        worst_location=float(worst_k),
+        failures=tuple(failures),
+    )
+
+
+@pytest.mark.parametrize("side, entries, failures, worst", [
+    # value 4 on k = 1..3 against k^2: a tie at k = 2, a failure at k = 3
+    ("dirichlet", [(4, 3), (20, 2)], [(3.0, 4.0, 9.0), (5.0, 20.0, 25.0)], (-5 / 9, 3.0)),
+    # the same value from below: a failure at k = 1, a tie at k = 2
+    ("neumann", [(0, 1), (4, 3), (9, 2)], [(1.0, 4.0, 1.0)], (-3.0, 1.0)),
+])
+def test_exact_power_decides_inside_runs(side, entries, failures, worst):
+    s = tabulated_spectrum(entries, 100.0)
+    rep = verify_exact_power(s, 1, 1, 1, 10, side)
+    assert rep.failures == tuple(failures)
+    assert (rep.worst_margin, rep.worst_location) == worst
+    assert rep.to_dict() == _slow_exact_power(s, 1, 1, 1, 10, side).to_dict()
+
+
+def _iroot(x, d):
+    """Largest r with r**d <= x."""
+    r = math.isqrt(x) if d == 2 else x if d == 1 else round(x ** (1 / 3))
+    while r ** d > x:
+        r -= 1
+    while (r + 1) ** d <= x:
+        r += 1
+    return r
+
+
+@st.composite
+def _exact_power_cases(draw):
+    """Exact tabulated streams whose values sit at, or one step off, the
+    Polya bound of a k inside, just before or just after their run, so that
+    ties, failures starting mid-run and runs cut by k_max all occur."""
+    d = draw(st.sampled_from([1, 2, 3]))
+    side = draw(st.sampled_from(["dirichlet", "neumann"]))
+    c_num = draw(st.sampled_from([1, 4, 8, 9, 64, 1296]))
+    c_den = draw(st.sampled_from([1, 1, 2, 5]))
+    den = draw(st.sampled_from([1, 2, 3, 7]))
+    mults = draw(st.lists(st.integers(1, 6), min_size=1, max_size=12))
+    nums, k = [], 0
+    for m in mults:
+        pivot = max(k + draw(st.integers(0, m + 1)), 1)
+        n = _iroot(c_num * den ** d * pivot ** 2 // c_den, d) + draw(st.integers(-1, 1))
+        nums.append(max(n, nums[-1] + 1 if nums else 1))
+        k += m
+    # a common factor keeps every comparison and pushes numerators past int64
+    scale = 2 ** 64 + 13 if draw(st.booleans()) else 1
+    entries = [(Fraction(n * scale, den), m) for n, m in zip(nums, mults)]
+    if side == "neumann":
+        entries.insert(0, (0, draw(st.integers(1, 2))))
+    s = tabulated_spectrum(entries, 2.0 * float(entries[-1][0]) + 1.0)
+    assert (s.exact_nums.dtype == object) == (scale > _INT64_GUARD)
+    total = s.total_count - (side == "neumann")
+    k_max = draw(st.integers(1, total + 3))
+    return s, c_num * scale ** d, c_den, d, k_max, side
+
+
+@settings(max_examples=400, deadline=None)
+@given(_exact_power_cases())
+def test_exact_power_matches_per_k_reference(case):
+    assert verify_exact_power(*case).to_dict() == _slow_exact_power(*case).to_dict()
 
 
 # ---------------------------------------------------------------------------

@@ -175,6 +175,16 @@ def test_riesz_mean_many_edges(gamma):
     assert riesz_mean_many(empty_stream, gamma, [0.0, 5.0, 10.0]).tolist() == [0.0, 0.0, 0.0]
 
 
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0, 1.5, 2.0])
+def test_riesz_mean_nan_lambda_is_a_domain_error(gamma):
+    # gamma 0 counted every eigenvalue at a NaN; gamma 1 and 1.5 returned nan
+    s = box_spectrum([1, 1], "neumann", 100.0)
+    with pytest.raises(DomainError):
+        riesz_mean_many(s, gamma, [1.0, math.nan])
+    with pytest.raises(DomainError):
+        riesz_mean(s, gamma, math.nan)
+
+
 # ---------------------------------------------------------------------------
 # one-term bounds (theorems; negative margins are bugs)
 
