@@ -25,7 +25,7 @@ import json
 import math
 import sys
 from datetime import datetime, timezone
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -65,6 +65,15 @@ def _emit_json(obj: dict, args) -> None:
         print(text)
 
 
+def _emit_text(write: Callable, args) -> None:
+    """Call ``write(fp)`` on the --out file, or on stdout."""
+    if args.out:
+        with open(args.out, "w", newline="") as fp:
+            write(fp)
+    else:
+        write(sys.stdout)
+
+
 def _emit_csv(header: list[str], rows, args) -> None:
     def write(fp):
         writer = csv.writer(fp, lineterminator="\n")
@@ -72,11 +81,7 @@ def _emit_csv(header: list[str], rows, args) -> None:
         for row in rows:
             writer.writerow([repr(x) if isinstance(x, float) else x for x in row])
 
-    if args.out:
-        with open(args.out, "w", newline="") as fp:
-            write(fp)
-    else:
-        write(sys.stdout)
+    _emit_text(write, args)
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +92,7 @@ def _cmd_spectrum(args) -> int:
     spec = build_spec(args.spec)
     stream = spec.stream(args.cutoff)
     if args.output == "csv":
-        _emit_csv(["value", "multiplicity"], stream.entries(), args)
+        _emit_text(functools.partial(sp.stream_to_csv, stream), args)
     else:
         _emit_json(sp.stream_to_json_dict(stream), args)
     return 0

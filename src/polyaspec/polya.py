@@ -282,6 +282,19 @@ def verify_exact_power(s: EigenvalueStream, c_num: int, c_den: int, dimension: i
     )
 
 
+def _bound_values(bound: Callable, points: np.ndarray) -> np.ndarray:
+    """``bound`` at every point: one call on the array when the bound
+    returns an array of its shape, else one call per point on Python
+    floats."""
+    try:
+        values = bound(points)
+    except (TypeError, ValueError):
+        values = None
+    if isinstance(values, np.ndarray) and values.shape == points.shape:
+        return values.astype(float, copy=False)
+    return np.fromiter(map(bound, points.tolist()), float, points.size)
+
+
 def verify_counting_bound(cf: CountingFunction, bound: Callable[[float], float],
                           side: str, lambda_min: float = 0.0,
                           lambda_max: Optional[float] = None,
@@ -294,6 +307,15 @@ def verify_counting_bound(cf: CountingFunction, bound: Callable[[float], float],
     at every jump plus the endpoint.  ``jumps`` adds points to the
     counter's own jump set; it never replaces it, since a missing jump could
     hide a violation.
+
+    ``bound`` is called once, on the whole array of points, and that result
+    is used when it is an array of the points' shape; a bound that accepts
+    arrays must therefore be elementwise (``np.sqrt``, arithmetic).  When
+    the call raises ``TypeError`` or ``ValueError`` (a ``math.sqrt`` or an
+    ``if lam < x`` bound), or returns a scalar or an array of another shape,
+    the bound is evaluated point by point on Python floats instead.  Both
+    paths round each value the same way, so elementwise IEEE bounds give
+    identical reports on either.
 
     Raises ``CoverageError`` when ``lambda_max`` exceeds ``cf.cutoff``, when
     an upper-side point (``lambda_min`` included) is not below ``cf.cutoff``
@@ -317,16 +339,16 @@ def verify_counting_bound(cf: CountingFunction, bound: Callable[[float], float],
         if lambda_min > 0:
             points = np.unique(np.concatenate([[lambda_min], points]))
         counts = cf.count_right_many(points).astype(float)
-        bounds = np.array([bound(p) for p in points], float)
-        margins = bounds - counts
     else:
         jump_arr = jump_arr[(jump_arr > lambda_min) & (jump_arr <= lambda_max)]
         points = np.unique(np.concatenate([jump_arr, [lambda_max]]))
         counts = cf.count_many(points).astype(float)
-        bounds = np.array([bound(p) for p in points], float)
-        margins = counts - bounds
     if points.size == 0:
         raise CoverageError("no comparison points in the requested window")
+    # a bound that writes into its argument falls back to the per-point path
+    points.flags.writeable = False
+    bounds = _bound_values(bound, points)
+    margins = bounds - counts if side == "upper" else counts - bounds
 
     rel = margins / np.maximum(np.abs(bounds), 1.0)
     failures = tuple(

@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Sized
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -131,12 +133,13 @@ class EigenvalueStream:
             raise ValidationError("values and multiplicities must be matching 1-D arrays")
         if not self.cutoff > 0:
             raise DomainError(f"cutoff must be positive, got {self.cutoff}")
+        # each check fails on NaN, since every comparison with NaN is false
         if values.size:
-            if values[0] < 0:
-                raise ValidationError("eigenvalues must be nonnegative")
-            if np.any(np.diff(values) <= 0):
-                raise ValidationError("eigenvalues must be strictly increasing")
-            if values[-1] >= self.cutoff:
+            if not values[0] >= 0:
+                raise ValidationError("eigenvalues must be nonnegative numbers")
+            if not np.all(np.diff(values) > 0):
+                raise ValidationError("eigenvalues must be strictly increasing numbers")
+            if not values[-1] < self.cutoff:
                 raise ValidationError("all eigenvalues must lie strictly below the cutoff")
         if np.any(mults < 1):
             raise ValidationError("multiplicities must be positive integers")
@@ -176,8 +179,7 @@ class EigenvalueStream:
         return int(self.multiplicities.sum())
 
     def entries(self) -> Iterator[tuple[float, int]]:
-        for v, m in zip(self.values, self.multiplicities):
-            yield float(v), int(m)
+        return zip(self.values.tolist(), self.multiplicities.tolist())
 
     def expanded(self) -> np.ndarray:
         """Eigenvalues repeated with multiplicity, ascending."""
@@ -502,56 +504,84 @@ def tabulated_spectrum(entries: Iterable, cutoff: float,
                        meta: Optional[DomainMeta] = None) -> EigenvalueStream:
     """Validate externally supplied (value, multiplicity) pairs into a stream.
 
-    Values may be floats, ints, Fractions or rational strings; an all-exact
-    input yields an exact stream.  Input must be strictly increasing with
-    already-aggregated multiplicities.
+    Values may be floats, ints, Fractions or length strings (``"5/2"``,
+    ``"pi/24"``); an input of ints, Fractions and rational strings yields an
+    exact stream, and any float or pi multiple makes it float-valued.  Input
+    must be strictly increasing (so no NaN) with already-aggregated positive
+    integer multiplicities; anything else is a ``ValidationError``.  An
+    all-float input is validated with array operations; only other values
+    are parsed one by one.
     """
     if not cutoff > 0:
         raise DomainError(f"cutoff must be positive, got {cutoff}")
-    values, mults, exacts = [], [], []
-    all_exact = True
-    for item in entries:
-        try:
-            v, m = item
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"entry {item!r} is not a (value, multiplicity) pair") from exc
-        if not float(m) == int(m) or int(m) < 1:
-            raise ValidationError(f"multiplicity must be a positive integer, got {m!r}")
-        pi_val = None
-        if not isinstance(v, float):
-            try:
-                pi_val = as_pi_rational(v)
-            except ValidationError:
-                pi_val = None
-        if pi_val is not None and pi_val.is_rational:
-            exacts.append(pi_val.as_fraction())
-            values.append(float(pi_val))
+    rows = list(entries)
+    try:
+        pairs = set(map(len, rows)) <= {2}
+    except TypeError:
+        pairs = False
+    if not pairs:
+        bad = next(row for row in rows if not isinstance(row, Sized) or len(row) != 2)
+        raise ValidationError(f"entry {bad!r} is not a (value, multiplicity) pair")
+    vs, ms = zip(*rows) if rows else ((), ())
+    if not _all_of_type(ms, int):
+        ms = [_multiplicity(m) for m in ms]
+    try:
+        mults = np.array(ms, np.int64)
+    except OverflowError as exc:
+        raise ValidationError(f"multiplicity out of range: {exc}") from exc
+    if vs and _all_of_type(vs, float):
+        stream = EigenvalueStream(np.array(vs, float), mults, cutoff)
+    else:
+        # ints, Fractions and rational strings are exact; anything else
+        # makes the whole stream float-valued
+        parsed = [_tabulated_value(v) for v in vs]
+        values = np.array([p[0] for p in parsed], float)
+        exacts = [p[1] for p in parsed]
+        if any(f is None for f in exacts):
+            stream = EigenvalueStream(values, mults, cutoff)
         else:
-            all_exact = False
-            values.append(float(v))
-        mults.append(int(m))
-    arr = np.array(values, float)
-    if arr.size:
-        if arr[0] < 0:
-            raise ValidationError("eigenvalues must be nonnegative")
-        if np.any(np.diff(arr) < 0):
-            raise ValidationError("entries must be sorted increasing")
-        if np.any(np.diff(arr) == 0):
-            raise ValidationError("duplicate values must be aggregated before tabulation")
-        if arr[-1] >= cutoff:
-            raise ValidationError("all tabulated values must lie strictly below the cutoff")
+            den = math.lcm(*(f.denominator for f in exacts))
+            nums = [f.numerator * (den // f.denominator) for f in exacts]
+            stream = EigenvalueStream(values, mults, cutoff, nums, den)
     if meta is not None:
         bc = BoundaryCondition(meta.bc)
         if bc in (BoundaryCondition.NEUMANN, BoundaryCondition.CLOSED):
-            if arr.size == 0 or arr[0] != 0.0:
+            if stream.index_origin != 0:
                 raise ModeError(f"{bc.value} spectra must start with the zero mode")
-        elif arr.size and arr[0] == 0.0:
+        elif stream.index_origin == 0:
             raise ModeError("dirichlet spectra must not contain the zero mode")
-    if not all_exact:
-        return EigenvalueStream(arr, np.array(mults, np.int64), cutoff)
-    den = math.lcm(*(f.denominator for f in exacts))
-    nums = [f.numerator * (den // f.denominator) for f in exacts]
-    return EigenvalueStream(arr, np.array(mults, np.int64), cutoff, nums, den)
+    return stream
+
+
+def _all_of_type(items: Sequence, kind: type) -> bool:
+    """Whether every item is an instance of ``kind``, looking once at each
+    distinct type rather than at each item."""
+    return all(issubclass(t, kind) for t in set(map(type, items)))
+
+
+def _multiplicity(m) -> int:
+    try:
+        if float(m) == int(m):
+            return int(m)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValidationError(f"multiplicity must be a positive integer, got {m!r}")
+
+
+def _tabulated_value(v) -> tuple[float, Optional[Fraction]]:
+    """A tabulated value as a float and, when it is an int, a Fraction or a
+    rational string, as an exact Fraction; floats are never exact."""
+    if not isinstance(v, float):
+        try:
+            pi_val = as_pi_rational(v)
+        except ValidationError:
+            pi_val = None
+        if pi_val is not None:
+            return float(pi_val), pi_val.as_fraction() if pi_val.is_rational else None
+    try:
+        return float(v), None
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"eigenvalue {v!r} is not a number") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -607,26 +637,44 @@ def product_meta(m1: DomainMeta, m2: DomainMeta) -> DomainMeta:
 
 # ---------------------------------------------------------------------------
 # serialization
+#
+# CSV is float-only: it carries ``value,multiplicity`` and nothing else, so
+# an exact stream reloads from CSV with the same values and counts but
+# without its exact numerators.  JSON keeps exactness.
 
 
 def stream_to_csv(stream: EigenvalueStream, fp) -> None:
-    """Write ``value,multiplicity`` rows in increasing value order."""
-    writer = csv.writer(fp, lineterminator="\n")
-    writer.writerow(["value", "multiplicity"])
-    for v, m in stream.entries():
-        writer.writerow([repr(v), m])
+    """Write ``value,multiplicity`` rows in increasing value order, each
+    value as its shortest round-tripping ``repr``.  Float-only: exact
+    numerators are not written (use JSON to keep them)."""
+    fp.write("value,multiplicity\n")
+    fp.write("".join([f"{v!r},{m}\n" for v, m in stream.entries()]))
 
 
 def stream_from_csv(fp, cutoff: Optional[float] = None) -> EigenvalueStream:
+    """Read ``value,multiplicity`` rows into a float-valued stream.  Each
+    column is cast to numbers in one call; a row with fewer than two
+    columns, or a value or multiplicity that does not parse, raises
+    ``ValidationError``.  Without ``cutoff`` it is the float just above the
+    last value."""
     reader = csv.reader(fp)
     header = next(reader, None)
     if header is None or [h.strip() for h in header[:2]] != ["value", "multiplicity"]:
         raise ValidationError("expected header 'value,multiplicity'")
-    entries = [(float(row[0]), int(row[1])) for row in reader if row]
+    rows = [row for row in reader if row]
+    if min(map(len, rows), default=2) < 2:
+        bad = next(row for row in rows if len(row) < 2)
+        raise ValidationError(f"CSV row {bad!r} is not a value,multiplicity pair")
+    columns = list(zip(*rows))[:2] if rows else [(), ()]
+    try:
+        values = np.array(columns[0], float)
+        mults = np.array(columns[1], np.int64)
+    except (ValueError, OverflowError) as exc:
+        raise ValidationError(f"malformed CSV value or multiplicity: {exc}") from exc
     if cutoff is None:
-        last = entries[-1][0] if entries else 0.0
+        last = float(values[-1]) if values.size else 0.0
         cutoff = math.nextafter(last, math.inf) if last > 0 else 1.0
-    return tabulated_spectrum(entries, cutoff)
+    return EigenvalueStream(values, mults, cutoff)
 
 
 def stream_to_json_dict(stream: EigenvalueStream) -> dict:
@@ -635,7 +683,7 @@ def stream_to_json_dict(stream: EigenvalueStream) -> dict:
     data = {
         "cutoff": stream.cutoff,
         "exact": stream.exact,
-        "entries": [[v, m] for v, m in stream.entries()],
+        "entries": list(map(list, stream.entries())),
     }
     if stream.exact:
         data.update(exact_nums=stream.exact_nums.tolist(), exact_den=stream.exact_den,

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from polyaspec import (
     CountingFunction,
+    SumCountingFunction,
     CoverageError,
     DomainError,
     ModeError,
@@ -419,3 +420,94 @@ def test_counting_bound_jumps_add_points_never_drop_them():
         given = verify_counting_bound(cf, lambda lam: lam / 10.0, side, lambda_max=150.0,
                                       jumps=cf.jump_values())
         assert given == plain
+
+
+class _Counted:
+    """A bound that counts its calls."""
+
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def __call__(self, lam):
+        self.calls += 1
+        return self.fn(lam)
+
+
+def _same_report(a: VerificationReport, b: VerificationReport) -> bool:
+    return a.to_dict() == b.to_dict() and a.margins.tobytes() == b.margins.tobytes()
+
+
+@st.composite
+def _counting_functions(draw):
+    """The counting function of a float, exact or box stream, or the sum of two."""
+    def stream():
+        kind = draw(st.sampled_from(["float", "exact", "box"]))
+        if kind == "box":
+            sides = draw(st.lists(st.floats(0.5, 3.0), min_size=1, max_size=2))
+            return box_spectrum(sides, draw(st.sampled_from(["dirichlet", "neumann"])), 300.0)
+        if kind == "float":
+            values = sorted(set(draw(st.lists(st.floats(0.0, 250.0), max_size=40))))
+        else:
+            den = draw(st.integers(1, 40))
+            values = [Fraction(n, den) for n in
+                      sorted(set(draw(st.lists(st.integers(0, 250 * den), max_size=40))))]
+        return tabulated_spectrum([(v, draw(st.integers(1, 5))) for v in values],
+                                  draw(st.floats(251.0, 300.0)))
+
+    meta = DomainMeta(2, 1.0, "neumann")
+    parts = [CountingFunction.from_stream(stream(), meta)
+             for _ in range(draw(st.integers(1, 2)))]
+    return parts[0] if len(parts) == 1 else SumCountingFunction(parts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cf=_counting_functions(), side=st.sampled_from(["upper", "lower"]),
+       a=st.floats(0.0, 2.0), b=st.floats(-30.0, 30.0), data=st.data())
+def test_counting_bound_array_path_matches_per_point_path(cf, side, a, b, data):
+    lambda_max = data.draw(st.floats(0.0, 250.0))
+    lambda_min = data.draw(st.floats(0.0, lambda_max))
+    jumps = data.draw(st.lists(st.floats(0.0, lambda_max), max_size=5))
+    array_bound = _Counted(lambda lam: a * lam + b * np.sqrt(lam))
+    point_bound = _Counted(lambda lam: a * lam + b * math.sqrt(lam))
+
+    def scan(bound):
+        try:
+            return verify_counting_bound(cf, bound, side, lambda_min, lambda_max, jumps)
+        except CoverageError:
+            return None
+
+    on_array, per_point = scan(array_bound), scan(point_bound)
+    if on_array is None:
+        assert per_point is None
+        return
+    assert _same_report(on_array, per_point)
+    # one call on the array; a failed array call, then one call per point
+    assert array_bound.calls == 1
+    assert point_bound.calls == 1 + per_point.checked
+
+
+def _halve_in_place(lam):
+    lam *= 0.5
+    return lam
+
+
+@pytest.mark.parametrize("point_bound,array_bound", [
+    (lambda lam: 40.0, lambda lam: np.full(lam.shape, 40.0)),
+    (lambda lam: 3.0 if lam < 50.0 else lam / 2.0,
+     lambda lam: np.where(lam < 50.0, 3.0, lam / 2.0)),
+    (lambda lam: [x / 2.0 for x in lam] if np.ndim(lam) else lam / 2.0, lambda lam: lam / 2.0),
+    (lambda lam: (lam / 2.0)[:, None] if np.ndim(lam) else lam / 2.0, lambda lam: lam / 2.0),
+    (lambda lam: 2.0 * math.sqrt(lam), lambda lam: 2.0 * np.sqrt(lam)),
+    (_halve_in_place, lambda lam: lam * 0.5),
+], ids=["scalar", "branchy", "list", "wrong-shape", "math-sqrt", "in-place"])
+@pytest.mark.parametrize("side", ["upper", "lower"])
+def test_counting_bound_falls_back_per_point(point_bound, array_bound, side):
+    # a scalar result, a ValueError or TypeError, a list, an array of another
+    # shape, or a write into the read-only points each take the per-point path
+    s = box_spectrum([1, 1], "dirichlet", 200.0)
+    cf = CountingFunction.from_stream(s, box_meta([1, 1], "dirichlet"))
+    counted = _Counted(point_bound)
+    rep = verify_counting_bound(cf, counted, side, lambda_min=1.0, lambda_max=150.0)
+    assert counted.calls == 1 + rep.checked
+    assert _same_report(rep, verify_counting_bound(cf, array_bound, side,
+                                                   lambda_min=1.0, lambda_max=150.0))

@@ -7,7 +7,7 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polyaspec import (
@@ -380,6 +380,136 @@ def test_json_rejects_bad_exact_fields(key, bad):
     d = stream_to_json_dict(sphere2_spectrum(50.0))
     with pytest.raises(ValidationError):
         stream_from_json_dict({**d, key: bad})
+
+
+@pytest.mark.parametrize("make", [lambda: sphere2_spectrum(50.0),
+                                  lambda: triangle_neumann_spectrum(300.0)],
+                         ids=["sphere2", "triangle"])
+def test_csv_is_float_only_but_keeps_counts(make):
+    s = make()
+    buf = io.StringIO()
+    stream_to_csv(s, buf)
+    back = stream_from_csv(io.StringIO(buf.getvalue()), cutoff=s.cutoff)
+    assert s.exact and not back.exact
+    assert np.array_equal(back.values, s.values)
+    lams = np.concatenate([s.values, (s.values[:-1] + s.values[1:]) / 2, [s.cutoff]])
+    assert np.array_equal(back.count_many(lams), s.count_many(lams))
+    assert np.array_equal(back.count_right_many(s.values), s.count_right_many(s.values))
+
+
+NAN = math.nan
+
+
+@pytest.mark.parametrize("values", [[NAN], [NAN, 1.0], [1.0, NAN], [1.0, NAN, 2.0]])
+def test_nan_eigenvalues_are_rejected(values):
+    # every NaN comparison is false, so ordering and cutoff checks missed these
+    with pytest.raises(ValidationError):
+        EigenvalueStream(np.array(values), np.ones(len(values), np.int64), 10.0)
+    with pytest.raises(ValidationError):
+        tabulated_spectrum([(v, 1) for v in values], 10.0)
+    rows = "".join(f"{v!r},1\n" for v in values)
+    with pytest.raises(ValidationError):
+        stream_from_csv(io.StringIO("value,multiplicity\n" + rows))
+    with pytest.raises(ValidationError):
+        stream_from_csv(io.StringIO("value,multiplicity\n" + rows), cutoff=10.0)
+    entries = [[v, 1] for v in values]
+    with pytest.raises(ValidationError):
+        stream_from_json_dict({"cutoff": 10.0, "exact": False, "entries": entries})
+    with pytest.raises(ValidationError):
+        stream_from_json_dict(json.loads(json.dumps(
+            {"cutoff": 10.0, "exact": False, "entries": entries})))
+
+
+@pytest.mark.parametrize("rows", ["1.0\n", "1.0,1\n2.0\n", "1.0,1.5\n", "abc,1\n",
+                                  "1.0,abc\n", "1.0,2.0\n", ",1\n",
+                                  "1.0,99999999999999999999999\n"])
+def test_csv_malformed_rows_are_validation_errors(rows):
+    with pytest.raises(ValidationError):
+        stream_from_csv(io.StringIO("value,multiplicity\n" + rows))
+
+
+def test_csv_reader_keeps_blank_lines_quotes_and_extra_columns():
+    text = 'value,multiplicity,note\n0.0,1,zero\n\n"2.0",3,x\n 6.0 , 5 ,y\n'
+    back = stream_from_csv(io.StringIO(text))
+    assert back.values.tolist() == [0.0, 2.0, 6.0]
+    assert back.multiplicities.tolist() == [1, 3, 5]
+    assert back.cutoff == math.nextafter(6.0, math.inf)
+
+
+def test_tabulated_value_kinds():
+    # ints, Fractions and rational strings are exact; one float makes it inexact
+    exact = tabulated_spectrum([(0, 1), (Fraction(1, 3), 2), ("5/2", 1)], 10.0)
+    assert exact.exact and exact.exact_nums.tolist() == [0, 2, 15] and exact.exact_den == 6
+    mixed = tabulated_spectrum([(0, 1), (0.5, 2), ("pi", 1)], 10.0)
+    assert not mixed.exact and mixed.values.tolist() == [0.0, 0.5, math.pi]
+    floats = tabulated_spectrum([(0.0, 1), (2.0, 3)], 10.0)
+    assert not floats.exact and floats.multiplicities.tolist() == [1, 3]
+    assert tabulated_spectrum([(1.0, 2.0), (2.0, True)], 10.0).multiplicities.tolist() == [2, 1]
+
+
+@pytest.mark.parametrize("entries", [[(1.0,)], [(1.0, 1, 1)], [1.0], [(1.0, 1), (2.0,)],
+                                     [(1.0, 1.5)], [(1.0, 0)], [(1.0, "x")], [("abc", 1)],
+                                     [(1.0, 2 ** 70)], [(2.0, 1), (1.0, 1)],
+                                     [(1.0, 1), (1.0, 1)]])
+def test_tabulated_rejects_malformed_entries(entries):
+    with pytest.raises(ValidationError):
+        tabulated_spectrum(entries, 10.0)
+
+
+_SPECIAL_VALUES = [0.0, 5e-324, 1.5e-320, 2.2250738585072014e-308, 0.1, 1 / 3,
+                   0.30000000000000004, 1e16, 2.0 ** 53 + 2, 1.2345678901234567e16, 1e300]
+
+
+@st.composite
+def _float_streams(draw):
+    values = draw(st.lists(
+        st.one_of(st.sampled_from(_SPECIAL_VALUES),
+                  st.floats(0.0, 1e300, allow_subnormal=True),
+                  st.floats(1e16, 1e20)),
+        max_size=40, unique=True))
+    values = sorted(values)
+    mults = draw(st.lists(st.integers(1, 2 ** 40), min_size=len(values), max_size=len(values)))
+    cutoff = math.nextafter(values[-1], math.inf) if values and values[-1] > 0 else 1.0
+    return EigenvalueStream(np.array(values, float), np.array(mults, np.int64), cutoff)
+
+
+@st.composite
+def _exact_streams(draw):
+    nums = sorted(draw(st.lists(st.integers(0, 2 ** 70), min_size=1, max_size=30, unique=True)))
+    den = draw(st.integers(1, 10 ** 6))
+    pi_power = draw(st.integers(-2, 2))
+    scale = math.pi ** pi_power / den
+    values = [n * scale for n in nums]
+    assume(all(a < b for a, b in zip(values, values[1:])))
+    mults = draw(st.lists(st.integers(1, 9), min_size=len(nums), max_size=len(nums)))
+    cutoff = math.nextafter(values[-1], math.inf) if values[-1] > 0 else 1.0
+    return EigenvalueStream(np.array(values), np.array(mults, np.int64), cutoff,
+                            nums, den, pi_power)
+
+
+def _same_floats(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype == float and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(s=st.one_of(_float_streams(), _exact_streams()))
+def test_csv_and_json_round_trips_keep_values_bit_for_bit(s):
+    buf = io.StringIO()
+    stream_to_csv(s, buf)
+    for cutoff in (s.cutoff, None):
+        back = stream_from_csv(io.StringIO(buf.getvalue()), cutoff=cutoff)
+        assert _same_floats(back.values, s.values)
+        assert back.multiplicities.tolist() == s.multiplicities.tolist()
+        assert not back.exact
+    back = stream_from_json_dict(json.loads(json.dumps(stream_to_json_dict(s))))
+    assert _same_floats(back.values, s.values)
+    assert back.multiplicities.tolist() == s.multiplicities.tolist()
+    # empty entries tabulate as an exact stream, which holds nothing either way
+    assert back.cutoff == s.cutoff and back.exact == (s.exact or not s.values.size)
+    if s.exact:
+        assert back.exact_nums.tolist() == s.exact_nums.tolist()
+        assert back.exact_nums.dtype == s.exact_nums.dtype
+        assert (back.exact_den, back.pi_power) == (s.exact_den, s.pi_power)
 
 
 def test_stream_values_are_immutable():
