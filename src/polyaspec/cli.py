@@ -223,13 +223,13 @@ def _make_parser() -> argparse.ArgumentParser:
     """The one parser of the process, built on the first ``main`` call;
     parsing leaves it unchanged, so later calls reuse it."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--output", choices=["csv", "json"], default="json",
-                        help="output format (default json)")
     common.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
     common.add_argument("--no-timestamp", action="store_true",
                         help="omit the timestamp field for byte-identical reruns")
-    common.add_argument("--exact", action="store_true",
-                        help="use exact integer arithmetic where the spectrum allows it")
+    # only the subcommands that can write CSV take --output
+    tabular = argparse.ArgumentParser(add_help=False, parents=[common])
+    tabular.add_argument("--output", choices=["csv", "json"], default="json",
+                         help="output format (default json)")
 
     parser = argparse.ArgumentParser(
         prog="polyaspec",
@@ -237,12 +237,12 @@ def _make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("spectrum", parents=[common], help="generate a spectrum")
+    p = sub.add_parser("spectrum", parents=[tabular], help="generate a spectrum")
     p.add_argument("--spec", required=True, help="JSON spectrum description")
     p.add_argument("--cutoff", type=float, required=True)
     p.set_defaults(fn=_cmd_spectrum)
 
-    p = sub.add_parser("count", parents=[common], help="counting function values")
+    p = sub.add_parser("count", parents=[tabular], help="counting function values")
     p.add_argument("--spec", required=True)
     p.add_argument("--lambda", dest="lam", action="append", required=True,
                    metavar="LAMBDA", help="evaluation point (repeatable)")
@@ -250,7 +250,7 @@ def _make_parser() -> argparse.ArgumentParser:
     p.add_argument("--weyl", action="store_true", help="add Weyl bound and margin columns")
     p.set_defaults(fn=_cmd_count)
 
-    p = sub.add_parser("riesz", parents=[common], help="Riesz means and two-term scans")
+    p = sub.add_parser("riesz", parents=[tabular], help="Riesz means and two-term scans")
     p.add_argument("--spec", required=True)
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--lambda", dest="lam", action="append", default=[], metavar="LAMBDA")
@@ -270,6 +270,8 @@ def _make_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True)
     p.add_argument("--k-max", type=int, required=True)
     p.add_argument("--dump", metavar="PATH", help="write per-k margins as CSV")
+    p.add_argument("--exact", action="store_true",
+                   help="use exact integer arithmetic where the spectrum allows it")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("reproduce", parents=[common], help="run a packaged example")

@@ -6,13 +6,13 @@ inequality says every nonzero eigenvalue sits below it.  Verification is a
 finite sweep: per eigenvalue up to k_max, or at counting-function jumps
 against a monotone bound.
 
-Float comparisons use a guard band: relative margins within 1e-9 are
-re-evaluated at high precision, against the 1e-25 exact tie band when the
-stream carries exact values (rational multiples of a power of pi) and the
-volume is exact.  Genuine ties count as satisfied, since the inequalities
-are non-strict.  Streams without exact values cannot certify margins below
-float resolution; those near-ties are accepted and counted in
-``tie_breaks``.
+Per-eigenvalue margins are computed in floats; those near zero are decided
+by one of two rules.  With exact values (rational multiples of a power of
+pi) and an exact volume, each margin within ``GUARD_BAND`` is decided
+exactly, lambda_k^d against w_k^d = c k^2 in integers and rational bounds
+on pi, and only an equality is a tie.  Otherwise margins within
+``EQUALITY_BAND_FLOAT`` (float resolution) are ties.  Ties count as
+satisfied, since the inequalities are non-strict, and in ``tie_breaks``.
 
 ``verify_exact_power`` decides rational exact streams in Python ints, one
 comparison per distinct value: within a run of equal values the margin is
@@ -26,11 +26,13 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-import mpmath
 import numpy as np
+from mpmath.libmp import mpf_pi, round_ceiling, round_floor
 
+from .constants import omega_d, omega_d_exact
 from .counting import CountingFunction
 from .errors import CoverageError, DomainError, ModeError
+from .pivals import PiRational
 from .spectra import DomainMeta, EigenvalueStream
 
 __all__ = [
@@ -42,14 +44,10 @@ __all__ = [
     "verify_counting_bound",
 ]
 
-#: float margins smaller than this (relative) get re-evaluated
+#: relative float margins below this are decided exactly on exact streams
 GUARD_BAND = 1e-9
-#: after exact/high-precision re-evaluation, margins below this are ties
-EQUALITY_BAND_EXACT = 1e-25
 #: float-valued spectra cannot resolve relative margins below this
 EQUALITY_BAND_FLOAT = 1e-12
-#: working precision of the re-evaluation
-_MP_DPS = 30
 
 
 @dataclass(frozen=True)
@@ -95,46 +93,40 @@ class VerificationReport:
 
 def polya_weyl_term(meta: DomainMeta, k) -> float:
     """The Weyl prediction 4 pi^2 (omega_d |Omega|)^(-2/d) k^(2/d)."""
-    from .constants import omega_d
-
     d = meta.dimension
     factor = 4.0 * math.pi ** 2 / (omega_d(d) * meta.volume) ** (2.0 / d)
     return factor * np.asarray(k, float) ** (2.0 / d)
 
 
-def _reevaluate(value, exact_value: Optional[tuple[int, int, int]], meta: DomainMeta, k: int,
-                side: str) -> tuple[bool, bool]:
-    """High-precision re-check of one comparison near a float tie.
+def polya_constant_exact(dimension: int, exact_volume: PiRational) -> PiRational:
+    """(4 pi^2)^d / (omega_d |Omega|)^2 exactly: the c with w_k^d = c k^2."""
+    return PiRational(4, 2) ** dimension / (omega_d_exact(dimension) * exact_volume) ** 2
 
-    Returns (satisfied, was_tie).  An exact stream value enters the
-    comparison as (numerator, denominator, pi power), evaluated as
-    numerator / denominator * pi**pi_power at the working precision; float
-    values are taken at face value, and margins below float resolution
-    count as ties.
-    The Weyl term uses the exact volume when the metadata has one.
+
+def _exact_sign(lhs: int, rhs: int, shift: int) -> int:
+    """The sign of lhs * pi**shift - rhs, for positive integers lhs, rhs.
+
+    With ``shift == 0`` this is an integer comparison.  Otherwise pi is
+    bracketed by dyadic rationals at doubling precision until both ends of
+    the bracket give the same sign; pi is transcendental, so
+    lhs * pi**shift never equals rhs and the loop ends.
     """
-    d = meta.dimension
-    with mpmath.workdps(_MP_DPS):
-        omega = mpmath.pi ** (mpmath.mpf(d) / 2) / mpmath.gamma(mpmath.mpf(d) / 2 + 1)
-        volume = meta.volume
-        if meta.exact_volume is not None:
-            vol = meta.exact_volume
-            volume = mpmath.mpf(vol.coeff.numerator) / vol.coeff.denominator \
-                * mpmath.pi ** vol.pi_power
-        w = 4 * mpmath.pi ** 2 / (omega * volume) ** (mpmath.mpf(2) / d) \
-            * mpmath.mpf(k) ** (mpmath.mpf(2) / d)
-        if exact_value is not None:
-            num, den, pi_power = exact_value
-            lhs = mpmath.mpf(num) / den * mpmath.pi ** pi_power
-            band = EQUALITY_BAND_EXACT
-        else:
-            lhs = mpmath.mpf(value)
-            band = EQUALITY_BAND_FLOAT
-        margin = (lhs - w) if side == "dirichlet" else (w - lhs)
-        rel = margin / w
-        if abs(rel) <= band:
-            return True, True
-        return rel > 0, False
+    if shift == 0:
+        return (lhs > rhs) - (lhs < rhs)
+    if shift < 0:
+        # lhs pi^-t - rhs has the sign of lhs - rhs pi^t
+        return -_exact_sign(rhs, lhs, -shift)
+    prec = 64
+    while True:
+        signs = set()
+        for rnd in (round_floor, round_ceiling):
+            # a bound man * 2**exp (exp < 0) below or above pi
+            _, man, exp, _ = mpf_pi(prec, rnd)
+            x, y = lhs * man ** shift, rhs << -exp * shift
+            signs.add((x > y) - (x < y))
+        if len(signs) == 1:
+            return signs.pop()
+        prec *= 2
 
 
 def _per_eigenvalue(s: EigenvalueStream, meta: DomainMeta, k_max: int,
@@ -159,25 +151,30 @@ def _per_eigenvalue(s: EigenvalueStream, meta: DomainMeta, k_max: int,
     values = candidates[:checked]
     margins = (values - w) / w if side == "dirichlet" else (w - values) / w
 
-    tie_breaks = 0
-    failures = []
     adjusted = margins.copy()
-    suspicious = np.nonzero(np.abs(margins) <= GUARD_BAND)[0]
-    # the exact tie band needs both sides exact: exact values, exact volume;
-    # each suspicious k reads its numerator from the run holding it
-    exact_vals = [None] * suspicious.size
-    if s.exact and meta.exact_volume is not None:
-        runs = np.searchsorted(s.cumulative_counts(), suspicious + origin, side="right") - 1
-        exact_vals = [(n, s.exact_den, s.pi_power) for n in s.exact_nums[runs].tolist()]
-    for i, exact_val in zip(suspicious, exact_vals):
-        ok, tie = _reevaluate(float(values[i]), exact_val, meta, int(i) + 1, side)
-        tie_breaks += tie
-        if ok and adjusted[i] < 0:
-            adjusted[i] = 0.0
-        elif not ok and adjusted[i] >= 0:
-            adjusted[i] = -abs(adjusted[i]) - 1e-300
-    for i in np.nonzero(adjusted < 0)[0]:
-        failures.append((float(i + 1), float(values[i]), float(w[i])))
+    exact = s.exact and meta.exact_volume is not None
+    near = np.nonzero(np.abs(margins) <= (GUARD_BAND if exact else EQUALITY_BAND_FLOAT))[0]
+    held, broken, tie_breaks = near, near[:0], near.size
+    if exact and near.size:
+        # lambda_k^d - w_k^d has the sign of n^d c_den pi^shift - c_num den^d k^2,
+        # with n the numerator of the run holding lambda_k
+        d = meta.dimension
+        c = polya_constant_exact(d, meta.exact_volume)
+        shift = s.pi_power * d - c.pi_power
+        rhs_unit = c.coeff.numerator * s.exact_den ** d
+        runs = np.searchsorted(s.cumulative_counts(), near + origin, side="right") - 1
+        signs = np.array([
+            _exact_sign(n ** d * c.coeff.denominator, rhs_unit * (i + 1) ** 2, shift)
+            for n, i in zip(s.exact_nums[runs].tolist(), near.tolist())
+        ])
+        ok = signs >= 0 if side == "dirichlet" else signs <= 0
+        held, broken, tie_breaks = near[ok], near[~ok], int(np.count_nonzero(signs == 0))
+    # a held comparison's margin is at least 0, a broken one's below 0
+    adjusted[held[adjusted[held] < 0]] = 0.0
+    broken = broken[adjusted[broken] >= 0]
+    adjusted[broken] = -adjusted[broken] - 1e-300
+    failures = [(float(i + 1), float(values[i]), float(w[i]))
+                for i in np.nonzero(adjusted < 0)[0]]
     worst = int(np.argmin(adjusted))
     return VerificationReport(
         mode="per_eigenvalue",

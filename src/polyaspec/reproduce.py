@@ -31,7 +31,6 @@ from .constants import (
     ThresholdCase,
     ThresholdRequest,
     c_d,
-    omega_d_exact,
     threshold_a0,
 )
 from .pivals import PiRational
@@ -54,14 +53,14 @@ SQUARE_TRIANGLE_LAMBDA_MIN = 0.1
 
 
 def rationalized_polya_constant(dimension: int, exact_volume: PiRational) -> Fraction:
-    """(4 pi^2)^d / (omega_d |Omega|)^2 as an exact rational.
+    """(4 pi^2)^d / (omega_d |Omega|)^2 as an exact rational: the
+    ``polya.polya_constant_exact`` coefficient.
 
     This is the constant c with w_k^d = c * k^2; it is rational exactly
     when the pi powers cancel, which the caller must arrange (e.g. volume
     pi^2/6 in dimension 3 gives 1296).
     """
-    c = (PiRational(Fraction(4), 2) ** dimension) / ((omega_d_exact(dimension) * exact_volume) ** 2)
-    return c.as_fraction()
+    return pv.polya_constant_exact(dimension, exact_volume).as_fraction()
 
 
 def _thin_sphere(a, bc: str) -> SpectrumSpec:
@@ -172,8 +171,7 @@ def square_triangle_bundle(cutoff: float = SQUARE_TRIANGLE_CUTOFF) -> dict:
     rep_triangle = pv.verify_counting_bound(cf_triangle, triangle_bound, "upper",
                                             lambda_min=lambda_min, lambda_max=cutoff)
     rep_sum = pv.verify_counting_bound(cf_sum, composite_bound, "upper",
-                                       lambda_min=lambda_min, lambda_max=cutoff,
-                                       jumps=cf_sum.jump_values())
+                                       lambda_min=lambda_min, lambda_max=cutoff)
 
     thr = threshold_a0(ThresholdRequest(
         ThresholdCase.DIRICHLET_THIN_D2, volume=volume, c_remainder=50.0))

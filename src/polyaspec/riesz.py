@@ -15,14 +15,14 @@ costs O(L V) at worst, restricted to the values below each lambda.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .constants import l_gamma_d, omega_d
+from .constants import l_gamma_d
 from .errors import ConfigError, CoverageError, DomainError, ModeError
+from .polya import polya_weyl_term
 from .spectra import BoundaryCondition, DomainMeta, EigenvalueStream
 
 __all__ = [
@@ -153,10 +153,6 @@ def laptev_neumann_margin(s: EigenvalueStream, meta: DomainMeta, gamma: float, l
     return riesz_mean(s, gamma, lam) - _one_term_bound(meta, gamma, lam)
 
 
-def _polya_weyl_factor(meta: DomainMeta) -> float:
-    return 4.0 * math.pi ** 2 / (omega_d(meta.dimension) * meta.volume) ** (2.0 / meta.dimension)
-
-
 def li_yau_checks(s: EigenvalueStream, meta: DomainMeta, k: int) -> tuple[float, float]:
     """Lower bounds on the k-th partial sum and on the k-th Dirichlet eigenvalue.
 
@@ -170,7 +166,7 @@ def li_yau_checks(s: EigenvalueStream, meta: DomainMeta, k: int) -> tuple[float,
     if eigs.size < k:
         raise CoverageError(f"stream holds {eigs.size} eigenvalues, needs {k}")
     d = meta.dimension
-    w = _polya_weyl_factor(meta)
+    w = float(polya_weyl_term(meta, 1))
     factor = d / (d + 2.0)
     sum_margin = float(np.sum(eigs[:k])) - factor * w * k ** ((d + 2.0) / d)
     eigen_margin = float(eigs[k - 1]) - factor * w * k ** (2.0 / d)
@@ -188,7 +184,7 @@ def kroger_check(s: EigenvalueStream, meta: DomainMeta, k: int) -> float:
     if eigs.size < k + 1:
         raise CoverageError(f"stream holds {eigs.size} eigenvalues, needs mu_{k}")
     d = meta.dimension
-    bound = ((d + 2.0) / 2.0) ** (2.0 / d) * _polya_weyl_factor(meta) * k ** (2.0 / d)
+    bound = ((d + 2.0) / 2.0) ** (2.0 / d) * float(polya_weyl_term(meta, 1)) * k ** (2.0 / d)
     return bound - float(eigs[k])
 
 

@@ -101,11 +101,12 @@ def _numerators(nums) -> np.ndarray:
     """Integer numerators as int64, or as Python ints in an object array
     once any of them reaches ``_INT64_GUARD``."""
     arr = np.asarray(nums)
-    if arr.dtype.kind in "iu" or not arr.size:
-        if not arr.size or -_INT64_GUARD < arr.min() and arr.max() < _INT64_GUARD:
-            return arr.astype(np.int64, copy=False)
-        arr = arr.astype(object)
-    if arr.dtype != object or not all(isinstance(n, int) for n in arr.tolist()):
+    if not arr.size or (arr.dtype.kind in "iu"
+                        and -_INT64_GUARD < arr.min() and arr.max() < _INT64_GUARD):
+        return arr.astype(np.int64, copy=False)
+    # past the guard, or Python ints that numpy reads as float64 ([0, 2**63])
+    arr = np.asarray(nums, dtype=object)
+    if not all(isinstance(n, int) for n in arr.tolist()):
         raise ValidationError("exact numerators must be integers")
     return arr if max(map(abs, arr.tolist())) >= _INT64_GUARD else arr.astype(np.int64)
 
@@ -287,8 +288,7 @@ def _stream_from_exact(nums, mults, den: int, pi_power: int,
 # generators
 
 
-def _axis_modes(side_float: float, coeff_float: float, bc: BoundaryCondition,
-                cutoff: float) -> np.ndarray:
+def _axis_modes(coeff_float: float, bc: BoundaryCondition, cutoff: float) -> np.ndarray:
     """Mode numbers m with m**2 * coeff < cutoff, starting at 0 or 1."""
     start = 0 if bc is BoundaryCondition.NEUMANN else 1
     top = int(math.floor(math.sqrt(cutoff / coeff_float))) + 2
@@ -315,14 +315,14 @@ def interval_spectrum(a, bc: BoundaryCondition, cutoff: float) -> EigenvalueStre
 
     if a_pi is not None:
         coeff = PiRational(1, 2) / (a_pi * a_pi)  # pi^2 / a^2
-        ls = _axis_modes(a_float, float(coeff), bc, cutoff)
+        ls = _axis_modes(float(coeff), bc, cutoff)
         den = coeff.coeff.denominator
         w = int(coeff.coeff * den)
         nums = (ls.astype(object) ** 2) * w
         return _stream_from_exact(nums, np.ones_like(ls), den, coeff.pi_power, cutoff)
 
     coeff_float = math.pi ** 2 / a_float ** 2
-    ls = _axis_modes(a_float, coeff_float, bc, cutoff)
+    ls = _axis_modes(coeff_float, bc, cutoff)
     values = coeff_float * ls.astype(float) ** 2
     return EigenvalueStream(values, np.ones_like(ls), cutoff)
 
@@ -347,7 +347,7 @@ def box_spectrum(sides: Sequence, bc: BoundaryCondition, cutoff: float) -> Eigen
     exact = all(c is not None for c in coeff_pis) and len({c.pi_power for c in coeff_pis}) == 1
     coeff_floats = [float(c) if c is not None else math.pi ** 2 / s ** 2
                     for c, s in zip(coeff_pis, side_floats)]
-    axes = [_axis_modes(s, c, bc, cutoff) for s, c in zip(side_floats, coeff_floats)]
+    axes = [_axis_modes(c, bc, cutoff) for c in coeff_floats]
 
     if exact:
         pi_power = coeff_pis[0].pi_power
@@ -506,11 +506,11 @@ def tabulated_spectrum(entries: Iterable, cutoff: float,
 
     Values may be floats, ints, Fractions or length strings (``"5/2"``,
     ``"pi/24"``); an input of ints, Fractions and rational strings yields an
-    exact stream, and any float or pi multiple makes it float-valued.  Input
-    must be strictly increasing (so no NaN) with already-aggregated positive
-    integer multiplicities; anything else is a ``ValidationError``.  An
-    all-float input is validated with array operations; only other values
-    are parsed one by one.
+    exact stream, and any float or pi multiple, or no entry at all, makes
+    it float-valued.  Input must be strictly increasing (so no NaN) with
+    already-aggregated positive integer multiplicities; anything else is a
+    ``ValidationError``.  An all-float input is validated with array
+    operations; only other values are parsed one by one.
     """
     if not cutoff > 0:
         raise DomainError(f"cutoff must be positive, got {cutoff}")
@@ -529,7 +529,7 @@ def tabulated_spectrum(entries: Iterable, cutoff: float,
         mults = np.array(ms, np.int64)
     except OverflowError as exc:
         raise ValidationError(f"multiplicity out of range: {exc}") from exc
-    if vs and _all_of_type(vs, float):
+    if _all_of_type(vs, float):
         stream = EigenvalueStream(np.array(vs, float), mults, cutoff)
     else:
         # ints, Fractions and rational strings are exact; anything else

@@ -247,6 +247,24 @@ def test_removed_flags_are_rejected(flag):
         main(["reproduce", "square-triangle", flag, "2"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--spec", '{"sphere2":{}}', "--cutoff", "10", "--exact"],
+    ["count", "--spec", '{"sphere2":{}}', "--lambda", "10", "--exact"],
+    ["riesz", "--spec", '{"sphere2":{}}', "--gamma", "1", "--lambda", "5", "--exact"],
+    ["constants", "--d", "2", "--exact"],
+    ["constants", "--d", "2", "--output", "csv"],
+    ["verify", "--spec", THIN_SPHERE_SPEC, "--k-max", "10", "--output", "csv"],
+    ["reproduce", "sphere-thin", "--output", "json"],
+    ["reproduce", "sphere-thin", "--exact"],
+])
+def test_flags_only_where_read(capsys, argv):
+    # --output belongs to the subcommands that can write CSV, --exact to verify
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--no-timestamp"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_parser_is_built_once_and_reused(capsys):
     # one parser serves every call in a process; neither a repeated
     # --lambda list nor a rejected call may leak into the next call

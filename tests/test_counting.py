@@ -135,7 +135,7 @@ def test_count_many_matches_slow_oracle(entries, gap, exact):
     pairs = [(float(v), m) for v, m in entries]
     cutoff = (pairs[-1][0] if pairs else 0.0) + gap
     s = tabulated_spectrum(entries, cutoff)
-    assert s.exact == (exact or not entries)
+    assert s.exact == (exact and bool(entries))  # no entry tabulates as float
     probes = _probes(pairs, cutoff)
     left = s.count_many(probes)
     assert left.tolist() == [_slow_count(pairs, p) for p in probes]

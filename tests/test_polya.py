@@ -1,9 +1,10 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polyaspec import (
@@ -29,7 +30,7 @@ from polyaspec import (
     weyl_leading,
 )
 from polyaspec.reproduce import rationalized_polya_constant
-from polyaspec.polya import VerificationReport
+from polyaspec.polya import VerificationReport, _exact_sign
 from polyaspec.spectra import _INT64_GUARD, DomainMeta, EigenvalueStream
 
 PI = math.pi
@@ -153,6 +154,64 @@ def test_exact_pi_power_near_violation_fails():
     s = EigenvalueStream(values, [1, 1, 1], 100.0, np.array(nums), den, 2)
     rep = verify_dirichlet(s, interval_meta(1, "dirichlet"), 3)
     assert rep.verdict == "fails" and rep.worst_location == 1.0
+
+
+def test_exact_tie_on_the_unit_interval_needs_equality():
+    # (10^30 - 1)/10^30 * pi^2 sits 1e-30 below w_1 = pi^2: no float or
+    # fixed-precision band may call it a tie
+    den = 10 ** 30
+    s = EigenvalueStream([(den - 1) / den * PI2], [1], 100.0, [den - 1], den, 2)
+    rep = verify_dirichlet(s, interval_meta(1, "dirichlet"), 1)
+    assert rep.verdict == "fails" and rep.tie_breaks == 0
+
+
+@pytest.mark.parametrize("offset, verdict", [(0, "fails"), (1, "holds")])
+def test_exact_pi_shift_decides_a_near_tie(offset, verdict):
+    # the unit square has w_1 = 4 pi; n/10^30 * pi^2 with n = floor(4/pi 10^30)
+    # sits just below it and n + 1 just above, each within 1e-30
+    den = 10 ** 30
+    with mpmath.workdps(80):
+        n = int(mpmath.floor(4 * den / mpmath.pi)) + offset
+    s = EigenvalueStream([n / den * PI2], [1], 100.0, [n], den, 2)
+    rep = verify_dirichlet(s, box_meta([1, 1], "dirichlet"), 1)
+    assert rep.verdict == verdict and rep.tie_breaks == 0
+
+
+@pytest.mark.parametrize("rel, verdict, ties", [(5e-13, "holds", 1), (-5e-13, "holds", 1),
+                                                (-2e-12, "fails", 0)])
+def test_float_tie_band(rel, verdict, ties):
+    meta = DomainMeta(1, 1.0, "dirichlet")  # no exact volume: the float rule
+    value = float(polya_weyl_term(meta, 1)) * (1 + rel)
+    rep = verify_dirichlet(tabulated_spectrum([(value, 1)], 100.0), meta, 1)
+    assert rep.verdict == verdict and rep.tie_breaks == ties
+    assert (rep.worst_margin >= 0) == (verdict == "holds")
+
+
+def _oracle_sign(lhs, rhs, shift):
+    with mpmath.workdps(400):
+        return int(mpmath.sign(lhs * mpmath.pi ** shift - rhs))
+
+
+@st.composite
+def _sign_cases(draw):
+    shift = draw(st.integers(-4, 4))
+    lhs = draw(st.integers(1, 2 ** 200))
+    if draw(st.booleans()):
+        rhs = draw(st.integers(1, 2 ** 200))
+    else:
+        # an integer next to lhs * pi^shift, as close as 1e-62 relative to it
+        with mpmath.workdps(400):
+            near = int(mpmath.floor(lhs * mpmath.pi ** shift))
+        rhs = max(1, near + draw(st.integers(-2, 2)))
+    return lhs, rhs, shift
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sign_cases())
+@example((7, 7, 0))
+@example((2 ** 200, 2 ** 200 + 1, 0))
+def test_exact_sign_matches_high_precision_oracle(case):
+    assert _exact_sign(*case) == _oracle_sign(*case)
 
 
 def test_overflow_guard_fallback_verifies_exactly():

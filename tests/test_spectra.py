@@ -7,7 +7,7 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from polyaspec import (
@@ -491,8 +491,13 @@ def _same_floats(a: np.ndarray, b: np.ndarray) -> bool:
     return a.dtype == b.dtype == float and a.tobytes() == b.tobytes()
 
 
+#: exact numerators that numpy reads as float64 when given as a list
+_UINT64_NUMS = [0, 2 ** 63]
+
+
 @settings(max_examples=150, deadline=None)
 @given(s=st.one_of(_float_streams(), _exact_streams()))
+@example(s=EigenvalueStream(np.array([0.0, 2.0 ** 63]), [1, 1], 2.0 ** 64, _UINT64_NUMS))
 def test_csv_and_json_round_trips_keep_values_bit_for_bit(s):
     buf = io.StringIO()
     stream_to_csv(s, buf)
@@ -504,12 +509,25 @@ def test_csv_and_json_round_trips_keep_values_bit_for_bit(s):
     back = stream_from_json_dict(json.loads(json.dumps(stream_to_json_dict(s))))
     assert _same_floats(back.values, s.values)
     assert back.multiplicities.tolist() == s.multiplicities.tolist()
-    # empty entries tabulate as an exact stream, which holds nothing either way
-    assert back.cutoff == s.cutoff and back.exact == (s.exact or not s.values.size)
+    assert back.cutoff == s.cutoff and back.exact == s.exact
     if s.exact:
         assert back.exact_nums.tolist() == s.exact_nums.tolist()
         assert back.exact_nums.dtype == s.exact_nums.dtype
         assert (back.exact_den, back.pi_power) == (s.exact_den, s.pi_power)
+
+
+def test_numerators_numpy_reads_as_floats_stay_exact():
+    values = np.array([0.0, 2.0 ** 63])
+    streams = [
+        EigenvalueStream(values, [1, 1], 2.0 ** 64, _UINT64_NUMS),
+        tabulated_spectrum([(n, 1) for n in _UINT64_NUMS], 2.0 ** 64),
+        stream_from_json_dict({"cutoff": 2.0 ** 64, "entries": [[0.0, 1], [2.0 ** 63, 1]],
+                               "exact_nums": _UINT64_NUMS, "exact_den": 1, "pi_power": 0}),
+    ]
+    for s in streams:
+        assert s.exact_nums.dtype == object and s.exact_nums.tolist() == _UINT64_NUMS
+    with pytest.raises(ValidationError):
+        EigenvalueStream(values, [1, 1], 2.0 ** 64, values)
 
 
 def test_stream_values_are_immutable():
