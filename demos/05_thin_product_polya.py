@@ -41,13 +41,11 @@ print("=== exact verification of the first 100000 eigenvalues ===")
 t0 = time.perf_counter()
 cutoff = 26500.0
 stream_d, _ = thin_sphere("pi/24", "dirichlet", cutoff)
-rep = verify_exact_power(stream_d, constant.numerator, constant.denominator,
-                         3, 100_000, "dirichlet")
+rep = verify_exact_power(stream_d, meta, 100_000, "dirichlet")
 print(f"Dirichlet: {rep.verdict}, {rep.checked} eigenvalues, "
       f"worst cubed margin {rep.worst_margin:.4f} at k = {int(rep.worst_location)}")
 stream_n, meta_n = thin_sphere("pi/24", "neumann", cutoff)
-rep = verify_exact_power(stream_n, constant.numerator, constant.denominator,
-                         3, 100_000, "neumann")
+rep = verify_exact_power(stream_n, meta_n, 100_000, "neumann")
 print(f"Neumann:   {rep.verdict}, {rep.checked} eigenvalues, "
       f"worst cubed margin {rep.worst_margin:.4f} at k = {int(rep.worst_location)}")
 print(f"({time.perf_counter() - t0:.2f}s, no floating point in any comparison)")

@@ -34,12 +34,8 @@ from . import polya as pv
 from . import riesz as rz
 from . import spectra as sp
 from .constants import c_d, h1, h2, l_gamma_d, omega_d
-from .errors import ConfigError, ModeError, PolyaspecError
-from .reproduce import (
-    rationalized_polya_constant,
-    sphere_thin_bundle,
-    square_triangle_bundle,
-)
+from .errors import ConfigError, PolyaspecError
+from .reproduce import sphere_thin_bundle, square_triangle_bundle
 from .spec import SpectrumSpec, build_spec, stream_covering_k
 
 __all__ = ["main", "build_spec", "SpectrumSpec"]
@@ -184,11 +180,7 @@ def _cmd_verify(args) -> int:
         raise ConfigError("verification needs a Dirichlet or Neumann composition")
     side = meta.bc.value
     if args.exact:
-        if meta.exact_volume is None:
-            raise ModeError("--exact needs symbolic lengths so the volume stays exact")
-        constant = rationalized_polya_constant(meta.dimension, meta.exact_volume)
-        report = pv.verify_exact_power(stream, constant.numerator, constant.denominator,
-                                       meta.dimension, args.k_max, side)
+        report = pv.verify_exact_power(stream, meta, args.k_max, side)
     elif side == "dirichlet":
         report = pv.verify_dirichlet(stream, meta, args.k_max)
     else:

@@ -14,14 +14,16 @@ on pi, and only an equality is a tie.  Otherwise margins within
 ``EQUALITY_BAND_FLOAT`` (float resolution) are ties.  Ties count as
 satisfied, since the inequalities are non-strict, and in ``tie_breaks``.
 
-``verify_exact_power`` decides rational exact streams in Python ints, one
-comparison per distinct value: within a run of equal values the margin is
-monotone in k, so the run's end point settles it.  Its cost is O(V) for V
+``verify_exact_power`` decides every k of an exact stream with an exact
+volume exactly, one comparison per distinct value: within a run of equal
+values the margin is monotone in k, so the run's end point settles it and
+a bisection finds a failed run's failing k.  Its cost is O(V) for V
 distinct values, plus one entry per failure, independent of k_max.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -129,8 +131,12 @@ def _exact_sign(lhs: int, rhs: int, shift: int) -> int:
         prec *= 2
 
 
-def _per_eigenvalue(s: EigenvalueStream, meta: DomainMeta, k_max: int,
-                    side: str) -> VerificationReport:
+def _sweep_range(s: EigenvalueStream, k_max: int, side: str) -> tuple[int, int]:
+    """Check a per-eigenvalue sweep's inputs and return ``(origin, checked)``:
+    the leading eigenvalues it skips (the Neumann zero mode) and the number
+    of k it checks, at most ``k_max``."""
+    if side not in ("dirichlet", "neumann"):
+        raise DomainError(f"side must be 'dirichlet' or 'neumann', got {side!r}")
     if k_max < 1:
         raise DomainError(f"k_max must be >= 1, got {k_max}")
     if side == "dirichlet":
@@ -141,14 +147,27 @@ def _per_eigenvalue(s: EigenvalueStream, meta: DomainMeta, k_max: int,
         if s.index_origin != 0:
             raise ModeError("Neumann verification needs the zero mode at index 0")
         origin = 1  # k = 0 is the zero mode, trivially below the bound
-    candidates = s.expanded()[origin:]
-    if candidates.size == 0:
+    if s.total_count <= origin:
         raise CoverageError("stream holds no eigenvalues to verify")
+    return origin, min(k_max, s.total_count - origin)
 
-    checked = min(k_max, candidates.size)
+
+def _exact_terms(s: EigenvalueStream, meta: DomainMeta) -> tuple[int, int, int]:
+    """``(c_den, rhs_unit, shift)`` such that lambda_k^d - w_k^d has the sign
+    of ``_exact_sign(n**d * c_den, rhs_unit * k**2, shift)``, where n is the
+    exact numerator of lambda_k and w_k^d = c k^2."""
+    d = meta.dimension
+    c = polya_constant_exact(d, meta.exact_volume)
+    return (c.coeff.denominator, c.coeff.numerator * s.exact_den ** d,
+            s.pi_power * d - c.pi_power)
+
+
+def _per_eigenvalue(s: EigenvalueStream, meta: DomainMeta, k_max: int,
+                    side: str) -> VerificationReport:
+    origin, checked = _sweep_range(s, k_max, side)
     ks = np.arange(1, checked + 1, dtype=float)
     w = polya_weyl_term(meta, ks)
-    values = candidates[:checked]
+    values = s.expanded()[origin:origin + checked]
     margins = (values - w) / w if side == "dirichlet" else (w - values) / w
 
     adjusted = margins.copy()
@@ -156,15 +175,11 @@ def _per_eigenvalue(s: EigenvalueStream, meta: DomainMeta, k_max: int,
     near = np.nonzero(np.abs(margins) <= (GUARD_BAND if exact else EQUALITY_BAND_FLOAT))[0]
     held, broken, tie_breaks = near, near[:0], near.size
     if exact and near.size:
-        # lambda_k^d - w_k^d has the sign of n^d c_den pi^shift - c_num den^d k^2,
-        # with n the numerator of the run holding lambda_k
         d = meta.dimension
-        c = polya_constant_exact(d, meta.exact_volume)
-        shift = s.pi_power * d - c.pi_power
-        rhs_unit = c.coeff.numerator * s.exact_den ** d
+        c_den, rhs_unit, shift = _exact_terms(s, meta)
         runs = np.searchsorted(s.cumulative_counts(), near + origin, side="right") - 1
         signs = np.array([
-            _exact_sign(n ** d * c.coeff.denominator, rhs_unit * (i + 1) ** 2, shift)
+            _exact_sign(n ** d * c_den, rhs_unit * (i + 1) ** 2, shift)
             for n, i in zip(s.exact_nums[runs].tolist(), near.tolist())
         ])
         ok = signs >= 0 if side == "dirichlet" else signs <= 0
@@ -199,73 +214,73 @@ def verify_neumann(s: EigenvalueStream, meta: DomainMeta, k_max: int) -> Verific
     return _per_eigenvalue(s, meta, k_max, "neumann")
 
 
-def verify_exact_power(s: EigenvalueStream, c_num: int, c_den: int, dimension: int,
-                       k_max: int, side: str) -> VerificationReport:
-    """Integer-only Polya check: value_k^d * c_den vs c_num * k^2.
+def verify_exact_power(s: EigenvalueStream, meta: DomainMeta, k_max: int,
+                       side: str) -> VerificationReport:
+    """Exact Polya check of lambda_k^d against w_k^d = c k^2, k = 1..k_max.
 
-    Valid when the stream is exact with rational values and the caller has
-    rationalized the Polya constant: w_k^d = (c_num / c_den) * k^2.  With
-    value_k = n_k / den this compares n_k^d * c_den against
-    c_num * k^2 * den^d in Python ints.  The Dirichlet side requires >=,
-    the Neumann side (skipping the zero mode) <=.  No floating point enters
-    any comparison; each margin is one correctly rounded int division.
+    Needs exact values and an exact volume (``ModeError`` otherwise).  With
+    lambda_k = n / den * pi^p, each comparison is ``_exact_sign`` of
+    n^d c_den pi^shift against c_num den^d k^2: Python ints when the pi
+    powers cancel, dyadic bounds on pi otherwise.
 
     The sweep runs over distinct values, not over k.  Within a run of equal
-    values w_k rises with k, so the Dirichlet margin falls along the run and
-    the Neumann margin rises: one comparison at the run's last k
+    values w_k rises with k, so one comparison at the run's last k
     (Dirichlet) or first k (Neumann) decides the whole run and gives its
-    worst margin.  When it fails, the failing k of the run follow in closed
-    form from ``math.isqrt``, and each is listed as before.  The cost is
-    O(V + failures) for V distinct values, whatever ``k_max``.
+    worst margin.  The failing k of a failed run, its tail (Dirichlet) or
+    head (Neumann), are found by bisection and listed as (k, lambda_k, w_k).
+    Exact equalities hold and count in ``tie_breaks``.  Margins are relative
+    in the d-th power: the correctly rounded (lhs - rhs) / rhs when the pi
+    powers cancel, else the float lhs / rhs * pi^shift - 1 with the exact
+    sign.  The cost is O(V) for V distinct values plus a bisection per
+    failed run, whatever ``k_max``.
     """
-    if side not in ("dirichlet", "neumann"):
-        raise DomainError(f"side must be 'dirichlet' or 'neumann', got {side!r}")
-    if c_num <= 0 or c_den <= 0:
-        raise DomainError("the rationalized constant must be positive")
-    if k_max < 1:
-        raise DomainError(f"k_max must be >= 1, got {k_max}")
-    if not s.exact or s.pi_power != 0:
-        raise ModeError("exact verification needs a stream with rational exact values")
-    mults = s.multiplicities.tolist()
-    if side == "neumann":
-        if s.index_origin != 0:
-            raise ModeError("Neumann verification needs the zero mode at index 0")
-        mults[0] -= 1
-    elif s.index_origin != 1:
-        raise ModeError("Dirichlet verification needs a stream without the zero mode")
-    checked = min(k_max, sum(mults))
-    if not checked:
-        raise CoverageError("stream holds no eigenvalues to verify")
-
-    den = s.exact_den
-    rhs_unit = c_num * den ** dimension
+    origin, checked = _sweep_range(s, k_max, side)
+    if not s.exact or meta.exact_volume is None:
+        raise ModeError("exact verification needs exact values and an exact volume")
+    d = meta.dimension
+    c_den, rhs_unit, shift = _exact_terms(s, meta)
     dirichlet = side == "dirichlet"
+    # the sign of lambda_k^d - w_k^d that breaks the inequality
+    bad = -1 if dirichlet else 1
     failures = []
     worst_margin = math.inf
     worst_k = 1
+    tie_breaks = 0
+    mults = s.multiplicities.tolist()
+    mults[0] -= origin
     k = 0
-    for n, m in zip(s.exact_nums.tolist(), mults):
+    for i, (n, m) in enumerate(zip(s.exact_nums.tolist(), mults)):
         first, k = k + 1, min(k + m, checked)
         if k < first:
             continue  # the Neumann zero mode, skipped above
-        lhs = n ** dimension * c_den
+        lhs = n ** d * c_den
         # w_k rises with k, so the run's smallest margin sits at its last k
         # (Dirichlet) or its first k (Neumann); if that k holds, all do
         at = k if dirichlet else first
         rhs = rhs_unit * at * at
-        rel = (lhs - rhs) / rhs if dirichlet else (rhs - lhs) / rhs
+        sign = _exact_sign(lhs, rhs, shift)
+        if shift == 0:
+            rel = (lhs - rhs) / rhs if dirichlet else (rhs - lhs) / rhs
+        else:
+            # the float may round across 0; the exact sign decides
+            rel = math.copysign(lhs / rhs * math.pi ** shift - 1.0, -sign * bad)
         if rel < worst_margin:
             worst_margin = rel
             worst_k = at
-        if dirichlet and lhs < rhs:
-            # lhs < rhs_unit * j^2 exactly when j > isqrt(lhs // rhs_unit)
-            bad = range(max(first, math.isqrt(lhs // rhs_unit) + 1), k + 1)
-        elif not dirichlet and lhs > rhs:
-            # lhs > rhs_unit * j^2 exactly when j <= isqrt((lhs - 1) // rhs_unit)
-            bad = range(first, min(k, math.isqrt((lhs - 1) // rhs_unit)) + 1)
+        if sign != bad:
+            tie_breaks += sign == 0
         else:
-            bad = ()
-        failures.extend((float(j), n / den, float(c_num * j * j) / c_den) for j in bad)
+            # the sign falls along the run: positive before index ``zero``,
+            # negative from index ``below``, 0 in between
+            run = range(first, k + 1)
+            key = lambda j: -_exact_sign(lhs, rhs_unit * j * j, shift)
+            zero = bisect.bisect_left(run, 0, key=key)
+            below = bisect.bisect_left(run, 1, lo=zero, key=key)
+            tie_breaks += below - zero
+            lo, hi = (first + below, k + 1) if dirichlet else (first, first + zero)
+            ks = np.arange(lo, hi, dtype=float)
+            failures.extend(zip(ks.tolist(), [float(s.values[i])] * ks.size,
+                                polya_weyl_term(meta, ks).tolist()))
         if k == checked:
             break
     return VerificationReport(
@@ -276,6 +291,7 @@ def verify_exact_power(s: EigenvalueStream, c_num: int, c_den: int, dimension: i
         worst_margin=worst_margin,
         worst_location=float(worst_k),
         failures=tuple(failures),
+        tie_breaks=tie_breaks,
     )
 
 
@@ -348,10 +364,8 @@ def verify_counting_bound(cf: CountingFunction, bound: Callable[[float], float],
     margins = bounds - counts if side == "upper" else counts - bounds
 
     rel = margins / np.maximum(np.abs(bounds), 1.0)
-    failures = tuple(
-        (float(points[i]), float(counts[i]), float(bounds[i]))
-        for i in np.nonzero(margins < 0)[0]
-    )
+    bad = margins < 0
+    failures = tuple(zip(points[bad].tolist(), counts[bad].tolist(), bounds[bad].tolist()))
     worst = int(np.argmin(rel))
     return VerificationReport(
         mode="counting_jumps",

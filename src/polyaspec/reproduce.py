@@ -81,13 +81,11 @@ def sphere_thin_bundle(k_max: int = SPHERE_THIN_KMAX) -> dict:
     """Exact Polya verification for (0, pi/24) x S^2 plus the large-a failures."""
     stream_d, meta_d = stream_covering_k(_thin_sphere("pi/24", "dirichlet"), k_max)
     stream_n, meta_n = stream_covering_k(_thin_sphere("pi/24", "neumann"), k_max)
-    # the integer constant, re-derived from the exact volume rather than assumed
+    # the integer constant the bundle reports, re-derived from the exact volume
     constant = rationalized_polya_constant(3, meta_d.exact_volume)
 
-    rep_d = pv.verify_exact_power(stream_d, constant.numerator, constant.denominator,
-                                  3, k_max, "dirichlet")
-    rep_n = pv.verify_exact_power(stream_n, constant.numerator, constant.denominator,
-                                  3, k_max, "neumann")
+    rep_d = pv.verify_exact_power(stream_d, meta_d, k_max, "dirichlet")
+    rep_n = pv.verify_exact_power(stream_n, meta_n, k_max, "neumann")
     rep_d_float = pv.verify_dirichlet(stream_d, meta_d, k_max)
     rep_n_float = pv.verify_neumann(stream_n, meta_n, k_max)
 

@@ -15,7 +15,7 @@ costs O(L V) at worst, restricted to the values below each lambda.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -200,13 +200,13 @@ class TwoTermScan:
 
     side: str
     gamma: float
-    points: tuple[tuple[float, float, float, float], ...]  # (lambda, riesz, bound, margin)
+    points: np.ndarray = field(compare=False)  # (n, 4) rows of lambda, riesz, bound, margin
     lambda_star: Optional[float]
     worst_margin: float
     worst_lambda: float
 
-    def rows(self):
-        return list(self.points)
+    def rows(self) -> list[list[float]]:
+        return self.points.tolist()
 
 
 def two_term_riesz_scan(s: EigenvalueStream, meta: DomainMeta, gamma: float,
@@ -246,12 +246,8 @@ def two_term_riesz_scan(s: EigenvalueStream, meta: DomainMeta, gamma: float,
     else:
         lambda_star = float(lams[neg[-1] + 1])
     worst = int(np.argmin(margin))
-    points = tuple(
-        (float(l), float(r), float(b), float(m))
-        for l, r, b, m in zip(lams, riesz, bound, margin)
-    )
-    return TwoTermScan(side, gamma, points, lambda_star,
-                       float(margin[worst]), float(lams[worst]))
+    return TwoTermScan(side, gamma, np.column_stack([lams, riesz, bound, margin]),
+                       lambda_star, float(margin[worst]), float(lams[worst]))
 
 
 # ---------------------------------------------------------------------------

@@ -98,12 +98,13 @@ def test_criterion_2_thin_sphere_exact_100k():
         sphere = sphere2_spectrum(cutoff)
         stream_d = product_spectrum(
             interval_spectrum("pi/24", "dirichlet", cutoff), sphere, cutoff)
-        rep_d = verify_exact_power(stream_d, 1296, 1, 3, k_max, "dirichlet")
+        rep_d = verify_exact_power(stream_d, meta, k_max, "dirichlet")
         assert rep_d.holds and rep_d.checked == k_max and not rep_d.failures
 
         stream_n = product_spectrum(
             interval_spectrum("pi/24", "neumann", cutoff), sphere, cutoff)
-        rep_n = verify_exact_power(stream_n, 1296, 1, 3, k_max, "neumann")
+        meta_n = product_meta(interval_meta("pi/24", "neumann"), sphere2_meta())
+        rep_n = verify_exact_power(stream_n, meta_n, k_max, "neumann")
         assert rep_n.holds and rep_n.checked == k_max and not rep_n.failures
 
 

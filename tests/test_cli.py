@@ -241,6 +241,38 @@ def test_verify_exact_interval_equality_exits_zero(capsys):
     assert data["verdict"] == "holds" and data["tie_breaks"] > 0
 
 
+@pytest.mark.parametrize("spec", [
+    '{"interval":{"a":1,"bc":"dirichlet"}}',
+    '{"box":{"sides":[1,1],"bc":"dirichlet"}}',
+    '{"box":{"sides":[1,1],"bc":"neumann"}}',
+    '{"box":{"sides":["3/2",2,"5/7"],"bc":"dirichlet"}}',
+])
+def test_verify_exact_decides_pi_power_streams(capsys, spec):
+    # the Polya constants of these keep a power of pi
+    reports = []
+    for flag in ([], ["--exact"]):
+        code, out, _ = run_cli(capsys, "verify", "--spec", spec, "--k-max", "2000",
+                               "--no-timestamp", *flag)
+        assert code == 0
+        reports.append(json.loads(out))
+    assert reports[0]["verdict"] == reports[1]["verdict"] == "holds"
+    if '"interval"' in spec:  # every k is an exact equality
+        for data in reports:
+            assert data["worst_margin"] == 0.0
+            assert data["tie_breaks"] == data["checked"] == 2000
+
+
+@pytest.mark.parametrize("spec", [
+    '{"triangle":{"bc":"neumann"}}',  # exact values, volume sqrt(3)/4
+    '{"box":{"sides":[1.3,2.7],"bc":"neumann"}}',  # float lengths
+])
+def test_verify_exact_refuses_inexact_inputs(capsys, spec):
+    code, out, err = run_cli(capsys, "verify", "--spec", spec, "--k-max", "100",
+                             "--exact", "--no-timestamp")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "ModeError"
+
+
 @pytest.mark.parametrize("flag", ["--threads", "--seed"])
 def test_removed_flags_are_rejected(flag):
     with pytest.raises(SystemExit):

@@ -23,14 +23,18 @@ from polyaspec import (
     sphere2_meta,
     sphere2_spectrum,
     tabulated_spectrum,
+    triangle_meta,
+    triangle_neumann_spectrum,
     verify_counting_bound,
     verify_dirichlet,
     verify_exact_power,
     verify_neumann,
     weyl_leading,
 )
+from polyaspec.pivals import PiRational
+from polyaspec.polya import VerificationReport, _exact_sign, polya_constant_exact
 from polyaspec.reproduce import rationalized_polya_constant
-from polyaspec.polya import VerificationReport, _exact_sign
+from polyaspec.spec import build_spec, stream_covering_k
 from polyaspec.spectra import _INT64_GUARD, DomainMeta, EigenvalueStream
 
 PI = math.pi
@@ -219,15 +223,15 @@ def test_overflow_guard_fallback_verifies_exactly():
     meta = interval_meta(a, "dirichlet")
     s = interval_spectrum(a, "dirichlet", 200.0)
     assert s.exact and s.exact_nums.dtype == object
-    c = rationalized_polya_constant(1, meta.exact_volume)
-    rep = verify_exact_power(s, c.numerator, c.denominator, 1, s.total_count, "dirichlet")
+    rep = verify_exact_power(s, meta, s.total_count, "dirichlet")
     assert rep.holds and rep.checked == s.total_count
     assert rep.worst_margin == 0.0  # 1-D Polya is an equality
+    assert rep.tie_breaks == rep.checked
     assert verify_dirichlet(s, meta, s.total_count).holds
 
 
 # ---------------------------------------------------------------------------
-# exact integer path
+# exact run-length sweep
 
 
 def test_exact_constant_rationalizes_to_1296():
@@ -236,12 +240,11 @@ def test_exact_constant_rationalizes_to_1296():
 
 
 def test_exact_dirichlet_first_entries():
-    s, _ = thin_sphere("pi/24", "dirichlet", 700.0)
-    rep = verify_exact_power(s, 1296, 1, 3, 10, "dirichlet")
+    s, meta = thin_sphere("pi/24", "dirichlet", 700.0)
+    rep = verify_exact_power(s, meta, 10, "dirichlet")
     assert rep.holds
     assert 576 ** 3 >= 1296  # k = 1 comparison in the raw
-    rep_n = verify_exact_power(thin_sphere("pi/24", "neumann", 700.0)[0],
-                               1296, 1, 3, 10, "neumann")
+    rep_n = verify_exact_power(*thin_sphere("pi/24", "neumann", 700.0), 10, "neumann")
     assert rep_n.holds  # mu_1 = 2: 8 <= 1296
 
 
@@ -249,22 +252,29 @@ def test_exact_agrees_with_float_on_thin_sphere():
     cutoff = 4000.0
     s, meta = thin_sphere("pi/24", "dirichlet", cutoff)
     k = s.total_count
-    exact = verify_exact_power(s, 1296, 1, 3, k, "dirichlet")
+    exact = verify_exact_power(s, meta, k, "dirichlet")
     floaty = verify_dirichlet(s, meta, k)
     assert exact.verdict == floaty.verdict == "holds"
     sn, metan = thin_sphere("pi/24", "neumann", cutoff)
     kn = sn.total_count - 1
-    assert (verify_exact_power(sn, 1296, 1, 3, kn, "neumann").verdict
+    assert (verify_exact_power(sn, metan, kn, "neumann").verdict
             == verify_neumann(sn, metan, kn).verdict == "holds")
 
 
-def test_exact_needs_exact_rational_stream():
-    s = box_spectrum([1, 1], "dirichlet", 100.0)  # exact but in units of pi^2
+def test_exact_needs_exact_stream_and_volume():
+    # values in units of pi^2 against c = 16 pi^2: decided with bounds on pi
+    s = box_spectrum([1, 1], "dirichlet", 100.0)
+    meta = box_meta([1, 1], "dirichlet")
+    rep = verify_exact_power(s, meta, 5, "dirichlet")
+    assert rep.holds and rep.checked == 5
+    assert rep.verdict == verify_dirichlet(s, meta, 5).verdict
+    s2, meta2 = thin_sphere(0.1309, "dirichlet", 700.0)  # float length: inexact
     with pytest.raises(ModeError):
-        verify_exact_power(s, 16, 1, 2, 5, "dirichlet")
-    s2, _ = thin_sphere(0.1309, "dirichlet", 700.0)  # float length: inexact
+        verify_exact_power(s2, meta2, 5, "dirichlet")
+    tri = triangle_neumann_spectrum(100.0)  # exact values, volume sqrt(3)/4
+    assert tri.exact
     with pytest.raises(ModeError):
-        verify_exact_power(s2, 1296, 1, 3, 5, "dirichlet")
+        verify_exact_power(tri, triangle_meta(), 5, "neumann")
 
 
 def test_exact_detects_failure():
@@ -272,37 +282,46 @@ def test_exact_detects_failure():
     s, meta = thin_sphere("pi/2", "dirichlet", 50.0)
     c = rationalized_polya_constant(3, meta.exact_volume)
     assert c == Fraction(9)
-    rep = verify_exact_power(s, c.numerator, c.denominator, 3, 50, "dirichlet")
+    rep = verify_exact_power(s, meta, 50, "dirichlet")
     flt = verify_dirichlet(s, meta, 50)
     assert rep.verdict == flt.verdict  # agreement regardless of outcome
 
 
-def _slow_exact_power(s, c_num, c_den, d, k_max, side):
-    """Reference for ``verify_exact_power``: one Python-int comparison per k."""
-    mults = s.multiplicities.tolist()
-    if side == "neumann":
-        mults[0] -= 1
-    checked = min(k_max, sum(mults))
-    den = s.exact_den
-    rhs_unit = c_num * den ** d
+def _slow_exact_power(s, meta, k_max, side):
+    """Reference for ``verify_exact_power``: each k decided on its own, by
+    the ratio lambda_k^d / w_k^d = r pi^shift, in Fractions when the pi
+    powers cancel and at 400 digits otherwise."""
+    d = meta.dimension
+    c = polya_constant_exact(d, meta.exact_volume)
+    shift = s.pi_power * d - c.pi_power
+    origin = int(side == "neumann")
+    nums = np.repeat(s.exact_nums, s.multiplicities)[origin:].tolist()
+    values = s.expanded()[origin:]
+    checked = min(k_max, len(nums))
+    w = polya_weyl_term(meta, np.arange(1, checked + 1, dtype=float))
     failures = []
     worst_margin = math.inf
     worst_k = 1
-    k = 0
-    for n, m in zip(s.exact_nums.tolist(), mults):
-        lhs = n ** d * c_den
-        for _ in range(min(m, checked - k)):
-            k += 1
-            rhs = rhs_unit * k * k
-            satisfied = lhs >= rhs if side == "dirichlet" else lhs <= rhs
-            rel = (lhs - rhs) / rhs if side == "dirichlet" else (rhs - lhs) / rhs
-            if rel < worst_margin:
-                worst_margin = rel
-                worst_k = k
-            if not satisfied:
-                failures.append((float(k), n / den, float(c_num * k * k) / c_den))
-        if k == checked:
-            break
+    ties = 0
+    for k in range(1, checked + 1):
+        r = Fraction(nums[k - 1], s.exact_den) ** d / (c.coeff * k * k)
+        if shift == 0:
+            sign, rel = (r > 1) - (r < 1), float(r - 1)
+        else:
+            with mpmath.workdps(400):
+                x = mpmath.mpf(r.numerator) / r.denominator * mpmath.pi ** shift - 1
+                assert abs(x) > mpmath.mpf(10) ** -300
+                sign = int(mpmath.sign(x))
+            # the documented float margin, carrying the certified sign
+            rel = math.copysign(r.numerator / r.denominator * math.pi ** shift - 1.0, sign)
+        if side == "neumann":
+            sign, rel = -sign, (-rel if rel else rel)
+        if rel < worst_margin:
+            worst_margin = rel
+            worst_k = k
+        ties += sign == 0
+        if sign < 0:
+            failures.append((float(k), float(values[k - 1]), float(w[k - 1])))
     return VerificationReport(
         mode="per_eigenvalue_exact",
         checked=checked,
@@ -311,6 +330,7 @@ def _slow_exact_power(s, c_num, c_den, d, k_max, side):
         worst_margin=worst_margin,
         worst_location=float(worst_k),
         failures=tuple(failures),
+        tie_breaks=ties,
     )
 
 
@@ -322,10 +342,12 @@ def _slow_exact_power(s, c_num, c_den, d, k_max, side):
 ])
 def test_exact_power_decides_inside_runs(side, entries, failures, worst):
     s = tabulated_spectrum(entries, 100.0)
-    rep = verify_exact_power(s, 1, 1, 1, 10, side)
+    meta = interval_meta("pi", side)  # w_k = k^2
+    rep = verify_exact_power(s, meta, 10, side)
     assert rep.failures == tuple(failures)
     assert (rep.worst_margin, rep.worst_location) == worst
-    assert rep.to_dict() == _slow_exact_power(s, 1, 1, 1, 10, side).to_dict()
+    assert rep.tie_breaks == 1
+    assert rep.to_dict() == _slow_exact_power(s, meta, 10, side).to_dict()
 
 
 def _iroot(x, d):
@@ -338,39 +360,89 @@ def _iroot(x, d):
     return r
 
 
+#: odd by 15, so that its square passes _INT64_GUARD and stays out of lowest terms
+_SCALE = 2 ** 32 + 15
+
+
 @st.composite
 def _exact_power_cases(draw):
-    """Exact tabulated streams whose values sit at, or one step off, the
-    Polya bound of a k inside, just before or just after their run, so that
-    ties, failures starting mid-run and runs cut by k_max all occur."""
+    """Exact streams whose values sit at, or one step off, the Polya bound
+    of a k inside, just before or just after their run, so that ties,
+    failures starting mid-run and runs cut by k_max all occur.  The volume
+    and the stream's pi power are drawn too: when their pi powers do not
+    cancel, the near-ties are within 1/den of the bound."""
     d = draw(st.sampled_from([1, 2, 3]))
     side = draw(st.sampled_from(["dirichlet", "neumann"]))
-    c_num = draw(st.sampled_from([1, 4, 8, 9, 64, 1296]))
-    c_den = draw(st.sampled_from([1, 1, 2, 5]))
-    den = draw(st.sampled_from([1, 2, 3, 7]))
+    volume = PiRational(draw(st.sampled_from([1, 2, 4, 6, Fraction(1, 6), Fraction(1, 24)])),
+                        draw(st.integers(0, 2)))
+    den = draw(st.sampled_from([1, 2, 3, 7, 10 ** 12]))
+    c = polya_constant_exact(d, volume)
+    # half the streams cancel the constant's pi power where they can, so
+    # that exact ties occur
+    if c.pi_power % d == 0 and draw(st.booleans()):
+        pi_power = c.pi_power // d
+    else:
+        pi_power = draw(st.integers(-1, 2))
+    shift = pi_power * d - c.pi_power
     mults = draw(st.lists(st.integers(1, 6), min_size=1, max_size=12))
     nums, k = [], 0
     for m in mults:
         pivot = max(k + draw(st.integers(0, m + 1)), 1)
-        n = _iroot(c_num * den ** d * pivot ** 2 // c_den, d) + draw(st.integers(-1, 1))
-        nums.append(max(n, nums[-1] + 1 if nums else 1))
+        if shift == 0:
+            n = _iroot(math.floor(c.coeff * den ** d * pivot ** 2), d)
+        else:
+            # n / den * pi^pi_power next to w_pivot = (c pivot^2)^(1/d)
+            with mpmath.workdps(60):
+                n = int(mpmath.floor(den * (mpmath.mpf(c.coeff.numerator) / c.coeff.denominator
+                                            * pivot ** 2 * mpmath.pi ** -shift) ** (1 / mpmath.mpf(d))))
+        n += draw(st.integers(-1, 1))
+        # a step of at least 2^-40 relative keeps the float values increasing
+        nums.append(max(n, nums[-1] + 1 + (nums[-1] >> 40) if nums else 1))
         k += m
-    # a common factor keeps every comparison and pushes numerators past int64
-    scale = 2 ** 64 + 13 if draw(st.booleans()) else 1
-    entries = [(Fraction(n * scale, den), m) for n, m in zip(nums, mults)]
+    if draw(st.booleans()):
+        # a common factor keeps every comparison and pushes numerators past int64
+        nums = [n * _SCALE ** 2 for n in nums]
+        volume = volume / _SCALE ** d
     if side == "neumann":
-        entries.insert(0, (0, draw(st.integers(1, 2))))
-    s = tabulated_spectrum(entries, 2.0 * float(entries[-1][0]) + 1.0)
-    assert (s.exact_nums.dtype == object) == (scale > _INT64_GUARD)
-    total = s.total_count - (side == "neumann")
-    k_max = draw(st.integers(1, total + 3))
-    return s, c_num * scale ** d, c_den, d, k_max, side
+        nums.insert(0, 0)
+        mults.insert(0, draw(st.integers(1, 2)))
+    values = [float(Fraction(n, den)) * math.pi ** pi_power for n in nums]
+    s = EigenvalueStream(values, mults, 2.0 * values[-1] + 1.0, nums, den, pi_power)
+    assert (s.exact_nums.dtype == object) == (nums[-1] > _INT64_GUARD)
+    meta = DomainMeta(d, float(volume), side, exact_volume=volume)
+    k_max = draw(st.integers(1, s.total_count - (side == "neumann") + 3))
+    return s, meta, k_max, side
 
 
 @settings(max_examples=400, deadline=None)
 @given(_exact_power_cases())
 def test_exact_power_matches_per_k_reference(case):
     assert verify_exact_power(*case).to_dict() == _slow_exact_power(*case).to_dict()
+
+
+_bcs = st.sampled_from(["dirichlet", "neumann"])
+_exact_specs = st.one_of(
+    # boxes with rational sides
+    st.builds(lambda sides, bc: {"box": {"sides": sides, "bc": bc}},
+              st.lists(st.fractions(Fraction(1, 4), 4, max_denominator=7).map(str),
+                       min_size=1, max_size=3), _bcs),
+    # (0, p pi/q) x S^2, thick enough to fail and thin enough to hold
+    st.builds(lambda p, q, bc: {"product": [{"interval": {"a": f"{p}pi/{q}", "bc": bc}},
+                                            {"sphere2": {}}]},
+              st.integers(1, 3), st.integers(1, 60), _bcs),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_exact_specs, st.integers(1, 600))
+def test_exact_and_float_verifiers_agree(spec, k_max):
+    s, meta = stream_covering_k(build_spec(spec), k_max)
+    side = meta.bc.value
+    floaty = (verify_dirichlet if side == "dirichlet" else verify_neumann)(s, meta, k_max)
+    exact = verify_exact_power(s, meta, k_max, side)
+    assert exact.verdict == floaty.verdict
+    assert [f[0] for f in exact.failures] == [f[0] for f in floaty.failures]
+    assert (exact.tie_breaks, exact.checked) == (floaty.tie_breaks, floaty.checked)
 
 
 # ---------------------------------------------------------------------------
