@@ -48,6 +48,7 @@ from .errors import (
 from .pivals import PiRational, parse_length
 from .polya import (
     VerificationReport,
+    per_eigenvalue_margins,
     polya_weyl_term,
     verify_counting_bound,
     verify_dirichlet,

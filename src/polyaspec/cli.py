@@ -22,12 +22,9 @@ import argparse
 import csv
 import functools
 import json
-import math
 import sys
 from datetime import datetime, timezone
 from typing import Callable, Optional
-
-import numpy as np
 
 from . import counting as ct
 from . import polya as pv
@@ -186,13 +183,10 @@ def _cmd_verify(args) -> int:
     else:
         report = pv.verify_neumann(stream, meta, args.k_max)
     if args.dump:
-        ks = np.arange(1, report.checked + 1)
-        margins = report.margins if report.margins is not None else np.full(ks.size, math.nan)
+        margins = pv.per_eigenvalue_margins(stream, meta, args.k_max, side).tolist()
         with open(args.dump, "w", newline="") as fp:
-            writer = csv.writer(fp, lineterminator="\n")
-            writer.writerow(["k", "margin"])
-            for k, m in zip(ks, margins):
-                writer.writerow([int(k), repr(float(m))])
+            fp.write("k,margin\n")
+            fp.write("".join(f"{k},{m!r}\n" for k, m in enumerate(margins, 1)))
     _emit_json({"bc": side, "exact": bool(args.exact), **report.to_dict()}, args)
     return 0 if report.holds else 1
 

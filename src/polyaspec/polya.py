@@ -6,19 +6,29 @@ inequality says every nonzero eigenvalue sits below it.  Verification is a
 finite sweep: per eigenvalue up to k_max, or at counting-function jumps
 against a monotone bound.
 
-Per-eigenvalue margins are computed in floats; those near zero are decided
-by one of two rules.  With exact values (rational multiples of a power of
-pi) and an exact volume, each margin within ``GUARD_BAND`` is decided
-exactly, lambda_k^d against w_k^d = c k^2 in integers and rational bounds
-on pi, and only an equality is a tie.  Otherwise margins within
+Both per-eigenvalue sweeps run over runs of equal values, not over k.
+Within a run w_k rises with k, so the relative margin falls along a
+Dirichlet run and rises along a Neumann one, and its smallest value sits at
+the run's last or first k.
+
+``verify_dirichlet`` and ``verify_neumann`` compute that smallest margin in
+floats, one per run.  A run whose smallest margin clears the band holds at
+every k with no tie.  Only the other runs, which hold every near tie and
+every failure, are swept per k, and margins near zero are decided there by
+one of two rules.  With exact values (rational multiples of a power of pi)
+and an exact volume, each margin within ``GUARD_BAND`` is decided exactly,
+lambda_k^d against w_k^d = c k^2 in integers and rational bounds on pi,
+and only an equality is a tie.  Otherwise margins within
 ``EQUALITY_BAND_FLOAT`` (float resolution) are ties.  Ties count as
 satisfied, since the inequalities are non-strict, and in ``tie_breaks``.
+The cost is O(V) for the V distinct values up to k_max, plus the k of the
+runs that reach the band.  ``per_eigenvalue_margins`` gives the same
+sweep's margin at every k, at O(k_max).
 
 ``verify_exact_power`` decides every k of an exact stream with an exact
-volume exactly, one comparison per distinct value: within a run of equal
-values the margin is monotone in k, so the run's end point settles it and
-a bisection finds a failed run's failing k.  Its cost is O(V) for V
-distinct values, plus one entry per failure, independent of k_max.
+volume exactly, one comparison per run: the run's end point settles it and
+a bisection finds a failed run's failing k.  Its cost is O(V), plus one
+entry per failure, independent of k_max.
 """
 
 from __future__ import annotations
@@ -43,6 +53,7 @@ __all__ = [
     "verify_dirichlet",
     "verify_neumann",
     "verify_exact_power",
+    "per_eigenvalue_margins",
     "verify_counting_bound",
 ]
 
@@ -60,6 +71,8 @@ class VerificationReport:
     (negative on failure); ``failures`` lists (location, lhs, rhs) for every
     violated comparison.  ``checked < requested`` signals truncation: the
     stream ran out of eigenvalues and nothing is claimed beyond ``checked``.
+    ``margins`` holds every point's margin for counting-form scans only;
+    per-eigenvalue reports leave it ``None`` (see ``per_eigenvalue_margins``).
     """
 
     mode: str
@@ -162,14 +175,26 @@ def _exact_terms(s: EigenvalueStream, meta: DomainMeta) -> tuple[int, int, int]:
             s.pi_power * d - c.pi_power)
 
 
-def _per_eigenvalue(s: EigenvalueStream, meta: DomainMeta, k_max: int,
-                    side: str) -> VerificationReport:
-    origin, checked = _sweep_range(s, k_max, side)
-    ks = np.arange(1, checked + 1, dtype=float)
-    w = polya_weyl_term(meta, ks)
-    values = s.expanded()[origin:origin + checked]
-    margins = (values - w) / w if side == "dirichlet" else (w - values) / w
+def _float_margins(meta: DomainMeta, values, ks: np.ndarray,
+                   dirichlet: bool) -> tuple[np.ndarray, np.ndarray]:
+    """``(w_k, margin)`` at each k of ``ks`` with eigenvalues ``values``:
+    the relative margin (lambda_k - w_k) / w_k (Dirichlet) or
+    (w_k - mu_k) / w_k (Neumann), in floats."""
+    w = polya_weyl_term(meta, ks.astype(float))
+    return w, ((values - w) / w if dirichlet else (w - values) / w)
 
+
+def _per_k(s: EigenvalueStream, meta: DomainMeta, ks: np.ndarray, runs: np.ndarray,
+           side: str) -> tuple[np.ndarray, list, int]:
+    """The per-k rule at each k of ``ks``, whose eigenvalue is
+    ``s.values[runs]``: ``(adjusted margins, failures, tie_breaks)``.
+
+    Margins within the band are decided by the exact rule on exact streams
+    with an exact volume and are ties otherwise.  A held margin is raised
+    to at least 0 and a broken one pushed below 0, so the failures, listed
+    as (k, lambda_k, w_k), are the k with a negative adjusted margin."""
+    values = s.values[runs]
+    w, margins = _float_margins(meta, values, ks, side == "dirichlet")
     adjusted = margins.copy()
     exact = s.exact and meta.exact_volume is not None
     near = np.nonzero(np.abs(margins) <= (GUARD_BAND if exact else EQUALITY_BAND_FLOAT))[0]
@@ -177,30 +202,97 @@ def _per_eigenvalue(s: EigenvalueStream, meta: DomainMeta, k_max: int,
     if exact and near.size:
         d = meta.dimension
         c_den, rhs_unit, shift = _exact_terms(s, meta)
-        runs = np.searchsorted(s.cumulative_counts(), near + origin, side="right") - 1
         signs = np.array([
-            _exact_sign(n ** d * c_den, rhs_unit * (i + 1) ** 2, shift)
-            for n, i in zip(s.exact_nums[runs].tolist(), near.tolist())
+            _exact_sign(n ** d * c_den, rhs_unit * k * k, shift)
+            for n, k in zip(s.exact_nums[runs[near]].tolist(), ks[near].tolist())
         ])
         ok = signs >= 0 if side == "dirichlet" else signs <= 0
         held, broken, tie_breaks = near[ok], near[~ok], int(np.count_nonzero(signs == 0))
-    # a held comparison's margin is at least 0, a broken one's below 0
     adjusted[held[adjusted[held] < 0]] = 0.0
     broken = broken[adjusted[broken] >= 0]
     adjusted[broken] = -adjusted[broken] - 1e-300
-    failures = [(float(i + 1), float(values[i]), float(w[i]))
+    failures = [(float(ks[i]), float(values[i]), float(w[i]))
                 for i in np.nonzero(adjusted < 0)[0]]
-    worst = int(np.argmin(adjusted))
+    return adjusted, failures, tie_breaks
+
+
+def _runs(s: EigenvalueStream, origin: int, checked: int) -> tuple[np.ndarray, ...]:
+    """``(first, last, index)`` of the runs of equal values that meet
+    k = 1..checked: run ``index`` covers k in [first, last]."""
+    cum = s.cumulative_counts()
+    # eigenvalue k sits at position k - 1 + origin of the expanded stream
+    lo = int(np.searchsorted(cum, origin, side="right")) - 1
+    hi = int(np.searchsorted(cum, checked + origin, side="left"))
+    first = np.maximum(cum[lo:hi] - origin + 1, 1)
+    last = np.minimum(cum[lo + 1:hi + 1] - origin, checked)
+    return first, last, np.arange(lo, hi)
+
+
+def _expand(first: np.ndarray, last: np.ndarray,
+            index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every k of the runs ``(first, last, index)``, and the run of each."""
+    lengths = last - first + 1
+    starts = np.cumsum(lengths) - lengths
+    ks = np.arange(int(lengths.sum())) + np.repeat(first - starts, lengths)
+    return ks, np.repeat(index, lengths)
+
+
+def per_eigenvalue_margins(s: EigenvalueStream, meta: DomainMeta, k_max: int,
+                           side: str) -> np.ndarray:
+    """The relative margin at each k = 1..checked, as ``verify_dirichlet``
+    and ``verify_neumann`` decide it: margins within the band are raised to
+    0 when they hold and pushed below 0 when they break.  Entry k - 1
+    belongs to k.  Cost and size are O(checked)."""
+    origin, checked = _sweep_range(s, k_max, side)
+    return _per_k(s, meta, *_expand(*_runs(s, origin, checked)), side)[0]
+
+
+def _per_eigenvalue(s: EigenvalueStream, meta: DomainMeta, k_max: int,
+                    side: str) -> VerificationReport:
+    origin, checked = _sweep_range(s, k_max, side)
+    dirichlet = side == "dirichlet"
+    first, last, index = _runs(s, origin, checked)
+    # w_k rises with k, so the margin falls along a Dirichlet run and rises
+    # along a Neumann one: its smallest value sits at the run's last or
+    # first k.  A run whose smallest margin clears the band holds at every
+    # k with no tie; only the others, which hold every near tie and every
+    # failure, are swept per k.
+    at = last if dirichlet else first
+    _, margins = _float_margins(meta, s.values[index], at, dirichlet)
+    band = GUARD_BAND if s.exact and meta.exact_volume is not None else EQUALITY_BAND_FLOAT
+    special = margins <= band
+    ks, runs = _expand(first[special], last[special], index[special])
+    adjusted, failures, tie_breaks = _per_k(s, meta, ks, runs, side)
+
+    # the worst margin and the smallest k attaining it.  A special run's
+    # adjusted margins reach the band or below it, under every ordinary
+    # run's, so the worst sits among them when there are any; in either
+    # array k ascends, so argmin's first hit is the smallest k.
+    if ks.size:
+        i = int(np.argmin(adjusted))
+        worst_margin, worst_k = adjusted[i], int(ks[i])
+    else:
+        i = int(np.argmin(margins))
+        worst_margin, worst_k = margins[i], int(at[i])
+        if dirichlet and worst_k > first[i]:
+            # near k = 2^53 w_k stalls in floats, and earlier k of the run
+            # can share its last k's margin: bisect for the first of them
+            value, lo = s.values[index[i]], int(first[i])
+
+            def stalled(k):
+                return _float_margins(meta, value, np.array([k]), True)[1][0] <= worst_margin
+
+            if stalled(worst_k - 1):
+                worst_k = lo + bisect.bisect_left(range(lo, worst_k), True, key=stalled)
     return VerificationReport(
         mode="per_eigenvalue",
         checked=checked,
         requested=k_max,
         verdict="fails" if failures else "holds",
-        worst_margin=float(adjusted[worst]),
-        worst_location=float(worst + 1),
+        worst_margin=float(worst_margin),
+        worst_location=float(worst_k),
         failures=tuple(failures),
         tie_breaks=tie_breaks,
-        margins=adjusted,
     )
 
 

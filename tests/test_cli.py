@@ -168,6 +168,42 @@ def test_verify_exact_thin_sphere(capsys, tmp_path):
     lines = dump.read_text().splitlines()
     assert lines[0] == "k,margin"
     assert len(lines) == 2001
+    rows = [line.split(",") for line in lines[1:]]
+    assert [int(k) for k, _ in rows] == list(range(1, 2001))
+    assert all(math.isfinite(float(m)) and float(m) > 0 for _, m in rows)
+    # --dump writes the per-k margins of the float sweep in both modes
+    plain = tmp_path / "plain.csv"
+    code, _, _ = run_cli(capsys, "verify", "--spec", THIN_SPHERE_SPEC,
+                         "--k-max", "2000", "--no-timestamp", "--dump", str(plain))
+    assert code == 0
+    assert dump.read_bytes() == plain.read_bytes()
+
+
+A_PI_SPEC = '{"product":[{"interval":{"a":"pi","bc":"%s"}},{"sphere2":{}}]}'
+
+
+@pytest.mark.parametrize("bc, k_max, code, verdict, worst, failures", [
+    ("dirichlet", 1, 1, "fails", (-0.23685717163111228, 1.0),
+     [[1.0, 1.0, 1.3103706971044486]]),
+    ("dirichlet", 100000, 1, "fails", (-0.23685717163111228, 1.0),
+     [[1.0, 1.0, 1.3103706971044486], [4.0, 3.0, 3.3019272488946276],
+      [13.0, 7.0, 7.244744506733901]]),
+    ("neumann", 1, 0, "holds", (0.23685717163111228, 1.0), []),
+    ("neumann", 100000, 1, "fails", (-0.05826736797879952, 9.0),
+     [[9.0, 6.0, 5.66964472452693]]),
+])
+def test_verify_thick_sphere_reports_are_pinned(capsys, bc, k_max, code, verdict,
+                                                worst, failures):
+    # (0, pi) x S^2 fails on both sides; the float reports, failures included,
+    # are pinned to the last digit
+    status, out, _ = run_cli(capsys, "verify", "--spec", A_PI_SPEC % bc,
+                             "--k-max", str(k_max), "--no-timestamp")
+    assert status == code
+    assert json.loads(out) == {
+        "bc": bc, "exact": False, "mode": "per_eigenvalue", "checked": k_max,
+        "requested": k_max, "verdict": verdict, "worst_margin": worst[0],
+        "worst_location": worst[1], "failures": failures, "tie_breaks": 0,
+    }
 
 
 def test_verify_failure_exit_code(capsys):

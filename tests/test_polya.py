@@ -31,8 +31,18 @@ from polyaspec import (
     verify_neumann,
     weyl_leading,
 )
+from polyaspec import polya
 from polyaspec.pivals import PiRational
-from polyaspec.polya import VerificationReport, _exact_sign, polya_constant_exact
+from polyaspec.polya import (
+    EQUALITY_BAND_FLOAT,
+    GUARD_BAND,
+    VerificationReport,
+    _exact_sign,
+    _exact_terms,
+    _sweep_range,
+    per_eigenvalue_margins,
+    polya_constant_exact,
+)
 from polyaspec.reproduce import rationalized_polya_constant
 from polyaspec.spec import build_spec, stream_covering_k
 from polyaspec.spectra import _INT64_GUARD, DomainMeta, EigenvalueStream
@@ -443,6 +453,147 @@ def test_exact_and_float_verifiers_agree(spec, k_max):
     assert exact.verdict == floaty.verdict
     assert [f[0] for f in exact.failures] == [f[0] for f in floaty.failures]
     assert (exact.tie_breaks, exact.checked) == (floaty.tie_breaks, floaty.checked)
+
+
+def _slow_per_eigenvalue(s, meta, k_max, side):
+    """Reference for ``verify_dirichlet`` / ``verify_neumann``: the per-k
+    sweep over k = 1..checked, with k_max-long arrays.  Returns the report
+    and the adjusted margin of every k."""
+    origin, checked = _sweep_range(s, k_max, side)
+    ks = np.arange(1, checked + 1, dtype=float)
+    w = polya_weyl_term(meta, ks)
+    values = s.expanded()[origin:origin + checked]
+    margins = (values - w) / w if side == "dirichlet" else (w - values) / w
+
+    adjusted = margins.copy()
+    exact = s.exact and meta.exact_volume is not None
+    near = np.nonzero(np.abs(margins) <= (GUARD_BAND if exact else EQUALITY_BAND_FLOAT))[0]
+    held, broken, tie_breaks = near, near[:0], near.size
+    if exact and near.size:
+        d = meta.dimension
+        c_den, rhs_unit, shift = _exact_terms(s, meta)
+        runs = np.searchsorted(s.cumulative_counts(), near + origin, side="right") - 1
+        signs = np.array([
+            _exact_sign(n ** d * c_den, rhs_unit * (i + 1) ** 2, shift)
+            for n, i in zip(s.exact_nums[runs].tolist(), near.tolist())
+        ])
+        ok = signs >= 0 if side == "dirichlet" else signs <= 0
+        held, broken, tie_breaks = near[ok], near[~ok], int(np.count_nonzero(signs == 0))
+    # a held comparison's margin is at least 0, a broken one's below 0
+    adjusted[held[adjusted[held] < 0]] = 0.0
+    broken = broken[adjusted[broken] >= 0]
+    adjusted[broken] = -adjusted[broken] - 1e-300
+    failures = [(float(i + 1), float(values[i]), float(w[i]))
+                for i in np.nonzero(adjusted < 0)[0]]
+    worst = int(np.argmin(adjusted))
+    report = VerificationReport(
+        mode="per_eigenvalue",
+        checked=checked,
+        requested=k_max,
+        verdict="fails" if failures else "holds",
+        worst_margin=float(adjusted[worst]),
+        worst_location=float(worst + 1),
+        failures=tuple(failures),
+        tie_breaks=tie_breaks,
+    )
+    return report, adjusted
+
+
+#: where a run's value sits relative to w_k at its pivot k: on it, a near
+#: tie inside either band or one ulp off, and far below or above it
+_PLACEMENTS = (1.0, 1 + 1e-13, 1 - 1e-13, 1 + 1e-10, 1 - 1e-10, "up", "down",
+               0.3, 3.0, 1e-18, 1e18)
+
+
+@st.composite
+def _per_eigenvalue_cases(draw):
+    """Float and exact streams whose runs sit on, next to or far from w_k
+    at a k inside, just before or just after them, and spec streams
+    ((0, p pi/q) x S^2, rational boxes), with k_max below, at and beyond
+    what the stream holds."""
+    if draw(st.integers(0, 3)) == 0:
+        s, meta = stream_covering_k(build_spec(draw(_exact_specs)), draw(st.integers(1, 400)))
+        side = meta.bc.value
+    else:
+        side = draw(_bcs)
+        d = draw(st.sampled_from([1, 2, 3]))
+        volume = PiRational(draw(st.sampled_from([1, 2, Fraction(1, 6), Fraction(3, 7)])),
+                            draw(st.integers(0, 1)))
+        meta = DomainMeta(d, float(volume), side,
+                          exact_volume=draw(st.sampled_from([volume, None])))
+        exact = draw(st.booleans())
+        den = draw(st.sampled_from([1, 7, 10 ** 9]))
+        mults = draw(st.lists(st.integers(1, 30), min_size=1, max_size=12))
+        values, nums, k = [], [], 0
+        for m in mults:
+            pivot = max(k + draw(st.integers(0, m + 1)), 1)
+            w = float(polya_weyl_term(meta, pivot))
+            where = draw(st.sampled_from(_PLACEMENTS))
+            v = (np.nextafter(w, math.inf if where == "up" else 0.0)
+                 if isinstance(where, str) else w * where)
+            if exact:
+                n = int(Fraction(v) * den)
+                # a step of at least 2^-40 relative keeps the float values increasing
+                nums.append(max(n, nums[-1] + 1 + (nums[-1] >> 40) if nums else 1))
+                v = float(Fraction(nums[-1], den))
+            values.append(max(v, np.nextafter(values[-1], math.inf)) if values else v)
+            k += m
+        if side == "neumann":
+            values.insert(0, 0.0)
+            nums.insert(0, 0)
+            mults.insert(0, draw(st.integers(1, 2)))
+        s = EigenvalueStream(values, mults, 2.0 * values[-1] + 1.0,
+                             nums if exact else None, den)
+    k_max = draw(st.integers(1, s.total_count - (side == "neumann") + 3))
+    return s, meta, k_max, side
+
+
+@settings(max_examples=400, deadline=None)
+@given(_per_eigenvalue_cases())
+def test_per_eigenvalue_matches_per_k_reference(case):
+    s, meta, k_max, side = case
+    verify = verify_dirichlet if side == "dirichlet" else verify_neumann
+    slow, adjusted = _slow_per_eigenvalue(*case)
+    assert repr(verify(s, meta, k_max).to_dict()) == repr(slow.to_dict())
+    assert per_eigenvalue_margins(*case).tobytes() == adjusted.tobytes()
+
+
+@pytest.mark.parametrize("side", ["dirichlet", "neumann"])
+def test_holding_float_sweep_costs_distinct_values_not_k_max(monkeypatch, side):
+    k_max = 10 ** 6
+    spec = {"product": [{"interval": {"a": "pi/24", "bc": side}}, {"sphere2": {}}]}
+    s, meta = stream_covering_k(build_spec(spec), k_max)
+    terms = []
+    weyl = polya.polya_weyl_term
+    monkeypatch.setattr(polya, "polya_weyl_term",
+                        lambda m, k: terms.append(np.size(k)) or weyl(m, k))
+
+    def no_expansion(self):
+        raise AssertionError("the stream was expanded")
+
+    monkeypatch.setattr(EigenvalueStream, "expanded", no_expansion)
+    verify = verify_dirichlet if side == "dirichlet" else verify_neumann
+    rep = verify(s, meta, k_max)
+    assert rep.holds and rep.checked == k_max
+    assert 0 < sum(terms) <= len(s.values) < k_max
+
+
+def test_worst_location_is_the_first_k_attaining_the_worst_margin():
+    # near k = 2^53, w_k stalls in floats, so the last k of a Dirichlet run
+    # can share its margin with the k before it; the first of them is reported
+    meta = DomainMeta(3, 1.0, "dirichlet")
+    k_max = 2 ** 53
+    s = EigenvalueStream(np.array([1e14]), np.array([k_max]), 1e15)
+
+    def margin(k):
+        w = polya_weyl_term(meta, np.array([k], dtype=float))[0]
+        return (1e14 - w) / w
+
+    rep = verify_dirichlet(s, meta, k_max)
+    k = int(rep.worst_location)
+    assert rep.holds and rep.checked == k_max
+    assert margin(k_max - 1) == margin(k_max)
+    assert k < k_max and margin(k) == rep.worst_margin < margin(k - 1)
 
 
 # ---------------------------------------------------------------------------

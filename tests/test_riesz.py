@@ -21,6 +21,7 @@ from polyaspec import (
     l_gamma_d,
     laptev_neumann_margin,
     li_yau_checks,
+    polya_weyl_term,
     riesz_mean,
     riesz_mean_many,
     sphere2_meta,
@@ -283,6 +284,30 @@ def test_li_yau_insufficient_eigenvalues():
     s = interval_spectrum(1, "dirichlet", 50.0)
     with pytest.raises(CoverageError):
         li_yau_checks(s, interval_meta(1, "dirichlet"), 10)
+
+
+@pytest.mark.parametrize("sides", [[1, 1], [1, 1, 1], [1.3, 2.7]])
+def test_li_yau_and_kroger_read_the_expanded_stream(sides):
+    # the k-th eigenvalue and the k-th partial sum, bit for bit as read off
+    # the whole expanded stream
+    for bc, check in (("dirichlet", li_yau_checks), ("neumann", kroger_check)):
+        s = box_spectrum(sides, bc, 400.0)
+        meta = box_meta(sides, bc)
+        eigs = s.expanded()
+        d = meta.dimension
+        w = float(polya_weyl_term(meta, 1))
+        top = eigs.size if bc == "dirichlet" else eigs.size - 1
+        for k in range(1, top + 1):
+            if bc == "dirichlet":
+                factor = d / (d + 2.0)
+                assert check(s, meta, k) == (
+                    float(np.sum(eigs[:k])) - factor * w * k ** ((d + 2.0) / d),
+                    float(eigs[k - 1]) - factor * w * k ** (2.0 / d))
+            else:
+                bound = ((d + 2.0) / 2.0) ** (2.0 / d) * w * k ** (2.0 / d)
+                assert check(s, meta, k) == bound - float(eigs[k])
+        with pytest.raises(CoverageError):
+            check(s, meta, top + 1)
 
 
 def test_kroger_unit_square_first_mode():
