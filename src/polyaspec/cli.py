@@ -255,7 +255,10 @@ def _make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[common], help="per-eigenvalue Polya verification")
     p.add_argument("--spec", required=True)
     p.add_argument("--k-max", type=int, required=True)
-    p.add_argument("--dump", metavar="PATH", help="write per-k margins as CSV")
+    p.add_argument("--dump", metavar="PATH",
+                   help="write the float sweep's per-k margins, relative in lambda, as CSV "
+                        "(with --exact they can differ from the report's worst_margin, "
+                        "which is relative in lambda^d)")
     p.add_argument("--exact", action="store_true",
                    help="use exact integer arithmetic where the spectrum allows it")
     p.set_defaults(fn=_cmd_verify)

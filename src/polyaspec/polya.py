@@ -21,9 +21,11 @@ lambda_k^d against w_k^d = c k^2 in integers and rational bounds on pi,
 and only an equality is a tie.  Otherwise margins within
 ``EQUALITY_BAND_FLOAT`` (float resolution) are ties.  Ties count as
 satisfied, since the inequalities are non-strict, and in ``tie_breaks``.
-The cost is O(V) for the V distinct values up to k_max, plus the k of the
-runs that reach the band.  ``per_eigenvalue_margins`` gives the same
-sweep's margin at every k, at O(k_max).
+When no run reaches the band, ``worst_location`` is the deciding k (last
+or first) of the worst run.  The cost is O(V) for the V distinct values up
+to k_max, plus the k of the runs that reach the band.
+``per_eigenvalue_margins`` gives the same sweep's margin at every k, at
+O(k_max).
 
 ``verify_exact_power`` decides every k of an exact stream with an exact
 volume exactly, one comparison per run: the run's end point settles it and
@@ -264,26 +266,17 @@ def _per_eigenvalue(s: EigenvalueStream, meta: DomainMeta, k_max: int,
     ks, runs = _expand(first[special], last[special], index[special])
     adjusted, failures, tie_breaks = _per_k(s, meta, ks, runs, side)
 
-    # the worst margin and the smallest k attaining it.  A special run's
-    # adjusted margins reach the band or below it, under every ordinary
-    # run's, so the worst sits among them when there are any; in either
-    # array k ascends, so argmin's first hit is the smallest k.
+    # the worst margin and where it sits.  A special run's adjusted margins
+    # reach the band or below it, under every ordinary run's, so the worst
+    # sits among them when there are any, at the first k that attains it
+    # (k ascends, and argmin takes the first hit).  Otherwise it sits at the
+    # deciding k of the first run whose margin is the smallest.
     if ks.size:
         i = int(np.argmin(adjusted))
         worst_margin, worst_k = adjusted[i], int(ks[i])
     else:
         i = int(np.argmin(margins))
         worst_margin, worst_k = margins[i], int(at[i])
-        if dirichlet and worst_k > first[i]:
-            # near k = 2^53 w_k stalls in floats, and earlier k of the run
-            # can share its last k's margin: bisect for the first of them
-            value, lo = s.values[index[i]], int(first[i])
-
-            def stalled(k):
-                return _float_margins(meta, value, np.array([k]), True)[1][0] <= worst_margin
-
-            if stalled(worst_k - 1):
-                worst_k = lo + bisect.bisect_left(range(lo, worst_k), True, key=stalled)
     return VerificationReport(
         mode="per_eigenvalue",
         checked=checked,

@@ -153,11 +153,6 @@ def laptev_neumann_margin(s: EigenvalueStream, meta: DomainMeta, gamma: float, l
     return riesz_mean(s, gamma, lam) - _one_term_bound(meta, gamma, lam)
 
 
-def _run_of(s: EigenvalueStream, i: int) -> int:
-    """The index of the value that the i-th expanded eigenvalue (from 0) equals."""
-    return int(np.searchsorted(s.cumulative_counts(), i, side="right")) - 1
-
-
 def li_yau_checks(s: EigenvalueStream, meta: DomainMeta, k: int) -> tuple[float, float]:
     """Lower bounds on the k-th partial sum and on the k-th Dirichlet eigenvalue.
 
@@ -167,17 +162,14 @@ def li_yau_checks(s: EigenvalueStream, meta: DomainMeta, k: int) -> tuple[float,
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
     _require_bc(meta, BoundaryCondition.DIRICHLET, "the Li-Yau bound")
-    if s.total_count < k:
-        raise CoverageError(f"stream holds {s.total_count} eigenvalues, needs {k}")
-    # only the runs up to lambda_k are expanded, and only their first k
-    # entries are summed, so the pairwise sum is that over the whole stream
-    j = _run_of(s, k - 1)
-    eigs = np.repeat(s.values[:j + 1], s.multiplicities[:j + 1])[:k]
+    eigs = s.expanded()
+    if eigs.size < k:
+        raise CoverageError(f"stream holds {eigs.size} eigenvalues, needs {k}")
     d = meta.dimension
     w = float(polya_weyl_term(meta, 1))
     factor = d / (d + 2.0)
-    sum_margin = float(np.sum(eigs)) - factor * w * k ** ((d + 2.0) / d)
-    eigen_margin = float(s.values[j]) - factor * w * k ** (2.0 / d)
+    sum_margin = float(np.sum(eigs[:k])) - factor * w * k ** ((d + 2.0) / d)
+    eigen_margin = float(eigs[k - 1]) - factor * w * k ** (2.0 / d)
     return sum_margin, eigen_margin
 
 
@@ -188,11 +180,12 @@ def kroger_check(s: EigenvalueStream, meta: DomainMeta, k: int) -> float:
     _require_bc(meta, BoundaryCondition.NEUMANN, "the Kroger bound")
     if s.index_origin != 0:
         raise ModeError("Neumann streams must contain the zero mode")
-    if s.total_count < k + 1:
-        raise CoverageError(f"stream holds {s.total_count} eigenvalues, needs mu_{k}")
+    eigs = s.expanded()
+    if eigs.size < k + 1:
+        raise CoverageError(f"stream holds {eigs.size} eigenvalues, needs mu_{k}")
     d = meta.dimension
     bound = ((d + 2.0) / 2.0) ** (2.0 / d) * float(polya_weyl_term(meta, 1)) * k ** (2.0 / d)
-    return bound - float(s.values[_run_of(s, k)])
+    return bound - float(eigs[k])
 
 
 @dataclass(frozen=True)

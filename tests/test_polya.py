@@ -578,24 +578,6 @@ def test_holding_float_sweep_costs_distinct_values_not_k_max(monkeypatch, side):
     assert 0 < sum(terms) <= len(s.values) < k_max
 
 
-def test_worst_location_is_the_first_k_attaining_the_worst_margin():
-    # near k = 2^53, w_k stalls in floats, so the last k of a Dirichlet run
-    # can share its margin with the k before it; the first of them is reported
-    meta = DomainMeta(3, 1.0, "dirichlet")
-    k_max = 2 ** 53
-    s = EigenvalueStream(np.array([1e14]), np.array([k_max]), 1e15)
-
-    def margin(k):
-        w = polya_weyl_term(meta, np.array([k], dtype=float))[0]
-        return (1e14 - w) / w
-
-    rep = verify_dirichlet(s, meta, k_max)
-    k = int(rep.worst_location)
-    assert rep.holds and rep.checked == k_max
-    assert margin(k_max - 1) == margin(k_max)
-    assert k < k_max and margin(k) == rep.worst_margin < margin(k - 1)
-
-
 # ---------------------------------------------------------------------------
 # counting-form verification
 
