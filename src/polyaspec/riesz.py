@@ -10,7 +10,10 @@ scan reports the empirical onset instead of asserting them globally.
 Every Riesz mean goes through ``riesz_mean_many``.  For V distinct values
 and L lambdas, integer gamma (0, 1, 2) costs O(V + L log V): one
 ``searchsorted`` into prefix counts or prefix moments.  Any other gamma
-costs O(L V) at worst, restricted to the values below each lambda.
+cuts the sorted lambdas into blocks of B: the values within a block's
+width below it are summed directly, the ones further down at n Chebyshev
+points of the block and interpolated.  With lambdas at the values
+themselves that is about n V L / B + 2 B L terms in place of L V / 2.
 """
 
 from __future__ import annotations
@@ -40,8 +43,10 @@ __all__ = [
     "WindowScan",
 ]
 
-#: lambdas per block of the dense kernel; a block's gaps stay in cache
-_CHUNK = 32
+#: sorted lambdas per block of the non-integer-gamma kernel
+_BLOCK = 256
+#: Chebyshev points per block at which its far field is summed
+_NODES = 19
 
 
 def riesz_mean(s: EigenvalueStream, gamma: float, lam: float) -> float:
@@ -57,9 +62,10 @@ def riesz_mean_many(s: EigenvalueStream, gamma: float, lams: Sequence[float]) ->
 
     gamma = 0 is ``count_many``.  gamma = 1 and 2 read prefix moments at
     ``idx``, the number of values below each lambda: O(V + L log V) for V
-    values and L lambdas.  Any other gamma sums the gaps to the values
-    below lambda only, O(L V) at worst, in ``_CHUNK`` blocks of sorted
-    lambdas that share one buffer.
+    values and L lambdas.  Any other gamma takes ``_BLOCK`` sorted lambdas
+    at a time: the values near a block are summed directly, the ones below
+    are summed at ``_NODES`` Chebyshev points and interpolated, with a
+    relative error below 1e-12 for gamma <= 4 (see ``_riesz_blocked``).
     """
     if gamma < 0:
         raise DomainError(f"gamma must be >= 0, got {gamma}")
@@ -69,7 +75,7 @@ def riesz_mean_many(s: EigenvalueStream, gamma: float, lams: Sequence[float]) ->
     idx = np.searchsorted(s.values, lams, side="left")
     if gamma in (1, 2):
         return _riesz_moments(s, gamma, lams, idx)
-    return _riesz_dense(s, gamma, lams, idx)
+    return _riesz_blocked(s, gamma, lams, idx)
 
 
 def _riesz_moments(s: EigenvalueStream, gamma: float, lams: np.ndarray,
@@ -97,31 +103,94 @@ def _riesz_moments(s: EigenvalueStream, gamma: float, lams: np.ndarray,
     return (p0[idx] * g + 2.0 * a1[idx]) * g + a2[idx]
 
 
-def _riesz_dense(s: EigenvalueStream, gamma: float, lams: np.ndarray,
-                 idx: np.ndarray) -> np.ndarray:
-    """Any gamma > 0 by direct sums over the values below each block's top
-    lambda, the gaps filled in place in one buffer; the half-integer gammas
-    of the window scans take ``sqrt``, several times cheaper than ``power``."""
+def _chebyshev_interpolator(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n Chebyshev points cos(pi j / (n - 1)) of [-1, 1] and the DCT-I
+    matrix that takes values there to the coefficients of the degree n - 1
+    interpolant in T_0 .. T_{n-1}."""
+    j = np.arange(n)
+    dct = np.cos(np.pi * np.outer(j, j) / (n - 1)) * (2.0 / (n - 1))
+    dct[:, [0, -1]] *= 0.5
+    dct[[0, -1], :] *= 0.5
+    return np.cos(np.pi * j / (n - 1)), dct
+
+
+_NODES_UNIT, _NODES_DCT = _chebyshev_interpolator(_NODES)
+
+
+def _riesz_blocked(s: EigenvalueStream, gamma: float, lams: np.ndarray,
+                   idx: np.ndarray) -> np.ndarray:
+    """Any gamma > 0 in blocks of ``_BLOCK`` sorted lambdas, with the far
+    field of each block interpolated in lambda.
+
+    A block spans [lo, hi], w = hi - lo.  The values below lo - w are its
+    far field: f(lambda) = sum m (lambda - v)^gamma over them is summed
+    directly at ``_NODES`` Chebyshev points of [lo, hi] and read off its
+    interpolant at the block's lambdas.  The values in [lo - w, hi) are the
+    near field, summed directly.  A block of at most ``_NODES`` lambdas, of
+    width 0, or with no value below lo - w is all near field.
+
+    Error: mapped to [-1, 1], the block sees each far value as a branch
+    point x_s <= -3, so each term is analytic inside the Bernstein ellipse
+    rho = 3 + 2 sqrt 2 ~ 5.83 and is at most 3^gamma times its least value
+    on the block there.  Its degree n - 1 interpolant is off by at most
+    4 3^gamma rho^(1-n) / (rho - 1) relative (Trefethen, Approximation
+    Theory and Approximation Practice, Thm 8.2); every term is
+    nonnegative, so the bound holds relative to the whole sum.  ``_NODES``
+    = 19 makes it 1.4e-14 3^gamma: 7.1e-14 at gamma 1.5, 1.1e-12 at 4.
+    Cost per block: n times its far values plus its lambdas times its near
+    values, where the plain direct sum pays its lambdas times all values
+    below them.
+    """
     order = np.argsort(lams, kind="stable")
+    sorted_lams = lams[order]
     tops = idx[order]
+    starts = np.arange(0, lams.size, _BLOCK)
+    stops = np.minimum(starts + _BLOCK, lams.size)
+    lo, hi = sorted_lams[starts], sorted_lams[stops - 1]
+    width = hi - lo
+    far = np.searchsorted(s.values, lo - width, side="left")
+    far[(width <= 0) | (stops - starts <= _NODES)] = 0
     mults = s.multiplicities.astype(float)
-    buf = np.empty(min(_CHUNK, lams.size) * (int(tops[-1]) if tops.size else 0))
-    out = np.empty(lams.size)
-    for start in range(0, lams.size, _CHUNK):
-        rows = order[start:start + _CHUNK]
-        k = int(tops[start + rows.size - 1])
-        gaps = buf[:rows.size * k].reshape(rows.size, k)
-        np.subtract(lams[rows, None], s.values[None, :k], out=gaps)
-        # only columns past the block's lowest lambda can hold negative gaps
-        tail = gaps[:, int(tops[start]):]
+    buf = np.empty(max(((stops - starts) * (tops[stops - 1] - far)).max(initial=0),
+                       _NODES * far.max(initial=0)))
+
+    def gap_sums(points, first, stop, clip_from):
+        """sum m max(point - v, 0)^gamma over values[first:stop]; only the
+        columns from ``clip_from`` on can hold negative gaps."""
+        gaps = buf[:points.size * (stop - first)].reshape(points.size, stop - first)
+        np.subtract(points[:, None], s.values[None, first:stop], out=gaps)
+        tail = gaps[:, clip_from - first:]
         np.maximum(tail, 0.0, out=tail)
+        # the window scans' half-integer gammas: sqrt is several times cheaper than power
         if gamma == 0.5:
             np.sqrt(gaps, out=gaps)
         elif gamma == 1.5:
             np.multiply(gaps, np.sqrt(gaps), out=gaps)
         else:
             np.power(gaps, gamma, out=gaps)
-        out[rows] = gaps @ mults[:k]
+        return gaps @ mults[first:stop]
+
+    # near fields block by block; far fields summed at each block's nodes
+    near = np.empty(lams.size)
+    mid, half = lo + 0.5 * width, 0.5 * width
+    at_nodes = np.zeros((starts.size, _NODES))
+    for b, (start, stop) in enumerate(zip(starts.tolist(), stops.tolist())):
+        k = int(far[b])
+        near[start:stop] = gap_sums(sorted_lams[start:stop], k, int(tops[stop - 1]),
+                                    int(tops[start]))
+        if k:
+            at_nodes[b] = gap_sums(mid[b] + half[b] * _NODES_UNIT, 0, k, k)
+    # every lambda reads its block's interpolant (zero without a far field)
+    # by Clenshaw's recurrence in u = (lambda - mid) / half
+    block = np.repeat(np.arange(starts.size), stops - starts)
+    u = np.divide(sorted_lams - mid[block], half[block], out=np.zeros(lams.size),
+                  where=far[block] > 0)
+    coef = at_nodes @ _NODES_DCT.T
+    b1 = b2 = np.zeros(lams.size)
+    for p in range(_NODES - 1, 0, -1):
+        b1, b2 = coef[block, p] + 2.0 * u * b1 - b2, b1
+    out = np.empty(lams.size)
+    out[order] = near + (coef[block, 0] + u * b1 - b2)
     return out
 
 

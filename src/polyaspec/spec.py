@@ -116,6 +116,8 @@ def build_spec(node) -> SpectrumSpec:
     for key in _KINDS[kind].needs:
         if key not in params or (key == "sides" and not params[key]):
             raise ConfigError(f"{kind!r} needs {_NEEDS[key]}")
+    if kind == "triangle" and params.get("bc", "neumann") != "neumann":
+        raise ConfigError(f"the 'triangle' spectrum is Neumann only, got bc {params['bc']!r}")
     return SpectrumSpec(kind, params)
 
 

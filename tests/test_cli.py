@@ -1,11 +1,15 @@
+import argparse
+import csv
+import io
 import json
 import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from polyaspec import stream_from_csv
+from polyaspec import cli, stream_from_csv
 from polyaspec.cli import build_spec, main, stream_covering_k
 
 THIN_SPHERE_SPEC = '{"product":[{"interval":{"a":"pi/24","bc":"dirichlet"}},{"sphere2":{}}]}'
@@ -106,6 +110,51 @@ def test_count_triangle_closed_form(capsys):
                            "--lambda", "1", "--no-timestamp")
     assert code == 0
     assert json.loads(out)["results"][0]["count"] == 1
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "closed", "Neumann", None, 1])
+def test_triangle_is_neumann_only(capsys, bc):
+    # a Dirichlet request used to run the Neumann sweep and exit 0
+    spec = json.dumps({"triangle": {"bc": bc}})
+    for argv in (["verify", "--spec", spec, "--k-max", "100"],
+                 ["count", "--spec", spec, "--lambda", "50"]):
+        code, out, err = run_cli(capsys, *argv, "--no-timestamp")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "ConfigError"
+
+
+def test_triangle_bc_neumann_is_the_default(capsys):
+    outs = set()
+    for spec in ('{"triangle":{}}', '{"triangle":{"bc":"neumann"}}', '{"triangle":null}'):
+        code, out, _ = run_cli(capsys, "verify", "--spec", spec, "--k-max", "500",
+                               "--no-timestamp")
+        assert code == 0 and json.loads(out)["bc"] == "neumann"
+        outs.add(out)
+    assert len(outs) == 1
+
+
+def _csv_writer_text(header, rows) -> str:
+    """The table as csv.writer writes it, floats by repr."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([repr(x) if isinstance(x, float) else x for x in row])
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("rows", [
+    [[0.0, 3, -1.5, 1e300], [5e-324, -0, math.inf, math.nan], [2 ** 70, 0.1, 1 / 3, -7]],
+    [],
+    [[1.0, "a,b"], [2.0, 'say "x"']],      # strings take csv.writer and its quoting
+    [[1.0, True], [np.float64(0.5), np.int64(3)], [None, 1.0]],
+    [[1.0, 2.0, 3.0], [1.0], []],           # rows of another length than the header
+])
+def test_csv_rows_match_csv_writer(capsys, rows):
+    header = ["a", "b"]
+    args = argparse.Namespace(out=None)
+    cli._emit_csv(header, iter(rows), args)
+    assert capsys.readouterr().out == _csv_writer_text(header, rows)
 
 
 def test_riesz_values_and_two_term(capsys):

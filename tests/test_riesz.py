@@ -32,7 +32,8 @@ from polyaspec import (
     window_infimum_neumann,
     window_supremum_neumann,
 )
-from polyaspec.riesz import _CHUNK
+from polyaspec import riesz as riesz_module
+from polyaspec.riesz import _BLOCK
 from polyaspec.spectra import EigenvalueStream
 
 PI = math.pi
@@ -130,11 +131,11 @@ def _streams(draw):
 
 @st.composite
 def _lambdas(draw, s):
-    """Unsorted lambdas with repeats, more than a dense block's worth: jumps, 0,
-    the cutoff and points in between."""
+    """Unsorted lambdas with repeats, fewer than a block of ``_BLOCK``: jumps,
+    0, the cutoff and points in between."""
     special = [0.0, s.cutoff, *s.values.tolist()]
     pool = st.one_of(st.sampled_from(special), st.floats(0.0, s.cutoff))
-    lams = draw(st.lists(pool, min_size=_CHUNK + 1, max_size=3 * _CHUNK))
+    lams = draw(st.lists(pool, min_size=_BLOCK // 8 + 1, max_size=3 * _BLOCK // 8))
     return lams + draw(st.lists(st.sampled_from(lams), max_size=10))
 
 
@@ -160,6 +161,63 @@ def test_riesz_mean_many_matches_direct_sum(case):
     expected = [_riesz_oracle(s, gamma, lam) for lam in lams]
     assert got.shape == (len(lams),)
     assert got.tolist() == pytest.approx(expected, rel=1e-11, abs=sys.float_info.min)
+
+
+def _riesz_oracle_many(s, gamma: float, lams) -> list[float]:
+    """``_riesz_oracle`` at each lambda, each term rounded once by numpy."""
+    memo = {}
+    for lam in set(lams):
+        below = s.values < lam
+        memo[lam] = math.fsum((s.multiplicities[below] * (lam - s.values[below]) ** gamma).tolist())
+    return [memo[lam] for lam in lams]
+
+
+@st.composite
+def _far_field_cases(draw):
+    """Streams of 1000-4000 values (float, clustered or exact) and more than
+    two blocks of lambdas, so that blocks have a far field; some draws hold
+    a block of one repeated lambda, and the lowest block straddles the
+    first value."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["float", "cluster", "exact"]))
+    n = draw(st.integers(1000, 4000))
+    first = draw(st.floats(0.0, 50.0))
+    if kind == "float":
+        values = np.unique(rng.uniform(first, first + draw(st.floats(10.0, 1e4)), n))
+    elif kind == "cluster":
+        # clusters of values a relative 1e-12 .. 1e-3 apart
+        centers = rng.uniform(first + 1.0, first + 1e3, n // 10)
+        step = 10.0 ** -draw(st.integers(3, 12))
+        values = np.unique(centers[:, None] * (1.0 + step * rng.integers(0, 50, (centers.size, 10))))
+    else:
+        den = draw(st.integers(1, 40))
+        values = [Fraction(int(k), den) for k in np.unique(rng.integers(0, 40 * n, n))]
+    entries = list(zip(np.asarray(values).tolist(), rng.integers(1, 6, len(values)).tolist()))
+    s = tabulated_spectrum(entries, float(entries[-1][0]) + draw(st.floats(1e-6, 50.0)))
+    gamma = draw(st.one_of(st.sampled_from([0.5, 1.5, 2.5]),
+                           st.floats(0.0, 4.0, exclude_min=True, exclude_max=True)))
+    top, v0 = s.cutoff, float(s.values[0])
+    lams = np.concatenate([
+        rng.uniform(0.0, top, draw(st.integers(2 * _BLOCK + 1, 3 * _BLOCK))),
+        rng.choice(s.values, draw(st.integers(0, _BLOCK))),
+        rng.uniform(0.0, min(2.0 * v0 + 1e-9, top), draw(st.integers(0, _BLOCK))),  # about v0
+        [0.0, v0, top],
+    ])
+    if draw(st.booleans()):  # a whole block of one lambda
+        lams = np.concatenate([lams, np.full(2 * _BLOCK, draw(st.sampled_from(lams.tolist())))])
+    rng.shuffle(lams)
+    return s, gamma, lams.tolist()
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_far_field_cases())
+def test_riesz_mean_many_far_field_matches_direct_sum(case):
+    s, gamma, lams = case
+    got = riesz_mean_many(s, gamma, lams)
+    expected = _riesz_oracle_many(s, gamma, lams)
+    assert got.tolist() == pytest.approx(expected, rel=1e-11, abs=sys.float_info.min)
+    # exact zeros at and below the first value
+    assert not got[np.asarray(lams) <= s.values[0]].any()
 
 
 @pytest.mark.parametrize("gamma", [1.0, 2.0])
@@ -370,6 +428,60 @@ def test_two_term_scan_small_lambda_reported_not_asserted():
     scan = two_term_riesz_scan(s, meta, 1.0, 50.0, "neumann")
     # margins near zero exist (the zero mode region); they are data, not failures
     assert isinstance(scan.worst_margin, float)
+
+
+def _dense_reference(s, gamma, lams, idx):
+    """The plain direct sum that ``riesz._riesz_blocked`` replaced: blocks of
+    32 sorted lambdas, each summing the gaps to every value below its top
+    lambda."""
+    order = np.argsort(lams, kind="stable")
+    tops = idx[order]
+    mults = s.multiplicities.astype(float)
+    out = np.empty(lams.size)
+    for start in range(0, lams.size, 32):
+        rows = order[start:start + 32]
+        k = int(tops[start + rows.size - 1])
+        gaps = np.maximum(lams[rows, None] - s.values[None, :k], 0.0)
+        out[rows] = gaps ** gamma @ mults[:k]
+    return out
+
+
+#: float shapes of the Riesz benchmark: sides, bc, cutoff (5-8k values)
+SCAN_SHAPES = {
+    "rect-d": ((7.3, 5.1), "dirichlet", 2400.0),
+    "rect-n": ((6.1, 8.7), "neumann", 1700.0),
+    "box-d": ((3.7, 2.9, 2.3), "dirichlet", 560.0),
+    "box-n": ((4.1, 3.3, 2.6), "neumann", 420.0),
+}
+
+
+@pytest.mark.parametrize("shape", SCAN_SHAPES)
+def test_scans_match_the_dense_reference(shape, monkeypatch):
+    sides, bc, cutoff = SCAN_SHAPES[shape]
+    s = box_spectrum(list(sides), bc, cutoff * 1.0001)
+    meta = box_meta(list(sides), bc)
+
+    def fast_and_dense(scan):
+        fast = scan()
+        with monkeypatch.context() as m:
+            m.setattr(riesz_module, "_riesz_blocked", _dense_reference)
+            return fast, scan()
+
+    # two-term scans need gamma >= 1
+    for gamma in (1.5, 2.5):
+        fast, dense = fast_and_dense(lambda: two_term_riesz_scan(s, meta, gamma, cutoff, bc))
+        assert (fast.lambda_star, fast.worst_lambda, len(fast.points)) == (
+            dense.lambda_star, dense.worst_lambda, len(dense.points))
+        assert fast.worst_margin == pytest.approx(dense.worst_margin, rel=1e-12, abs=0.0)
+    # R_{d2/2} in the infima, R_{(d2-1)/2} in the supremum
+    scans = ([(window_infimum_dirichlet, 0)] if bc == "dirichlet"
+             else [(window_infimum_neumann, 0), (window_supremum_neumann, 1)])
+    for gamma in (0.5, 1.5, 2.5):
+        for fn, shift in scans:
+            d2 = int(2 * gamma) + shift
+            fast, dense = fast_and_dense(lambda: fn(s, meta, d2, (0.3 * cutoff, 0.9 * cutoff)))
+            assert fast.mu == dense.mu
+            assert fast.value == pytest.approx(dense.value, rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
