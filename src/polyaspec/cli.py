@@ -19,9 +19,7 @@ requested verifications hold, 1 on a failed verification, 2 on bad input.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import itertools
 import json
 import sys
 from datetime import datetime, timezone
@@ -69,20 +67,10 @@ def _emit_text(write: Callable, args) -> None:
 
 
 def _emit_csv(header: list[str], rows, args) -> None:
-    """A table of Python ints and floats is written as one join of reprs
-    per row; any other table goes through ``csv.writer``, which quotes
-    strings.  Both give the same text for numbers."""
-    rows = list(rows)
-    numbers = {int, float}.issuperset(map(type, itertools.chain.from_iterable(rows)))
-
+    """Rows of Python ints and floats, each number written by ``repr``."""
     def write(fp):
-        writer = csv.writer(fp, lineterminator="\n")
-        writer.writerow(header)
-        if numbers:
-            fp.writelines(",".join(map(repr, row)) + "\n" for row in rows)
-            return
-        for row in rows:
-            writer.writerow([repr(x) if isinstance(x, float) else x for x in row])
+        fp.write(",".join(header) + "\n")
+        fp.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
     _emit_text(write, args)
 

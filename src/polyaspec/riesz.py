@@ -14,6 +14,7 @@ cuts the sorted lambdas into blocks of B: the values within a block's
 width below it are summed directly, the ones further down at n Chebyshev
 points of the block and interpolated.  With lambdas at the values
 themselves that is about n V L / B + 2 B L terms in place of L V / 2.
+Gammas above 4 take the direct sum, O(L V).
 """
 
 from __future__ import annotations
@@ -47,6 +48,10 @@ __all__ = [
 _BLOCK = 256
 #: Chebyshev points per block at which its far field is summed
 _NODES = 19
+#: largest gamma whose far fields are interpolated (see ``_riesz_blocked``)
+_FAR_GAMMA = 4
+#: lambdas per slice of a direct sum over all values below them; sizes the gap buffer
+_CHUNK = 32
 
 
 def riesz_mean(s: EigenvalueStream, gamma: float, lam: float) -> float:
@@ -65,7 +70,8 @@ def riesz_mean_many(s: EigenvalueStream, gamma: float, lams: Sequence[float]) ->
     values and L lambdas.  Any other gamma takes ``_BLOCK`` sorted lambdas
     at a time: the values near a block are summed directly, the ones below
     are summed at ``_NODES`` Chebyshev points and interpolated, with a
-    relative error below 1e-12 for gamma <= 4 (see ``_riesz_blocked``).
+    relative error of at most 1.2e-12 (see ``_riesz_blocked``); above
+    gamma ``_FAR_GAMMA`` = 4 every value is summed directly, O(L V).
     """
     if gamma < 0:
         raise DomainError(f"gamma must be >= 0, got {gamma}")
@@ -126,8 +132,11 @@ def _riesz_blocked(s: EigenvalueStream, gamma: float, lams: np.ndarray,
     far field: f(lambda) = sum m (lambda - v)^gamma over them is summed
     directly at ``_NODES`` Chebyshev points of [lo, hi] and read off its
     interpolant at the block's lambdas.  The values in [lo - w, hi) are the
-    near field, summed directly.  A block of at most ``_NODES`` lambdas, of
-    width 0, or with no value below lo - w is all near field.
+    near field, summed directly in slices whose gaps fit the buffer of
+    ``_CHUNK`` lambdas against all values below them.  A block
+    of at most ``_NODES`` lambdas, of width 0, or with no value below
+    lo - w is all near field, and so is every block when gamma exceeds
+    ``_FAR_GAMMA``.
 
     Error: mapped to [-1, 1], the block sees each far value as a branch
     point x_s <= -3, so each term is analytic inside the Bernstein ellipse
@@ -136,7 +145,9 @@ def _riesz_blocked(s: EigenvalueStream, gamma: float, lams: np.ndarray,
     4 3^gamma rho^(1-n) / (rho - 1) relative (Trefethen, Approximation
     Theory and Approximation Practice, Thm 8.2); every term is
     nonnegative, so the bound holds relative to the whole sum.  ``_NODES``
-    = 19 makes it 1.4e-14 3^gamma: 7.1e-14 at gamma 1.5, 1.1e-12 at 4.
+    = 19 makes it 1.4e-14 3^gamma: 7.1e-14 at gamma 1.5, 1.2e-12 at
+    ``_FAR_GAMMA`` = 4.  Above that the bound grows by 3 per unit of
+    gamma, so larger gammas take the direct sum.
     Cost per block: n times its far values plus its lambdas times its near
     values, where the plain direct sum pays its lambdas times all values
     below them.
@@ -149,10 +160,9 @@ def _riesz_blocked(s: EigenvalueStream, gamma: float, lams: np.ndarray,
     lo, hi = sorted_lams[starts], sorted_lams[stops - 1]
     width = hi - lo
     far = np.searchsorted(s.values, lo - width, side="left")
-    far[(width <= 0) | (stops - starts <= _NODES)] = 0
+    far[(width <= 0) | (stops - starts <= _NODES) | (gamma > _FAR_GAMMA)] = 0
     mults = s.multiplicities.astype(float)
-    buf = np.empty(max(((stops - starts) * (tops[stops - 1] - far)).max(initial=0),
-                       _NODES * far.max(initial=0)))
+    buf = np.empty(min(_CHUNK, lams.size) * int(tops.max(initial=0)))
 
     def gap_sums(points, first, stop, clip_from):
         """sum m max(point - v, 0)^gamma over values[first:stop]; only the
@@ -175,9 +185,13 @@ def _riesz_blocked(s: EigenvalueStream, gamma: float, lams: np.ndarray,
     mid, half = lo + 0.5 * width, 0.5 * width
     at_nodes = np.zeros((starts.size, _NODES))
     for b, (start, stop) in enumerate(zip(starts.tolist(), stops.tolist())):
-        k = int(far[b])
-        near[start:stop] = gap_sums(sorted_lams[start:stop], k, int(tops[stop - 1]),
-                                    int(tops[start]))
+        k, top = int(far[b]), int(tops[stop - 1])
+        # slices no larger than _CHUNK lambdas against every value below them
+        step = max(_CHUNK, _CHUNK * top // max(top - k, 1))
+        for row in range(start, stop, step):
+            end = min(row + step, stop)
+            near[row:end] = gap_sums(sorted_lams[row:end], k, int(tops[end - 1]),
+                                     int(tops[row]))
         if k:
             at_nodes[b] = gap_sums(mid[b] + half[b] * _NODES_UNIT, 0, k, k)
     # every lambda reads its block's interpolant (zero without a far field)

@@ -194,8 +194,9 @@ def _far_field_cases(draw):
         values = [Fraction(int(k), den) for k in np.unique(rng.integers(0, 40 * n, n))]
     entries = list(zip(np.asarray(values).tolist(), rng.integers(1, 6, len(values)).tolist()))
     s = tabulated_spectrum(entries, float(entries[-1][0]) + draw(st.floats(1e-6, 50.0)))
-    gamma = draw(st.one_of(st.sampled_from([0.5, 1.5, 2.5]),
-                           st.floats(0.0, 4.0, exclude_min=True, exclude_max=True)))
+    # gammas above _FAR_GAMMA = 4 take the direct sum
+    gamma = draw(st.one_of(st.sampled_from([0.5, 1.5, 2.5, 6.5]),
+                           st.floats(0.0, 8.0, exclude_min=True, exclude_max=True)))
     top, v0 = s.cutoff, float(s.values[0])
     lams = np.concatenate([
         rng.uniform(0.0, top, draw(st.integers(2 * _BLOCK + 1, 3 * _BLOCK))),
