@@ -29,8 +29,13 @@ O(k_max).
 
 ``verify_exact_power`` decides every k of an exact stream with an exact
 volume exactly, one comparison per run: the run's end point settles it and
-a bisection finds a failed run's failing k.  Its cost is O(V), plus one
-entry per failure, independent of k_max.
+a bisection finds a failed run's failing k.  ``_exact_signs`` makes those
+comparisons, and the per-k rule's, on arrays: in int64 when the pi powers
+cancel and every product fits under ``_INT64_GUARD``, else by a float ratio
+whose a-priori relative error, (d + |shift| + 6) 2^-52, is far below
+``GUARD_BAND``, so that a ratio more than ``GUARD_BAND`` from 1 has the
+sign of the exact one.  The cost is array operations per run; Python only
+for in-band runs, guard fallbacks and failed runs, independent of k_max.
 """
 
 from __future__ import annotations
@@ -41,13 +46,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from mpmath.libmp import mpf_pi, round_ceiling, round_floor
 
 from .constants import omega_d, omega_d_exact
 from .counting import CountingFunction
 from .errors import CoverageError, DomainError, ModeError
 from .pivals import PiRational
-from .spectra import DomainMeta, EigenvalueStream
+from .spectra import _INT64_GUARD, DomainMeta, EigenvalueStream
 
 __all__ = [
     "VerificationReport",
@@ -133,6 +137,8 @@ def _exact_sign(lhs: int, rhs: int, shift: int) -> int:
     if shift < 0:
         # lhs pi^-t - rhs has the sign of lhs - rhs pi^t
         return -_exact_sign(rhs, lhs, -shift)
+    from mpmath.libmp import mpf_pi, round_ceiling, round_floor
+
     prec = 64
     while True:
         signs = set()
@@ -144,6 +150,56 @@ def _exact_sign(lhs: int, rhs: int, shift: int) -> int:
         if len(signs) == 1:
             return signs.pop()
         prec *= 2
+
+
+def _exact_signs(nums: np.ndarray, ks: np.ndarray, d: int, c_den: int, rhs_unit: int,
+                 shift: int) -> tuple[np.ndarray, np.ndarray, bool]:
+    """``(signs, excess, rounded)`` at each numerator n of ``nums`` and k of
+    ``ks``: the exact sign of lhs pi^shift - rhs, with lhs = n^d c_den and
+    rhs = rhs_unit k^2, and a float estimate of lhs pi^shift / rhs - 1.
+
+    When the pi powers cancel and every lhs and rhs fits under
+    ``_INT64_GUARD``, the signs come from int64 arithmetic and the estimate
+    is (lhs - rhs) / rhs.  Otherwise the float ratio lhs / rhs * pi^shift,
+    from int-to-float conversions, powers by repeated multiplication and
+    ``math.pi ** shift``, is within (d + |shift| + 6) 2^-52 relative of the
+    true one: far below ``GUARD_BAND``, and below 1e-13 while
+    d + |shift| < 400.  It decides the sign where it is finite and more
+    than ``GUARD_BAND`` from 1; ``_exact_sign`` on Python ints decides the
+    rest.  ``rounded`` is set only when every lhs and rhs is below 2^53: the
+    estimate is then the correctly rounded (lhs - rhs) / rhs when the pi
+    powers cancel, and the float lhs / rhs * pi^shift - 1 otherwise.
+    """
+    lhs_top, rhs_top = int(nums.max()) ** d * c_den, rhs_unit * int(ks.max()) ** 2
+    rounded = max(lhs_top, rhs_top) < 2 ** 53
+    if shift == 0 and nums.dtype != object and max(lhs_top, rhs_top, c_den) < _INT64_GUARD:
+        rhs = rhs_unit * ks * ks
+        diff = nums ** d * c_den - rhs
+        return np.sign(diff), diff / rhs, rounded
+    # a product past float range is inf and its ratio inf or nan: undecided
+    with np.errstate(over="ignore", invalid="ignore"):
+        n_float, k_float = _to_float(nums), ks.astype(float)
+        lhs = n_float.copy()
+        for _ in range(d - 1):
+            lhs *= n_float
+        rhs = k_float * k_float * _to_float(rhs_unit)
+        ratio = lhs * _to_float(c_den) / rhs * math.pi ** shift
+        excess = ratio - 1.0
+    decided = np.isfinite(ratio) & np.isfinite(rhs) & (np.abs(excess) > GUARD_BAND)
+    signs = np.where(decided, np.sign(excess), 0.0).astype(np.int64)
+    undecided = np.nonzero(~decided)[0]
+    signs[undecided] = [_exact_sign(n ** d * c_den, rhs_unit * k * k, shift)
+                        for n, k in zip(nums[undecided].tolist(), ks[undecided].tolist())]
+    return signs, excess, rounded and shift != 0
+
+
+def _to_float(ints) -> np.ndarray:
+    """An int or an array of ints as float64; all inf when one of them is
+    past float range."""
+    try:
+        return np.asarray(ints).astype(float)
+    except OverflowError:
+        return np.full(np.shape(ints), math.inf)
 
 
 def _sweep_range(s: EigenvalueStream, k_max: int, side: str) -> tuple[int, int]:
@@ -202,12 +258,8 @@ def _per_k(s: EigenvalueStream, meta: DomainMeta, ks: np.ndarray, runs: np.ndarr
     near = np.nonzero(np.abs(margins) <= (GUARD_BAND if exact else EQUALITY_BAND_FLOAT))[0]
     held, broken, tie_breaks = near, near[:0], near.size
     if exact and near.size:
-        d = meta.dimension
-        c_den, rhs_unit, shift = _exact_terms(s, meta)
-        signs = np.array([
-            _exact_sign(n ** d * c_den, rhs_unit * k * k, shift)
-            for n, k in zip(s.exact_nums[runs[near]].tolist(), ks[near].tolist())
-        ])
+        signs = _exact_signs(s.exact_nums[runs[near]], ks[near], meta.dimension,
+                             *_exact_terms(s, meta))[0]
         ok = signs >= 0 if side == "dirichlet" else signs <= 0
         held, broken, tie_breaks = near[ok], near[~ok], int(np.count_nonzero(signs == 0))
     adjusted[held[adjusted[held] < 0]] = 0.0
@@ -304,9 +356,8 @@ def verify_exact_power(s: EigenvalueStream, meta: DomainMeta, k_max: int,
     """Exact Polya check of lambda_k^d against w_k^d = c k^2, k = 1..k_max.
 
     Needs exact values and an exact volume (``ModeError`` otherwise).  With
-    lambda_k = n / den * pi^p, each comparison is ``_exact_sign`` of
-    n^d c_den pi^shift against c_num den^d k^2: Python ints when the pi
-    powers cancel, dyadic bounds on pi otherwise.
+    lambda_k = n / den * pi^p, each comparison is the sign of
+    n^d c_den pi^shift - c_num den^d k^2, decided by ``_exact_signs``.
 
     The sweep runs over distinct values, not over k.  Within a run of equal
     values w_k rises with k, so one comparison at the run's last k
@@ -316,8 +367,8 @@ def verify_exact_power(s: EigenvalueStream, meta: DomainMeta, k_max: int,
     Exact equalities hold and count in ``tie_breaks``.  Margins are relative
     in the d-th power: the correctly rounded (lhs - rhs) / rhs when the pi
     powers cancel, else the float lhs / rhs * pi^shift - 1 with the exact
-    sign.  The cost is O(V) for V distinct values plus a bisection per
-    failed run, whatever ``k_max``.
+    sign.  The cost is array operations per run; Python only for in-band
+    runs, guard fallbacks and failed runs, whatever ``k_max``.
     """
     origin, checked = _sweep_range(s, k_max, side)
     if not s.exact or meta.exact_volume is None:
@@ -327,47 +378,57 @@ def verify_exact_power(s: EigenvalueStream, meta: DomainMeta, k_max: int,
     dirichlet = side == "dirichlet"
     # the sign of lambda_k^d - w_k^d that breaks the inequality
     bad = -1 if dirichlet else 1
-    failures = []
-    worst_margin = math.inf
-    worst_k = 1
-    tie_breaks = 0
-    mults = s.multiplicities.tolist()
-    mults[0] -= origin
-    k = 0
-    for i, (n, m) in enumerate(zip(s.exact_nums.tolist(), mults)):
-        first, k = k + 1, min(k + m, checked)
-        if k < first:
-            continue  # the Neumann zero mode, skipped above
-        lhs = n ** d * c_den
-        # w_k rises with k, so the run's smallest margin sits at its last k
-        # (Dirichlet) or its first k (Neumann); if that k holds, all do
-        at = k if dirichlet else first
-        rhs = rhs_unit * at * at
-        sign = _exact_sign(lhs, rhs, shift)
+    first, last, index = _runs(s, origin, checked)
+    # w_k rises with k, so a run's smallest margin sits at its last k
+    # (Dirichlet) or its first k (Neumann); if that k holds, all do
+    at = last if dirichlet else first
+    nums = s.exact_nums[index]
+    signs, excess, rounded = _exact_signs(nums, at, d, c_den, rhs_unit, shift)
+    if shift == 0:
+        rel = excess if dirichlet else 0.0 - excess
+    else:
+        # the float may round across 0; the exact sign decides
+        rel = np.copysign(excess, -bad * signs)
+
+    def exact_rel(i: int) -> float:
+        lhs, rhs = int(nums[i]) ** d * c_den, rhs_unit * int(at[i]) ** 2
         if shift == 0:
-            rel = (lhs - rhs) / rhs if dirichlet else (rhs - lhs) / rhs
-        else:
-            # the float may round across 0; the exact sign decides
-            rel = math.copysign(lhs / rhs * math.pi ** shift - 1.0, -sign * bad)
-        if rel < worst_margin:
-            worst_margin = rel
-            worst_k = at
-        if sign != bad:
-            tie_breaks += sign == 0
-        else:
-            # the sign falls along the run: positive before index ``zero``,
-            # negative from index ``below``, 0 in between
-            run = range(first, k + 1)
-            key = lambda j: -_exact_sign(lhs, rhs_unit * j * j, shift)
-            zero = bisect.bisect_left(run, 0, key=key)
-            below = bisect.bisect_left(run, 1, lo=zero, key=key)
-            tie_breaks += below - zero
-            lo, hi = (first + below, k + 1) if dirichlet else (first, first + zero)
-            ks = np.arange(lo, hi, dtype=float)
-            failures.extend(zip(ks.tolist(), [float(s.values[i])] * ks.size,
-                                polya_weyl_term(meta, ks).tolist()))
-        if k == checked:
-            break
+            return (lhs - rhs) / rhs if dirichlet else (rhs - lhs) / rhs
+        return math.copysign(lhs / rhs * math.pi ** shift - 1.0, -int(signs[i]) * bad)
+
+    # the worst margin sits at the first run whose margin is the smallest
+    if rounded:
+        # every lhs and rhs is below 2^53, so ``rel`` is ``exact_rel``
+        i = int(np.argmin(rel))
+        worst_margin, worst_k = float(rel[i]), int(at[i])
+    else:
+        # ``rel`` is off ``exact_rel`` by far less than 1e-12 max(1, |rel|),
+        # so the first smallest margin sits among the runs that close to
+        # the smallest ``rel``
+        finite = np.isfinite(rel)
+        low = float(rel[finite].min()) if finite.any() else 0.0
+        near = ~finite | (rel <= low + 1e-12 * max(1.0, abs(low)))
+        worst_margin, worst_k = math.inf, 1
+        for i in np.nonzero(near)[0].tolist():
+            margin = exact_rel(i)
+            if margin < worst_margin:
+                worst_margin, worst_k = margin, int(at[i])
+
+    failures = []
+    tie_breaks = int(np.count_nonzero(signs == 0))
+    for i in np.nonzero(signs == bad)[0].tolist():
+        # the sign falls along the run: positive before index ``zero``,
+        # negative from index ``below``, 0 in between
+        lhs, lo, hi = int(nums[i]) ** d * c_den, int(first[i]), int(last[i])
+        run = range(lo, hi + 1)
+        key = lambda j: -_exact_sign(lhs, rhs_unit * j * j, shift)
+        zero = bisect.bisect_left(run, 0, key=key)
+        below = bisect.bisect_left(run, 1, lo=zero, key=key)
+        tie_breaks += below - zero
+        lo, hi = (lo + below, hi + 1) if dirichlet else (lo, lo + zero)
+        ks = np.arange(lo, hi, dtype=float)
+        failures.extend(zip(ks.tolist(), [float(s.values[index[i]])] * ks.size,
+                            polya_weyl_term(meta, ks).tolist()))
     return VerificationReport(
         mode="per_eigenvalue_exact",
         checked=checked,

@@ -421,3 +421,13 @@ def test_console_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["c_d"] == pytest.approx(1 / (4 * math.pi))
+
+
+def test_cli_import_leaves_mpmath_unloaded():
+    # mpmath is loaded only when an exact sign needs bounds on pi
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, polyaspec.cli; assert 'mpmath' not in sys.modules, 'mpmath loaded'"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

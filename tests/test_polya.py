@@ -430,6 +430,55 @@ def test_exact_power_matches_per_k_reference(case):
     assert verify_exact_power(*case).to_dict() == _slow_exact_power(*case).to_dict()
 
 
+#: an interval of length 2: w_k = pi^2 k^2 / 4, so w_k^d = c k^2 with c_den 4, c_num 1
+_LENGTH_2 = PiRational(2, 0)
+
+
+def _near_bound_stream(side, den, nums, mults):
+    """An exact stream n / den * pi^2 on the interval of length 2 (the
+    Neumann zero mode added on that side)."""
+    if side == "neumann":
+        nums, mults = [0] + nums, [1] + mults
+    values = [n / den * PI2 for n in nums]
+    s = EigenvalueStream(values, mults, 2.0 * values[-1] + 1.0, nums, den, 2)
+    assert s.exact_den == den  # lowest terms already
+    return s, DomainMeta(1, 2.0, side, exact_volume=_LENGTH_2)
+
+
+@pytest.mark.parametrize("side", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("top", [_INT64_GUARD // 4 - 1, _INT64_GUARD // 4])
+def test_exact_power_overflow_guard_on_lhs(side, top):
+    # runs of 4 whose value is on w_k, or one step off it, at the run's
+    # second k; the top value puts max(n)^d c_den = 4 top one step below or
+    # at _INT64_GUARD, where the sweep leaves int64 for the float filter
+    nums = [(2 * j + 1) ** 2 + (j + 1) % 3 - 1 for j in range(8)] + [top]
+    s, meta = _near_bound_stream(side, 1, nums, [4] * 8 + [1])
+    c_den, rhs_unit, shift = _exact_terms(s, meta)
+    assert (c_den, rhs_unit, shift) == (4, 1, 0)
+    assert (top * c_den < _INT64_GUARD) == (top % 2 == 1)
+    k_max = s.total_count
+    rep = verify_exact_power(s, meta, k_max, side)
+    assert rep.tie_breaks > 0 and rep.failures
+    assert rep.to_dict() == _slow_exact_power(s, meta, k_max, side).to_dict()
+
+
+@pytest.mark.parametrize("side", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("k_max", [2 ** 10 - 1, 2 ** 10])
+def test_exact_power_overflow_guard_on_rhs(side, k_max):
+    # den = 2^42 makes rhs_unit k^2 = 2^42 k^2 reach _INT64_GUARD at k = 2^10,
+    # so k_max puts rhs_unit checked^2 one step below or at it; every value
+    # sits 1 / den off w_k, inside the guard band
+    den = 2 ** 42
+    nums = [den * k * k // 4 + (-1) ** k for k in range(1, 2 ** 10 + 3)]
+    s, meta = _near_bound_stream(side, den, nums, [1] * len(nums))
+    c_den, rhs_unit, shift = _exact_terms(s, meta)
+    assert (c_den, rhs_unit, shift) == (4, den, 0)
+    assert (rhs_unit * k_max ** 2 < _INT64_GUARD) == (k_max % 2 == 1)
+    rep = verify_exact_power(s, meta, k_max, side)
+    assert rep.failures and rep.checked == k_max
+    assert rep.to_dict() == _slow_exact_power(s, meta, k_max, side).to_dict()
+
+
 _bcs = st.sampled_from(["dirichlet", "neumann"])
 _exact_specs = st.one_of(
     # boxes with rational sides
@@ -576,6 +625,62 @@ def test_holding_float_sweep_costs_distinct_values_not_k_max(monkeypatch, side):
     rep = verify(s, meta, k_max)
     assert rep.holds and rep.checked == k_max
     assert 0 < sum(terms) <= len(s.values) < k_max
+
+
+def _count_exact_signs(monkeypatch):
+    """Record every ``_exact_sign`` call the polya module makes."""
+    calls = []
+    sign = polya._exact_sign
+    monkeypatch.setattr(polya, "_exact_sign", lambda *a: calls.append(a) or sign(*a))
+    return calls
+
+
+@pytest.mark.parametrize("side", ["dirichlet", "neumann"])
+def test_exact_sweep_decides_holding_runs_without_python_signs(monkeypatch, side):
+    k_max = 10 ** 6
+    spec = {"product": [{"interval": {"a": "pi/24", "bc": side}}, {"sphere2": {}}]}
+    s, meta = stream_covering_k(build_spec(spec), k_max)
+    calls = _count_exact_signs(monkeypatch)
+    rep = verify_exact_power(s, meta, k_max, side)
+    assert rep.holds and rep.checked == k_max
+    assert calls == []
+
+
+@pytest.mark.parametrize("side", ["dirichlet", "neumann"])
+def test_exact_sweep_decides_all_ties_without_python_signs(monkeypatch, side):
+    # 1-D Polya is an equality: every k of the unit interval is a tie
+    k_max = 10 ** 5
+    s, meta = stream_covering_k(build_spec({"interval": {"a": 1, "bc": side}}), k_max)
+    calls = _count_exact_signs(monkeypatch)
+    rep = verify_exact_power(s, meta, k_max, side)
+    assert rep.holds and rep.checked == k_max
+    assert rep.tie_breaks == rep.checked and rep.worst_margin == 0.0
+    assert calls == []
+
+
+@pytest.mark.parametrize("side", ["dirichlet", "neumann"])
+def test_exact_sweep_calls_python_only_inside_the_guard_band(monkeypatch, side):
+    # the unit square: w_k = 4 pi k, so lambda = n / den * pi^2 against it
+    # leaves pi^2 (shift 2).  Odd k sit 1e-6 off w_k on the holding side, far
+    # outside GUARD_BAND; even k sit within 1 / den of it, inside.
+    den, up = 10 ** 30, side == "dirichlet"
+    with mpmath.workdps(80):
+        nums = [int(mpmath.floor(4 * k * den / mpmath.pi * (1 + (k % 2) * (1e-6 if up else -1e-6))))
+                + up for k in range(1, 9)]
+    mults = [1] * len(nums)
+    if side == "neumann":
+        nums, mults = [0] + nums, [1] + mults
+    values = [n / den * PI2 for n in nums]
+    s = EigenvalueStream(values, mults, 2.0 * values[-1] + 1.0, nums, den, 2)
+    meta = box_meta([1, 1], side)
+    _, rhs_unit, shift = _exact_terms(s, meta)
+    assert shift == 2
+    calls = _count_exact_signs(monkeypatch)
+    rep = verify_exact_power(s, meta, 8, side)
+    assert rep.holds and rep.tie_breaks == 0
+    # one call per in-band run, at its k
+    assert sorted(math.isqrt(rhs // rhs_unit) for _, rhs, _ in calls) == [2, 4, 6, 8]
+    assert rep.to_dict() == _slow_exact_power(s, meta, 8, side).to_dict()
 
 
 # ---------------------------------------------------------------------------
