@@ -6,7 +6,12 @@ times one row on the ``polyaspec`` found on the path and prints its median,
 quartiles and every sample in ms as JSON.  A row is one spec at one
 ``k_max`` and one sweep: ``exact`` is ``verify_exact_power`` and ``plain``
 is ``verify_dirichlet`` / ``verify_neumann``.  The stream is built and the
-sweep run once before timing, so only the sweep is timed.
+sweep run once before timing, so only the sweep is timed.  Each row also
+records the runs of equal values the sweep checks, the power of pi left in
+the exact comparison (``shift``), and whether every exact comparison fits
+in int64 and below 2^53: the unit interval and (0, pi/24) x S^2 rows are
+int64 rows, the box rows (``shift`` 2) take the float ratio, and the
+three-dimensional box and the 1e7 sphere rows pass 2^53.
 
     python tools/bench_exact_sweep.py --parent OTHER/src > BENCH_exact_sweep.json
 
@@ -36,6 +41,9 @@ _SHAPES = (
     ("sphere-pi24",
      lambda side: {"product": [{"interval": {"a": "pi/24", "bc": side}}, {"sphere2": {}}]},
      ((10 ** 6, "1e6"), (10 ** 7, "1e7"))),
+    ("box-1-1", lambda side: {"box": {"sides": [1, 1], "bc": side}}, ((10 ** 5, "1e5"),)),
+    ("box3d", lambda side: {"box": {"sides": ["3/2", 2, "5/7"], "bc": side}},
+     ((10 ** 5, "1e5"),)),
 )
 
 #: name -> (spec, k_max, side, sweep)
@@ -46,6 +54,23 @@ ROWS = {
     for side in ("dirichlet", "neumann")
     for sweep in ("exact", "plain")
 }
+
+
+def sweep_shape(s, meta, k_max: int, side: str) -> dict:
+    """The runs the sweep checks and the path of their exact comparisons:
+    ``shift``, whether every lhs = n^d c_den and rhs = rhs_unit k^2 is below
+    ``_INT64_GUARD`` with ``shift`` 0 (``int64``), and below 2^53."""
+    from polyaspec.polya import _exact_terms, _runs, _sweep_range
+    from polyaspec.spectra import _INT64_GUARD
+
+    first, last, index = _runs(s, *_sweep_range(s, k_max, side))
+    c_den, rhs_unit, shift = _exact_terms(s, meta)
+    at = last if side == "dirichlet" else first
+    top = max(int(s.exact_nums[index].max()) ** meta.dimension * c_den,
+              rhs_unit * int(at.max()) ** 2)
+    return {"runs": len(first), "shift": shift,
+            "int64": shift == 0 and max(top, c_den) < _INT64_GUARD,
+            "below_2_53": top < 2 ** 53}
 
 
 def time_row(name: str, repeat: int) -> dict:
@@ -68,7 +93,7 @@ def time_row(name: str, repeat: int) -> dict:
         start = time.perf_counter()
         run()
         times.append((time.perf_counter() - start) * 1e3)
-    return {"times_ms": times, "distinct_values": len(s.values)}
+    return {"times_ms": times, **sweep_shape(s, meta, k_max, side)}
 
 
 def summary(times: list[float]) -> dict:
@@ -86,7 +111,7 @@ def compare(parent_src: Path, rounds: int, repeat: int) -> dict:
     rows = []
     for name, (spec, k_max, side, sweep) in ROWS.items():
         times = {"parent": [], "change": []}
-        distinct = None
+        shape = None
         for r in range(rounds):
             for label in (("parent", "change") if r % 2 == 0 else ("change", "parent")):
                 env = {**os.environ, "PYTHONPATH": str(sides[label])}
@@ -94,11 +119,11 @@ def compare(parent_src: Path, rounds: int, repeat: int) -> dict:
                     [sys.executable, __file__, "--row", name, "--repeat", str(repeat)],
                     env=env, capture_output=True, text=True, check=True)
                 out = json.loads(proc.stdout)
-                times[label] += out["times_ms"]
-                distinct = out["distinct_values"]
+                times[label] += out.pop("times_ms")
+                shape = {k: out[k] for k in ("runs", "shift", "int64", "below_2_53")}
         parent, change = summary(times["parent"]), summary(times["change"])
         rows.append({"row": name, "spec": spec, "k_max": k_max, "side": side,
-                     "sweep": sweep, "distinct_values": distinct,
+                     "sweep": sweep, **shape,
                      "command": command(name, repeat),
                      "parent_ms": parent, "change_ms": change,
                      "speedup": round(parent["median"] / change["median"], 2)})
