@@ -258,7 +258,9 @@ def _make_parser() -> argparse.ArgumentParser:
                         "(with --exact they can differ from the report's worst_margin, "
                         "which is relative in lambda^d)")
     p.add_argument("--exact", action="store_true",
-                   help="use exact integer arithmetic where the spectrum allows it")
+                   help="decide every comparison exactly, with margins relative in "
+                        "lambda^d; needs exact values and an exact volume (symbolic or "
+                        "rational lengths), else a ModeError")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("reproduce", parents=[common], help="run a packaged example")

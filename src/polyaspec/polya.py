@@ -6,41 +6,38 @@ inequality says every nonzero eigenvalue sits below it.  Verification is a
 finite sweep: per eigenvalue up to k_max, or at counting-function jumps
 against a monotone bound.
 
-Both per-eigenvalue sweeps run over runs of equal values, not over k.
-Within a run w_k rises with k, so the relative margin falls along a
-Dirichlet run and rises along a Neumann one, and its smallest value sits at
-the run's last or first k.
+Both per-eigenvalue verifiers are one sweep over runs of equal values, not
+over k.  Within a run w_k rises with k, so the comparison can only worsen
+along a Dirichlet run and only improve along a Neumann one: the run's last
+k (Dirichlet) or first k (Neumann), its deciding k, settles it.  A run that
+holds there holds at every k and can tie only there.  Only a failed run is
+decided again at each of its k, which gives its failures (k, lambda_k,
+w_k), its ties and its worst k.  The cost is array operations over the V
+runs up to k_max, plus the k of the failed runs.
 
-``verify_dirichlet`` and ``verify_neumann`` compute that smallest margin in
-floats, one per run.  A run whose smallest margin clears the band holds at
-every k with no tie.  Only the other runs, which hold every near tie and
-every failure, are swept per k, and margins near zero are decided there by
-one of two rules.  With exact values (rational multiples of a power of pi)
-and an exact volume, each margin within ``GUARD_BAND`` is decided exactly,
-lambda_k^d against w_k^d = c k^2 in integers and rational bounds on pi,
-and only an equality is a tie.  Otherwise margins within
-``EQUALITY_BAND_FLOAT`` (float resolution) are ties.  Ties count as
-satisfied, since the inequalities are non-strict, and in ``tie_breaks``.
-When no run reaches the band, ``worst_location`` is the deciding k (last
-or first) of the worst run.  The cost is O(V) for the V distinct values up
-to k_max, plus the k of the runs that reach the band.
-``per_eigenvalue_margins`` gives the same sweep's margin at every k, at
-O(k_max).
-
-``verify_exact_power`` decides every k of an exact stream with an exact
-volume exactly, one comparison per run: the run's end point settles it and
-a bisection finds a failed run's failing k.  ``_exact_signs`` makes those
-comparisons, and the per-k rule's, on arrays: in int64 when the pi powers
-cancel and every product fits under ``_INT64_GUARD``, else by a float ratio
-whose a-priori relative error, (d + |shift| + 6) 2^-52, is far below
+Each arithmetic mode has one rule.  On an exact stream (values rational
+multiples of a power of pi) with an exact volume, lambda_k^d is compared
+with w_k^d = c k^2 exactly by ``_exact_signs``: in int64 when the pi powers
+cancel and every product fits under ``_INT64_GUARD``, else by a float
+ratio whose a-priori relative error, (d + |shift| + 6) 2^-52, is far below
 ``GUARD_BAND``, so that a ratio more than ``GUARD_BAND`` from 1 has the
-sign of the exact one.  The cost is array operations per run; Python only
-for in-band runs, guard fallbacks and failed runs, independent of k_max.
+exact sign, and by Python integers and rational bounds on pi inside that
+band.  Only an equality is a tie.  Otherwise the float margin decides, and
+margins within ``EQUALITY_BAND_FLOAT`` (float resolution) are ties.  Ties
+count as satisfied, since the inequalities are non-strict, and in
+``tie_breaks``.
+
+``verify_dirichlet`` and ``verify_neumann`` report margins relative in
+lambda.  On an exact stream their float margin, off the exact one by far
+less than ``GUARD_BAND``, settles the comparisons outside that band, and
+``_exact_signs`` the rest.  ``verify_exact_power`` needs an exact stream
+and volume, computes no float margin and reports margins relative in
+lambda^d.  ``per_eigenvalue_margins`` applies the float verifiers' rule at
+every k, at O(k_max).
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -233,43 +230,6 @@ def _exact_terms(s: EigenvalueStream, meta: DomainMeta) -> tuple[int, int, int]:
             s.pi_power * d - c.pi_power)
 
 
-def _float_margins(meta: DomainMeta, values, ks: np.ndarray,
-                   dirichlet: bool) -> tuple[np.ndarray, np.ndarray]:
-    """``(w_k, margin)`` at each k of ``ks`` with eigenvalues ``values``:
-    the relative margin (lambda_k - w_k) / w_k (Dirichlet) or
-    (w_k - mu_k) / w_k (Neumann), in floats."""
-    w = polya_weyl_term(meta, ks.astype(float))
-    return w, ((values - w) / w if dirichlet else (w - values) / w)
-
-
-def _per_k(s: EigenvalueStream, meta: DomainMeta, ks: np.ndarray, runs: np.ndarray,
-           side: str) -> tuple[np.ndarray, list, int]:
-    """The per-k rule at each k of ``ks``, whose eigenvalue is
-    ``s.values[runs]``: ``(adjusted margins, failures, tie_breaks)``.
-
-    Margins within the band are decided by the exact rule on exact streams
-    with an exact volume and are ties otherwise.  A held margin is raised
-    to at least 0 and a broken one pushed below 0, so the failures, listed
-    as (k, lambda_k, w_k), are the k with a negative adjusted margin."""
-    values = s.values[runs]
-    w, margins = _float_margins(meta, values, ks, side == "dirichlet")
-    adjusted = margins.copy()
-    exact = s.exact and meta.exact_volume is not None
-    near = np.nonzero(np.abs(margins) <= (GUARD_BAND if exact else EQUALITY_BAND_FLOAT))[0]
-    held, broken, tie_breaks = near, near[:0], near.size
-    if exact and near.size:
-        signs = _exact_signs(s.exact_nums[runs[near]], ks[near], meta.dimension,
-                             *_exact_terms(s, meta))[0]
-        ok = signs >= 0 if side == "dirichlet" else signs <= 0
-        held, broken, tie_breaks = near[ok], near[~ok], int(np.count_nonzero(signs == 0))
-    adjusted[held[adjusted[held] < 0]] = 0.0
-    broken = broken[adjusted[broken] >= 0]
-    adjusted[broken] = -adjusted[broken] - 1e-300
-    failures = [(float(ks[i]), float(values[i]), float(w[i]))
-                for i in np.nonzero(adjusted < 0)[0]]
-    return adjusted, failures, tie_breaks
-
-
 def _runs(s: EigenvalueStream, origin: int, checked: int) -> tuple[np.ndarray, ...]:
     """``(first, last, index)`` of the runs of equal values that meet
     k = 1..checked: run ``index`` covers k in [first, last]."""
@@ -282,13 +242,146 @@ def _runs(s: EigenvalueStream, origin: int, checked: int) -> tuple[np.ndarray, .
     return first, last, np.arange(lo, hi)
 
 
-def _expand(first: np.ndarray, last: np.ndarray,
-            index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every k of the runs ``(first, last, index)``, and the run of each."""
-    lengths = last - first + 1
-    starts = np.cumsum(lengths) - lengths
-    ks = np.arange(int(lengths.sum())) + np.repeat(first - starts, lengths)
-    return ks, np.repeat(index, lengths)
+class _FloatRule:
+    """The rule of ``verify_dirichlet`` / ``verify_neumann``: margins
+    relative in lambda.  The float margin decides; within the band it is
+    decided by ``_exact_signs`` on exact streams with an exact volume and is
+    a tie otherwise."""
+
+    mode = "per_eigenvalue"
+
+    def __init__(self, s: EigenvalueStream, meta: DomainMeta, side: str):
+        self.s, self.meta, self.dirichlet = s, meta, side == "dirichlet"
+        self.exact = s.exact and meta.exact_volume is not None
+        self.band = GUARD_BAND if self.exact else EQUALITY_BAND_FLOAT
+
+    def decide(self, index: np.ndarray, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(signs, margins)`` at each k of ``ks``, whose eigenvalue is
+        ``s.values[index]``: the relative margin (lambda_k - w_k) / w_k
+        (Dirichlet) or (w_k - mu_k) / w_k (Neumann), raised to at least 0
+        where it holds and pushed below 0 where it breaks."""
+        w, values = polya_weyl_term(self.meta, ks.astype(float)), self.s.values[index]
+        margins = (values - w) / w if self.dirichlet else (w - values) / w
+        # outside the band the margin has the comparison's sign
+        signs = (margins > self.band).view(np.int8) - (margins < -self.band).view(np.int8)
+        near = np.nonzero(signs == 0)[0]
+        if near.size:
+            if self.exact:
+                exact = _exact_signs(self.s.exact_nums[index[near]], ks[near],
+                                     self.meta.dimension, *_exact_terms(self.s, self.meta))[0]
+                signs[near] = exact if self.dirichlet else -exact
+            m, broken = margins[near], signs[near] < 0
+            margins[near] = np.where(broken, np.minimum(m, -m - 1e-300), np.maximum(m, 0.0))
+        return signs, margins
+
+    def worst(self, index, at, decided, ks, k_decided) -> tuple[float, int]:
+        # a held run's margins are at least 0 and smallest at its deciding k;
+        # a failed run's reach below 0, where a float margin saturates at -1
+        # once lambda << w_k, so its worst k is the first that attains it
+        margins, where = (decided[1], at) if ks is None else (k_decided[1], ks)
+        i = int(np.argmin(margins))
+        return float(margins[i]), int(where[i])
+
+
+class _ExactRule:
+    """The rule of ``verify_exact_power``: ``_exact_signs`` decides every
+    comparison, and margins are relative in lambda^d."""
+
+    mode = "per_eigenvalue_exact"
+
+    def __init__(self, s: EigenvalueStream, meta: DomainMeta, side: str):
+        if not s.exact or meta.exact_volume is None:
+            raise ModeError("exact verification needs exact values and an exact volume")
+        self.s, self.d, self.dirichlet = s, meta.dimension, side == "dirichlet"
+        self.terms = _exact_terms(s, meta)
+
+    def decide(self, index: np.ndarray, ks: np.ndarray) -> tuple:
+        """``(signs, excess, rounded)`` from ``_exact_signs`` at each k of
+        ``ks``, whose eigenvalue is ``s.values[index]``."""
+        signs, excess, rounded = _exact_signs(self.s.exact_nums[index], ks, self.d, *self.terms)
+        return (signs if self.dirichlet else -signs), excess, rounded
+
+    def worst(self, index, at, decided, ks, k_decided) -> tuple[float, int]:
+        # a run's margin is smallest at its deciding k, and the worst sits
+        # at the first run whose margin is the smallest
+        signs, excess, rounded = decided
+        d, (c_den, rhs_unit, shift) = self.d, self.terms
+        if shift == 0:
+            rel = excess if self.dirichlet else 0.0 - excess
+        else:
+            # the float may round across 0; the exact sign decides
+            rel = np.copysign(excess, signs)
+        if rounded:
+            # every lhs and rhs is below 2^53, so ``rel`` is ``exact_rel``
+            i = int(np.argmin(rel))
+            return float(rel[i]), int(at[i])
+
+        def exact_rel(i: int) -> float:
+            lhs = int(self.s.exact_nums[index[i]]) ** d * c_den
+            rhs = rhs_unit * int(at[i]) ** 2
+            try:
+                if shift == 0:
+                    return (lhs - rhs) / rhs if self.dirichlet else (rhs - lhs) / rhs
+                return math.copysign(lhs / rhs * math.pi ** shift - 1.0, signs[i])
+            except OverflowError:
+                # lhs / rhs past float range
+                return math.copysign(math.inf, signs[i])
+
+        # ``rel`` is off ``exact_rel`` by far less than 1e-12 max(1, |rel|),
+        # so the first smallest margin sits among the runs that close to
+        # the smallest ``rel``
+        finite = np.isfinite(rel)
+        low = float(rel[finite].min()) if finite.any() else 0.0
+        near = ~finite | (rel <= low + 1e-12 * max(1.0, abs(low)))
+        margin, i = min((exact_rel(i), i) for i in np.nonzero(near)[0].tolist())
+        return margin, int(at[i])
+
+
+def _sweep(s: EigenvalueStream, meta: DomainMeta, k_max: int, side: str,
+           rule_type: type) -> VerificationReport:
+    """The per-eigenvalue sweep over runs of equal values, k = 1..checked,
+    with the rule ``rule_type(s, meta, side)`` of one arithmetic mode.
+
+    ``rule.decide(index, ks)`` decides each k of ``ks``, whose eigenvalue
+    is ``s.values[index]``.  Its result starts with the signs: 1 where the
+    inequality holds strictly, 0 at a tie and -1 where it breaks; the rest
+    is the rule's margin data, which ``rule.worst`` reads.
+    w_k rises with k, so the sign falls along a Dirichlet run and rises
+    along a Neumann one: the run's last or first k, its deciding k, decides
+    it, and a run that holds there holds at every k and can tie only there.
+    Only a failed run is decided again at each of its k, which gives its
+    failures, listed as (k, lambda_k, w_k), and its ties.
+    """
+    origin, checked = _sweep_range(s, k_max, side)
+    rule = rule_type(s, meta, side)
+    first, last, index = _runs(s, origin, checked)
+    at = last if side == "dirichlet" else first
+    decided = rule.decide(index, at)
+    failed = decided[0] < 0
+    failures, tie_breaks = (), int(np.count_nonzero(decided[0] == 0))
+    ks = k_decided = None
+    if failed.any():
+        lengths = last[failed] - first[failed] + 1
+        starts = np.cumsum(lengths) - lengths
+        ks = np.arange(int(lengths.sum())) + np.repeat(first[failed] - starts, lengths)
+        runs = np.repeat(index[failed], lengths)
+        k_decided = rule.decide(runs, ks)
+        broken = k_decided[0] < 0
+        broken_ks = ks[broken].astype(float)
+        failures = tuple(zip(broken_ks.tolist(), s.values[runs[broken]].tolist(),
+                             polya_weyl_term(meta, broken_ks).tolist()))
+        tie_breaks += int(np.count_nonzero(k_decided[0] == 0))
+    worst_margin, worst_k = rule.worst(index, at, decided, ks, k_decided)
+    return VerificationReport(
+        mode=rule.mode,
+        checked=checked,
+        requested=k_max,
+        verdict="fails" if failures else "holds",
+        worst_margin=worst_margin,
+        worst_location=float(worst_k),
+        failures=failures,
+        tie_breaks=tie_breaks,
+    )
 
 
 def per_eigenvalue_margins(s: EigenvalueStream, meta: DomainMeta, k_max: int,
@@ -298,57 +391,19 @@ def per_eigenvalue_margins(s: EigenvalueStream, meta: DomainMeta, k_max: int,
     0 when they hold and pushed below 0 when they break.  Entry k - 1
     belongs to k.  Cost and size are O(checked)."""
     origin, checked = _sweep_range(s, k_max, side)
-    return _per_k(s, meta, *_expand(*_runs(s, origin, checked)), side)[0]
-
-
-def _per_eigenvalue(s: EigenvalueStream, meta: DomainMeta, k_max: int,
-                    side: str) -> VerificationReport:
-    origin, checked = _sweep_range(s, k_max, side)
-    dirichlet = side == "dirichlet"
     first, last, index = _runs(s, origin, checked)
-    # w_k rises with k, so the margin falls along a Dirichlet run and rises
-    # along a Neumann one: its smallest value sits at the run's last or
-    # first k.  A run whose smallest margin clears the band holds at every
-    # k with no tie; only the others, which hold every near tie and every
-    # failure, are swept per k.
-    at = last if dirichlet else first
-    _, margins = _float_margins(meta, s.values[index], at, dirichlet)
-    band = GUARD_BAND if s.exact and meta.exact_volume is not None else EQUALITY_BAND_FLOAT
-    special = margins <= band
-    ks, runs = _expand(first[special], last[special], index[special])
-    adjusted, failures, tie_breaks = _per_k(s, meta, ks, runs, side)
-
-    # the worst margin and where it sits.  A special run's adjusted margins
-    # reach the band or below it, under every ordinary run's, so the worst
-    # sits among them when there are any, at the first k that attains it
-    # (k ascends, and argmin takes the first hit).  Otherwise it sits at the
-    # deciding k of the first run whose margin is the smallest.
-    if ks.size:
-        i = int(np.argmin(adjusted))
-        worst_margin, worst_k = adjusted[i], int(ks[i])
-    else:
-        i = int(np.argmin(margins))
-        worst_margin, worst_k = margins[i], int(at[i])
-    return VerificationReport(
-        mode="per_eigenvalue",
-        checked=checked,
-        requested=k_max,
-        verdict="fails" if failures else "holds",
-        worst_margin=float(worst_margin),
-        worst_location=float(worst_k),
-        failures=tuple(failures),
-        tie_breaks=tie_breaks,
-    )
+    return _FloatRule(s, meta, side).decide(np.repeat(index, last - first + 1),
+                                            np.arange(1, checked + 1))[1]
 
 
 def verify_dirichlet(s: EigenvalueStream, meta: DomainMeta, k_max: int) -> VerificationReport:
     """Check lambda_k >= w_k for k = 1..k_max (or as far as the stream goes)."""
-    return _per_eigenvalue(s, meta, k_max, "dirichlet")
+    return _sweep(s, meta, k_max, "dirichlet", _FloatRule)
 
 
 def verify_neumann(s: EigenvalueStream, meta: DomainMeta, k_max: int) -> VerificationReport:
     """Check mu_k <= w_k for k = 1..k_max; the zero mode passes trivially."""
-    return _per_eigenvalue(s, meta, k_max, "neumann")
+    return _sweep(s, meta, k_max, "neumann", _FloatRule)
 
 
 def verify_exact_power(s: EigenvalueStream, meta: DomainMeta, k_max: int,
@@ -357,88 +412,16 @@ def verify_exact_power(s: EigenvalueStream, meta: DomainMeta, k_max: int,
 
     Needs exact values and an exact volume (``ModeError`` otherwise).  With
     lambda_k = n / den * pi^p, each comparison is the sign of
-    n^d c_den pi^shift - c_num den^d k^2, decided by ``_exact_signs``.
-
-    The sweep runs over distinct values, not over k.  Within a run of equal
-    values w_k rises with k, so one comparison at the run's last k
-    (Dirichlet) or first k (Neumann) decides the whole run and gives its
-    worst margin.  The failing k of a failed run, its tail (Dirichlet) or
-    head (Neumann), are found by bisection and listed as (k, lambda_k, w_k).
-    Exact equalities hold and count in ``tie_breaks``.  Margins are relative
-    in the d-th power: the correctly rounded (lhs - rhs) / rhs when the pi
-    powers cancel, else the float lhs / rhs * pi^shift - 1 with the exact
-    sign.  The cost is array operations per run; Python only for in-band
-    runs, guard fallbacks and failed runs, whatever ``k_max``.
+    n^d c_den pi^shift - c_num den^d k^2, decided by ``_exact_signs`` in the
+    run sweep; exact equalities hold and count in ``tie_breaks``.  Margins
+    are relative in the d-th power: the correctly rounded (lhs - rhs) / rhs
+    when the pi powers cancel, else the float lhs / rhs * pi^shift - 1 with
+    the exact sign, and +-inf with that sign when lhs / rhs passes float
+    range.  The worst margin sits at a run's deciding k.  The cost is array
+    operations per run; Python only for in-band comparisons and guard
+    fallbacks, whatever ``k_max``.
     """
-    origin, checked = _sweep_range(s, k_max, side)
-    if not s.exact or meta.exact_volume is None:
-        raise ModeError("exact verification needs exact values and an exact volume")
-    d = meta.dimension
-    c_den, rhs_unit, shift = _exact_terms(s, meta)
-    dirichlet = side == "dirichlet"
-    # the sign of lambda_k^d - w_k^d that breaks the inequality
-    bad = -1 if dirichlet else 1
-    first, last, index = _runs(s, origin, checked)
-    # w_k rises with k, so a run's smallest margin sits at its last k
-    # (Dirichlet) or its first k (Neumann); if that k holds, all do
-    at = last if dirichlet else first
-    nums = s.exact_nums[index]
-    signs, excess, rounded = _exact_signs(nums, at, d, c_den, rhs_unit, shift)
-    if shift == 0:
-        rel = excess if dirichlet else 0.0 - excess
-    else:
-        # the float may round across 0; the exact sign decides
-        rel = np.copysign(excess, -bad * signs)
-
-    def exact_rel(i: int) -> float:
-        lhs, rhs = int(nums[i]) ** d * c_den, rhs_unit * int(at[i]) ** 2
-        if shift == 0:
-            return (lhs - rhs) / rhs if dirichlet else (rhs - lhs) / rhs
-        return math.copysign(lhs / rhs * math.pi ** shift - 1.0, -int(signs[i]) * bad)
-
-    # the worst margin sits at the first run whose margin is the smallest
-    if rounded:
-        # every lhs and rhs is below 2^53, so ``rel`` is ``exact_rel``
-        i = int(np.argmin(rel))
-        worst_margin, worst_k = float(rel[i]), int(at[i])
-    else:
-        # ``rel`` is off ``exact_rel`` by far less than 1e-12 max(1, |rel|),
-        # so the first smallest margin sits among the runs that close to
-        # the smallest ``rel``
-        finite = np.isfinite(rel)
-        low = float(rel[finite].min()) if finite.any() else 0.0
-        near = ~finite | (rel <= low + 1e-12 * max(1.0, abs(low)))
-        worst_margin, worst_k = math.inf, 1
-        for i in np.nonzero(near)[0].tolist():
-            margin = exact_rel(i)
-            if margin < worst_margin:
-                worst_margin, worst_k = margin, int(at[i])
-
-    failures = []
-    tie_breaks = int(np.count_nonzero(signs == 0))
-    for i in np.nonzero(signs == bad)[0].tolist():
-        # the sign falls along the run: positive before index ``zero``,
-        # negative from index ``below``, 0 in between
-        lhs, lo, hi = int(nums[i]) ** d * c_den, int(first[i]), int(last[i])
-        run = range(lo, hi + 1)
-        key = lambda j: -_exact_sign(lhs, rhs_unit * j * j, shift)
-        zero = bisect.bisect_left(run, 0, key=key)
-        below = bisect.bisect_left(run, 1, lo=zero, key=key)
-        tie_breaks += below - zero
-        lo, hi = (lo + below, hi + 1) if dirichlet else (lo, lo + zero)
-        ks = np.arange(lo, hi, dtype=float)
-        failures.extend(zip(ks.tolist(), [float(s.values[index[i]])] * ks.size,
-                            polya_weyl_term(meta, ks).tolist()))
-    return VerificationReport(
-        mode="per_eigenvalue_exact",
-        checked=checked,
-        requested=k_max,
-        verdict="fails" if failures else "holds",
-        worst_margin=worst_margin,
-        worst_location=float(worst_k),
-        failures=tuple(failures),
-        tie_breaks=tie_breaks,
-    )
+    return _sweep(s, meta, k_max, side, _ExactRule)
 
 
 def _bound_values(bound: Callable, points: np.ndarray) -> np.ndarray:

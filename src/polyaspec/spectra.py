@@ -297,34 +297,21 @@ def _axis_modes(coeff_float: float, bc: BoundaryCondition, cutoff: float) -> np.
 
 
 def interval_spectrum(a, bc: BoundaryCondition, cutoff: float) -> EigenvalueStream:
-    """Spectrum of the interval (0, a): values l**2 * pi**2 / a**2.
+    """Spectrum of the interval (0, a): values l**2 * pi**2 / a**2, the
+    one-sided ``box_spectrum``.
 
     Dirichlet modes start at l = 1, Neumann at l = 0.  ``a`` may be a float,
     an int, a Fraction, or a symbolic string like ``"pi/24"``; symbolic and
     rational lengths produce exact streams.
     """
-    bc = BoundaryCondition(bc)
-    if bc is BoundaryCondition.CLOSED:
+    if BoundaryCondition(bc) is BoundaryCondition.CLOSED:
         raise DomainError("interval spectra are Dirichlet or Neumann")
     if not cutoff > 0:
         raise DomainError(f"cutoff must be positive, got {cutoff}")
     a_pi = as_pi_rational(a)
-    a_float = float(a_pi) if a_pi is not None else float(a)
-    if not a_float > 0:
+    if not (float(a_pi) if a_pi is not None else float(a)) > 0:
         raise DomainError(f"interval length must be positive, got {a}")
-
-    if a_pi is not None:
-        coeff = PiRational(1, 2) / (a_pi * a_pi)  # pi^2 / a^2
-        ls = _axis_modes(float(coeff), bc, cutoff)
-        den = coeff.coeff.denominator
-        w = int(coeff.coeff * den)
-        nums = (ls.astype(object) ** 2) * w
-        return _stream_from_exact(nums, np.ones_like(ls), den, coeff.pi_power, cutoff)
-
-    coeff_float = math.pi ** 2 / a_float ** 2
-    ls = _axis_modes(coeff_float, bc, cutoff)
-    values = coeff_float * ls.astype(float) ** 2
-    return EigenvalueStream(values, np.ones_like(ls), cutoff)
+    return box_spectrum([a if a_pi is None else a_pi], bc, cutoff)
 
 
 def box_spectrum(sides: Sequence, bc: BoundaryCondition, cutoff: float) -> EigenvalueStream:
@@ -589,9 +576,8 @@ def _tabulated_value(v) -> tuple[float, Optional[Fraction]]:
 
 
 def interval_meta(a, bc: BoundaryCondition) -> DomainMeta:
-    a_pi = as_pi_rational(a)
-    a_float = float(a_pi) if a_pi is not None else float(a)
-    return DomainMeta(1, a_float, BoundaryCondition(bc), surface_area=2.0, exact_volume=a_pi)
+    """The one-sided ``box_meta``."""
+    return box_meta([a], bc)
 
 
 def box_meta(sides: Sequence, bc: BoundaryCondition) -> DomainMeta:
@@ -691,7 +677,17 @@ def stream_to_json_dict(stream: EigenvalueStream) -> dict:
     return data
 
 
+#: relative distance allowed between a JSON value and its exact numerator's
+#: n / den * pi**pi_power: a few float roundings, far below the 1e-9 band
+#: inside which the Polya sweeps decide by the numerators
+_EXACT_VALUE_RTOL = 1e-12
+
+
 def stream_from_json_dict(data: dict) -> EigenvalueStream:
+    """A stream from ``stream_to_json_dict`` output.  Exact numerators must
+    match the entries: each value within ``_EXACT_VALUE_RTOL`` relative of
+    n / den * pi**pi_power, computed on Python ints for numerators past
+    int64, else ``ValidationError``."""
     try:
         stream = tabulated_spectrum(data["entries"], float(data["cutoff"]))
         if "exact_nums" not in data:
@@ -699,4 +695,20 @@ def stream_from_json_dict(data: dict) -> EigenvalueStream:
         exact = (data["exact_nums"], data["exact_den"], data["pi_power"])
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed spectrum JSON: {exc}") from exc
-    return EigenvalueStream(stream.values, stream.multiplicities, stream.cutoff, *exact)
+    if not isinstance(exact[2], int):
+        raise ValidationError(f"pi_power must be an integer, got {exact[2]!r}")
+    stream = EigenvalueStream(stream.values, stream.multiplicities, stream.cutoff, *exact)
+    nums, den = stream.exact_nums, stream.exact_den
+    try:
+        ratios = (nums / den if nums.dtype != object
+                  else np.array([n / den for n in nums.tolist()], float))
+    except OverflowError as exc:
+        raise ValidationError(f"exact value past float range: {exc}") from exc
+    expected = ratios * math.pi ** stream.pi_power
+    off = ~(np.abs(stream.values - expected) <= _EXACT_VALUE_RTOL * np.abs(expected))
+    if off.any():
+        i = int(np.argmax(off))
+        raise ValidationError(
+            f"entry {float(stream.values[i])!r} does not match its exact value "
+            f"{nums[i]}/{den} * pi**{stream.pi_power} = {float(expected[i])!r}")
+    return stream

@@ -479,6 +479,24 @@ def test_exact_power_overflow_guard_on_rhs(side, k_max):
     assert rep.to_dict() == _slow_exact_power(s, meta, k_max, side).to_dict()
 
 
+@pytest.mark.parametrize("side", ["dirichlet", "neumann"])
+def test_exact_power_margin_past_float_range(side):
+    # lambda^3 / w^3 is about 1e330 / 36 pi^4: past float range, so the
+    # margin is inf with the exact sign, +inf where it holds, -inf where not
+    entries = [[10 ** 110, 1], [10 ** 111, 1]]
+    if side == "neumann":
+        entries.insert(0, [0, 1])
+    s = tabulated_spectrum(entries, 1e112)
+    meta = DomainMeta(3, 1.0, side, exact_volume=PiRational(1))
+    rep = verify_exact_power(s, meta, 2, side)
+    assert _exact_terms(s, meta)[2] == -4
+    if side == "dirichlet":
+        assert rep.holds and rep.worst_margin == math.inf
+    else:
+        assert [f[0] for f in rep.failures] == [1.0, 2.0]
+        assert rep.worst_margin == -math.inf and rep.worst_location == 1.0
+
+
 _bcs = st.sampled_from(["dirichlet", "neumann"])
 _exact_specs = st.one_of(
     # boxes with rational sides
@@ -500,7 +518,7 @@ def test_exact_and_float_verifiers_agree(spec, k_max):
     floaty = (verify_dirichlet if side == "dirichlet" else verify_neumann)(s, meta, k_max)
     exact = verify_exact_power(s, meta, k_max, side)
     assert exact.verdict == floaty.verdict
-    assert [f[0] for f in exact.failures] == [f[0] for f in floaty.failures]
+    assert exact.failures == floaty.failures
     assert (exact.tie_breaks, exact.checked) == (floaty.tie_breaks, floaty.checked)
 
 
@@ -635,24 +653,36 @@ def _count_exact_signs(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("side", ["dirichlet", "neumann"])
-def test_exact_sweep_decides_holding_runs_without_python_signs(monkeypatch, side):
+def _sweep_of(sweep, side):
+    """The exact sweep, or the plain one of ``side``, as f(s, meta, k_max)."""
+    if sweep == "exact":
+        return lambda s, meta, k_max: verify_exact_power(s, meta, k_max, side)
+    return verify_dirichlet if side == "dirichlet" else verify_neumann
+
+
+#: both sides of the exact sweep, then of the plain one
+_SIDES_AND_SWEEPS = [pytest.param(side, sweep, id=side if sweep == "exact" else f"{side}-plain")
+                     for sweep in ("exact", "plain") for side in ("dirichlet", "neumann")]
+
+
+@pytest.mark.parametrize("side, sweep", _SIDES_AND_SWEEPS)
+def test_exact_sweep_decides_holding_runs_without_python_signs(monkeypatch, side, sweep):
     k_max = 10 ** 6
     spec = {"product": [{"interval": {"a": "pi/24", "bc": side}}, {"sphere2": {}}]}
     s, meta = stream_covering_k(build_spec(spec), k_max)
     calls = _count_exact_signs(monkeypatch)
-    rep = verify_exact_power(s, meta, k_max, side)
+    rep = _sweep_of(sweep, side)(s, meta, k_max)
     assert rep.holds and rep.checked == k_max
     assert calls == []
 
 
-@pytest.mark.parametrize("side", ["dirichlet", "neumann"])
-def test_exact_sweep_decides_all_ties_without_python_signs(monkeypatch, side):
+@pytest.mark.parametrize("side, sweep", _SIDES_AND_SWEEPS)
+def test_exact_sweep_decides_all_ties_without_python_signs(monkeypatch, side, sweep):
     # 1-D Polya is an equality: every k of the unit interval is a tie
     k_max = 10 ** 5
     s, meta = stream_covering_k(build_spec({"interval": {"a": 1, "bc": side}}), k_max)
     calls = _count_exact_signs(monkeypatch)
-    rep = verify_exact_power(s, meta, k_max, side)
+    rep = _sweep_of(sweep, side)(s, meta, k_max)
     assert rep.holds and rep.checked == k_max
     assert rep.tie_breaks == rep.checked and rep.worst_margin == 0.0
     assert calls == []

@@ -375,7 +375,11 @@ def test_json_float_only_dict_loads_inexact():
 @pytest.mark.parametrize("key,bad", [("exact_den", 0), ("exact_den", 1.5),
                                      ("exact_nums", [0, 2]),
                                      ("exact_nums", [0.0, 2.5, 6.0, 12.0, 20.0, 30.0, 42.0]),
-                                     ("exact_nums", [42, 30, 20, 12, 6, 2, 0])])
+                                     ("exact_nums", [42, 30, 20, 12, 6, 2, 0]),
+                                     # increasing integers that contradict the entries
+                                     ("exact_nums", [0, 2, 6, 12, 20, 30, 43]),
+                                     ("exact_nums", [0, 2, 6, 12, 20, 30, 2 ** 70]),
+                                     ("pi_power", 0.5)])
 def test_json_rejects_bad_exact_fields(key, bad):
     d = stream_to_json_dict(sphere2_spectrum(50.0))
     with pytest.raises(ValidationError):
