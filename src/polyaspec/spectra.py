@@ -4,7 +4,11 @@ The generators cover the model families with closed-form spectra: intervals,
 rectangular boxes, the unit-side equilateral triangle (Neumann, via the
 lattice counting formula) and the round 2-sphere.  ``product_spectrum``
 composes two spectra by pairwise sums, which is how product domains get
-their eigenvalues.
+their eigenvalues.  A box is the product of its sides' intervals, so
+``box_spectrum`` folds ``product_spectrum`` over ``interval_spectrum``
+streams.  A box whose sides mix kinds (a float with an exact length, or
+p/q with p pi/q) takes each side's values as that interval computes
+them, which can differ from a direct sum of the modes by an ulp or two.
 
 A stream records eigenvalues strictly below a cutoff, with multiplicities.
 When the generating lengths are rational, or rational multiples of pi, the
@@ -23,6 +27,7 @@ from collections.abc import Sized
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import reduce
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -239,7 +244,10 @@ class EigenvalueStream:
         return int(self.count_right_many(lam))
 
     def truncated(self, cutoff: float) -> "EigenvalueStream":
-        """The same stream restricted to values strictly below ``cutoff``."""
+        """The same stream restricted to values strictly below ``cutoff``;
+        the stream itself when ``cutoff`` is its own."""
+        if cutoff == self.cutoff:
+            return self
         self.check_range(cutoff)
         mask = self.values < cutoff
         nums = self.exact_nums[mask] if self.exact else None
@@ -267,11 +275,15 @@ def _aggregate_float(values: np.ndarray, mults: np.ndarray, rtol: float = FLOAT_
 
 
 def _aggregate_exact(nums, mults) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct integer numerators, ascending, with summed multiplicities."""
+    """Distinct integer numerators, ascending, with summed multiplicities:
+    one sort, then the places where the sorted numerators change."""
     nums = _numerators(nums)
     order = np.argsort(nums, kind="stable")
-    uniq, starts = np.unique(nums[order], return_index=True)
-    return uniq, np.add.reduceat(np.asarray(mults, np.int64)[order], starts)
+    nums = nums[order]
+    first = np.ones(nums.size, bool)
+    first[1:] = nums[1:] != nums[:-1]
+    starts = np.flatnonzero(first)
+    return nums[starts], np.add.reduceat(np.asarray(mults, np.int64)[order], starts)
 
 
 def _stream_from_exact(nums, mults, den: int, pi_power: int,
@@ -288,75 +300,52 @@ def _stream_from_exact(nums, mults, den: int, pi_power: int,
 # generators
 
 
-def _axis_modes(coeff_float: float, bc: BoundaryCondition, cutoff: float) -> np.ndarray:
-    """Mode numbers m with m**2 * coeff < cutoff, starting at 0 or 1."""
-    start = 0 if bc is BoundaryCondition.NEUMANN else 1
-    top = int(math.floor(math.sqrt(cutoff / coeff_float))) + 2
-    m = np.arange(start, top + 1, dtype=np.int64)
-    return m[(m.astype(float) ** 2) * coeff_float < cutoff]
-
-
 def interval_spectrum(a, bc: BoundaryCondition, cutoff: float) -> EigenvalueStream:
-    """Spectrum of the interval (0, a): values l**2 * pi**2 / a**2, the
-    one-sided ``box_spectrum``.
+    """Spectrum of the interval (0, a): values l**2 * pi**2 / a**2, the one
+    lattice every box is a product of.
 
     Dirichlet modes start at l = 1, Neumann at l = 0.  ``a`` may be a float,
     an int, a Fraction, or a symbolic string like ``"pi/24"``; symbolic and
-    rational lengths produce exact streams.
+    rational lengths produce exact streams, whose numerators are l**2 times
+    the numerator w of pi**2 / a**2.  They are int64 until w * l**2 at the
+    top mode reaches ``_INT64_GUARD``.
     """
-    if BoundaryCondition(bc) is BoundaryCondition.CLOSED:
+    bc = BoundaryCondition(bc)
+    if bc is BoundaryCondition.CLOSED:
         raise DomainError("interval spectra are Dirichlet or Neumann")
     if not cutoff > 0:
         raise DomainError(f"cutoff must be positive, got {cutoff}")
     a_pi = as_pi_rational(a)
-    if not (float(a_pi) if a_pi is not None else float(a)) > 0:
+    a_float = float(a_pi) if a_pi is not None else float(a)
+    if not a_float > 0:
         raise DomainError(f"interval length must be positive, got {a}")
-    return box_spectrum([a if a_pi is None else a_pi], bc, cutoff)
+    coeff = PiRational(1, 2) / (a_pi * a_pi) if a_pi is not None else None
+    coeff_float = float(coeff) if coeff is not None else math.pi ** 2 / a_float ** 2
+    start = 0 if bc is BoundaryCondition.NEUMANN else 1
+    modes = np.arange(start, int(math.sqrt(cutoff / coeff_float)) + 3, dtype=np.int64)
+    values = coeff_float * modes.astype(float) ** 2
+    modes, values = modes[values < cutoff], values[values < cutoff]
+    ones = np.ones(modes.size, np.int64)
+    if coeff is None:
+        return EigenvalueStream(values, ones, cutoff)
+    w = coeff.coeff.numerator
+    # a weight past int64 overflows even on mode 0, so the top mode counts as 1 at least
+    dtype = np.int64 if w * int(modes.max(initial=1)) ** 2 < _INT64_GUARD else object
+    return _stream_from_exact(w * modes.astype(dtype) ** 2, ones, coeff.coeff.denominator,
+                              coeff.pi_power, cutoff)
 
 
 def box_spectrum(sides: Sequence, bc: BoundaryCondition, cutoff: float) -> EigenvalueStream:
-    """Spectrum of a rectangular box: sums of per-axis interval modes."""
-    bc = BoundaryCondition(bc)
-    if bc is BoundaryCondition.CLOSED:
+    """Spectrum of a rectangular box: the product of its sides' interval
+    spectra, folded from the left with ``product_spectrum``."""
+    if BoundaryCondition(bc) is BoundaryCondition.CLOSED:
         raise DomainError("box spectra are Dirichlet or Neumann")
     if not sides:
         raise DomainError("side list must be nonempty")
     if not cutoff > 0:
         raise DomainError(f"cutoff must be positive, got {cutoff}")
-
-    side_pis = [as_pi_rational(s) for s in sides]
-    side_floats = [float(p) if p is not None else float(s) for p, s in zip(side_pis, sides)]
-    if any(not s > 0 for s in side_floats):
-        raise DomainError("all sides must be positive")
-
-    coeff_pis = [PiRational(1, 2) / (p * p) if p is not None else None
-                 for p in side_pis]
-    exact = all(c is not None for c in coeff_pis) and len({c.pi_power for c in coeff_pis}) == 1
-    coeff_floats = [float(c) if c is not None else math.pi ** 2 / s ** 2
-                    for c, s in zip(coeff_pis, side_floats)]
-    axes = [_axis_modes(c, bc, cutoff) for c in coeff_floats]
-
-    if exact:
-        pi_power = coeff_pis[0].pi_power
-        den = math.lcm(*(c.coeff.denominator for c in coeff_pis))
-        weights = [int(c.coeff * den) for c in coeff_pis]
-        # past the guard the sums are taken over Python ints; every weight
-        # enters the bound, as a weight past int64 overflows even on mode 0
-        bound = sum(w * int(ax.max(initial=1)) ** 2 for w, ax in zip(weights, axes))
-        dtype = np.int64 if bound < _INT64_GUARD else object
-        grids = np.meshgrid(*(ax.astype(dtype) for ax in axes), indexing="ij", sparse=True)
-        nums = np.asarray(sum(w * g ** 2 for w, g in zip(weights, grids))).ravel()
-        nums = nums[np.asarray(nums * ((math.pi ** pi_power) / den), dtype=float) < cutoff]
-        return _stream_from_exact(nums, np.ones(nums.size, np.int64), den, pi_power, cutoff)
-
-    axis_vals = [c * ax.astype(float) ** 2 for c, ax in zip(coeff_floats, axes)]
-    total = axis_vals[0]
-    for av in axis_vals[1:]:
-        total = (total[:, None] + av[None, :]).ravel()
-        total = total[total < cutoff]
-    total = total[total < cutoff]
-    vals, mults = _aggregate_float(total, np.ones(total.size, np.int64))
-    return EigenvalueStream(vals, mults, cutoff)
+    return reduce(lambda s, t: product_spectrum(s, t, cutoff),
+                  [interval_spectrum(a, bc, cutoff) for a in sides])
 
 
 def sphere2_spectrum(cutoff: float) -> EigenvalueStream:
@@ -438,17 +427,11 @@ def triangle_neumann_spectrum(cutoff: float) -> EigenvalueStream:
 
 def _pair_sums(x1: np.ndarray, m1: np.ndarray, x2: np.ndarray, m2: np.ndarray,
                below: Callable[[np.ndarray], np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Pairwise sums x1[i] + x2[j] with multiplied multiplicities, one row
-    slice per x1[i]; ``below`` marks the sums under the cutoff.  Both inputs
-    are increasing, so each row keeps a prefix and the rows shrink."""
-    sums, mults = [x2[:0]], [m2[:0]]
-    for a, m in zip(x1.tolist(), m1.tolist()):
-        idx = int(np.count_nonzero(below(x2 + a)))
-        if not idx:
-            break
-        sums.append(x2[:idx] + a)
-        mults.append(m * m2[:idx])
-    return np.concatenate(sums), np.concatenate(mults)
+    """Pairwise sums x1[i] + x2[j] with multiplied multiplicities, in
+    row-major order, kept where ``below`` marks them under the cutoff."""
+    sums = x1[:, None] + x2[None, :]
+    keep = below(sums)
+    return sums[keep], (m1[:, None] * m2[None, :])[keep]
 
 
 def product_spectrum(s1: EigenvalueStream, s2: EigenvalueStream,
@@ -470,20 +453,20 @@ def product_spectrum(s1: EigenvalueStream, s2: EigenvalueStream,
 
     if s1.exact and s2.exact and s1.pi_power == s2.pi_power:
         # both denominators are in lowest terms; past the guard the sums
-        # are taken over Python ints
+        # are taken over Python ints, and a factor past int64 overflows even
+        # on a zero numerator, so each top numerator counts as 1 at least
         den = math.lcm(s1.exact_den, s2.exact_den)
         factors = (den // s1.exact_den, den // s2.exact_den)
-        top = sum(int(s.exact_nums[-1]) * f for s, f in zip((s1, s2), factors)
-                  if s.exact_nums.size)
+        top = sum(int(s.exact_nums.max(initial=1)) * f for s, f in zip((s1, s2), factors))
         dtype = np.int64 if top < _INT64_GUARD else object
         n1, n2 = (s.exact_nums.astype(dtype) * f for s, f in zip((s1, s2), factors))
         scale = (math.pi ** s1.pi_power) / den
         nums, mults = _pair_sums(n1, s1.multiplicities, n2, s2.multiplicities,
-                                 lambda row: np.asarray(row * scale, dtype=float) < cutoff)
+                                 lambda sums: np.asarray(sums * scale, dtype=float) < cutoff)
         return _stream_from_exact(nums, mults, den, s1.pi_power, cutoff)
 
     vals, mults = _pair_sums(s1.values, s1.multiplicities, s2.values, s2.multiplicities,
-                             lambda row: row < cutoff)
+                             lambda sums: sums < cutoff)
     return EigenvalueStream(*_aggregate_float(vals, mults), cutoff)
 
 

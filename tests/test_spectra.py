@@ -113,9 +113,17 @@ def test_box_unit_square_first_mode_only():
     assert list(s.entries()) == [(2 * PI2, 1)]
 
 
-def test_box_rejects_empty_sides():
+@pytest.mark.parametrize("sides, bc, cutoff", [
+    pytest.param([], "dirichlet", 10.0, id="no-sides"),
+    pytest.param([1, -2.0], "dirichlet", 10.0, id="negative-side"),
+    pytest.param(["3/2", 0], "neumann", 10.0, id="zero-side"),
+    pytest.param([1, 1], "closed", 10.0, id="closed-bc"),
+    pytest.param([1, 1], "neumann", 0.0, id="zero-cutoff"),
+    pytest.param([1, 1], "dirichlet", -5.0, id="negative-cutoff"),
+])
+def test_box_rejects_empty_sides(sides, bc, cutoff):
     with pytest.raises(DomainError):
-        box_spectrum([], "dirichlet", 10.0)
+        box_spectrum(sides, bc, cutoff)
 
 
 def test_box_multiplicity_aggregation_brute_force():
@@ -230,6 +238,7 @@ def test_product_zero_identity():
     t = s2.truncated(400.0)
     assert list(p.values) == list(t.values)
     assert list(p.multiplicities) == list(t.multiplicities)
+    assert s2.truncated(s2.cutoff) is s2 and t.truncated(t.cutoff) is t
 
 
 def test_product_interval_squared_is_square():
@@ -587,6 +596,16 @@ def test_overflow_guard_keeps_boxes_exact(sides, bc, dtype):
     assert (box.exact_den, box.pi_power) == (p.exact_den, p.pi_power)
 
 
+def test_product_factor_past_int64_stays_exact():
+    """A zero-only factor scaled to a denominator past int64: the sums are
+    taken over Python ints rather than overflowing an int64 array."""
+    zero = tabulated_spectrum([(0, 1)], 5.0)
+    tiny = tabulated_spectrum([(0, 1), (Fraction(1, 2 ** 64), 2)], 5.0)
+    p = product_spectrum(zero, tiny, 5.0)
+    assert p.exact and p.exact_nums.tolist() == [0, 1] and p.exact_den == 2 ** 64
+    assert p.multiplicities.tolist() == [1, 2]
+
+
 def _exact_pairs(stream) -> dict:
     """(rational, multiplicity) pairs of an exact stream, away from its cutoff."""
     return {Fraction(n, stream.exact_den): m
@@ -635,6 +654,35 @@ def test_exact_box_matches_fraction_oracle(sides, pi_power, bc, frac):
     assert s.exact and s.pi_power == pi_power
     factors = [_interval_factor(p, q, bc, pi_power, cutoff) for p, q in sides]
     assert _exact_pairs(s) == _sum_oracle(factors, cutoff, pi_power)
+
+
+#: a side and its length as a float: a float, p/q or p pi/q
+MIXED_SIDES = st.one_of(
+    st.floats(0.3, 3.0).map(lambda x: (x, x)),
+    st.tuples(st.integers(1, 9), st.integers(1, 9)).map(
+        lambda pq: (f"{pq[0]}/{pq[1]}", pq[0] / pq[1])),
+    st.tuples(st.integers(1, 9), st.integers(1, 9)).map(
+        lambda pq: (f"{pq[0]}pi/{pq[1]}", pq[0] * math.pi / pq[1])),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sides=st.lists(MIXED_SIDES, min_size=1, max_size=3), bc=BCS, frac=st.floats(0.05, 1.0))
+def test_float_and_mixed_boxes_match_brute_force(sides, bc, frac):
+    """Boxes of float sides, or of sides of mixed kinds, against a brute
+    float enumeration of mode tuples; the Fraction oracles cover only
+    all-exact boxes.  A sum within 1e-9 of the cutoff falls on either side
+    by rounding, so such draws are skipped."""
+    cutoff = frac * (300.0 if len(sides) < 3 else 60.0)
+    s = box_spectrum([side for side, _ in sides], bc, cutoff)
+    start = 0 if bc == "neumann" else 1
+    axes = [[(l * math.pi / a) ** 2 for l in range(start, int(a * cutoff ** 0.5 / math.pi) + 2)]
+            for _, a in sides]
+    sums = sorted(map(sum, itertools.product(*axes)))
+    assume(all(abs(v - cutoff) > 1e-9 * cutoff for v in sums))
+    brute = [v for v in sums if v < cutoff]
+    assert s.expanded().size == len(brute)
+    assert s.expanded().tolist() == pytest.approx(brute, rel=1e-12, abs=0.0)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,12 +1,15 @@
-"""In-process timings of the per-eigenvalue Polya sweeps on exact streams.
+"""In-process timings of the per-eigenvalue Polya sweeps on exact streams,
+and of building those streams.
 
     PYTHONPATH=src python tools/bench_exact_sweep.py --row interval-1-dirichlet-1e5-exact
 
 times one row on the ``polyaspec`` found on the path and prints its median,
 quartiles and every sample in ms as JSON.  A row is one spec at one
-``k_max`` and one sweep: ``exact`` is ``verify_exact_power`` and ``plain``
-is ``verify_dirichlet`` / ``verify_neumann``.  The stream is built and the
-sweep run once before timing, so only the sweep is timed.  Each row also
+``k_max`` and one sweep: ``exact`` is ``verify_exact_power``, ``plain``
+is ``verify_dirichlet`` / ``verify_neumann``, and ``build`` is
+``stream_covering_k(build_spec(spec), k_max)``, the generator layer.  The
+stream is built and the sweep run once before timing, so an ``exact`` or
+``plain`` row times only the sweep.  Each row also
 records the runs of equal values the sweep checks, the power of pi left in
 the exact comparison (``shift``), and whether every exact comparison fits
 in int64 and below 2^53: the unit interval and (0, pi/24) x S^2 rows are
@@ -52,7 +55,7 @@ ROWS = {
     for label, spec, sizes in _SHAPES
     for k_max, k_label in sizes
     for side in ("dirichlet", "neumann")
-    for sweep in ("exact", "plain")
+    for sweep in ("exact", "plain", "build")
 }
 
 
@@ -79,7 +82,10 @@ def time_row(name: str, repeat: int) -> dict:
 
     spec, k_max, side, sweep = ROWS[name]
     s, meta = stream_covering_k(build_spec(spec), k_max)
-    if sweep == "exact":
+    if sweep == "build":
+        def run():
+            return stream_covering_k(build_spec(spec), k_max)
+    elif sweep == "exact":
         def run():
             return verify_exact_power(s, meta, k_max, side)
     else:
@@ -128,7 +134,8 @@ def compare(parent_src: Path, rounds: int, repeat: int) -> dict:
                      "parent_ms": parent, "change_ms": change,
                      "speedup": round(parent["median"] / change["median"], 2)})
     return {
-        "what": "in-process medians of one per-eigenvalue sweep, parent -> change; "
+        "what": "in-process medians of one per-eigenvalue sweep or one stream build, "
+                "parent -> change; "
                 f"{rounds} fresh interpreters per side, alternating, {repeat} timed "
                 "calls each after one warm-up call",
         "command": f"python tools/bench_exact_sweep.py --parent PARENT/src "
