@@ -24,7 +24,7 @@ import numpy as np
 
 from .constants import c_d
 from .errors import CoverageError, DomainError
-from .spectra import DomainMeta, EigenvalueStream
+from .spectra import DomainMeta, EigenvalueStream, _sorted_union
 
 __all__ = [
     "CountingFunction",
@@ -95,7 +95,7 @@ class SumCountingFunction:
         return sum(p.count_right_many(lams) for p in self.parts)
 
     def jump_values(self) -> np.ndarray:
-        return np.unique(np.concatenate([p.jump_values() for p in self.parts]))
+        return _sorted_union(*(p.jump_values() for p in self.parts))
 
     @property
     def cutoff(self) -> float:

@@ -48,7 +48,7 @@ from .constants import omega_d, omega_d_exact
 from .counting import CountingFunction
 from .errors import CoverageError, DomainError, ModeError
 from .pivals import PiRational
-from .spectra import _INT64_GUARD, DomainMeta, EigenvalueStream
+from .spectra import _INT64_GUARD, DomainMeta, EigenvalueStream, _sorted_union
 
 __all__ = [
     "VerificationReport",
@@ -467,7 +467,7 @@ def verify_counting_bound(cf: CountingFunction, bound: Callable[[float], float],
         raise DomainError(f"side must be 'upper' or 'lower', got {side!r}")
     jump_arr = cf.jump_values()
     if jumps is not None:
-        jump_arr = np.union1d(np.asarray(jumps, float), jump_arr)
+        jump_arr = _sorted_union(jump_arr, jumps)
     if lambda_max is None:
         lambda_max = float(cf.cutoff)
     if lambda_max > cf.cutoff:
@@ -479,11 +479,11 @@ def verify_counting_bound(cf: CountingFunction, bound: Callable[[float], float],
         # the jump at lambda_min (or at 0, when lambda_min is 0) is included
         points = jump_arr[(jump_arr >= lambda_min) & (jump_arr <= lambda_max)]
         if lambda_min > 0:
-            points = np.unique(np.concatenate([[lambda_min], points]))
+            points = _sorted_union([lambda_min], points)
         counts = cf.count_right_many(points).astype(float)
     else:
         jump_arr = jump_arr[(jump_arr > lambda_min) & (jump_arr <= lambda_max)]
-        points = np.unique(np.concatenate([jump_arr, [lambda_max]]))
+        points = _sorted_union(jump_arr, [lambda_max])
         counts = cf.count_many(points).astype(float)
     if points.size == 0:
         raise CoverageError("no comparison points in the requested window")

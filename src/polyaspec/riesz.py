@@ -27,7 +27,7 @@ import numpy as np
 from .constants import l_gamma_d
 from .errors import ConfigError, CoverageError, DomainError, ModeError
 from .polya import polya_weyl_term
-from .spectra import BoundaryCondition, DomainMeta, EigenvalueStream
+from .spectra import BoundaryCondition, DomainMeta, EigenvalueStream, _sorted_union
 
 __all__ = [
     "riesz_mean",
@@ -351,7 +351,7 @@ def _window_grid(s: EigenvalueStream, lo: float, hi: float, grid: int) -> np.nda
         raise CoverageError(f"window end {hi} exceeds stream cutoff {s.cutoff}")
     mus = np.linspace(lo, hi, grid)
     jumps = s.values[(s.values >= lo) & (s.values <= hi)]
-    return np.unique(np.concatenate([mus, jumps]))
+    return _sorted_union(mus, jumps)
 
 
 def window_infimum_dirichlet(s: EigenvalueStream, meta: DomainMeta, d2: int,

@@ -14,12 +14,13 @@ every domain this way.
 from __future__ import annotations
 
 import json
+import math
 from typing import Callable, NamedTuple, Optional
 
 from . import counting as ct
 from . import spectra as sp
 from .constants import c_d
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 
 __all__ = ["SpectrumSpec", "build_spec", "stream_covering_k"]
 
@@ -124,11 +125,17 @@ def build_spec(node) -> SpectrumSpec:
 def stream_covering_k(spec: SpectrumSpec, k_max: int):
     """Build a stream holding at least k_max eigenvalues (beyond the zero
     mode), with its metadata.  The first cutoff is the Weyl guess with 30%
-    headroom; each retry raises it by half."""
+    headroom; each retry raises it by half.  A cutoff past float range is a
+    ``DomainError``."""
     meta = spec.meta()
     d = meta.dimension
-    cutoff = (1.3 * (k_max + 50) / (c_d(d) * meta.volume)) ** (2.0 / d)
+    try:
+        cutoff = (1.3 * (k_max + 50) / (c_d(d) * meta.volume)) ** (2.0 / d)
+    except (OverflowError, ZeroDivisionError):
+        cutoff = math.inf
     for _ in range(10):
+        if cutoff == math.inf:
+            raise DomainError(f"covering k_max={k_max} needs a cutoff past float range")
         stream = spec.stream(cutoff)
         have = stream.total_count - (1 if stream.index_origin == 0 else 0)
         if have >= k_max:

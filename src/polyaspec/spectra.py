@@ -274,16 +274,55 @@ def _aggregate_float(values: np.ndarray, mults: np.ndarray, rtol: float = FLOAT_
     return agg_v, agg_m
 
 
+#: int64 numerators whose span max - min + 1 is at most this many times
+#: their count N are aggregated by counting into span slots.  Measured
+#: against the stable sort on the pair sums of exact boxes at k_max 1e5
+#: (N about 130k): counting was 2.8x faster at span / N 2.6, 1.4x faster at
+#: 7.7 and 1.4x slower at 15, so the crossover sits near 10; on a product
+#: of N = 1.4k it was already slower at 7.9.  4 keeps a margin below both.
+_COUNT_SPAN_FACTOR = 4
+
+
 def _aggregate_exact(nums, mults) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct integer numerators, ascending, with summed multiplicities:
-    one sort, then the places where the sorted numerators change."""
+    """Distinct integer numerators, ascending, with summed (positive)
+    multiplicities.
+
+    Dense int64 numerators, whose span is at most ``_COUNT_SPAN_FACTOR``
+    times their count, are counted: each multiplicity is added in int64 into
+    its numerator's slot of a span-long array, and the nonzero slots are
+    read off in order, in O(N + span) with no sort.  Any other input,
+    including Python ints past ``_INT64_GUARD``, takes one stable sort (linear
+    on the already sorted numerators of the 1-D generators) and the places
+    where the sorted numerators change.
+    """
     nums = _numerators(nums)
+    mults = np.asarray(mults, np.int64)
+    if nums.dtype != object and nums.size:
+        lo = int(nums.min())
+        span = int(nums.max()) - lo + 1
+        if span <= _COUNT_SPAN_FACTOR * nums.size:
+            counts = np.zeros(span, np.int64)
+            np.add.at(counts, nums - lo, mults)
+            slots = np.flatnonzero(counts)
+            return slots + lo, counts[slots]
     order = np.argsort(nums, kind="stable")
     nums = nums[order]
     first = np.ones(nums.size, bool)
     first[1:] = nums[1:] != nums[:-1]
     starts = np.flatnonzero(first)
-    return nums[starts], np.add.reduceat(np.asarray(mults, np.int64)[order], starts)
+    return nums[starts], np.add.reduceat(mults[order], starts)
+
+
+def _sorted_union(*parts) -> np.ndarray:
+    """Distinct values of float arrays, ascending.  Each part is meant to be
+    sorted already: the stable sort (timsort) of their concatenation then
+    merges sorted runs in linear time, where ``np.unique`` would sort from
+    scratch.  Unsorted parts still come out right, only slower."""
+    merged = np.sort(np.concatenate([np.asarray(p, float).ravel() for p in parts]),
+                     kind="stable")
+    first = np.ones(merged.size, bool)
+    first[1:] = merged[1:] != merged[:-1]
+    return merged[first]
 
 
 def _stream_from_exact(nums, mults, den: int, pi_power: int,
@@ -298,6 +337,28 @@ def _stream_from_exact(nums, mults, den: int, pi_power: int,
 
 # ---------------------------------------------------------------------------
 # generators
+
+
+def _interval_weight(a) -> tuple[float, Optional[PiRational], float]:
+    """The length ``a`` as a float, and pi**2 / a**2 exactly (None for an
+    inexact float length) and as a float.  Both floats must be positive and
+    finite, else ``DomainError``: for a length of inf or 1e-300, or an exact
+    1e300, the mode spacing pi**2 / a**2 is 0 or inf in floats."""
+    a_pi = as_pi_rational(a)
+    try:
+        a_float = float(a_pi) if a_pi is not None else float(a)
+    except OverflowError:
+        a_float = math.inf
+    if not 0 < a_float < math.inf:
+        raise DomainError(f"interval length must be positive and finite, got {a}")
+    coeff = PiRational(1, 2) / (a_pi * a_pi) if a_pi is not None else None
+    try:
+        coeff_float = float(coeff) if coeff is not None else math.pi ** 2 / a_float ** 2
+    except (OverflowError, ZeroDivisionError):
+        coeff_float = math.inf
+    if not 0 < coeff_float < math.inf:
+        raise DomainError(f"pi**2 / a**2 leaves float range for interval length {a}")
+    return a_float, coeff, coeff_float
 
 
 def interval_spectrum(a, bc: BoundaryCondition, cutoff: float) -> EigenvalueStream:
@@ -315,12 +376,7 @@ def interval_spectrum(a, bc: BoundaryCondition, cutoff: float) -> EigenvalueStre
         raise DomainError("interval spectra are Dirichlet or Neumann")
     if not cutoff > 0:
         raise DomainError(f"cutoff must be positive, got {cutoff}")
-    a_pi = as_pi_rational(a)
-    a_float = float(a_pi) if a_pi is not None else float(a)
-    if not a_float > 0:
-        raise DomainError(f"interval length must be positive, got {a}")
-    coeff = PiRational(1, 2) / (a_pi * a_pi) if a_pi is not None else None
-    coeff_float = float(coeff) if coeff is not None else math.pi ** 2 / a_float ** 2
+    _, coeff, coeff_float = _interval_weight(a)
     start = 0 if bc is BoundaryCondition.NEUMANN else 1
     modes = np.arange(start, int(math.sqrt(cutoff / coeff_float)) + 3, dtype=np.int64)
     values = coeff_float * modes.astype(float) ** 2
@@ -565,7 +621,7 @@ def interval_meta(a, bc: BoundaryCondition) -> DomainMeta:
 
 def box_meta(sides: Sequence, bc: BoundaryCondition) -> DomainMeta:
     pis = [as_pi_rational(s) for s in sides]
-    floats = [float(p) if p is not None else float(s) for p, s in zip(pis, sides)]
+    floats = [_interval_weight(s)[0] for s in sides]
     volume = math.prod(floats)
     surface = sum(2.0 * volume / s for s in floats) if len(floats) > 1 else 2.0
     exact = None

@@ -269,6 +269,24 @@ def test_error_json_on_stderr(capsys):
     assert payload["error"] == "ConfigError"
 
 
+def _interval(a: str) -> str:
+    return '{"interval":{"a":%s,"bc":"dirichlet"}}' % a
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--spec", _interval("1e-300"), "--k-max", "100"),
+    ("spectrum", "--spec", _interval("1e-300"), "--cutoff", "10"),
+    ("verify", "--spec", _interval("1e300"), "--k-max", "100"),
+    ("count", "--spec", _interval('"1/1' + "0" * 170 + '"'), "--lambda", "10"),
+    # pi**2 / a**2 fits, the cutoff covering k_max does not
+    ("verify", "--spec", _interval("1e-150"), "--k-max", "100000"),
+])
+def test_interval_past_float_range_is_domain_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--no-timestamp")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "DomainError"
+
+
 def test_bad_spec_json_is_config_error(capsys):
     code, _, err = run_cli(capsys, "count", "--spec", "{not json", "--lambda", "1")
     assert code == 2

@@ -416,3 +416,22 @@ def test_sum_counting_function():
     assert cf.cutoff == 100.0
     merged = cf.jump_values()
     assert np.all(np.diff(merged) > 0)
+
+
+@pytest.mark.parametrize("parts", [
+    [("box", 100.0), ("triangle", 100.0)],
+    [("box", 100.0), ("box", 100.0), ("triangle", 60.0)],  # every jump shared
+    [("empty", 5.0), ("box", 100.0)],
+    [("empty", 5.0), ("empty", 5.0)],
+])
+def test_sum_jump_values_match_np_unique(parts):
+    """The merged jump set of a sum, nested or not, equals np.unique of its
+    parts' concatenated jumps, including parts without a jump."""
+    make = {"box": lambda c: box_spectrum([10, 10], "neumann", c),
+            "triangle": triangle_neumann_spectrum,
+            "empty": lambda c: interval_spectrum(1, "dirichlet", c)}  # pi**2 > c
+    cfs = [_cf(make[kind](cutoff), DomainMeta(2, 1.0, "neumann")) for kind, cutoff in parts]
+    expected = np.unique(np.concatenate([cf.stream.values for cf in cfs]))
+    nested = SumCountingFunction([SumCountingFunction(cfs[:1]), *cfs[1:]])
+    for cf in (SumCountingFunction(cfs), nested):
+        assert cf.jump_values().tolist() == expected.tolist()

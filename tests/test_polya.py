@@ -821,6 +821,49 @@ def test_counting_bound_jumps_add_points_never_drop_them():
         assert given == plain
 
 
+def _np_unique_points(cf, side, lambda_min, lambda_max, jumps):
+    """The comparison points of verify_counting_bound, built with np.unique
+    and np.union1d from scratch."""
+    jump_arr = cf.jump_values()
+    if jumps is not None:
+        jump_arr = np.union1d(np.asarray(jumps, float), jump_arr)
+    if side == "upper":
+        points = jump_arr[(jump_arr >= lambda_min) & (jump_arr <= lambda_max)]
+        return np.unique(np.concatenate([[lambda_min], points])) if lambda_min > 0 else points
+    jump_arr = jump_arr[(jump_arr > lambda_min) & (jump_arr <= lambda_max)]
+    return np.unique(np.concatenate([jump_arr, [lambda_max]]))
+
+
+@pytest.mark.parametrize("side", ["upper", "lower"])
+@pytest.mark.parametrize("jumps", [None, [], [50.0, 3.0, 50.0, 5 * PI2, 3.0, 3.0]])
+@pytest.mark.parametrize("lambda_min, lambda_max", [
+    (0.0, 150.0), (0.1, 150.0),
+    (2 * PI2, 150.0),  # lambda_min on a jump
+    (0.0, 10 * PI2),  # lambda_max on a jump, the lower side's endpoint
+    (2 * PI2, 13 * PI2),
+])
+@pytest.mark.parametrize("empty_part", [False, True])
+def test_counting_bound_points_match_np_unique(side, jumps, lambda_min, lambda_max, empty_part):
+    """Unsorted and repeated extra jumps, window ends on a jump and parts
+    without a jump give the points np.unique would."""
+    cf = CountingFunction.from_stream(box_spectrum([1, 1], "dirichlet", 200.0),
+                                      box_meta([1, 1], "dirichlet"))
+    if empty_part:
+        # the interval (0, 1/20) has no eigenvalue below 400 pi**2
+        cf = SumCountingFunction([CountingFunction.from_stream(
+            interval_spectrum("1/20", "dirichlet", 200.0), interval_meta("1/20", "dirichlet")),
+            cf])
+    seen = []
+
+    def bound(lams):
+        seen.append(np.array(lams))
+        return 0.1 * lams
+
+    verify_counting_bound(cf, bound, side, lambda_min, lambda_max, jumps)
+    expected = _np_unique_points(cf, side, lambda_min, lambda_max, jumps)
+    assert seen[0].tolist() == expected.tolist()
+
+
 class _Counted:
     """A bound that counts its calls."""
 

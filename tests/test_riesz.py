@@ -517,3 +517,14 @@ def test_window_scan_coverage_error():
     meta = box_meta([1, 1], "neumann")
     with pytest.raises(CoverageError):
         window_supremum_neumann(s, meta, d2=2, window=(1.0, 100.0))
+
+
+@pytest.mark.parametrize("window, grid", [((1.0, 10.0), 10), ((1.0, 10.0), 19),
+                                          ((0.5, 7.25), 28), ((2.5, 3.0), 2)])
+def test_window_grid_merges_jumps_on_grid_points(window, grid):
+    """Jumps on grid points, between them and at the window ends are each
+    scanned once, as np.unique of the grid and the jumps would have them."""
+    s = tabulated_spectrum([(v, 1) for v in (1, 2, "5/2", 3, 4, 7, 10)], 12.0)
+    mus = riesz_module._window_grid(s, *window, grid=grid)
+    jumps = s.values[(s.values >= window[0]) & (s.values <= window[1])]
+    assert mus.tolist() == np.unique(np.concatenate([np.linspace(*window, grid), jumps])).tolist()

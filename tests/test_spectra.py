@@ -2,8 +2,10 @@ import io
 import itertools
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from polyaspec import (
     DomainError,
     ModeError,
     ValidationError,
+    box_meta,
     box_spectrum,
     interval_spectrum,
     product_spectrum,
@@ -27,7 +30,13 @@ from polyaspec import (
     triangle_neumann_counting,
     triangle_neumann_spectrum,
 )
-from polyaspec.spectra import _INT64_GUARD, DomainMeta, EigenvalueStream
+from polyaspec.spectra import (
+    _COUNT_SPAN_FACTOR,
+    _INT64_GUARD,
+    DomainMeta,
+    EigenvalueStream,
+    _aggregate_exact,
+)
 
 PI2 = math.pi ** 2
 TRI_FIRST_NONZERO = 16.0 * PI2 / 9.0
@@ -66,6 +75,24 @@ def test_interval_float_length_is_inexact():
 def test_interval_rejects_nonpositive_length(bad):
     with pytest.raises(DomainError):
         interval_spectrum(bad, "dirichlet", 10.0)
+
+
+@pytest.mark.parametrize("a, bc, cutoff", [
+    (math.inf, "dirichlet", 10.0),
+    (math.nan, "neumann", 10.0),
+    (1e-300, "dirichlet", 10.0),  # pi**2 / a**2 past float range
+    (1e-300, "neumann", 10.0),
+    (1e300, "dirichlet", 1e-300),  # an exact length whose pi**2 / a**2 underflows to 0
+    ("1/" + "1" * 170, "dirichlet", 10.0),
+    ("1" * 400, "neumann", 10.0),  # the length itself past float range
+])
+def test_interval_rejects_lengths_past_float_range(a, bc, cutoff):
+    with pytest.raises(DomainError):
+        interval_spectrum(a, bc, cutoff)
+    with pytest.raises(DomainError):
+        box_spectrum([1, a], bc, cutoff)
+    with pytest.raises(DomainError):
+        box_meta([a], bc)
 
 
 def test_interval_rejects_nonpositive_cutoff():
@@ -736,3 +763,61 @@ def test_exact_spectra_across_int64_guard(n, top, bc, pi_power, where, delta, pr
     assert _exact_pairs(s) == oracle
     expected = sorted(float(v) * math.pi ** pi_power for v in oracle)
     assert s.values.tolist() == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+
+# ---------------------------------------------------------------------------
+# aggregation of exact numerators
+
+
+@st.composite
+def _numerator_draws(draw):
+    """(numerators, multiplicities, the span asked for): dense int64 ones
+    whose span is within the counting bound, at it, or one past it; sparse
+    ones; a single entry; none; and Python ints past ``_INT64_GUARD``, dense
+    among themselves."""
+    kind = draw(st.sampled_from(["dense", "at bound", "past bound", "sparse", "single",
+                                 "empty", "past guard"]))
+    n = {"single": 1, "empty": 0}.get(kind, draw(st.integers(2, 40)))
+    lo = draw(st.integers(-2 ** 40, 2 ** 40))
+    if kind == "past guard":
+        lo = _INT64_GUARD + draw(st.integers(-3, 2 ** 40))
+    span = {"at bound": _COUNT_SPAN_FACTOR * n, "past bound": _COUNT_SPAN_FACTOR * n + 1,
+            "sparse": 2 ** 50}.get(kind, max(n, 1))
+    nums = draw(st.lists(st.integers(lo, lo + span - 1), min_size=n, max_size=n))
+    if kind in ("at bound", "past bound"):
+        nums[:2] = [lo, lo + span - 1]
+    # multiplicities past 2**53, whose sums a float accumulator would round
+    mults = draw(st.lists(st.one_of(st.integers(1, 10 ** 6), st.integers(2 ** 53, 2 ** 57)),
+                          min_size=n, max_size=n))
+    dtype = object if kind == "past guard" else np.int64
+    return np.array(draw(st.permutations(nums)), dtype=dtype), np.array(mults, np.int64)
+
+
+def test_aggregate_exact_matches_counter_oracle():
+    """Both aggregation branches against a Counter: counting when the
+    numerators are int64 and their span is at most _COUNT_SPAN_FACTOR times
+    their count, one stable sort otherwise.  Every draw kind reaches its
+    branch, and the run must take both."""
+    branches = set()
+
+    @settings(max_examples=200, deadline=None)
+    @given(draw=_numerator_draws())
+    def check(draw):
+        nums, mults = draw
+        reference = Counter()
+        for n, m in zip(nums.tolist(), mults.tolist()):
+            reference[n] += m
+        with mock.patch("numpy.argsort", wraps=np.argsort) as argsort:
+            uniq, counts = _aggregate_exact(nums, mults)
+        assert uniq.tolist() == sorted(reference)
+        assert counts.tolist() == [reference[n] for n in sorted(reference)]
+        assert counts.dtype == np.int64
+        past_guard = nums.size and max(map(abs, nums.tolist())) >= _INT64_GUARD
+        assert uniq.dtype == (object if past_guard else np.int64)
+        span = max(nums.tolist(), default=0) - min(nums.tolist(), default=0) + 1
+        counted = nums.size and not past_guard and span <= _COUNT_SPAN_FACTOR * nums.size
+        assert argsort.called != bool(counted)
+        branches.add("count" if counted else "sort")
+
+    check()
+    assert branches == {"count", "sort"}

@@ -14,13 +14,18 @@ records the runs of equal values the sweep checks, the power of pi left in
 the exact comparison (``shift``), and whether every exact comparison fits
 in int64 and below 2^53: the unit interval and (0, pi/24) x S^2 rows are
 int64 rows, the box rows (``shift`` 2) take the float ratio, and the
-three-dimensional box and the 1e7 sphere rows pass 2^53.
+three-dimensional box and the 1e7 sphere rows pass 2^53.  The dense
+lattices, the side-10 Neumann square and the unit cube, have build rows
+only.
 
     python tools/bench_exact_sweep.py --parent OTHER/src > BENCH_exact_sweep.json
 
 times every row in fresh interpreters, alternately on OTHER/src (the
 parent) and on this checkout's src (the change), and prints both sides with
-the host, Python and numpy versions.
+the host, Python and numpy versions.  Those interpreters run with the fixed
+glibc malloc thresholds of ``MALLOC_ENV``, so that a sweep row does not move
+with the allocator state its build left behind; a ``--row`` run started by
+hand inherits the caller's environment.
 """
 
 from __future__ import annotations
@@ -38,25 +43,42 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-#: (label, spec of a side, (k_max, its label) pairs)
+_BOTH_SIDES = ("dirichlet", "neumann")
+_ALL_SWEEPS = ("exact", "plain", "build")
+
+#: (label, spec of a side, (k_max, its label) pairs, sides, sweeps)
 _SHAPES = (
-    ("interval-1", lambda side: {"interval": {"a": 1, "bc": side}}, ((10 ** 5, "1e5"),)),
+    ("interval-1", lambda side: {"interval": {"a": 1, "bc": side}}, ((10 ** 5, "1e5"),),
+     _BOTH_SIDES, _ALL_SWEEPS),
     ("sphere-pi24",
      lambda side: {"product": [{"interval": {"a": "pi/24", "bc": side}}, {"sphere2": {}}]},
-     ((10 ** 6, "1e6"), (10 ** 7, "1e7"))),
-    ("box-1-1", lambda side: {"box": {"sides": [1, 1], "bc": side}}, ((10 ** 5, "1e5"),)),
+     ((10 ** 6, "1e6"), (10 ** 7, "1e7")), _BOTH_SIDES, _ALL_SWEEPS),
+    ("box-1-1", lambda side: {"box": {"sides": [1, 1], "bc": side}}, ((10 ** 5, "1e5"),),
+     _BOTH_SIDES, _ALL_SWEEPS),
     ("box3d", lambda side: {"box": {"sides": ["3/2", 2, "5/7"], "bc": side}},
-     ((10 ** 5, "1e5"),)),
+     ((10 ** 5, "1e5"),), _BOTH_SIDES, _ALL_SWEEPS),
+    # dense integer lattices, whose pair sums fill a range hardly wider than
+    # their count: the square of reproduce square-triangle, and the unit cube
+    ("box-10-10", lambda side: {"box": {"sides": [10, 10], "bc": side}}, ((10 ** 5, "1e5"),),
+     ("neumann",), ("build",)),
+    ("box-1-1-1", lambda side: {"box": {"sides": [1, 1, 1], "bc": side}},
+     ((10 ** 5, "1e5"),), _BOTH_SIDES, ("build",)),
 )
 
 #: name -> (spec, k_max, side, sweep)
 ROWS = {
     f"{label}-{side}-{k_label}-{sweep}": (spec(side), k_max, side, sweep)
-    for label, spec, sizes in _SHAPES
+    for label, spec, sizes, sides, sweeps in _SHAPES
     for k_max, k_label in sizes
-    for side in ("dirichlet", "neumann")
-    for sweep in ("exact", "plain", "build")
+    for side in sides
+    for sweep in sweeps
 }
+
+#: glibc malloc settings of every timed interpreter under --parent: with the
+#: dynamic mmap threshold, whether a sweep's k-long temporaries come from
+#: fresh mmapped pages depends on what the build before it freed, which
+#: moved sweep rows by 2x between trees with the same sweep code
+MALLOC_ENV = {"MALLOC_MMAP_THRESHOLD_": "33554432", "MALLOC_TRIM_THRESHOLD_": "67108864"}
 
 
 def sweep_shape(s, meta, k_max: int, side: str) -> dict:
@@ -120,7 +142,7 @@ def compare(parent_src: Path, rounds: int, repeat: int) -> dict:
         shape = None
         for r in range(rounds):
             for label in (("parent", "change") if r % 2 == 0 else ("change", "parent")):
-                env = {**os.environ, "PYTHONPATH": str(sides[label])}
+                env = {**os.environ, **MALLOC_ENV, "PYTHONPATH": str(sides[label])}
                 proc = subprocess.run(
                     [sys.executable, __file__, "--row", name, "--repeat", str(repeat)],
                     env=env, capture_output=True, text=True, check=True)
@@ -138,6 +160,7 @@ def compare(parent_src: Path, rounds: int, repeat: int) -> dict:
                 "parent -> change; "
                 f"{rounds} fresh interpreters per side, alternating, {repeat} timed "
                 "calls each after one warm-up call",
+        "malloc_env": MALLOC_ENV,
         "command": f"python tools/bench_exact_sweep.py --parent PARENT/src "
                    f"--rounds {rounds} --repeat {repeat}",
         "host": {"platform": platform.platform(), "machine": platform.machine(),
