@@ -9,12 +9,14 @@ scan reports the empirical onset instead of asserting them globally.
 
 Every Riesz mean goes through ``riesz_mean_many``.  For V distinct values
 and L lambdas, integer gamma (0, 1, 2) costs O(V + L log V): one
-``searchsorted`` into prefix counts or prefix moments.  Any other gamma
-cuts the sorted lambdas into blocks of B: the values within a block's
-width below it are summed directly, the ones further down at n Chebyshev
-points of the block and interpolated.  With lambdas at the values
-themselves that is about n V L / B + 2 B L terms in place of L V / 2.
-Gammas above 4 take the direct sum, O(L V).
+``searchsorted`` into prefix counts or prefix moments.  Any other gamma up
+to 4 runs a one-dimensional black-box fast multipole method on a dyadic
+tree over the values and lambdas, O(n (V + L) log(V + L)) for n Chebyshev
+nodes per interval: each lambda sums the values in its own leaf and the
+one to its left directly, and every value further down reaches it through
+the nodes of one pair of intervals at least one width apart, with a
+relative error of at most 4.0e-16 (3^gamma + 2.94 4^gamma).  Gammas above
+4 take the direct sum, O(L V).
 """
 
 from __future__ import annotations
@@ -44,14 +46,14 @@ __all__ = [
     "WindowScan",
 ]
 
-#: sorted lambdas per block of the non-integer-gamma kernel
-_BLOCK = 256
-#: Chebyshev points per block at which its far field is summed
-_NODES = 19
-#: largest gamma whose far fields are interpolated (see ``_riesz_blocked``)
+#: Chebyshev nodes per interval of the non-integer-gamma tree (see ``_far_field``)
+_NODES = 21
+#: largest gamma whose far fields are interpolated; above it the sum is direct
 _FAR_GAMMA = 4
-#: lambdas per slice of a direct sum over all values below them; sizes the gap buffer
-_CHUNK = 32
+#: near-field terms per lambda, on average, that set the depth of the tree
+_LEAF = 32
+#: terms per slice of a direct sum; sizes its scratch matrices
+_SLICE = 1 << 16
 
 
 def riesz_mean(s: EigenvalueStream, gamma: float, lam: float) -> float:
@@ -67,11 +69,13 @@ def riesz_mean_many(s: EigenvalueStream, gamma: float, lams: Sequence[float]) ->
 
     gamma = 0 is ``count_many``.  gamma = 1 and 2 read prefix moments at
     ``idx``, the number of values below each lambda: O(V + L log V) for V
-    values and L lambdas.  Any other gamma takes ``_BLOCK`` sorted lambdas
-    at a time: the values near a block are summed directly, the ones below
-    are summed at ``_NODES`` Chebyshev points and interpolated, with a
-    relative error of at most 1.2e-12 (see ``_riesz_blocked``); above
-    gamma ``_FAR_GAMMA`` = 4 every value is summed directly, O(L V).
+    values and L lambdas.  Any other gamma runs the tree of ``_riesz_tree``
+    in O(n (V + L) log(V + L)): each lambda's near field, about ``_LEAF``
+    values, is summed directly, and the rest through ``_NODES`` Chebyshev
+    nodes per interval, with a relative error of at most
+    4.0e-16 (3^gamma + 2.94 4^gamma), 3.4e-13 at gamma 4 (see
+    ``_far_field``); above gamma ``_FAR_GAMMA`` = 4 every value is summed
+    directly, O(L V).  Lambdas at or below the first value give exact zeros.
     """
     if gamma < 0:
         raise DomainError(f"gamma must be >= 0, got {gamma}")
@@ -81,7 +85,7 @@ def riesz_mean_many(s: EigenvalueStream, gamma: float, lams: Sequence[float]) ->
     idx = np.searchsorted(s.values, lams, side="left")
     if gamma in (1, 2):
         return _riesz_moments(s, gamma, lams, idx)
-    return _riesz_blocked(s, gamma, lams, idx)
+    return _riesz_tree(s, gamma, lams, idx)
 
 
 def _riesz_moments(s: EigenvalueStream, gamma: float, lams: np.ndarray,
@@ -123,89 +127,242 @@ def _chebyshev_interpolator(n: int) -> tuple[np.ndarray, np.ndarray]:
 _NODES_UNIT, _NODES_DCT = _chebyshev_interpolator(_NODES)
 
 
-def _riesz_blocked(s: EigenvalueStream, gamma: float, lams: np.ndarray,
-                   idx: np.ndarray) -> np.ndarray:
-    """Any gamma > 0 in blocks of ``_BLOCK`` sorted lambdas, with the far
-    field of each block interpolated in lambda.
+def _lagrange(points: np.ndarray) -> np.ndarray:
+    """Row i: the Lagrange polynomials of the ``_NODES`` points at points[i]."""
+    return np.cos(np.outer(np.arccos(points), np.arange(_NODES))) @ _NODES_DCT
 
-    A block spans [lo, hi], w = hi - lo.  The values below lo - w are its
-    far field: f(lambda) = sum m (lambda - v)^gamma over them is summed
-    directly at ``_NODES`` Chebyshev points of [lo, hi] and read off its
-    interpolant at the block's lambdas.  The values in [lo - w, hi) are the
-    near field, summed directly in slices whose gaps fit the buffer of
-    ``_CHUNK`` lambdas against all values below them.  A block
-    of at most ``_NODES`` lambdas, of width 0, or with no value below
-    lo - w is all near field, and so is every block when gamma exceeds
-    ``_FAR_GAMMA``.
 
-    Error: mapped to [-1, 1], the block sees each far value as a branch
-    point x_s <= -3, so each term is analytic inside the Bernstein ellipse
-    rho = 3 + 2 sqrt 2 ~ 5.83 and is at most 3^gamma times its least value
-    on the block there.  Its degree n - 1 interpolant is off by at most
-    4 3^gamma rho^(1-n) / (rho - 1) relative (Trefethen, Approximation
-    Theory and Approximation Practice, Thm 8.2); every term is
-    nonnegative, so the bound holds relative to the whole sum.  ``_NODES``
-    = 19 makes it 1.4e-14 3^gamma: 7.1e-14 at gamma 1.5, 1.2e-12 at
-    ``_FAR_GAMMA`` = 4.  Above that the bound grows by 3 per unit of
-    gamma, so larger gammas take the direct sum.
-    Cost per block: n times its far values plus its lambdas times its near
-    values, where the plain direct sum pays its lambdas times all values
-    below them.
+# A child interval's nodes sit at (t - 1) / 2 (left) and (t + 1) / 2 (right)
+# of its parent's nodes t; row b of each half holds the parent's Lagrange
+# polynomials at child node b.  Node weights [left | right] of two children,
+# times _CHILDREN, are the same sources anterpolated to their parent's nodes;
+# a parent's node values, times its transpose, are its interpolant at the
+# nodes of both children.
+_CHILDREN = np.vstack([_lagrange((_NODES_UNIT - 1.0) / 2.0), _lagrange((_NODES_UNIT + 1.0) / 2.0)])
+
+
+def _run_starts(ids: np.ndarray) -> np.ndarray:
+    """True where a sorted array of interval numbers starts a new run."""
+    new = np.empty(ids.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(ids[1:], ids[:-1], out=new[1:])
+    return new
+
+
+def _riesz_tree(s: EigenvalueStream, gamma: float, lams: np.ndarray,
+                idx: np.ndarray) -> np.ndarray:
+    """Any gamma > 0 by a one-dimensional black-box fast multipole method
+    (Fong & Darve 2009) on a dyadic tree over the values and the lambdas.
+
+    The root is an interval of width 2^e at a multiple of 2^e, so that
+    every centre below it is a float, and the tree is as deep as it takes
+    to leave at most ``_LEAF`` near-field terms per lambda on average.  A
+    lambda's near field, the values below it in its own leaf and the leaf
+    to its left, is summed directly (``_near_sums``); the values further
+    down come from ``_far_field``.  Above gamma ``_FAR_GAMMA`` the tree has
+    depth 0, so the whole sum is direct.
     """
     order = np.argsort(lams, kind="stable")
-    sorted_lams = lams[order]
-    tops = idx[order]
-    starts = np.arange(0, lams.size, _BLOCK)
-    stops = np.minimum(starts + _BLOCK, lams.size)
-    lo, hi = sorted_lams[starts], sorted_lams[stops - 1]
-    width = hi - lo
-    far = np.searchsorted(s.values, lo - width, side="left")
-    far[(width <= 0) | (stops - starts <= _NODES) | (gamma > _FAR_GAMMA)] = 0
-    mults = s.multiplicities.astype(float)
-    buf = np.empty(min(_CHUNK, lams.size) * int(tops.max(initial=0)))
+    lams, tops = lams[order], idx[order]
+    out = np.zeros(lams.size)
+    top = int(tops.max(initial=0))
+    if not top:
+        return out
+    values = s.values[:top]
+    mults = s.multiplicities[:top].astype(float)
+    lo, hi = min(values[0], lams[0]), lams[-1]
+    e = int(np.frexp(hi - lo)[1])
+    while True:
+        base = np.ldexp(np.floor(np.ldexp(lo, -e)), e)
+        if base + np.ldexp(1.0, e) > hi:
+            break
+        e += 1
+    # centres base + (i + 1/2) 2^(e - l) must fit 53 bits and widths stay normal
+    cap = max(0, min(52 - (int(abs(np.ldexp(base, -e))) + 1).bit_length(), e + 1020))
+    if gamma > _FAR_GAMMA:
+        cap = 0
+    scale, last = np.ldexp(1.0, cap - e), (1 << cap) - 1
+    src = np.minimum(((values - base) * scale).astype(np.int64), last)
+    tgt = np.minimum(((lams - base) * scale).astype(np.int64), last)
 
-    def gap_sums(points, first, stop, clip_from):
-        """sum m max(point - v, 0)^gamma over values[first:stop]; only the
-        columns from ``clip_from`` on can hold negative gaps."""
-        gaps = buf[:points.size * (stop - first)].reshape(points.size, stop - first)
-        np.subtract(points[:, None], s.values[None, first:stop], out=gaps)
-        tail = gaps[:, clip_from - first:]
-        np.maximum(tail, 0.0, out=tail)
+    def near_first(depth):
+        """The first value of each lambda's left neighbour leaf at depth."""
+        return np.searchsorted(src >> (cap - depth), (tgt >> (cap - depth)) - 1, side="left")
+
+    # start where evenly spread values would leave about _LEAF near terms per lambda
+    spread = int(1.5 * top * np.ldexp(1.0, e) / ((hi - lo) * _LEAF))
+    depth = min(cap, spread.bit_length())
+    first = near_first(depth)
+    while depth < cap and int((tops - first).sum()) > _LEAF * lams.size:
+        depth += 1
+        first = near_first(depth)
+    out[order] = _near_sums(values, mults, gamma, lams, first, tops)
+    if depth >= 2:
+        out[order] += _far_field(values, mults, gamma, lams, src >> (cap - depth),
+                                 tgt >> (cap - depth), base, e, depth)
+    return out
+
+
+def _near_sums(values: np.ndarray, mults: np.ndarray, gamma: float, lams: np.ndarray,
+               first: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """sum m (lambda - v)^gamma over values[first:stop] for each lambda, where
+    values[stop:] are the values at or above lambda.
+
+    Rows are sorted by the width of their band and summed in slices of at
+    most ``_SLICE`` terms (or one row) whose widths differ by at most a
+    half, each padded to its widest row; the padding reads values at or
+    above lambda, or +inf past the last value, and max(gap, 0) makes those
+    terms 0.
+    """
+    out = np.zeros(lams.size)
+    width = stop - first
+    rows = np.argsort(width)
+    width = width[rows]
+    widest = int(width[-1]) if rows.size else 0
+    if not widest:
+        return out
+    # the widest values and weights from each index on, as rows of a strided view
+    window = np.lib.stride_tricks.sliding_window_view
+    value_rows = window(np.concatenate([values, np.full(widest, np.inf)]), widest)
+    weight_rows = window(np.concatenate([mults, np.zeros(widest)]), widest)
+    i = int(np.searchsorted(width, 1))
+    while i < rows.size:
+        w = int(width[i]) * 3 // 2 or 1
+        end = min(int(np.searchsorted(width, w, side="right")), i + max(1, _SLICE // w))
+        w = int(width[end - 1])
+        take, at = rows[i:end], first[rows[i:end]]
+        gaps = value_rows[at, :w]
+        np.subtract(lams[take, None], gaps, out=gaps)
+        np.maximum(gaps, 0.0, out=gaps)
         # the window scans' half-integer gammas: sqrt is several times cheaper than power
         if gamma == 0.5:
             np.sqrt(gaps, out=gaps)
         elif gamma == 1.5:
-            np.multiply(gaps, np.sqrt(gaps), out=gaps)
+            gaps *= np.sqrt(gaps)
         else:
             np.power(gaps, gamma, out=gaps)
-        return gaps @ mults[first:stop]
-
-    # near fields block by block; far fields summed at each block's nodes
-    near = np.empty(lams.size)
-    mid, half = lo + 0.5 * width, 0.5 * width
-    at_nodes = np.zeros((starts.size, _NODES))
-    for b, (start, stop) in enumerate(zip(starts.tolist(), stops.tolist())):
-        k, top = int(far[b]), int(tops[stop - 1])
-        # slices no larger than _CHUNK lambdas against every value below them
-        step = max(_CHUNK, _CHUNK * top // max(top - k, 1))
-        for row in range(start, stop, step):
-            end = min(row + step, stop)
-            near[row:end] = gap_sums(sorted_lams[row:end], k, int(tops[end - 1]),
-                                     int(tops[row]))
-        if k:
-            at_nodes[b] = gap_sums(mid[b] + half[b] * _NODES_UNIT, 0, k, k)
-    # every lambda reads its block's interpolant (zero without a far field)
-    # by Clenshaw's recurrence in u = (lambda - mid) / half
-    block = np.repeat(np.arange(starts.size), stops - starts)
-    u = np.divide(sorted_lams - mid[block], half[block], out=np.zeros(lams.size),
-                  where=far[block] > 0)
-    coef = at_nodes @ _NODES_DCT.T
-    b1 = b2 = np.zeros(lams.size)
-    for p in range(_NODES - 1, 0, -1):
-        b1, b2 = coef[block, p] + 2.0 * u * b1 - b2, b1
-    out = np.empty(lams.size)
-    out[order] = near + (coef[block, 0] + u * b1 - b2)
+        out[take] = np.einsum("ij,ij->i", gaps, weight_rows[at, :w])
+        i = end
     return out
+
+
+def _leaf_weights(values: np.ndarray, mults: np.ndarray, src: np.ndarray, base: float,
+                  h: float) -> tuple[np.ndarray, np.ndarray]:
+    """The leaves of width h that hold values, from the sorted leaf numbers
+    ``src`` of the values, and their node weights: sum m l_b(u) over each
+    leaf's values, u a value in its leaf's coordinate, and a row of zeros.
+
+    Each m T_p(u) follows from the last two by Chebyshev's recurrence;
+    summed over a leaf they are its moments, and the DCT takes them to
+    node weights."""
+    u = (values - (base + (src + 0.5) * h)) * (2.0 / h)
+    cheb = np.empty((_NODES, u.size))
+    cheb[0] = mults
+    np.multiply(mults, u, out=cheb[1])
+    u *= 2.0
+    for p in range(2, _NODES):
+        np.multiply(u, cheb[p - 1], out=cheb[p])
+        cheb[p] -= cheb[p - 2]
+    first = np.flatnonzero(_run_starts(src))
+    moments = np.zeros((_NODES, first.size + 1))
+    np.add.reduceat(cheb, first, axis=1, out=moments[:, :-1])
+    return src[first], moments.T @ _NODES_DCT
+
+
+def _far_field(values: np.ndarray, mults: np.ndarray, gamma: float, lams: np.ndarray,
+               src: np.ndarray, tgt: np.ndarray, base: float, e: int,
+               depth: int) -> np.ndarray:
+    """sum m (lambda - v)^gamma over the values two or more leaves left of
+    each lambda's leaf; ``src`` and ``tgt`` are the leaf numbers of the
+    sorted values and lambdas at ``depth``, the interval
+    [base + i 2^(e - l), base + (i + 1) 2^(e - l)) being number i at level l.
+
+    Upward, each leaf's values are anterpolated to its ``_NODES`` Chebyshev
+    nodes (``_leaf_weights``), and ``_CHILDREN`` merges children into
+    parents.  Downward, interval i at level l >= 2 takes the node weights of
+    interval i - 2 and, when i is odd, of i - 3 through the kernel
+    (k + (t_a - s_b) / 2)^gamma h^gamma, with k = 2, 3 and h = 2^(e - l),
+    adds its parent's field interpolated to its nodes by the transpose of
+    ``_CHILDREN``, and each leaf's field is read off at its lambdas.  By
+    induction a level-l interval i then holds every value in intervals
+    below i - 1.
+
+    Error: a far term m (x - y)^gamma is replaced by its interpolant in
+    both variables, y on the source interval and x on the target one.
+    Mapped to [-1, 1] as s and t, x - y = (h / 2) (2k + t - s), whose branch
+    point lies at |u| >= 3 in either variable, so each term is analytic
+    inside the Bernstein ellipse rho = 3 + 2 sqrt 2 of each.  In s it is at
+    most 3^gamma times its least value on the source interval there, so
+    anterpolation is off by at most C 3^gamma of the term, with
+    C = 4 rho^(1-n) / (rho - 1) (Trefethen, Approximation Theory and
+    Approximation Practice, Thm 8.2).  The anterpolated term combines the
+    kernel at the source nodes with weights of absolute sum at most the
+    Lebesgue constant Lambda <= 1 + (2 / pi) log n, so on the ellipse in t
+    it is at most Lambda 4^gamma times the true term, and interpolating it
+    in t adds at most C Lambda 4^gamma.  The transfers between levels are
+    exact on polynomials of degree n - 1, and every term is nonnegative, so
+    the relative error of the far field is at most C (3^gamma + Lambda 4^gamma).
+    ``_NODES`` = 21 makes it 4.0e-16 (3^gamma + 2.94 4^gamma): 1.2e-14 at
+    gamma 1.5 and 3.4e-13 at ``_FAR_GAMMA`` = 4, under the 1.4e-14 3^gamma
+    of a one-sided 19-point interpolant (19 points would give 1.1e-11 at 4).
+    Rounding adds up to about 25 units of 2^-53 per level: each transfer
+    between levels rounds at most 2.8 (down) or 5.1 (up) times the field,
+    the largest row and column sums of ``_CHILDREN``, and the Lebesgue
+    constant bounds how far that carries.  Measured against fsum sums, the
+    bench shapes' trees of about 10 levels are off by up to 2e-14, a
+    50-level tree over values from 1e-200 to 100 by 1.4e-13.
+    """
+    n = _NODES
+    h = np.ldexp(1.0, e - depth)
+    # upward; each level's node weights end in a row of zeros, read for absent cousins
+    ids, w = _leaf_weights(values, mults, src, base, h)
+    weights = {depth: (ids, w)}
+    for level in range(depth, 2, -1):
+        new = _run_starts(ids >> 1)
+        at = np.cumsum(new) - 1
+        pairs = np.zeros((at[-1] + 2, 2, n))
+        pairs[at, ids & 1] = w[:-1]
+        ids = (ids >> 1)[new]
+        w = pairs.reshape(-1, 2 * n) @ _CHILDREN
+        weights[level - 1] = ids, w
+
+    # each level's intervals that hold lambdas, and the row of each among
+    # its parents' interpolants at their children's nodes
+    new = _run_starts(tgt)
+    leaf, ids = np.cumsum(new) - 1, tgt[new]
+    targets = {}
+    for level in range(depth, 2, -1):
+        new = _run_starts(ids >> 1)
+        targets[level] = ids, 2 * (np.cumsum(new) - 1) + (ids & 1)
+        ids = (ids >> 1)[new]
+    targets[2] = ids, None
+    # cousin i - 2 through rows 0..n-1, cousin i - 3 through rows n..2n-1
+    diff = (_NODES_UNIT[:, None] - _NODES_UNIT[None, :]) / 2.0
+    kernel = np.vstack([((2.0 + diff) ** gamma).T, ((3.0 + diff) ** gamma).T])
+    local = np.zeros((ids.size, n))
+    for level in range(2, depth + 1):
+        ids, child = targets[level]
+        if child is not None:
+            local = (local @ _CHILDREN.T).reshape(-1, n)[child]
+        src_ids, w = weights[level]
+        absent = src_ids.size
+        at = np.searchsorted(src_ids, ids - 3)
+        found = src_ids.take(at, mode="clip") == ids - 3
+        three = np.where(found & (ids & 1).astype(bool), at, absent)
+        at += found
+        two = np.where(src_ids.take(at, mode="clip") == ids - 2, at, absent)
+        local += np.hstack([w[two], w[three]]) @ (kernel * np.ldexp(1.0, e - level) ** gamma)
+    # each lambda reads its leaf's interpolant by Clenshaw's recurrence
+    coef = np.take(_NODES_DCT @ local.T, leaf, axis=1)
+    u = (lams - (base + (tgt + 0.5) * h)) * (2.0 / h)
+    u2 = 2.0 * u
+    b1, b2, b0 = np.zeros(lams.size), np.zeros(lams.size), np.empty(lams.size)
+    for p in range(n - 1, 0, -1):
+        np.multiply(u2, b1, out=b0)
+        b0 -= b2
+        b0 += coef[p]
+        b1, b2, b0 = b0, b1, b2
+    return coef[0] + u * b1 - b2
 
 
 def _one_term_bound(meta: DomainMeta, gamma: float, lam: float) -> float:
@@ -354,41 +511,42 @@ def _window_grid(s: EigenvalueStream, lo: float, hi: float, grid: int) -> np.nda
     return _sorted_union(mus, jumps)
 
 
+def _window_scan(s: EigenvalueStream, meta: DomainMeta, bc: BoundaryCondition, d2: int,
+                 window: tuple[float, float], grid: int, supremum: bool = False) -> WindowScan:
+    """The extremum over the window grid of a gap normalized by
+    mu^((d1+d2-1)/2): R_{(d2-1)/2}(mu) for the supremum, else
+    L |Omega| mu^((d1+d2)/2) - R_{d2/2}(mu), with the sign of the side that
+    ``bc`` bounds."""
+    _require_bc(meta, bc, "this gap scan")
+    mus = _window_grid(s, *window, grid=grid)
+    d1 = meta.dimension
+    if supremum:
+        gap = riesz_mean_many(s, (d2 - 1) / 2.0, mus)
+    else:
+        gamma = d2 / 2.0
+        lead = l_gamma_d(gamma, d1) * meta.volume * mus ** ((d1 + d2) / 2.0)
+        riesz = riesz_mean_many(s, gamma, mus)
+        gap = lead - riesz if bc is BoundaryCondition.DIRICHLET else riesz - lead
+    vals = gap / mus ** ((d1 + d2 - 1) / 2.0)
+    i = int(np.argmax(vals) if supremum else np.argmin(vals))
+    return WindowScan(float(vals[i]), float(mus[i]), (float(window[0]), float(window[1])))
+
+
 def window_infimum_dirichlet(s: EigenvalueStream, meta: DomainMeta, d2: int,
                              window: tuple[float, float], grid: int = 4096) -> WindowScan:
     """Infimum over the window of the normalized Berezin gap
     [L |Omega| mu^((d1+d2)/2) - R_{d2/2}(mu)] / mu^((d1+d2-1)/2)."""
-    _require_bc(meta, BoundaryCondition.DIRICHLET, "this gap scan")
-    mus = _window_grid(s, *window, grid=grid)
-    gamma = d2 / 2.0
-    d1 = meta.dimension
-    lead = l_gamma_d(gamma, d1) * meta.volume * mus ** ((d1 + d2) / 2.0)
-    vals = (lead - riesz_mean_many(s, gamma, mus)) / mus ** ((d1 + d2 - 1) / 2.0)
-    i = int(np.argmin(vals))
-    return WindowScan(float(vals[i]), float(mus[i]), (float(window[0]), float(window[1])))
+    return _window_scan(s, meta, BoundaryCondition.DIRICHLET, d2, window, grid)
 
 
 def window_infimum_neumann(s: EigenvalueStream, meta: DomainMeta, d2: int,
                            window: tuple[float, float], grid: int = 4096) -> WindowScan:
     """Infimum over the window of the mirrored normalized gap for Neumann
     spectra: [R_{d2/2}(mu) - L |Omega| mu^((d1+d2)/2)] / mu^((d1+d2-1)/2)."""
-    _require_bc(meta, BoundaryCondition.NEUMANN, "this gap scan")
-    mus = _window_grid(s, *window, grid=grid)
-    gamma = d2 / 2.0
-    d1 = meta.dimension
-    lead = l_gamma_d(gamma, d1) * meta.volume * mus ** ((d1 + d2) / 2.0)
-    vals = (riesz_mean_many(s, gamma, mus) - lead) / mus ** ((d1 + d2 - 1) / 2.0)
-    i = int(np.argmin(vals))
-    return WindowScan(float(vals[i]), float(mus[i]), (float(window[0]), float(window[1])))
+    return _window_scan(s, meta, BoundaryCondition.NEUMANN, d2, window, grid)
 
 
 def window_supremum_neumann(s: EigenvalueStream, meta: DomainMeta, d2: int,
                             window: tuple[float, float], grid: int = 4096) -> WindowScan:
     """Supremum over the window of R_{(d2-1)/2}(mu) / mu^((d1+d2-1)/2)."""
-    _require_bc(meta, BoundaryCondition.NEUMANN, "this gap scan")
-    mus = _window_grid(s, *window, grid=grid)
-    gamma = (d2 - 1) / 2.0
-    d1 = meta.dimension
-    vals = riesz_mean_many(s, gamma, mus) / mus ** ((d1 + d2 - 1) / 2.0)
-    i = int(np.argmax(vals))
-    return WindowScan(float(vals[i]), float(mus[i]), (float(window[0]), float(window[1])))
+    return _window_scan(s, meta, BoundaryCondition.NEUMANN, d2, window, grid, supremum=True)

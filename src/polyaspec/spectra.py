@@ -69,6 +69,11 @@ FLOAT_MERGE_RTOL = 1e-12
 #: guard against silent int64 overflow in exact integer paths
 _INT64_GUARD = 2 ** 62
 
+#: most modes one interval spectrum may hold: each mode takes 8 bytes in
+#: several arrays, so this many is gigabytes already, and a longer interval
+#: or a higher cutoff is refused before anything is allocated
+_MAX_MODES = 10 ** 8
+
 
 class BoundaryCondition(str, Enum):
     DIRICHLET = "dirichlet"
@@ -369,7 +374,8 @@ def interval_spectrum(a, bc: BoundaryCondition, cutoff: float) -> EigenvalueStre
     an int, a Fraction, or a symbolic string like ``"pi/24"``; symbolic and
     rational lengths produce exact streams, whose numerators are l**2 times
     the numerator w of pi**2 / a**2.  They are int64 until w * l**2 at the
-    top mode reaches ``_INT64_GUARD``.
+    top mode reaches ``_INT64_GUARD``.  A length and cutoff with more than
+    ``_MAX_MODES`` modes raise ``DomainError``.
     """
     bc = BoundaryCondition(bc)
     if bc is BoundaryCondition.CLOSED:
@@ -378,7 +384,11 @@ def interval_spectrum(a, bc: BoundaryCondition, cutoff: float) -> EigenvalueStre
         raise DomainError(f"cutoff must be positive, got {cutoff}")
     _, coeff, coeff_float = _interval_weight(a)
     start = 0 if bc is BoundaryCondition.NEUMANN else 1
-    modes = np.arange(start, int(math.sqrt(cutoff / coeff_float)) + 3, dtype=np.int64)
+    top = math.sqrt(cutoff / coeff_float)
+    if not top < _MAX_MODES:
+        raise DomainError(f"interval length {a} below cutoff {cutoff} has {top:.3g} modes, "
+                          f"more than _MAX_MODES = {_MAX_MODES}")
+    modes = np.arange(start, int(top) + 3, dtype=np.int64)
     values = coeff_float * modes.astype(float) ** 2
     modes, values = modes[values < cutoff], values[values < cutoff]
     ones = np.ones(modes.size, np.int64)

@@ -280,6 +280,9 @@ def _interval(a: str) -> str:
     ("count", "--spec", _interval('"1/1' + "0" * 170 + '"'), "--lambda", "10"),
     # pi**2 / a**2 fits, the cutoff covering k_max does not
     ("verify", "--spec", _interval("1e-150"), "--k-max", "100000"),
+    # more modes below the cutoff than _MAX_MODES
+    ("spectrum", "--spec", _interval("1e12"), "--cutoff", "10"),
+    ("spectrum", "--spec", _interval("1e100"), "--cutoff", "10"),
 ])
 def test_interval_past_float_range_is_domain_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv, "--no-timestamp")

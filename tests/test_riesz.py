@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -33,7 +34,7 @@ from polyaspec import (
     window_supremum_neumann,
 )
 from polyaspec import riesz as riesz_module
-from polyaspec.riesz import _BLOCK
+from polyaspec.riesz import _FAR_GAMMA, _LEAF
 from polyaspec.spectra import EigenvalueStream
 
 PI = math.pi
@@ -131,11 +132,11 @@ def _streams(draw):
 
 @st.composite
 def _lambdas(draw, s):
-    """Unsorted lambdas with repeats, fewer than a block of ``_BLOCK``: jumps,
-    0, the cutoff and points in between."""
+    """Unsorted lambdas with repeats, one to three leaves' worth of ``_LEAF``:
+    jumps, 0, the cutoff and points in between."""
     special = [0.0, s.cutoff, *s.values.tolist()]
     pool = st.one_of(st.sampled_from(special), st.floats(0.0, s.cutoff))
-    lams = draw(st.lists(pool, min_size=_BLOCK // 8 + 1, max_size=3 * _BLOCK // 8))
+    lams = draw(st.lists(pool, min_size=_LEAF + 1, max_size=3 * _LEAF))
     return lams + draw(st.lists(st.sampled_from(lams), max_size=10))
 
 
@@ -174,13 +175,19 @@ def _riesz_oracle_many(s, gamma: float, lams) -> list[float]:
 
 @st.composite
 def _far_field_cases(draw):
-    """Streams of 1000-4000 values (float, clustered or exact) and more than
-    two blocks of lambdas, so that blocks have a far field; some draws hold
-    a block of one repeated lambda, and the lowest block straddles the
-    first value."""
+    """Streams of 32 to 128 leaves' worth of values and lambdas in layouts a
+    dyadic tree has to get right, so that gammas up to ``_FAR_GAMMA`` build
+    three or more levels.
+
+    Values are spread out, clustered, exact, spread over 1e-6 .. 1e6, or a
+    dense cluster inside a sparse tail.  Lambdas are spread over the whole
+    stream (with some at jumps, some about the first value, and some draws
+    holding many copies of one lambda), all in one leaf (within a thousandth
+    of the gap between two values above the median one), or all above the
+    last value."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    kind = draw(st.sampled_from(["float", "cluster", "exact"]))
-    n = draw(st.integers(1000, 4000))
+    kind = draw(st.sampled_from(["float", "cluster", "exact", "wide", "tail"]))
+    n = draw(st.integers(32 * _LEAF, 128 * _LEAF))
     first = draw(st.floats(0.0, 50.0))
     if kind == "float":
         values = np.unique(rng.uniform(first, first + draw(st.floats(10.0, 1e4)), n))
@@ -189,36 +196,85 @@ def _far_field_cases(draw):
         centers = rng.uniform(first + 1.0, first + 1e3, n // 10)
         step = 10.0 ** -draw(st.integers(3, 12))
         values = np.unique(centers[:, None] * (1.0 + step * rng.integers(0, 50, (centers.size, 10))))
+    elif kind == "wide":
+        values = np.unique(10.0 ** rng.uniform(-6.0, 6.0, n))
+    elif kind == "tail":
+        # nine tenths of the values within a relative 1e-6 .. 1e-3 of one point
+        center = rng.uniform(first + 1.0, first + 1e3)
+        width = center * 10.0 ** -draw(st.integers(3, 6))
+        values = np.unique(np.concatenate([rng.uniform(first, first + 2e3, n // 10),
+                                           center + width * rng.random(n - n // 10)]))
     else:
         den = draw(st.integers(1, 40))
         values = [Fraction(int(k), den) for k in np.unique(rng.integers(0, 40 * n, n))]
     entries = list(zip(np.asarray(values).tolist(), rng.integers(1, 6, len(values)).tolist()))
-    s = tabulated_spectrum(entries, float(entries[-1][0]) + draw(st.floats(1e-6, 50.0)))
-    # gammas above _FAR_GAMMA = 4 take the direct sum
+    last = float(entries[-1][0])
+    layout = draw(st.sampled_from(["spread", "leaf", "above"]))
+    cutoff = 4.0 * last + 100.0 if layout == "above" else last + draw(st.floats(1e-6, 50.0))
+    s = tabulated_spectrum(entries, cutoff)
+    # gammas above _FAR_GAMMA take the direct sum
     gamma = draw(st.one_of(st.sampled_from([0.5, 1.5, 2.5, 6.5]),
                            st.floats(0.0, 8.0, exclude_min=True, exclude_max=True)))
-    top, v0 = s.cutoff, float(s.values[0])
-    lams = np.concatenate([
-        rng.uniform(0.0, top, draw(st.integers(2 * _BLOCK + 1, 3 * _BLOCK))),
-        rng.choice(s.values, draw(st.integers(0, _BLOCK))),
-        rng.uniform(0.0, min(2.0 * v0 + 1e-9, top), draw(st.integers(0, _BLOCK))),  # about v0
-        [0.0, v0, top],
-    ])
-    if draw(st.booleans()):  # a whole block of one lambda
-        lams = np.concatenate([lams, np.full(2 * _BLOCK, draw(st.sampled_from(lams.tolist())))])
+    count = draw(st.integers(16 * _LEAF + 1, 24 * _LEAF))
+    v0 = float(s.values[0])
+    if layout == "spread":
+        lams = np.concatenate([
+            rng.uniform(0.0, cutoff, count),
+            rng.choice(s.values, draw(st.integers(0, 8 * _LEAF))),
+            rng.uniform(0.0, min(2.0 * v0 + 1e-9, cutoff), draw(st.integers(0, 8 * _LEAF))),
+            [0.0, v0, cutoff],
+        ])
+        if draw(st.booleans()):  # many copies of one lambda
+            lams = np.concatenate([lams, np.full(16 * _LEAF, draw(st.sampled_from(lams.tolist())))])
+    elif layout == "leaf":
+        # between two values above the median one, a thousandth of their gap wide
+        k = draw(st.integers(s.values.size // 2, s.values.size - 2))
+        lo, hi = s.values[k], s.values[k + 1]
+        lams = np.concatenate([[lo, hi], lo + (hi - lo) * rng.uniform(0.0, 1e-3, count)])
+    else:
+        lams = np.concatenate([[last, cutoff], rng.uniform(last, cutoff, count)])
     rng.shuffle(lams)
     return s, gamma, lams.tolist()
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(case=_far_field_cases())
 def test_riesz_mean_many_far_field_matches_direct_sum(case):
     s, gamma, lams = case
-    got = riesz_mean_many(s, gamma, lams)
+    depths = []
+    far_field = riesz_module._far_field
+
+    def recorded(*args):
+        depths.append(args[-1])
+        return far_field(*args)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(riesz_module, "_far_field", recorded)
+        got = riesz_mean_many(s, gamma, lams)
     expected = _riesz_oracle_many(s, gamma, lams)
     assert got.tolist() == pytest.approx(expected, rel=1e-11, abs=sys.float_info.min)
     # exact zeros at and below the first value
     assert not got[np.asarray(lams) <= s.values[0]].any()
+    # the tree had a far field (levels 0, 1 and 2 at least) unless gamma
+    # takes prefix moments or the direct sum
+    assert bool(depths) == (gamma not in (1.0, 2.0) and gamma <= _FAR_GAMMA)
+
+
+def test_riesz_mean_many_scratch_memory_at_scale():
+    # a two-term scan of this box once peaked at 371 MB of RSS; the blocked
+    # kernel's scratch for these 256 lambdas peaked at 42 MB
+    s = box_spectrum([6.1, 8.7], "neumann", 2e4)
+    assert s.values.size == 84_783
+    lams = np.linspace(1.0, 2e4, 258)[1:-1]
+    tracemalloc.start()
+    try:
+        got = riesz_mean_many(s, 1.5, lams)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 42 * 2 ** 20
+    assert got[::51].tolist() == pytest.approx(_riesz_oracle_many(s, 1.5, lams[::51]),
+                                               rel=1e-11, abs=0.0)
 
 
 @pytest.mark.parametrize("gamma", [1.0, 2.0])
@@ -432,8 +488,8 @@ def test_two_term_scan_small_lambda_reported_not_asserted():
 
 
 def _dense_reference(s, gamma, lams, idx):
-    """The plain direct sum that ``riesz._riesz_blocked`` replaced: blocks of
-    32 sorted lambdas, each summing the gaps to every value below its top
+    """The plain direct sum in place of ``riesz._riesz_tree``: blocks of 32
+    sorted lambdas, each summing the gaps to every value below its top
     lambda."""
     order = np.argsort(lams, kind="stable")
     tops = idx[order]
@@ -465,7 +521,7 @@ def test_scans_match_the_dense_reference(shape, monkeypatch):
     def fast_and_dense(scan):
         fast = scan()
         with monkeypatch.context() as m:
-            m.setattr(riesz_module, "_riesz_blocked", _dense_reference)
+            m.setattr(riesz_module, "_riesz_tree", _dense_reference)
             return fast, scan()
 
     # two-term scans need gamma >= 1

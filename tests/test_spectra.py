@@ -95,6 +95,16 @@ def test_interval_rejects_lengths_past_float_range(a, bc, cutoff):
         box_meta([a], bc)
 
 
+@pytest.mark.parametrize("a", [1e12, 1e100])
+def test_interval_mode_count_is_capped(a):
+    # 1e12 asked numpy for 7.3 TiB (MemoryError), 1e100 for an array past its
+    # size limit (a bare ValueError)
+    with pytest.raises(DomainError, match="_MAX_MODES"):
+        interval_spectrum(a, "dirichlet", 10.0)
+    with pytest.raises(DomainError, match="_MAX_MODES"):
+        box_spectrum([1, a], "neumann", 10.0)
+
+
 def test_interval_rejects_nonpositive_cutoff():
     with pytest.raises(DomainError):
         interval_spectrum(1.0, "dirichlet", 0.0)

@@ -134,27 +134,48 @@ def command(name: str, repeat: int) -> str:
     return f"PYTHONPATH=src python tools/bench_exact_sweep.py --row {name} --repeat {repeat}"
 
 
-def compare(parent_src: Path, rounds: int, repeat: int) -> dict:
+def time_sides(script: str, name: str, parent_src: Path, rounds: int,
+               repeat: int) -> tuple[dict, dict]:
+    """Time row ``name`` of ``script`` (a tool with this one's ``--row`` and
+    ``--repeat``) in fresh interpreters with ``MALLOC_ENV``, alternately on
+    ``parent_src`` (the parent) and this checkout's src (the change).
+
+    Returns each side's ``summary`` and its last row output less the times.
+    """
     sides = {"parent": parent_src.resolve(), "change": (ROOT / "src").resolve()}
+    times = {"parent": [], "change": []}
+    outs = {}
+    for r in range(rounds):
+        for label in (("parent", "change") if r % 2 == 0 else ("change", "parent")):
+            env = {**os.environ, **MALLOC_ENV, "PYTHONPATH": str(sides[label])}
+            proc = subprocess.run(
+                [sys.executable, script, "--row", name, "--repeat", str(repeat)],
+                env=env, capture_output=True, text=True, check=True)
+            outs[label] = json.loads(proc.stdout)
+            times[label] += outs[label].pop("times_ms")
+    return {label: summary(t) for label, t in times.items()}, outs
+
+
+def host() -> dict:
+    """The machine and library versions a comparison ran on."""
+    return {
+        "host": {"platform": platform.platform(), "machine": platform.machine(),
+                 "cpus": os.cpu_count()},
+        "python": platform.python_version(),
+        "numpy": __import__("numpy").__version__,
+    }
+
+
+def compare(parent_src: Path, rounds: int, repeat: int) -> dict:
     rows = []
     for name, (spec, k_max, side, sweep) in ROWS.items():
-        times = {"parent": [], "change": []}
-        shape = None
-        for r in range(rounds):
-            for label in (("parent", "change") if r % 2 == 0 else ("change", "parent")):
-                env = {**os.environ, **MALLOC_ENV, "PYTHONPATH": str(sides[label])}
-                proc = subprocess.run(
-                    [sys.executable, __file__, "--row", name, "--repeat", str(repeat)],
-                    env=env, capture_output=True, text=True, check=True)
-                out = json.loads(proc.stdout)
-                times[label] += out.pop("times_ms")
-                shape = {k: out[k] for k in ("runs", "shift", "int64", "below_2_53")}
-        parent, change = summary(times["parent"]), summary(times["change"])
+        ms, outs = time_sides(__file__, name, parent_src, rounds, repeat)
+        shape = {k: outs["change"][k] for k in ("runs", "shift", "int64", "below_2_53")}
         rows.append({"row": name, "spec": spec, "k_max": k_max, "side": side,
                      "sweep": sweep, **shape,
                      "command": command(name, repeat),
-                     "parent_ms": parent, "change_ms": change,
-                     "speedup": round(parent["median"] / change["median"], 2)})
+                     "parent_ms": ms["parent"], "change_ms": ms["change"],
+                     "speedup": round(ms["parent"]["median"] / ms["change"]["median"], 2)})
     return {
         "what": "in-process medians of one per-eigenvalue sweep or one stream build, "
                 "parent -> change; "
@@ -163,10 +184,7 @@ def compare(parent_src: Path, rounds: int, repeat: int) -> dict:
         "malloc_env": MALLOC_ENV,
         "command": f"python tools/bench_exact_sweep.py --parent PARENT/src "
                    f"--rounds {rounds} --repeat {repeat}",
-        "host": {"platform": platform.platform(), "machine": platform.machine(),
-                 "cpus": os.cpu_count()},
-        "python": platform.python_version(),
-        "numpy": __import__("numpy").__version__,
+        **host(),
         "rows": rows,
     }
 
