@@ -16,7 +16,8 @@ nodes per interval: each lambda sums the values in its own leaf and the
 one to its left directly, and every value further down reaches it through
 the nodes of one pair of intervals at least one width apart, with a
 relative error of at most 4.0e-16 (3^gamma + 2.94 4^gamma).  Gammas above
-4 take the direct sum, O(L V).
+4, and lambdas so few that summing every value below them costs at most n
+terms per value, take the direct sum, O(L V).
 """
 
 from __future__ import annotations
@@ -74,8 +75,10 @@ def riesz_mean_many(s: EigenvalueStream, gamma: float, lams: Sequence[float]) ->
     values, is summed directly, and the rest through ``_NODES`` Chebyshev
     nodes per interval, with a relative error of at most
     4.0e-16 (3^gamma + 2.94 4^gamma), 3.4e-13 at gamma 4 (see
-    ``_far_field``); above gamma ``_FAR_GAMMA`` = 4 every value is summed
-    directly, O(L V).  Lambdas at or below the first value give exact zeros.
+    ``_far_field``).  Above gamma ``_FAR_GAMMA`` = 4, or when that direct
+    sum is at most ``_NODES`` terms per value, every value below each lambda
+    is summed directly, O(L V).  Lambdas at or below the first value,
+    -inf among them, give exact zeros, and +inf gives inf.
     """
     if gamma < 0:
         raise DomainError(f"gamma must be >= 0, got {gamma}")
@@ -159,28 +162,36 @@ def _riesz_tree(s: EigenvalueStream, gamma: float, lams: np.ndarray,
     to leave at most ``_LEAF`` near-field terms per lambda on average.  A
     lambda's near field, the values below it in its own leaf and the leaf
     to its left, is summed directly (``_near_sums``); the values further
-    down come from ``_far_field``.  Above gamma ``_FAR_GAMMA`` the tree has
-    depth 0, so the whole sum is direct.
+    down come from ``_far_field``.  Only lambdas above the first value and
+    below +inf enter the tree, so it spans [values[0], max lambda].  Where
+    the far field does not pay or could overflow, the whole sum is direct.
     """
-    order = np.argsort(lams, kind="stable")
-    lams, tops = lams[order], idx[order]
-    out = np.zeros(lams.size)
-    top = int(tops.max(initial=0))
-    if not top:
+    # exact zeros at and below the first value; +inf exceeds every value
+    out = np.where(idx > 0, np.inf, 0.0)
+    live = np.flatnonzero((idx > 0) & (lams < np.inf))
+    if not live.size:
         return out
+    order = live[np.argsort(lams[live], kind="stable")]
+    lams, tops = lams[order], idx[order]
+    top = int(tops[-1])
     values = s.values[:top]
     mults = s.multiplicities[:top].astype(float)
-    lo, hi = min(values[0], lams[0]), lams[-1]
+    lo, hi = values[0], lams[-1]
     e = int(np.frexp(hi - lo)[1])
     while True:
         base = np.ldexp(np.floor(np.ldexp(lo, -e)), e)
         if base + np.ldexp(1.0, e) > hi:
             break
         e += 1
+    # the direct sum: above _FAR_GAMMA; where far fields, which reach about
+    # M (4 2^e)^gamma for total multiplicity M, could near the float range;
+    # and at most _NODES terms per value, fewer than anterpolation costs
+    if (gamma > _FAR_GAMMA or (e + 2) * gamma + np.log2(s.cumulative_counts()[top]) > 1000
+            or int(tops.sum()) <= _NODES * top):
+        out[order] = _near_sums(values, mults, gamma, lams, np.zeros_like(tops), tops)
+        return out
     # centres base + (i + 1/2) 2^(e - l) must fit 53 bits and widths stay normal
     cap = max(0, min(52 - (int(abs(np.ldexp(base, -e))) + 1).bit_length(), e + 1020))
-    if gamma > _FAR_GAMMA:
-        cap = 0
     scale, last = np.ldexp(1.0, cap - e), (1 << cap) - 1
     src = np.minimum(((values - base) * scale).astype(np.int64), last)
     tgt = np.minimum(((lams - base) * scale).astype(np.int64), last)
@@ -222,9 +233,12 @@ def _near_sums(values: np.ndarray, mults: np.ndarray, gamma: float, lams: np.nda
     if not widest:
         return out
     # the widest values and weights from each index on, as rows of a strided view
+    pad = max(0, int(first.max()) + widest - values.size)
+    if pad:
+        values = np.concatenate([values, np.full(pad, np.inf)])
+        mults = np.concatenate([mults, np.zeros(pad)])
     window = np.lib.stride_tricks.sliding_window_view
-    value_rows = window(np.concatenate([values, np.full(widest, np.inf)]), widest)
-    weight_rows = window(np.concatenate([mults, np.zeros(widest)]), widest)
+    value_rows, weight_rows = window(values, widest), window(mults, widest)
     i = int(np.searchsorted(width, 1))
     while i < rows.size:
         w = int(width[i]) * 3 // 2 or 1
@@ -511,24 +525,20 @@ def _window_grid(s: EigenvalueStream, lo: float, hi: float, grid: int) -> np.nda
     return _sorted_union(mus, jumps)
 
 
-def _window_scan(s: EigenvalueStream, meta: DomainMeta, bc: BoundaryCondition, d2: int,
-                 window: tuple[float, float], grid: int, supremum: bool = False) -> WindowScan:
-    """The extremum over the window grid of a gap normalized by
-    mu^((d1+d2-1)/2): R_{(d2-1)/2}(mu) for the supremum, else
-    L |Omega| mu^((d1+d2)/2) - R_{d2/2}(mu), with the sign of the side that
-    ``bc`` bounds."""
+def _window_infimum(s: EigenvalueStream, meta: DomainMeta, bc: BoundaryCondition, d2: int,
+                    window: tuple[float, float], grid: int) -> WindowScan:
+    """Infimum over the window grid of the gap between L |Omega| mu^((d1+d2)/2)
+    and R_{d2/2}(mu), signed to be nonnegative where the one-term bound for
+    ``bc`` holds, normalized by mu^((d1+d2-1)/2)."""
     _require_bc(meta, bc, "this gap scan")
     mus = _window_grid(s, *window, grid=grid)
+    gamma = d2 / 2.0
     d1 = meta.dimension
-    if supremum:
-        gap = riesz_mean_many(s, (d2 - 1) / 2.0, mus)
-    else:
-        gamma = d2 / 2.0
-        lead = l_gamma_d(gamma, d1) * meta.volume * mus ** ((d1 + d2) / 2.0)
-        riesz = riesz_mean_many(s, gamma, mus)
-        gap = lead - riesz if bc is BoundaryCondition.DIRICHLET else riesz - lead
+    lead = l_gamma_d(gamma, d1) * meta.volume * mus ** ((d1 + d2) / 2.0)
+    riesz = riesz_mean_many(s, gamma, mus)
+    gap = lead - riesz if bc is BoundaryCondition.DIRICHLET else riesz - lead
     vals = gap / mus ** ((d1 + d2 - 1) / 2.0)
-    i = int(np.argmax(vals) if supremum else np.argmin(vals))
+    i = int(np.argmin(vals))
     return WindowScan(float(vals[i]), float(mus[i]), (float(window[0]), float(window[1])))
 
 
@@ -536,17 +546,21 @@ def window_infimum_dirichlet(s: EigenvalueStream, meta: DomainMeta, d2: int,
                              window: tuple[float, float], grid: int = 4096) -> WindowScan:
     """Infimum over the window of the normalized Berezin gap
     [L |Omega| mu^((d1+d2)/2) - R_{d2/2}(mu)] / mu^((d1+d2-1)/2)."""
-    return _window_scan(s, meta, BoundaryCondition.DIRICHLET, d2, window, grid)
+    return _window_infimum(s, meta, BoundaryCondition.DIRICHLET, d2, window, grid)
 
 
 def window_infimum_neumann(s: EigenvalueStream, meta: DomainMeta, d2: int,
                            window: tuple[float, float], grid: int = 4096) -> WindowScan:
     """Infimum over the window of the mirrored normalized gap for Neumann
     spectra: [R_{d2/2}(mu) - L |Omega| mu^((d1+d2)/2)] / mu^((d1+d2-1)/2)."""
-    return _window_scan(s, meta, BoundaryCondition.NEUMANN, d2, window, grid)
+    return _window_infimum(s, meta, BoundaryCondition.NEUMANN, d2, window, grid)
 
 
 def window_supremum_neumann(s: EigenvalueStream, meta: DomainMeta, d2: int,
                             window: tuple[float, float], grid: int = 4096) -> WindowScan:
     """Supremum over the window of R_{(d2-1)/2}(mu) / mu^((d1+d2-1)/2)."""
-    return _window_scan(s, meta, BoundaryCondition.NEUMANN, d2, window, grid, supremum=True)
+    _require_bc(meta, BoundaryCondition.NEUMANN, "this gap scan")
+    mus = _window_grid(s, *window, grid=grid)
+    vals = riesz_mean_many(s, (d2 - 1) / 2.0, mus) / mus ** ((meta.dimension + d2 - 1) / 2.0)
+    i = int(np.argmax(vals))
+    return WindowScan(float(vals[i]), float(mus[i]), (float(window[0]), float(window[1])))

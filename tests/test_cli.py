@@ -188,6 +188,13 @@ def test_riesz_rows_keep_the_given_lambda_order(capsys):
     r6 = 6 ** 1.5 + 3 * 4 ** 1.5
     assert [lam for lam, _ in rows] == [6.0, 2.0, 6.0, 0.0]
     assert [r for _, r in rows] == pytest.approx([r6, 2 ** 1.5, r6, 0.0], rel=1e-14)
+    # lambdas below the first value, -inf among them, are exact zeros
+    code, out, _ = run_cli(capsys, "riesz", "--spec", '{"sphere2":{}}', "--gamma", "1.5",
+                           "--lambda", "-1", "--lambda=-inf", "--lambda", "6",
+                           "--lambda=-1e300", "--no-timestamp")
+    assert code == 0
+    rows = json.loads(out)["results"]
+    assert [r["riesz"] for r in rows] == pytest.approx([0.0, 0.0, r6, 0.0], rel=1e-14, abs=0.0)
 
 
 def test_constants_json(capsys):

@@ -133,8 +133,8 @@ def _streams(draw):
 @st.composite
 def _lambdas(draw, s):
     """Unsorted lambdas with repeats, one to three leaves' worth of ``_LEAF``:
-    jumps, 0, the cutoff and points in between."""
-    special = [0.0, s.cutoff, *s.values.tolist()]
+    jumps, 0, the cutoff, points in between and negative ones down to -inf."""
+    special = [-math.inf, -1e300, -1.0, 0.0, s.cutoff, *s.values.tolist()]
     pool = st.one_of(st.sampled_from(special), st.floats(0.0, s.cutoff))
     lams = draw(st.lists(pool, min_size=_LEAF + 1, max_size=3 * _LEAF))
     return lams + draw(st.lists(st.sampled_from(lams), max_size=10))
@@ -181,8 +181,9 @@ def _far_field_cases(draw):
 
     Values are spread out, clustered, exact, spread over 1e-6 .. 1e6, or a
     dense cluster inside a sparse tail.  Lambdas are spread over the whole
-    stream (with some at jumps, some about the first value, and some draws
-    holding many copies of one lambda), all in one leaf (within a thousandth
+    stream (with some at jumps, some about the first value, some negative
+    down to -inf, and some draws holding many copies of one lambda), all in
+    one leaf (within a thousandth
     of the gap between two values above the median one), or all above the
     last value."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -222,7 +223,7 @@ def _far_field_cases(draw):
             rng.uniform(0.0, cutoff, count),
             rng.choice(s.values, draw(st.integers(0, 8 * _LEAF))),
             rng.uniform(0.0, min(2.0 * v0 + 1e-9, cutoff), draw(st.integers(0, 8 * _LEAF))),
-            [0.0, v0, cutoff],
+            [-math.inf, -1e300, -1.0, 0.0, v0, cutoff],
         ])
         if draw(st.booleans()):  # many copies of one lambda
             lams = np.concatenate([lams, np.full(16 * _LEAF, draw(st.sampled_from(lams.tolist())))])
@@ -275,6 +276,37 @@ def test_riesz_mean_many_scratch_memory_at_scale():
     assert peak <= 42 * 2 ** 20
     assert got[::51].tolist() == pytest.approx(_riesz_oracle_many(s, 1.5, lams[::51]),
                                                rel=1e-11, abs=0.0)
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 1.5, 2.5, 6.5])
+def test_riesz_mean_many_infinite_and_negative_lambdas(gamma):
+    # the tree spans [values[0], max lambda]: a negative lambda in it once
+    # left no dyadic root, an untyped OverflowError or, at -inf, a hang
+    s = EigenvalueStream(np.arange(1.0, 2001.0), np.ones(2000, int), math.inf)
+    lams = np.concatenate([[-math.inf, -1e300, -1.0, 0.0, 1.0, math.inf],
+                           np.linspace(1.0, 2000.0, 100)])
+    got = riesz_mean_many(s, gamma, lams)
+    assert got[:5].tolist() == [0.0] * 5
+    assert got[5] == math.inf
+    assert got[6:].tolist() == pytest.approx(_riesz_oracle_many(s, gamma, lams[6:].tolist()),
+                                             rel=1e-11, abs=0.0)
+
+
+@pytest.mark.parametrize("gamma", [1.5, 2.5, 4.0])
+@pytest.mark.parametrize("span", [1e-4, 2.0])
+def test_riesz_mean_many_far_field_near_the_float_range(gamma, span):
+    # values from 1e80 to 1e80 (1 + span): at gamma 4 the root's width to
+    # the gamma overflows, and its product with the zero weights of absent
+    # cousins once turned every mean NaN; at span 2 most true sums are inf
+    values = 1e80 * (1.0 + span * np.arange(2000) / 2000)
+    s = EigenvalueStream(values, np.ones(2000, int), 1e81)
+    lams = np.concatenate([[values[0]], np.linspace(values[0], values[-1], 300)])
+    with np.errstate(over="ignore"):
+        got = riesz_mean_many(s, gamma, lams)
+        expected = _riesz_oracle_many(s, gamma, lams.tolist())
+    assert got[:2].tolist() == [0.0, 0.0]
+    assert not np.isnan(got).any()
+    assert got.tolist() == pytest.approx(expected, rel=1e-11, abs=0.0)
 
 
 @pytest.mark.parametrize("gamma", [1.0, 2.0])

@@ -11,8 +11,10 @@ cutoff) or of the two-term scan (every positive jump up to the cutoff).
 They record the fsum of the Riesz means, to compare the two sides.  The
 scale rows time the whole two-term scan of the box [6.1, 8.7] with Neumann
 conditions up to 2e4, V = 84,783 values, at gamma 1.5 and 2.5, and record
-its onset, worst margin and where it falls.  The stream is built and the
-call made once before timing.
+its onset, worst margin and where it falls.  The few-lambda rows time one
+``riesz_mean_many`` call on that stream at gamma 1.5 with 1 or 16 lambdas
+spread up to 2e4, the traffic of ``riesz_mean`` and ``riesz --lambda``.
+The stream is built and the call made once before timing.
 
     python tools/bench_riesz.py --parent OTHER/src > BENCH_riesz.json
 
@@ -30,6 +32,8 @@ import math
 import time
 from pathlib import Path
 
+import numpy as np
+
 from bench_exact_sweep import MALLOC_ENV, host, summary, time_sides
 
 #: the float shapes of the riesz-scan benchmark: sides, bc, cutoff
@@ -43,6 +47,8 @@ WINDOWS = ((0.2, 0.6), (0.3, 0.9), (0.5, 1.0))
 WINDOW_GRID = 4096
 #: the two-term scan at scale: sides, bc, cutoff
 SCALE = ((6.1, 8.7), "neumann", 2e4)
+#: lambda counts of the few-lambda rows on the scale stream
+FEW = (1, 16)
 
 #: name -> (kind, shape, lambdas: a window or "two-term", gamma)
 ROWS = {
@@ -50,6 +56,7 @@ ROWS = {
        ("kernel", shape, lams, gamma)
        for shape in SHAPES for lams in (*WINDOWS, "two-term") for gamma in (0.5, 1.5)},
     **{f"scale-two-term-g{gamma}": ("scale", "scale", "two-term", gamma) for gamma in (1.5, 2.5)},
+    **{f"scale-lambdas-{count}-g1.5": ("few", "scale", count, 1.5) for count in FEW},
 }
 
 
@@ -64,6 +71,13 @@ def time_row(name: str, repeat: int) -> dict:
 
         def run():
             return two_term_riesz_scan(s, meta, gamma, cutoff, bc)
+    elif kind == "few":
+        sides, bc, cutoff = SCALE
+        s = box_spectrum(list(sides), bc, cutoff)
+        mus = np.linspace(0.0, cutoff, lams + 1)[1:]
+
+        def run():
+            return riesz_mean_many(s, gamma, mus)
     else:
         sides, bc, cutoff = SHAPES[shape]
         s = box_spectrum(list(sides), bc, cutoff * 1.0001)
@@ -96,7 +110,7 @@ def compare(parent_src: Path, rounds: int, repeat: int) -> dict:
     rows = []
     total = {"parent": 0.0, "change": 0.0}
     for name, (kind, shape, lams, gamma) in ROWS.items():
-        calls = repeat if kind == "kernel" else max(1, repeat // 5)
+        calls = max(1, repeat // 5) if kind == "scale" else repeat
         ms, outs = time_sides(__file__, name, parent_src, rounds, calls)
         if kind == "kernel":
             for label in total:
@@ -107,8 +121,8 @@ def compare(parent_src: Path, rounds: int, repeat: int) -> dict:
                      "speedup": round(ms["parent"]["median"] / ms["change"]["median"], 2),
                      "parent": outs["parent"], "change": outs["change"]})
     return {
-        "what": "in-process medians of one riesz_mean_many call (kernel rows) or one "
-                "two-term scan at V = 84,783 (scale rows), parent -> change; "
+        "what": "in-process medians of one riesz_mean_many call (kernel and few-lambda "
+                "rows) or one two-term scan at V = 84,783 (scale rows), parent -> change; "
                 f"{rounds} fresh interpreters per side, alternating, {repeat} timed "
                 "kernel calls or a fifth as many scans each, after one warm-up call",
         "malloc_env": MALLOC_ENV,
