@@ -92,7 +92,7 @@ def _cmd_spectrum(args) -> int:
 def _cmd_count(args) -> int:
     spec = build_spec(args.spec)
     lams = [float(x) for x in args.lam]
-    cutoff = args.cutoff if args.cutoff else max(lams)
+    cutoff = max(lams) if args.cutoff is None else args.cutoff
     cf = spec.counting(cutoff)
     rows = []
     # tolist() keeps the counts Python ints, which JSON can serialise
@@ -115,7 +115,7 @@ def _cmd_count(args) -> int:
 def _cmd_riesz(args) -> int:
     spec = build_spec(args.spec)
     if args.two_term:
-        if not args.cutoff:
+        if args.cutoff is None:
             raise ConfigError("--two-term needs --cutoff")
         stream = spec.stream(args.cutoff * 1.0001)
         meta = spec.meta()

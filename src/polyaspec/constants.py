@@ -108,8 +108,8 @@ def c_d(d: int) -> float:
 
 def l_gamma_d(gamma: float, d: int) -> float:
     """Riesz-mean constant Gamma(gamma+1) / ((4 pi)^(d/2) Gamma(gamma+1+d/2))."""
-    if gamma < 0:
-        raise DomainError(f"gamma must be >= 0, got {gamma}")
+    if not 0 <= gamma < math.inf:
+        raise DomainError(f"gamma must be finite and >= 0, got {gamma}")
     two_gamma = 2.0 * gamma
     if float(two_gamma).is_integer():
         return float(l_gamma_d_exact(int(two_gamma), d))

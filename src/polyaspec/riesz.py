@@ -80,8 +80,8 @@ def riesz_mean_many(s: EigenvalueStream, gamma: float, lams: Sequence[float]) ->
     is summed directly, O(L V).  Lambdas at or below the first value,
     -inf among them, give exact zeros, and +inf gives inf.
     """
-    if gamma < 0:
-        raise DomainError(f"gamma must be >= 0, got {gamma}")
+    if not 0 <= gamma < np.inf:
+        raise DomainError(f"gamma must be finite and >= 0, got {gamma}")
     lams = s.check_range(lams)
     if gamma == 0:
         return s.count_many(lams).astype(float)
@@ -188,7 +188,7 @@ def _riesz_tree(s: EigenvalueStream, gamma: float, lams: np.ndarray,
     # and at most _NODES terms per value, fewer than anterpolation costs
     if (gamma > _FAR_GAMMA or (e + 2) * gamma + np.log2(s.cumulative_counts()[top]) > 1000
             or int(tops.sum()) <= _NODES * top):
-        out[order] = _near_sums(values, mults, gamma, lams, np.zeros_like(tops), tops)
+        out[order] = _direct_sums(values, mults, gamma, lams, tops)
         return out
     # centres base + (i + 1/2) 2^(e - l) must fit 53 bits and widths stay normal
     cap = max(0, min(52 - (int(abs(np.ldexp(base, -e))) + 1).bit_length(), e + 1020))
@@ -248,16 +248,48 @@ def _near_sums(values: np.ndarray, mults: np.ndarray, gamma: float, lams: np.nda
         gaps = value_rows[at, :w]
         np.subtract(lams[take, None], gaps, out=gaps)
         np.maximum(gaps, 0.0, out=gaps)
-        # the window scans' half-integer gammas: sqrt is several times cheaper than power
-        if gamma == 0.5:
-            np.sqrt(gaps, out=gaps)
-        elif gamma == 1.5:
-            gaps *= np.sqrt(gaps)
-        else:
-            np.power(gaps, gamma, out=gaps)
+        _gap_powers(gaps, gamma)
         out[take] = np.einsum("ij,ij->i", gaps, weight_rows[at, :w])
         i = end
     return out
+
+
+def _direct_sums(values: np.ndarray, mults: np.ndarray, gamma: float, lams: np.ndarray,
+                 tops: np.ndarray) -> np.ndarray:
+    """sum m (lambda - v)^gamma over the values below each of the sorted
+    ``lams``; ``tops`` holds how many values lie below each, at least 1.
+
+    Every row starts at the first value, so a slice of rows is one broadcast
+    subtract and one matrix-vector product.  A slice holds consecutive
+    lambdas whose tops differ by at most a half, at most ``_SLICE`` terms
+    (or one row), padded to its largest top; the padding reads values at or
+    above lambda, and max(gap, 0) makes those terms 0.
+    """
+    out = np.empty(lams.size)
+    i = 0
+    while i < lams.size:
+        w = int(tops[i]) * 3 // 2
+        end = min(int(np.searchsorted(tops, w, side="right")), i + max(1, _SLICE // w))
+        w = int(tops[end - 1])
+        gaps = np.subtract.outer(lams[i:end], values[:w])
+        # only the padding past the slice's least top can be negative
+        pad = gaps[:, int(tops[i]):]
+        np.maximum(pad, 0.0, out=pad)
+        _gap_powers(gaps, gamma)
+        out[i:end] = gaps @ mults[:w]
+        i = end
+    return out
+
+
+def _gap_powers(gaps: np.ndarray, gamma: float) -> None:
+    """gaps^gamma in place, for gaps >= 0."""
+    # the window scans' half-integer gammas: sqrt is several times cheaper than power
+    if gamma == 0.5:
+        np.sqrt(gaps, out=gaps)
+    elif gamma == 1.5:
+        gaps *= np.sqrt(gaps)
+    else:
+        np.power(gaps, gamma, out=gaps)
 
 
 def _leaf_weights(values: np.ndarray, mults: np.ndarray, src: np.ndarray, base: float,
@@ -384,8 +416,8 @@ def _one_term_bound(meta: DomainMeta, gamma: float, lam: float) -> float:
 
 
 def _require_gamma_ge_1(gamma: float) -> None:
-    if gamma < 1:
-        raise DomainError(f"this bound requires gamma >= 1, got {gamma}")
+    if not 1 <= gamma < np.inf:
+        raise DomainError(f"this bound requires a finite gamma >= 1, got {gamma}")
 
 
 def _require_bc(meta: DomainMeta, bc: BoundaryCondition, what: str) -> None:

@@ -69,9 +69,10 @@ FLOAT_MERGE_RTOL = 1e-12
 #: guard against silent int64 overflow in exact integer paths
 _INT64_GUARD = 2 ** 62
 
-#: most modes one interval spectrum may hold: each mode takes 8 bytes in
-#: several arrays, so this many is gigabytes already, and a longer interval
-#: or a higher cutoff is refused before anything is allocated
+#: most modes one interval spectrum may hold, and most distinct values of the
+#: 2-sphere or lattice pairs of the triangle: each takes 8 bytes in several
+#: arrays, so this many is gigabytes already, and a longer interval or a
+#: higher cutoff is refused before anything is allocated
 _MAX_MODES = 10 ** 8
 
 
@@ -415,9 +416,14 @@ def box_spectrum(sides: Sequence, bc: BoundaryCondition, cutoff: float) -> Eigen
 
 
 def sphere2_spectrum(cutoff: float) -> EigenvalueStream:
-    """Spectrum of the round 2-sphere: k(k+1) with multiplicity 2k+1."""
+    """Spectrum of the round 2-sphere: k(k+1) with multiplicity 2k+1.  A
+    cutoff with more than ``_MAX_MODES`` values below it raises
+    ``DomainError``."""
     if not cutoff > 0:
         raise DomainError(f"cutoff must be positive, got {cutoff}")
+    if not math.sqrt(cutoff) < _MAX_MODES:
+        raise DomainError(f"the 2-sphere below cutoff {cutoff} has {math.sqrt(cutoff):.3g} "
+                          f"distinct eigenvalues, more than _MAX_MODES = {_MAX_MODES}")
     ks = np.arange(math.isqrt(int(cutoff)) + 1, dtype=np.int64)
     ks = ks[ks * (ks + 1) < cutoff]
     return _stream_from_exact(ks * (ks + 1), 2 * ks + 1, 1, 0, cutoff)
@@ -432,9 +438,15 @@ def _triangle_lattice(limit_q: float):
     """Integer pairs (m, n) with m^2 + n^2 - mn < limit_q, split into the
     exceptional lines (n=2m, m=2n, n=-m) and the rest restricted to 3|(m+n).
 
-    Returns (q_regular, q_special) arrays of quadratic-form values.
+    Returns (q_regular, q_special) arrays of quadratic-form values.  More
+    than ``_MAX_MODES`` pairs to scan raise ``DomainError``.
     """
-    bound = int(math.ceil(2.0 * math.sqrt(max(limit_q, 1.0))))
+    reach = 2.0 * math.sqrt(max(limit_q, 1.0))
+    pairs = (2.0 * reach + 3.0) ** 2
+    if not pairs < _MAX_MODES:
+        raise DomainError(f"the triangle lattice below q = {limit_q:.3g} has {pairs:.3g} "
+                          f"pairs, more than _MAX_MODES = {_MAX_MODES}")
+    bound = math.ceil(reach)
     m, n = np.meshgrid(np.arange(-bound, bound + 1, dtype=np.int64),
                        np.arange(-bound, bound + 1, dtype=np.int64), indexing="ij")
     q = m * m + n * n - m * n
@@ -472,7 +484,8 @@ def triangle_neumann_spectrum(cutoff: float) -> EigenvalueStream:
 
     Derived from the counting formula: the multiplicity at quadratic-form
     value q is the weighted number of lattice pairs sitting exactly at q,
-    counted in sixths, and must come out a nonnegative integer.
+    counted in sixths, and must come out a nonnegative integer.  A cutoff
+    whose lattice has more than ``_MAX_MODES`` pairs raises ``DomainError``.
     """
     if not cutoff > 0:
         raise DomainError(f"cutoff must be positive, got {cutoff}")
@@ -687,29 +700,36 @@ def stream_to_csv(stream: EigenvalueStream, fp) -> None:
 
 
 def stream_from_csv(fp, cutoff: Optional[float] = None) -> EigenvalueStream:
-    """Read ``value,multiplicity`` rows into a float-valued stream.  Each
-    column is cast to numbers in one call; a row with fewer than two
-    columns, or a value or multiplicity that does not parse, raises
-    ``ValidationError``.  Without ``cutoff`` it is the float just above the
-    last value."""
-    reader = csv.reader(fp)
-    header = next(reader, None)
+    """Read ``value,multiplicity`` rows into a float-valued stream.
+
+    ``fp`` is any iterable of lines, such as an open file or a list of
+    strings.  ``csv.reader`` reads the header; numpy's C reader
+    (``np.loadtxt``) reads the rows straight into float64 and int64
+    columns, with no Python object per row or cell.  Cells may be quoted or
+    padded with whitespace, lines may end in LF or CRLF, and blank lines
+    and columns past the second are skipped.  A row with fewer than two
+    columns, or a value or multiplicity that does not parse as a C number
+    (Python's digit separators, such as ``1_0.0``, do not), raises
+    ``ValidationError``.  A header-only file is an empty stream.  Without
+    ``cutoff`` it is the float just above the last value."""
+    import warnings
+
+    lines = iter(fp)
+    header = next(csv.reader(lines), None)
     if header is None or [h.strip() for h in header[:2]] != ["value", "multiplicity"]:
         raise ValidationError("expected header 'value,multiplicity'")
-    rows = [row for row in reader if row]
-    if min(map(len, rows), default=2) < 2:
-        bad = next(row for row in rows if len(row) < 2)
-        raise ValidationError(f"CSV row {bad!r} is not a value,multiplicity pair")
-    columns = list(zip(*rows))[:2] if rows else [(), ()]
     try:
-        values = np.array(columns[0], float)
-        mults = np.array(columns[1], np.int64)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            rows = np.loadtxt(lines, dtype=[("v", float), ("m", np.int64)], delimiter=",",
+                              quotechar='"', comments=None, usecols=(0, 1), ndmin=1)
     except (ValueError, OverflowError) as exc:
-        raise ValidationError(f"malformed CSV value or multiplicity: {exc}") from exc
+        raise ValidationError(f"malformed CSV row: {exc}") from exc
+    values = rows["v"]
     if cutoff is None:
         last = float(values[-1]) if values.size else 0.0
         cutoff = math.nextafter(last, math.inf) if last > 0 else 1.0
-    return EigenvalueStream(values, mults, cutoff)
+    return EigenvalueStream(values, rows["m"], cutoff)
 
 
 def stream_to_json_dict(stream: EigenvalueStream) -> dict:

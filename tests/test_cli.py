@@ -297,6 +297,31 @@ def test_interval_past_float_range_is_domain_error(capsys, argv):
     assert json.loads(err)["error"] == "DomainError"
 
 
+_SQUARE = '{"box":{"sides":[1,1],"bc":"neumann"}}'
+
+
+@pytest.mark.parametrize("argv", [
+    # more sphere values or triangle lattice pairs than _MAX_MODES: inf was
+    # an OverflowError traceback, 1e300 numpy's bare ValueError
+    *[(cmd, "--spec", spec, flag, top) for spec in ('{"sphere2":{}}', '{"triangle":{}}')
+      for cmd, flag in (("spectrum", "--cutoff"), ("count", "--lambda"))
+      for top in ("inf", "1e300")],
+    # a cutoff of 0 is given, not absent: count scanned up to max(lambda),
+    # --two-term reported that it needed --cutoff
+    ("count", "--spec", _SQUARE, "--lambda", "5", "--cutoff", "0"),
+    ("riesz", "--spec", _SQUARE, "--gamma", "1.5", "--two-term", "--cutoff", "0"),
+    # a gamma that is not finite printed NaN or Infinity, which is not JSON
+    *[argv for gamma in ("nan", "inf") for argv in (
+        ("riesz", "--spec", _SQUARE, "--gamma", gamma, "--lambda", "5"),
+        ("riesz", "--spec", _SQUARE, "--gamma", gamma, "--two-term", "--cutoff", "50"),
+        ("constants", "--d", "2", "--gamma", gamma))],
+])
+def test_out_of_range_sizes_and_gammas_are_domain_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--no-timestamp")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "DomainError"
+
+
 def test_bad_spec_json_is_config_error(capsys):
     code, _, err = run_cli(capsys, "count", "--spec", "{not json", "--lambda", "1")
     assert code == 2

@@ -80,8 +80,9 @@ def test_weyl_constant_submultiplicative():
 def test_lgamma_fallback_matches_exact_nearby():
     # a non-half-integer gamma lands near the half-integer value
     assert l_gamma_d(1.5, 2) == pytest.approx(l_gamma_d(1.5000001, 2), rel=1e-5)
-    with pytest.raises(DomainError):
-        l_gamma_d(-0.5, 2)
+    for gamma in (-0.5, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            l_gamma_d(gamma, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -73,8 +73,9 @@ def test_riesz_mean_range_and_domain_errors():
     s = sphere2_spectrum(10)
     with pytest.raises(CoverageError):
         riesz_mean(s, 1.0, 11.0)
-    with pytest.raises(DomainError):
-        riesz_mean(s, -0.5, 5.0)
+    for gamma in (-0.5, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            riesz_mean(s, gamma, 5.0)
 
 
 def test_riesz_mean_derivative_is_gamma_times_lower_order(rng):
@@ -278,6 +279,21 @@ def test_riesz_mean_many_scratch_memory_at_scale():
                                                rel=1e-11, abs=0.0)
 
 
+@pytest.mark.parametrize("gamma", [0.5, 1.5, 2.5, 6.5])
+@pytest.mark.parametrize("count", [1, 2, 16, 36])
+def test_riesz_mean_many_few_lambdas_sum_directly(gamma, count):
+    # at most _NODES terms per value: every value below each lambda, from
+    # the first on, in slices of lambdas whose tops differ by at most a half;
+    # the top third of 36 lambdas takes several slices of _SLICE terms
+    s = box_spectrum([6.1, 8.7], "neumann", 2000.0)
+    lams = np.concatenate([np.linspace(1999.0, 1.0, count), s.values[[100, 100]], [1998.5]])
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(riesz_module, "_far_field", None)
+        got = riesz_mean_many(s, gamma, lams)
+    assert got.tolist() == pytest.approx(_riesz_oracle_many(s, gamma, lams.tolist()),
+                                         rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize("gamma", [0.5, 1.0, 1.5, 2.5, 6.5])
 def test_riesz_mean_many_infinite_and_negative_lambdas(gamma):
     # the tree spans [values[0], max lambda]: a negative lambda in it once
@@ -364,8 +380,9 @@ def test_berezin_margin_examples():
 def test_berezin_requires_gamma_ge_1_and_dirichlet():
     s = box_spectrum([1, 1], "dirichlet", 50.0)
     meta = box_meta([1, 1], "dirichlet")
-    with pytest.raises(DomainError):
-        berezin_margin(s, meta, 0.5, 10.0)
+    for gamma in (0.5, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            berezin_margin(s, meta, gamma, 10.0)
     with pytest.raises(ModeError):
         berezin_margin(s, box_meta([1, 1], "neumann"), 1.0, 10.0)
 
@@ -380,6 +397,9 @@ def test_laptev_margin_examples():
     assert 0.0 < m < lam * 1.000001
     b12 = box_spectrum([1, 2], "neumann", 100.0)
     assert laptev_neumann_margin(b12, box_meta([1, 2], "neumann"), 1.5, 50.0) >= 0.0
+    for gamma in (0.5, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            laptev_neumann_margin(sn, meta, gamma, 10.0)
 
 
 def test_one_term_margins_at_all_jumps(unit_square_dirichlet, unit_square_neumann,

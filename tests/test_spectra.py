@@ -1,7 +1,9 @@
+import csv
 import io
 import itertools
 import json
 import math
+import warnings
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
@@ -103,6 +105,17 @@ def test_interval_mode_count_is_capped(a):
         interval_spectrum(a, "dirichlet", 10.0)
     with pytest.raises(DomainError, match="_MAX_MODES"):
         box_spectrum([1, a], "neumann", 10.0)
+
+
+@pytest.mark.parametrize("cutoff", [1e17, 1e300, math.inf])
+def test_sphere_and_triangle_sizes_are_capped(cutoff):
+    # inf raised a bare OverflowError, 1e300 numpy's "Maximum allowed size exceeded"
+    with pytest.raises(DomainError, match="_MAX_MODES"):
+        sphere2_spectrum(cutoff)
+    with pytest.raises(DomainError, match="_MAX_MODES"):
+        triangle_neumann_spectrum(cutoff)
+    with pytest.raises(DomainError, match="_MAX_MODES"):
+        triangle_neumann_counting(cutoff)
 
 
 def test_interval_rejects_nonpositive_cutoff():
@@ -564,6 +577,122 @@ def test_csv_and_json_round_trips_keep_values_bit_for_bit(s):
         assert back.exact_nums.tolist() == s.exact_nums.tolist()
         assert back.exact_nums.dtype == s.exact_nums.dtype
         assert (back.exact_den, back.pi_power) == (s.exact_den, s.pi_power)
+
+
+def _csv_reference(fp, cutoff=None) -> EigenvalueStream:
+    """The row-by-row reader: ``csv.reader`` rows transposed by ``zip`` and
+    each column cast from its strings by ``np.array``."""
+    reader = csv.reader(fp)
+    header = next(reader, None)
+    if header is None or [h.strip() for h in header[:2]] != ["value", "multiplicity"]:
+        raise ValidationError("expected header 'value,multiplicity'")
+    rows = [row for row in reader if row]
+    if min(map(len, rows), default=2) < 2:
+        bad = next(row for row in rows if len(row) < 2)
+        raise ValidationError(f"CSV row {bad!r} is not a value,multiplicity pair")
+    columns = list(zip(*rows))[:2] if rows else [(), ()]
+    try:
+        values = np.array(columns[0], float)
+        mults = np.array(columns[1], np.int64)
+    except (ValueError, OverflowError) as exc:
+        raise ValidationError(f"malformed CSV value or multiplicity: {exc}") from exc
+    if cutoff is None:
+        last = float(values[-1]) if values.size else 0.0
+        cutoff = math.nextafter(last, math.inf) if last > 0 else 1.0
+    return EigenvalueStream(values, mults, cutoff)
+
+
+#: rows that neither reader accepts
+_BAD_ROWS = ["1.0", "  ", "abc,1", "1.0,1.5", "1.0,2.0", ",1", "1.0,", ",", "1.0 2,1",
+             "1.0,99999999999999999999999", "1.0,9223372036854775808", "1e5,1e2", "#,1",
+             ' "2.0",1', '"1,0",1', "1.0,0", "1.0,-3", "nan,1", "-1.0,1"]
+
+
+def _cell(draw, text: str) -> str:
+    """``text`` as it may stand in a cell: padded, quoted, or both."""
+    pad = st.sampled_from(["", " ", "  ", "\t", " \t"])
+    left, right = draw(pad), draw(pad)
+    kind = draw(st.sampled_from(["plain", "quoted", "padded-quoted", "quoted-padded"]))
+    if kind == "quoted":
+        return f'"{text}"'
+    if kind == "padded-quoted":
+        return f'"{left}{text}{right}"'
+    if kind == "quoted-padded":
+        return f'"{text}"{right}'
+    return f"{left}{text}{right}"
+
+
+@st.composite
+def _csv_texts(draw):
+    """A ``value,multiplicity`` table as text, with a cutoff or None.
+
+    Values are repr'd doubles, subnormals among them, in increasing order
+    (or, now and then, out of order or past the cutoff); multiplicities go
+    up to 2^62.  Lines end in LF or CRLF; blank lines, extra columns, ragged
+    rows and malformed rows are mixed in."""
+    values = sorted(draw(st.lists(
+        st.one_of(st.sampled_from(_SPECIAL_VALUES), st.floats(0.0, 1e300, allow_subnormal=True),
+                  st.floats(0.0, 1e-300, allow_subnormal=True)),
+        max_size=30, unique=True)))
+    if values and draw(st.integers(0, 9)) == 0:
+        values = draw(st.permutations(values))
+    mults = draw(st.lists(st.integers(1, 2 ** 62), min_size=len(values), max_size=len(values)))
+    rows = []
+    for v, m in zip(values, mults):
+        cells = [_cell(draw, repr(v)), _cell(draw, str(m))]
+        cells += draw(st.lists(st.sampled_from(["", "x", "1.5", '"a,b"', " note "]), max_size=2))
+        rows.append(",".join(cells))
+    for _ in range(draw(st.integers(0, 3))):
+        rows.insert(draw(st.integers(0, len(rows))), "")
+    if draw(st.integers(0, 4)) == 0:
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(_BAD_ROWS)))
+    header = draw(st.sampled_from(["value,multiplicity", " value , multiplicity ",
+                                   "value,multiplicity,note"]))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join([header, *rows]) + draw(st.sampled_from([end, ""]))
+    top = values[-1] if values else 0.0
+    cutoff = draw(st.sampled_from([None, 1.0, math.nextafter(top, math.inf), 2.0 * top + 1.0]))
+    return text, cutoff
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_csv_texts())
+@example(case=("value,multiplicity\n5e-324,4611686018427387904\n1e300,1\n", None))
+@example(case=('value,multiplicity,note\r\n\r\n "0.5" ,\t7\t,x,y\r\n"1.0", 2\r\n', 3.0))
+def test_csv_reader_matches_the_row_by_row_reference(case):
+    text, cutoff = case
+    try:
+        want = _csv_reference(io.StringIO(text), cutoff)
+    except ValidationError:
+        with pytest.raises(ValidationError):
+            stream_from_csv(io.StringIO(text), cutoff)
+        return
+    got = stream_from_csv(io.StringIO(text), cutoff)
+    assert _same_floats(got.values, want.values)
+    assert got.multiplicities.tolist() == want.multiplicities.tolist()
+    assert got.cutoff == want.cutoff
+    # any iterable of lines reads the same
+    listed = stream_from_csv(io.StringIO(text).readlines(), cutoff)
+    assert _same_floats(listed.values, want.values)
+
+
+@pytest.mark.parametrize("text", ["value,multiplicity\n", "value,multiplicity",
+                                  "value,multiplicity\r\n\r\n\n"])
+def test_csv_header_only_is_an_empty_stream_without_a_warning(text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        back = stream_from_csv(io.StringIO(text))
+    assert back.values.size == 0 and back.cutoff == 1.0
+
+
+@pytest.mark.parametrize("row, value, mult", [("1_0.0,1", 10.0, 1), ("1.0,1_0", 1.0, 10)])
+def test_csv_digit_separators_are_validation_errors(row, value, mult):
+    # float() and int() read Python digit separators; the C reader does not
+    text = "value,multiplicity\n" + row + "\n"
+    back = _csv_reference(io.StringIO(text))
+    assert (back.values.tolist(), back.multiplicities.tolist()) == ([value], [mult])
+    with pytest.raises(ValidationError):
+        stream_from_csv(io.StringIO(text))
 
 
 def test_numerators_numpy_reads_as_floats_stay_exact():
