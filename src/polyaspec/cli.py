@@ -25,11 +25,14 @@ import sys
 from datetime import datetime, timezone
 from typing import Callable, Optional
 
+import numpy as np
+
 from . import counting as ct
 from . import polya as pv
 from . import riesz as rz
 from . import spectra as sp
 from .constants import c_d, h1, h2, l_gamma_d, omega_d
+from .csvtext import write_columns
 from .errors import ConfigError, PolyaspecError
 from .reproduce import sphere_thin_bundle, square_triangle_bundle
 from .spec import SpectrumSpec, build_spec, stream_covering_k
@@ -66,13 +69,11 @@ def _emit_text(write: Callable, args) -> None:
         write(sys.stdout)
 
 
-def _emit_csv(header: list[str], rows, args) -> None:
-    """Rows of Python ints and floats, each number written by ``repr``."""
-    def write(fp):
-        fp.write(",".join(header) + "\n")
-        fp.writelines(",".join(map(repr, row)) + "\n" for row in rows)
-
-    _emit_text(write, args)
+def _emit_csv(header: list[str], columns, args) -> None:
+    """A table given as columns, through ``csvtext.write_columns``: float
+    and integer arrays are formatted a block at a time, each number as
+    ``repr`` spells it; any other column is written by ``repr`` per cell."""
+    _emit_text(functools.partial(write_columns, header=header, columns=columns), args)
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +107,7 @@ def _cmd_count(args) -> int:
         rows.append(row)
     if args.output == "csv":
         header = ["lambda", "count"] + (["bound", "margin"] if args.weyl else [])
-        _emit_csv(header, ([r[h] for h in header] for r in rows), args)
+        _emit_csv(header, [np.array([r[h] for r in rows]) for h in header], args)
     else:
         _emit_json({"results": rows}, args)
     return 0
@@ -122,7 +123,7 @@ def _cmd_riesz(args) -> int:
         side = args.side or meta.bc.value
         scan = rz.two_term_riesz_scan(stream, meta, args.gamma, args.cutoff, side)
         if args.output == "csv":
-            _emit_csv(["lambda", "riesz", "bound", "margin"], scan.rows(), args)
+            _emit_csv(["lambda", "riesz", "bound", "margin"], list(scan.points.T), args)
         else:
             _emit_json({
                 "gamma": scan.gamma, "side": scan.side,
@@ -135,12 +136,13 @@ def _cmd_riesz(args) -> int:
     if not lams:
         raise ConfigError("give at least one --lambda or use --two-term")
     stream = spec.stream(max(lams))
-    rows = list(zip(lams, rz.riesz_mean_many(stream, args.gamma, lams).tolist()))
+    means = rz.riesz_mean_many(stream, args.gamma, lams)
     if args.output == "csv":
-        _emit_csv(["lambda", "riesz"], rows, args)
+        _emit_csv(["lambda", "riesz"], [np.array(lams), means], args)
     else:
         _emit_json({"gamma": args.gamma,
-                    "results": [{"lambda": l, "riesz": r} for l, r in rows]}, args)
+                    "results": [{"lambda": l, "riesz": r}
+                                for l, r in zip(lams, means.tolist())]}, args)
     return 0
 
 
@@ -181,10 +183,9 @@ def _cmd_verify(args) -> int:
     else:
         report = pv.verify_neumann(stream, meta, args.k_max)
     if args.dump:
-        margins = pv.per_eigenvalue_margins(stream, meta, args.k_max, side).tolist()
+        margins = pv.per_eigenvalue_margins(stream, meta, args.k_max, side)
         with open(args.dump, "w", newline="") as fp:
-            fp.write("k,margin\n")
-            fp.write("".join(f"{k},{m!r}\n" for k, m in enumerate(margins, 1)))
+            write_columns(fp, ["k", "margin"], [np.arange(1, margins.size + 1), margins])
     _emit_json({"bc": side, "exact": bool(args.exact), **report.to_dict()}, args)
     return 0 if report.holds else 1
 

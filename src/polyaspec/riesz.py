@@ -491,9 +491,6 @@ class TwoTermScan:
     worst_margin: float
     worst_lambda: float
 
-    def rows(self) -> list[list[float]]:
-        return self.points.tolist()
-
 
 def two_term_riesz_scan(s: EigenvalueStream, meta: DomainMeta, gamma: float,
                         cutoff: float, side: str) -> TwoTermScan:

@@ -32,6 +32,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
+from .csvtext import write_columns
 from .errors import (
     CoverageError,
     DomainError,
@@ -693,10 +694,10 @@ def product_meta(m1: DomainMeta, m2: DomainMeta) -> DomainMeta:
 
 def stream_to_csv(stream: EigenvalueStream, fp) -> None:
     """Write ``value,multiplicity`` rows in increasing value order, each
-    value as its shortest round-tripping ``repr``.  Float-only: exact
-    numerators are not written (use JSON to keep them)."""
-    fp.write("value,multiplicity\n")
-    fp.write("".join([f"{v!r},{m}\n" for v, m in stream.entries()]))
+    value as its shortest round-tripping ``repr``, through the columnar
+    ``csvtext.write_columns`` (no Python object per row or cell).
+    Float-only: exact numerators are not written (use JSON to keep them)."""
+    write_columns(fp, ["value", "multiplicity"], [stream.values, stream.multiplicities])
 
 
 def stream_from_csv(fp, cutoff: Optional[float] = None) -> EigenvalueStream:
@@ -707,15 +708,19 @@ def stream_from_csv(fp, cutoff: Optional[float] = None) -> EigenvalueStream:
     (``np.loadtxt``) reads the rows straight into float64 and int64
     columns, with no Python object per row or cell.  Cells may be quoted or
     padded with whitespace, lines may end in LF or CRLF, and blank lines
-    and columns past the second are skipped.  A row with fewer than two
+    and columns past the second are skipped.  A header that ``csv.reader``
+    rejects (a bare CR inside a line, say), a row with fewer than two
     columns, or a value or multiplicity that does not parse as a C number
-    (Python's digit separators, such as ``1_0.0``, do not), raises
+    (Python's digit separators, such as ``1_0.0``, do not) raises
     ``ValidationError``.  A header-only file is an empty stream.  Without
     ``cutoff`` it is the float just above the last value."""
     import warnings
 
     lines = iter(fp)
-    header = next(csv.reader(lines), None)
+    try:
+        header = next(csv.reader(lines), None)
+    except csv.Error as exc:
+        raise ValidationError(f"malformed CSV header: {exc}") from exc
     if header is None or [h.strip() for h in header[:2]] != ["value", "multiplicity"]:
         raise ValidationError("expected header 'value,multiplicity'")
     try:

@@ -149,7 +149,7 @@ def _csv_writer_text(header, rows) -> str:
 def test_csv_rows_match_csv_writer(capsys, rows):
     header = ["lambda", "count", "bound", "margin"]
     args = argparse.Namespace(out=None)
-    cli._emit_csv(header, iter(rows), args)
+    cli._emit_csv(header, [[row[i] for row in rows] for i in range(len(header))], args)
     assert capsys.readouterr().out == _csv_writer_text(header, rows)
 
 

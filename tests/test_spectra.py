@@ -399,6 +399,13 @@ def test_csv_rejects_bad_header():
         stream_from_csv(io.StringIO("a,b\n1,2\n"))
 
 
+@pytest.mark.parametrize("lines", [io.StringIO, lambda text: [text]], ids=["stringio", "list"])
+def test_csv_bare_cr_header_is_validation_error(lines):
+    # a StringIO splits only on LF, so csv.reader sees a CR inside the line
+    with pytest.raises(ValidationError):
+        stream_from_csv(lines("value,multiplicity\r1.0,1\r"))
+
+
 def test_json_round_trip():
     s = sphere2_spectrum(50.0)
     d = stream_to_json_dict(s)
