@@ -32,7 +32,6 @@ from . import polya as pv
 from . import riesz as rz
 from . import spectra as sp
 from .constants import c_d, h1, h2, l_gamma_d, omega_d
-from .csvtext import write_columns
 from .errors import ConfigError, PolyaspecError
 from .reproduce import sphere_thin_bundle, square_triangle_bundle
 from .spec import SpectrumSpec, build_spec, stream_covering_k
@@ -73,6 +72,8 @@ def _emit_csv(header: list[str], columns, args) -> None:
     """A table given as columns, through ``csvtext.write_columns``: float
     and integer arrays are formatted a block at a time, each number as
     ``repr`` spells it; any other column is written by ``repr`` per cell."""
+    from .csvtext import write_columns
+
     _emit_text(functools.partial(write_columns, header=header, columns=columns), args)
 
 
@@ -183,6 +184,8 @@ def _cmd_verify(args) -> int:
     else:
         report = pv.verify_neumann(stream, meta, args.k_max)
     if args.dump:
+        from .csvtext import write_columns
+
         margins = pv.per_eigenvalue_margins(stream, meta, args.k_max, side)
         with open(args.dump, "w", newline="") as fp:
             write_columns(fp, ["k", "margin"], [np.arange(1, margins.size + 1), margins])

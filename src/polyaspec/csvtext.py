@@ -106,7 +106,7 @@ def _tables() -> dict:
         "g1": np.array(g1, dtype=np.uint64),
         "g0": np.array(g0, dtype=np.uint64),
         "quad": _words(".".join(q) + "." for q in quads),
-        "zeros": np.array([len(q) - len(q.rstrip("0")) for q in quads], dtype=np.int64),
+        "zeros": np.array([len(q) - len(q.rstrip("0")) for q in quads], dtype=np.uint8),
         "head": _words(head),
         "lead": _words(f"\0\0\0\0\0\0{d}." for d in range(10)),
         "tail": _words(tail),
@@ -118,26 +118,35 @@ def _tables() -> dict:
     }
 
 
-def _mul(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """The high and low 64 bits of a * b for uint64 arrays given as their
-    (low, high) 32-bit limbs."""
-    ll, hl, lh = a[0] * b[0], a[1] * b[0], a[0] * b[1]
-    mid = (ll >> _S32) + (hl & _M32) + (lh & _M32)
-    hi = a[1] * b[1] + (hl >> _S32) + (lh >> _S32) + (mid >> _S32)
-    return hi, (mid << _S32) | (ll & _M32)
-
-
 def _limbs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a & _M32, a >> _S32
 
 
-def _shift_add(hi, lo, g, s, sign: int):
-    """(hi, lo) + sign * g 2^s in 128 bits, for s in 1..5."""
-    dhi, dlo = g >> (_S64 - s), g << s
+def _mul_hi(a: tuple, b: tuple) -> np.ndarray:
+    """The high 64 bits of a * b for uint64 arrays given as their (low,
+    high) 32-bit limbs; the low 64 bits are numpy's wrapping a * b."""
+    ll, hl, lh = a[0] * b[0], a[1] * b[0], a[0] * b[1]
+    mid = ll >> _S32
+    mid += hl & _M32
+    mid += lh & _M32
+    hi = a[1] * b[1]
+    hi += hl >> _S32
+    hi += lh >> _S32
+    hi += mid >> _S32
+    return hi
+
+
+def _shifted(g: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """g 2^s as 128-bit (high, low) words, for s in 1..5."""
+    return g >> (_S64 - s), g << s
+
+
+def _add(hi, lo, d: tuple, sign: int):
+    """(hi, lo) + sign * d in 128 bits."""
     if sign > 0:
-        out = lo + dlo
-        return hi + dhi + (out < lo), out
-    return hi - dhi - (lo < dlo), lo - dlo
+        out = lo + d[1]
+        return hi + d[0] + (out < lo), out
+    return hi - d[0] - (lo < d[1]), lo - d[1]
 
 
 def _round_odd(x1, y1, y0) -> np.ndarray:
@@ -147,34 +156,49 @@ def _round_odd(x1, y1, y0) -> np.ndarray:
     return (y1 + (z >> _S63)) | ((z & _M63) != 0)
 
 
-def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(f, k) with |x| = f 10^k, for the bit patterns of finite nonzero x:
-    of the shortest decimals that read back to x, the closest."""
-    tables = _tables()
+def _decompose(bits: np.ndarray):
+    """x = c 2^q for the bit patterns of finite nonzero x: c, Schubfach's
+    decimal exponent k and shift h, and whether x is a power of two above
+    the subnormals, where the gap below x is half the gap above it."""
     t = bits & _U(2**52 - 1)
     bq = ((bits >> _S52) & _U(0x7FF)).view(np.int64)
     c = t | ((bq > 0) * _U(2**52))
     q = np.maximum(bq, 1) - 1075
     k = _flog10pow2(q)
-    # at a power of two above the subnormals the gap below x is half the
-    # gap above it
     irregular = (t == 0) & (bq > 1)
     if irregular.any():
         k = np.where(irregular, _flog10_three_quarters_pow2(q), k)
     h = (q + _flog2pow10(-k) + 2).view(np.uint64)
+    return c, k, h, irregular
+
+
+def _scaled(c, k, h, irregular) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """x and the ends of its rounding interval times 4 10^-k, rounded to
+    odd: Schubfach's vb, vbl and vbr."""
+    tables = _tables()
     g1, g0 = tables["g1"][k - _K_MIN], tables["g0"][k - _K_MIN]
-    cp = _limbs(c << (h + _S2))
-    a_hi, a_lo = _mul(_limbs(g0), cp)
-    b_hi, b_lo = _mul(_limbs(g1), cp)
+    cp = c << (h + _S2)
+    limbs = _limbs(cp)
+    a_hi, a_lo = _mul_hi(_limbs(g0), limbs), g0 * cp
+    b_hi, b_lo = _mul_hi(_limbs(g1), limbs), g1 * cp
     vb = _round_odd(a_hi, b_hi, b_lo)
     # the interval's ends are (4c + 2) 2^h and (4c - 2) 2^h, or (4c - 1) 2^h
     # at an irregular x; g times them is g 4c 2^h plus or minus a shifted g
     shift = h + _S1
-    vbr = _round_odd(_shift_add(a_hi, a_lo, g0, shift, 1)[0],
-                     *_shift_add(b_hi, b_lo, g1, shift, 1))
-    shift -= irregular
-    vbl = _round_odd(_shift_add(a_hi, a_lo, g0, shift, -1)[0],
-                     *_shift_add(b_hi, b_lo, g1, shift, -1))
+    d0, d1 = _shifted(g0, shift), _shifted(g1, shift)
+    vbr = _round_odd(_add(a_hi, a_lo, d0, 1)[0], *_add(b_hi, b_lo, d1, 1))
+    if irregular.any():
+        shift -= irregular
+        d0, d1 = _shifted(g0, shift), _shifted(g1, shift)
+    vbl = _round_odd(_add(a_hi, a_lo, d0, -1)[0], *_add(b_hi, b_lo, d1, -1))
+    return vb, vbl, vbr
+
+
+def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(f, k) with |x| = f 10^k, for the bit patterns of finite nonzero x:
+    of the shortest decimals that read back to x, the closest."""
+    c, k, h, irregular = _decompose(bits)
+    vb, vbl, vbr = _scaled(c, k, h, irregular)
     # the ends read back to x when c is even
     odd = c & _S1
     vbl += odd
@@ -195,8 +219,11 @@ def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return f, k
 
 
-def _float_words(x: np.ndarray) -> np.ndarray:
-    """The (n, _FLOAT_WORDS) uint64 frame of the float64 values x."""
+def _float_words(x: np.ndarray, seps: np.ndarray) -> np.ndarray:
+    """The (_FLOAT_WORDS, n) uint64 words of the float64 cells x, each
+    row one word of every cell: the cells of one frame row are transposed
+    out of it.  ``seps`` holds the separator word of each cell, or of each
+    column when x holds whole rows of a table."""
     tables = _tables()
     bits = x.view(np.uint64)
     special = ~np.isfinite(x) | (x == 0)
@@ -226,31 +253,30 @@ def _float_words(x: np.ndarray) -> np.ndarray:
     trailing = zeros[0]
     for i in range(1, 4):
         trailing = zeros[i] + (quads[i] == 0) * trailing
-    n = 17 - trailing
+    n = 17 - trailing.astype(np.int64)
     # positional from 1e-4 on; 1 and up show all integer digits and one more
     wide = e.view(np.uint64) < _U(16)
     end = np.where(wide, np.maximum(n, e + 2), n)
     dot = np.where(wide, e, ((n == 1) | ((e + 4).view(np.uint64) < _U(4))) * -1)
-    # the words are built as rows over the cells, then transposed
     words = np.empty((_FLOAT_WORDS, x.size), dtype=np.uint64)
     row = e - _E_MIN
     np.bitwise_or(tables["head"][row * 2 + (bits >> _S63).view(np.int64)],
                   tables["lead"][lead.view(np.int64)], out=words[0])
-    words[1:5] = tables["quad"][quads]
+    np.take(tables["quad"], quads, out=words[1:5], mode="clip")
     words[:5] &= np.take(tables["keep"], end * 17 + dot + 1, axis=1)
     words[5] = tables["tail"][row]
-    words = words.T
     if any_special:
         y = x[special]
-        words[special] = tables["special"][
-            np.where(np.isnan(y), 0, np.where(np.isinf(y), 1, 3) + np.signbit(y))]
+        words[:, special] = tables["special"][
+            np.where(np.isnan(y), 0, np.where(np.isinf(y), 1, 3) + np.signbit(y))].T
+    words[5].reshape(-1, seps.size)[...] |= seps
     return words
 
 
 def _int_words(x: np.ndarray) -> np.ndarray:
     """The uint64 frame of the int64 values x, in 4-byte slots: the sign,
     as many four-digit slots as the largest |x| needs, and NULs to fill
-    the last word but for its last byte."""
+    the last word but for its last byte, the separator's."""
     tables = _tables()
     quads = -(-len(str(max(int(x.max()), -int(x.min())))) // 4)
     words = np.zeros((x.size, (quads + 3) // 2), dtype=np.uint64)
@@ -272,7 +298,8 @@ def _int_words(x: np.ndarray) -> np.ndarray:
 
 
 def _text_words(cells: list) -> np.ndarray:
-    """The uint64 frame of the ``repr`` of each cell."""
+    """The uint64 frame of the ``repr`` of each cell, with a last byte free
+    for the separator."""
     text = np.array([repr(v).encode() for v in cells], dtype=bytes)
     width = text.dtype.itemsize
     words = np.zeros((len(cells), width // 8 + 1), dtype=np.uint64)
@@ -293,6 +320,33 @@ def _column(values):
 
 def _is_float(column) -> bool:
     return isinstance(column, np.ndarray) and column.dtype == np.float64
+
+
+def _block_text(runs: list, seps: np.ndarray) -> str:
+    """The CSV lines of one block of rows, given as runs of columns (one
+    float run is formatted as one array) and the separator word of each
+    column."""
+    parts = []
+    at = 0
+    for run in runs:
+        marks, at = seps[at:at + len(run)], at + len(run)
+        if _is_float(run[0]):
+            cells = np.stack(run, axis=1)
+            # the cells' words as (row, column, word), as the frame holds them
+            words = _float_words(cells.ravel(), marks).T.reshape(len(cells), len(run), -1)
+        else:
+            words = (_int_words if isinstance(run[0], np.ndarray) else _text_words)(run[0])
+            words[:, -1] |= marks
+            words = words[:, None, :]
+        parts.append(words)
+    frame = np.empty((len(parts[0]), sum(w.shape[1] * w.shape[2] for w in parts)),
+                     dtype=np.uint64)
+    at = 0
+    for words in parts:
+        width = words.shape[1] * words.shape[2]
+        np.copyto(frame[:, at:at + width].reshape(words.shape), words)
+        at += width
+    return frame.tobytes().translate(None, b"\0").decode()
 
 
 def write_columns(fp, header, columns) -> None:
@@ -320,19 +374,4 @@ def write_columns(fp, header, columns) -> None:
     seps = _words(f"{'':\0<7}{sep}" for sep in "," * (len(columns) - 1) + "\n")
     step = max(1, _BLOCK // len(columns))
     for start in range(0, rows, step):
-        parts, ends = [], []
-        width = 0
-        for run in runs:
-            if _is_float(run[0]):
-                cells = np.stack([c[start:start + step] for c in run], axis=1)
-                words = _float_words(cells.ravel()).reshape(len(cells), -1)
-                ends += range(width + _FLOAT_WORDS - 1, width + words.shape[1], _FLOAT_WORDS)
-            else:
-                cells = run[0][start:start + step]
-                words = (_int_words if isinstance(cells, np.ndarray) else _text_words)(cells)
-                ends.append(width + words.shape[1] - 1)
-            parts.append(words)
-            width += words.shape[1]
-        frame = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-        frame[:, ends] |= seps
-        fp.write(frame.tobytes().translate(None, b"\0").decode())
+        fp.write(_block_text([[c[start:start + step] for c in run] for run in runs], seps))

@@ -32,7 +32,6 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .csvtext import write_columns
 from .errors import (
     CoverageError,
     DomainError,
@@ -697,6 +696,8 @@ def stream_to_csv(stream: EigenvalueStream, fp) -> None:
     value as its shortest round-tripping ``repr``, through the columnar
     ``csvtext.write_columns`` (no Python object per row or cell).
     Float-only: exact numerators are not written (use JSON to keep them)."""
+    from .csvtext import write_columns
+
     write_columns(fp, ["value", "multiplicity"], [stream.values, stream.multiplicities])
 
 

@@ -1,15 +1,19 @@
 """In-process timings of the CSV writer and reader, ``stream_to_csv`` and
-``stream_from_csv``.
+``stream_from_csv``, and of the CSV text of ``riesz --two-term``.
 
     PYTHONPATH=src python tools/bench_io.py --row read-6.37x4.21
 
 times one row on the ``polyaspec`` found on the path and prints its median,
-quartiles and every sample in ms as JSON.  The rows are the 8 Neumann
-rectangles of the round trips of the ``composite-count`` benchmark
-(``bench/jobs.py``), each built as those jobs build it, up to 1.0001 times
-its cutoff: a ``write`` row writes the stream to a ``StringIO``, a ``read``
-row reads that text back.  A write row records the length and SHA-256 of
-the text, a read row whether the stream read back has the same values, bit
+quartiles and every sample in ms as JSON.  The write and read rows are the
+8 Neumann rectangles of the round trips of the ``composite-count``
+benchmark (``bench/jobs.py``), each built as those jobs build it, up to
+1.0001 times its cutoff: a ``write`` row writes the stream to a
+``StringIO``, a ``read`` row reads that text back.  An ``emit`` row is one
+in-process ``riesz --two-term --gamma 1.5 --output csv`` call, captured
+from stdout, on one of the four float boxes of the ``riesz-scan``
+benchmark: the scan and the CSV text of its (lambda, riesz, bound,
+margin) rows.  A write or emit row records the length and SHA-256 of the
+text, a read row whether the stream read back has the same values, bit
 for bit, and the same multiplicities.  The row is run once before timing.
 
     python tools/bench_io.py --parent OTHER/src > BENCH_io.json
@@ -22,6 +26,7 @@ settings and the runner of ``bench_exact_sweep.py``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import io
 import json
@@ -37,23 +42,54 @@ COMPOSITES = (
     ((8.9, 3.7), 5000.0), ((4.45, 6.83), 3000.0),
 )
 
-#: name -> (write or read, sides, cutoff)
-ROWS = {f"{op}-{'x'.join(map(str, sides))}": (op, sides, cutoff)
+#: the float boxes of the riesz-scan two-term jobs: sides, bc, cutoff
+RIESZ_SHAPES = {
+    "rect-d": ((7.3, 5.1), "dirichlet", 2400.0),
+    "rect-n": ((6.1, 8.7), "neumann", 1700.0),
+    "box-d": ((3.7, 2.9, 2.3), "dirichlet", 560.0),
+    "box-n": ((4.1, 3.3, 2.6), "neumann", 420.0),
+}
+EMIT_GAMMA = "1.5"
+
+#: name -> (write, read or emit; sides; cutoff; bc)
+ROWS = {f"{op}-{'x'.join(map(str, sides))}": (op, sides, cutoff, "neumann")
         for op in ("write", "read") for sides, cutoff in COMPOSITES}
+ROWS.update({f"emit-{shape}": ("emit", sides, cutoff, bc)
+             for shape, (sides, bc, cutoff) in RIESZ_SHAPES.items()})
+
+
+def _emit_run(sides, cutoff: float, bc: str):
+    """One ``riesz --two-term --output csv`` call, returning its stdout."""
+    from polyaspec import cli
+
+    argv = ["riesz", "--spec", json.dumps({"box": {"sides": list(sides), "bc": bc}}),
+            "--gamma", EMIT_GAMMA, "--two-term", "--cutoff", repr(cutoff),
+            "--output", "csv", "--no-timestamp"]
+
+    def run():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli.main(argv)
+        return out.getvalue()
+    return run
 
 
 def time_row(name: str, repeat: int) -> dict:
     from polyaspec import box_spectrum, stream_from_csv, stream_to_csv
 
-    op, sides, cutoff = ROWS[name]
-    s = box_spectrum(list(sides), "neumann", cutoff * 1.0001)
-    buf = io.StringIO()
-    stream_to_csv(s, buf)
-    text = buf.getvalue()
+    op, sides, cutoff, bc = ROWS[name]
+    if op == "emit":
+        run = _emit_run(sides, cutoff, bc)
+        text = run()
+    else:
+        s = box_spectrum(list(sides), bc, cutoff * 1.0001)
+        buf = io.StringIO()
+        stream_to_csv(s, buf)
+        text = buf.getvalue()
     if op == "write":
         def run():
             stream_to_csv(s, io.StringIO())
-    else:
+    elif op == "read":
         def run():
             return stream_from_csv(io.StringIO(text), s.cutoff)
     back = run()
@@ -62,12 +98,13 @@ def time_row(name: str, repeat: int) -> dict:
         start = time.perf_counter()
         run()
         times.append((time.perf_counter() - start) * 1e3)
-    if op == "write":
-        shown = {"chars": len(text), "sha256": hashlib.sha256(text.encode()).hexdigest()}
-    else:
-        shown = {"same": back.values.tobytes() == s.values.tobytes()
-                 and back.multiplicities.tolist() == s.multiplicities.tolist()}
-    return {"times_ms": times, "values": int(s.values.size), **shown}
+    if op == "read":
+        return {"times_ms": times, "values": int(s.values.size),
+                "same": back.values.tobytes() == s.values.tobytes()
+                and back.multiplicities.tolist() == s.multiplicities.tolist()}
+    lines = {"lines": text.count("\n")} if op == "emit" else {"values": int(s.values.size)}
+    return {"times_ms": times, **lines,
+            "chars": len(text), "sha256": hashlib.sha256(text.encode()).hexdigest()}
 
 
 def command(name: str, repeat: int) -> str:
@@ -76,19 +113,22 @@ def command(name: str, repeat: int) -> str:
 
 def compare(parent_src: Path, rounds: int, repeat: int) -> dict:
     rows = []
-    total = {op: {"parent": 0.0, "change": 0.0} for op in ("write", "read")}
-    for name, (op, sides, cutoff) in ROWS.items():
+    total = {op: {"parent": 0.0, "change": 0.0} for op in ("write", "read", "emit")}
+    for name, (op, sides, cutoff, bc) in ROWS.items():
         ms, outs = time_sides(__file__, name, parent_src, rounds, repeat)
         for label in ("parent", "change"):
             total[op][label] += ms[label]["median"]
-        rows.append({"row": name, "op": op, "sides": list(sides), "cutoff": cutoff,
-                     "command": command(name, repeat),
+        gamma = {"gamma": float(EMIT_GAMMA)} if op == "emit" else {}
+        rows.append({"row": name, "op": op, "sides": list(sides), "bc": bc, "cutoff": cutoff,
+                     **gamma, "command": command(name, repeat),
                      "parent_ms": ms["parent"], "change_ms": ms["change"],
                      "speedup": round(ms["parent"]["median"] / ms["change"]["median"], 2),
                      "parent": outs["parent"], "change": outs["change"]})
     return {
         "what": "in-process medians of one stream_to_csv (write rows) or stream_from_csv "
-                "(read rows) call on the composite-count round-trip rectangles, "
+                "(read rows) call on the composite-count round-trip rectangles, and of "
+                f"one riesz --two-term --gamma {EMIT_GAMMA} --output csv CLI call (emit "
+                "rows: the scan and its CSV text) on the riesz-scan float boxes, "
                 f"parent -> change; {rounds} fresh interpreters per side, alternating, "
                 f"{repeat} timed calls each after one warm-up call",
         "malloc_env": MALLOC_ENV,
