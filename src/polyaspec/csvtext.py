@@ -78,9 +78,9 @@ def _tables() -> dict:
       of a positional value below 1 with leading digit at 10^E;
     - ``lead``: the leading digit and a dot after it;
     - ``tail``: at E - _E_MIN, the exponent suffix, if any;
-    - ``keep``: in column end * 17 + dot + 1, the masks of the first five words of
-      a float cell that keep its first ``end`` digits and the dot after
-      digit ``dot``, if dot >= 0;
+    - ``keep``: in column end * 17 + dot + 1, the masks of the first five
+      words of a float cell that keep its first ``end`` digits and the dot
+      after digit ``dot``, if dot >= 0;
     - ``special``: the float cells of ``_SPECIALS``;
     - ``int``, ``int_lead``, ``int_last``: 0..9999 as four digits, with
       leading zeros, with NULs for them, and with NULs but "0" for 0.
@@ -220,10 +220,10 @@ def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _float_words(x: np.ndarray, seps: np.ndarray) -> np.ndarray:
-    """The (_FLOAT_WORDS, n) uint64 words of the float64 cells x, each
-    row one word of every cell: the cells of one frame row are transposed
-    out of it.  ``seps`` holds the separator word of each cell, or of each
-    column when x holds whole rows of a table."""
+    """The words of the float64 cells x as a (_FLOAT_WORDS, n) uint64
+    array, word j of every cell in row j.  Cell i ends with the separator
+    word ``seps[i % seps.size]``: x holds whole table rows, one separator
+    per column."""
     tables = _tables()
     bits = x.view(np.uint64)
     special = ~np.isfinite(x) | (x == 0)

@@ -169,6 +169,20 @@ def test_riesz_values_and_two_term(capsys):
     assert data["lambda_star"] is not None
 
 
+def test_two_term_csv_matches_the_row_writer(capsys):
+    from polyaspec import box_meta, box_spectrum, two_term_riesz_scan
+
+    sides = [1.3, 0.7]
+    code, out, _ = run_cli(capsys, "riesz", "--spec", json.dumps(
+        {"box": {"sides": sides, "bc": "dirichlet"}}), "--gamma", "1.5", "--two-term",
+        "--cutoff", "500", "--output", "csv", "--no-timestamp")
+    assert code == 0
+    scan = two_term_riesz_scan(box_spectrum(sides, "dirichlet", 500 * 1.0001),
+                               box_meta(sides, "dirichlet"), 1.5, 500.0, "dirichlet")
+    assert out == "lambda,riesz,bound,margin\n" + "".join(
+        ",".join(map(repr, row)) + "\n" for row in scan.points.tolist())
+
+
 def test_riesz_rows_keep_the_given_lambda_order(capsys):
     def riesz(gamma, *lams, output="json"):
         argv = ["riesz", "--spec", '{"sphere2":{}}', "--gamma", gamma,
@@ -229,6 +243,13 @@ def test_verify_exact_thin_sphere(capsys, tmp_path):
                          "--k-max", "2000", "--no-timestamp", "--dump", str(plain))
     assert code == 0
     assert dump.read_bytes() == plain.read_bytes()
+    # the rows the per-row writer wrote, each margin by repr
+    from polyaspec import per_eigenvalue_margins
+
+    stream, meta = stream_covering_k(build_spec(THIN_SPHERE_SPEC), 2000)
+    margins = per_eigenvalue_margins(stream, meta, 2000, "dirichlet").tolist()
+    assert dump.read_text() == "k,margin\n" + "".join(
+        f"{k},{m!r}\n" for k, m in enumerate(margins, 1))
 
 
 A_PI_SPEC = '{"product":[{"interval":{"a":"pi","bc":"%s"}},{"sphere2":{}}]}'

@@ -386,6 +386,9 @@ def test_csv_round_trip(rng):
     s = box_spectrum([1.1, 2.3], "neumann", 500.0)
     buf = io.StringIO()
     stream_to_csv(s, buf)
+    # the text of the per-row writer, each value by repr
+    assert buf.getvalue() == "value,multiplicity\n" + "".join(
+        f"{v!r},{m}\n" for v, m in s.entries())
     buf.seek(0)
     back = stream_from_csv(buf, cutoff=s.cutoff)
     assert list(back.values) == list(s.values)
