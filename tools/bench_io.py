@@ -80,7 +80,6 @@ def time_row(name: str, repeat: int) -> dict:
     op, sides, cutoff, bc = ROWS[name]
     if op == "emit":
         run = _emit_run(sides, cutoff, bc)
-        text = run()
     else:
         s = box_spectrum(list(sides), bc, cutoff * 1.0001)
         buf = io.StringIO()
@@ -93,6 +92,8 @@ def time_row(name: str, repeat: int) -> dict:
         def run():
             return stream_from_csv(io.StringIO(text), s.cutoff)
     back = run()
+    if op == "emit":
+        text = back
     times = []
     for _ in range(repeat):
         start = time.perf_counter()
