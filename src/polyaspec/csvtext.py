@@ -254,7 +254,9 @@ def _float_words(x: np.ndarray, seps: np.ndarray) -> np.ndarray:
     for i in range(1, 4):
         trailing = zeros[i] + (quads[i] == 0) * trailing
     n = 17 - trailing.astype(np.int64)
-    # positional from 1e-4 on; 1 and up show all integer digits and one more
+    # 1 <= |x| < 1e16 shows every integer digit and at least one more; the
+    # dot follows digit ``dot``, or sits in the "0." prefix (1e-4 <= |x| < 1)
+    # or is left out (one digit in exponent form), with dot = -1
     wide = e.view(np.uint64) < _U(16)
     end = np.where(wide, np.maximum(n, e + 2), n)
     dot = np.where(wide, e, ((n == 1) | ((e + 4).view(np.uint64) < _U(4))) * -1)
