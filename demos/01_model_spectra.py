@@ -13,7 +13,6 @@ from polyaspec import (
     sphere2_spectrum,
     stream_from_csv,
     stream_to_csv,
-    triangle_neumann_counting,
     triangle_neumann_spectrum,
 )
 
@@ -40,12 +39,13 @@ print("entries:", list(s.entries()))
 print("count below 43:", s.count(43.0), " (= 7^2)")
 
 print()
-print("=== unit equilateral triangle, Neumann ===")
-print("counting function at 1:", triangle_neumann_counting(1.0), "(zero mode only)")
+print("=== unit equilateral triangle, Neumann: one value per ordered pair m, n >= 0 ===")
+t = triangle_neumann_spectrum(200.0)
+print("counting function at 1:", t.count(1.0), "(zero mode only)")
 lam = 16 * math.pi ** 2 / 9
 print(f"first nonzero eigenvalue 16 pi^2 / 9 = {lam:.6f}:")
-print("  count just above it:", triangle_neumann_counting(lam + 1e-9))
-t = triangle_neumann_spectrum(200.0)
+print("  count just above it:", t.count(lam + 1e-9),
+      "(the zero mode and the pairs (1, 0), (0, 1))")
 print("stream head:", list(t.entries())[:4])
 
 print()

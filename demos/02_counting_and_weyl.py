@@ -10,8 +10,7 @@ from polyaspec import (
     estimate_seeley_constant,
     interval_meta,
     interval_spectrum,
-    jump_points,
-    product_count,
+    product_spectrum,
     sphere2_meta,
     sphere2_spectrum,
     two_term_bound,
@@ -19,14 +18,16 @@ from polyaspec import (
 )
 
 print("=== jump points: the only places a monotone-bound check can fail ===")
-for lam, before, after in jump_points(sphere2_spectrum(7)):
+s = sphere2_spectrum(7)
+cum = s.cumulative_counts()  # [0, cumsum(multiplicities)]
+for lam, before, after in zip(s.values, cum[:-1], cum[1:]):
     print(f"  at {lam}: N jumps {before} -> {after}")
 
 print()
-print("=== product counting without forming the product spectrum ===")
+print("=== product counting: the counts of the product stream ===")
 iv = interval_spectrum("pi/24", "dirichlet", 700)
-cf_sphere = CountingFunction.from_stream(sphere2_spectrum(700), sphere2_meta())
-print("N of (0, pi/24) x S^2 at 600:", product_count(iv, cf_sphere, 600.0))
+prod = product_spectrum(iv, sphere2_spectrum(700), 700)
+print("N of (0, pi/24) x S^2 at 600:", prod.count(600.0))
 print("  (one interval mode at 576 contributes N_sphere(24) = 25)")
 
 print()

@@ -31,8 +31,6 @@ from .counting import (
     SeeleyEstimate,
     SumCountingFunction,
     estimate_seeley_constant,
-    jump_points,
-    product_count,
     two_term_bound,
     weyl_leading,
 )
@@ -40,7 +38,6 @@ from .errors import (
     ConfigError,
     CoverageError,
     DomainError,
-    InternalConsistencyError,
     ModeError,
     PolyaspecError,
     ValidationError,
@@ -87,7 +84,6 @@ from .spectra import (
     stream_to_json_dict,
     tabulated_spectrum,
     triangle_meta,
-    triangle_neumann_counting,
     triangle_neumann_spectrum,
 )
 

@@ -29,8 +29,6 @@ from .spectra import DomainMeta, EigenvalueStream, _sorted_union
 __all__ = [
     "CountingFunction",
     "SumCountingFunction",
-    "jump_points",
-    "product_count",
     "weyl_leading",
     "two_term_bound",
     "estimate_seeley_constant",
@@ -100,20 +98,6 @@ class SumCountingFunction:
     @property
     def cutoff(self) -> float:
         return min(p.cutoff for p in self.parts)
-
-
-def jump_points(stream: EigenvalueStream) -> list[tuple[float, int, int]]:
-    """One ``(lambda_j, N(lambda_j), N(lambda_j+))`` triple per distinct eigenvalue."""
-    cum = stream.cumulative_counts().tolist()
-    return list(zip(stream.values.tolist(), cum[:-1], cum[1:]))
-
-
-def product_count(s1: EigenvalueStream, cf2: CountingFunction, lam: float) -> int:
-    """Count of the product spectrum below ``lam`` without forming it:
-    sum over first-factor eigenvalues v of mult(v) * N_2(lam - v)."""
-    lam = float(s1.check_range(lam))
-    below = s1.values < lam
-    return int(np.dot(s1.multiplicities[below], cf2.count_many(lam - s1.values[below])))
 
 
 def weyl_leading(meta: DomainMeta, lam: float) -> float:

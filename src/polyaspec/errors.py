@@ -31,7 +31,3 @@ class ModeError(PolyaspecError, ValueError):
     e.g. exact-integer verification on a stream without exact values, or a
     Neumann-only check on a Dirichlet stream.
     """
-
-
-class InternalConsistencyError(PolyaspecError, RuntimeError):
-    """An internal invariant failed; indicates a bug, not bad input."""

@@ -36,9 +36,11 @@ def _tabulated_meta(p: dict) -> sp.DomainMeta:
 
 
 def _tabulated_stream(p: dict, cutoff: float) -> sp.EigenvalueStream:
-    # with metadata present, its boundary condition is checked against the entries
+    """The whole table, validated (against the metadata's boundary condition
+    when it is present), then truncated to ``cutoff`` as every generated
+    kind is."""
     meta = _tabulated_meta(p) if "dimension" in p and "volume" in p else None
-    return sp.tabulated_spectrum(p["entries"], cutoff, meta)
+    return sp.tabulated_spectrum(p["entries"], math.inf, meta).truncated(cutoff)
 
 
 class _Kind(NamedTuple):
@@ -133,12 +135,13 @@ def stream_covering_k(spec: SpectrumSpec, k_max: int):
         cutoff = (1.3 * (k_max + 50) / (c_d(d) * meta.volume)) ** (2.0 / d)
     except (OverflowError, ZeroDivisionError):
         cutoff = math.inf
-    for _ in range(10):
+    for attempt in range(10):
+        if attempt:
+            cutoff *= 1.5
         if cutoff == math.inf:
             raise DomainError(f"covering k_max={k_max} needs a cutoff past float range")
         stream = spec.stream(cutoff)
         have = stream.total_count - (1 if stream.index_origin == 0 else 0)
         if have >= k_max:
             return stream, meta
-        cutoff *= 1.5
     raise ConfigError(f"could not cover k_max={k_max}; last cutoff {cutoff}")

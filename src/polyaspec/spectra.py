@@ -1,8 +1,8 @@
 """Exact Laplace spectra of model domains and their products.
 
 The generators cover the model families with closed-form spectra: intervals,
-rectangular boxes, the unit-side equilateral triangle (Neumann, via the
-lattice counting formula) and the round 2-sphere.  ``product_spectrum``
+rectangular boxes, the unit-side equilateral triangle (Neumann, one value
+per ordered pair of its lattice) and the round 2-sphere.  ``product_spectrum``
 composes two spectra by pairwise sums, which is how product domains get
 their eigenvalues.  A box is the product of its sides' intervals, so
 ``box_spectrum`` folds ``product_spectrum`` over ``interval_spectrum``
@@ -32,13 +32,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    CoverageError,
-    DomainError,
-    InternalConsistencyError,
-    ModeError,
-    ValidationError,
-)
+from .errors import CoverageError, DomainError, ModeError, ValidationError
 from .pivals import PiRational, as_pi_rational
 
 __all__ = [
@@ -48,7 +42,6 @@ __all__ = [
     "interval_spectrum",
     "box_spectrum",
     "sphere2_spectrum",
-    "triangle_neumann_counting",
     "triangle_neumann_spectrum",
     "product_spectrum",
     "tabulated_spectrum",
@@ -429,79 +422,26 @@ def sphere2_spectrum(cutoff: float) -> EigenvalueStream:
     return _stream_from_exact(ks * (ks + 1), 2 * ks + 1, 1, 0, cutoff)
 
 
-# -- equilateral triangle (Neumann), side length 1 --------------------------
-
-_TRI_FACTOR = 16.0 * math.pi ** 2 / 27.0
-
-
-def _triangle_lattice(limit_q: float):
-    """Integer pairs (m, n) with m^2 + n^2 - mn < limit_q, split into the
-    exceptional lines (n=2m, m=2n, n=-m) and the rest restricted to 3|(m+n).
-
-    Returns (q_regular, q_special) arrays of quadratic-form values.  More
-    than ``_MAX_MODES`` pairs to scan raise ``DomainError``.
-    """
-    reach = 2.0 * math.sqrt(max(limit_q, 1.0))
-    pairs = (2.0 * reach + 3.0) ** 2
-    if not pairs < _MAX_MODES:
-        raise DomainError(f"the triangle lattice below q = {limit_q:.3g} has {pairs:.3g} "
-                          f"pairs, more than _MAX_MODES = {_MAX_MODES}")
-    bound = math.ceil(reach)
-    m, n = np.meshgrid(np.arange(-bound, bound + 1, dtype=np.int64),
-                       np.arange(-bound, bound + 1, dtype=np.int64), indexing="ij")
-    q = m * m + n * n - m * n
-    inside = q.astype(float) < limit_q
-    special = (n == 2 * m) | (m == 2 * n) | (n == -m)
-    divisible = (m + n) % 3 == 0
-    q_regular = q[inside & ~special & divisible]
-    q_special = q[inside & special]
-    return q_regular, q_special
-
-
-def triangle_neumann_counting(lam: float) -> int:
-    """Neumann counting function of the unit-side equilateral triangle.
-
-    Weighted lattice count: 1/6 per regular pair with 3|(m+n), 1/3 per pair
-    on the exceptional lines, plus a constant 2/3.  Assembled in integer
-    sixths; a non-integer total is an internal error.
-    """
-    if not lam > 0:
-        raise DomainError(f"lambda must be positive, got {lam}")
-    limit_q = 27.0 * lam / (16.0 * math.pi ** 2)
-    q_regular, q_special = _triangle_lattice(limit_q + 1.0)
-    reg = int(np.sum(q_regular * _TRI_FACTOR < lam))
-    spe = int(np.sum(q_special * _TRI_FACTOR < lam))
-    sixths = reg + 2 * spe + 4
-    if sixths % 6:
-        raise InternalConsistencyError(
-            f"triangle count assembled to non-integer {sixths}/6 at lambda={lam}"
-        )
-    return sixths // 6
-
-
 def triangle_neumann_spectrum(cutoff: float) -> EigenvalueStream:
-    """Eigenvalue stream of the unit equilateral triangle (Neumann).
+    """Spectrum of the unit-side equilateral triangle (Neumann): the values
+    16 pi**2 / 9 * (m**2 + m n + n**2), one per ordered pair m, n >= 0
+    (Lame 1833; McCartin 2003, SIAM Rev. 45).
 
-    Derived from the counting formula: the multiplicity at quadratic-form
-    value q is the weighted number of lattice pairs sitting exactly at q,
-    counted in sixths, and must come out a nonnegative integer.  A cutoff
-    whose lattice has more than ``_MAX_MODES`` pairs raises ``DomainError``.
+    The numerators are 48 q over 27, not the reduced 16 q over 9, so each
+    float value is its numerator times pi**2 / 27: times pi**2 / 9, about a third
+    of the values would move by an ulp.  A cutoff whose lattice square
+    holds more than ``_MAX_MODES`` pairs raises ``DomainError``.
     """
     if not cutoff > 0:
         raise DomainError(f"cutoff must be positive, got {cutoff}")
-    limit_q = 27.0 * cutoff / (16.0 * math.pi ** 2)
-    q_regular, q_special = _triangle_lattice(limit_q + 1.0)
-    # the constant term 2/3 = 4/6 joins the zero mode
-    q, sixths = _aggregate_exact(
-        np.concatenate(([0], q_regular, q_special)),
-        np.concatenate(([4], np.full(q_regular.size, 1), np.full(q_special.size, 2))))
-    odd = np.flatnonzero(sixths % 6)
-    if odd.size:
-        raise InternalConsistencyError(
-            f"triangle multiplicity at q={q[odd[0]]} is non-integer: {sixths[odd[0]]}/6"
-        )
-    keep = q * _TRI_FACTOR < cutoff
-    return _stream_from_exact(16 * q[keep], sixths[keep] // 6, 27, 2, cutoff)
+    limit = 9.0 * cutoff / (16.0 * math.pi ** 2)
+    if not limit < _MAX_MODES:
+        raise DomainError(f"the triangle below cutoff {cutoff} has {limit:.3g} lattice pairs "
+                          f"to scan, more than _MAX_MODES = {_MAX_MODES}")
+    ms = np.arange(math.isqrt(int(limit)) + 3, dtype=np.int64)
+    q = (ms[:, None] * (ms[:, None] + ms) + ms * ms).ravel()
+    q = q[q < limit + 1]
+    return _stream_from_exact(48 * q, np.ones(q.size, np.int64), 27, 2, cutoff)
 
 
 def _pair_sums(x1: np.ndarray, m1: np.ndarray, x2: np.ndarray, m2: np.ndarray,

@@ -30,7 +30,6 @@ from polyaspec import (
     interval_spectrum,
     l_gamma_d,
     polya_weyl_term,
-    product_count,
     product_meta,
     product_spectrum,
     riesz_mean_many,
@@ -172,6 +171,13 @@ def test_criterion_4_square_triangle_bounds():
         assert thr.a0 >= 1.0 / (4.0 * PI)
 
 
+def _product_count(s1, cf2, lam):
+    """Count of the product spectrum below ``lam`` without forming it: the
+    sum over first-factor eigenvalues v of mult(v) * N_2(lam - v)."""
+    below = s1.values < lam
+    return int(np.dot(s1.multiplicities[below], cf2.count_many(lam - s1.values[below])))
+
+
 def test_criterion_5_product_count_oracle():
     with _Criterion(5, "product counting vs pairwise enumeration, 50 instances"):
         rng = np.random.default_rng(SEED)
@@ -199,7 +205,10 @@ def test_criterion_5_product_count_oracle():
             lams = rng.uniform(1e-3, cutoff, 200)
             counts = np.searchsorted(pair_sums, lams, side="left")
             for lam, expected in zip(lams, counts):
-                assert product_count(s1, cf2, float(lam)) == int(expected)
+                assert _product_count(s1, cf2, float(lam)) == int(expected)
+            # the package's product counting: the product stream's counts
+            prod = product_spectrum(s1, s2, cutoff)
+            assert prod.count_many(lams).tolist() == counts.tolist()
 
 
 def test_criterion_6_lemma_suite():

@@ -368,6 +368,47 @@ def test_tabulated_spectrum_without_metadata(capsys):
     assert json.loads(out)["entries"] == [[0.0, 1], [2.0, 3]]
 
 
+_TABLE = '{"tabulated":{"entries":[[1,1],[4,1],[9,1]],"dimension":1,"volume":1}}'
+
+
+@pytest.mark.parametrize("spec, argv, key, expected", [
+    (_TABLE, ("count", "--lambda", "5"), "results", [{"count": 2, "lambda": 5.0}]),
+    (_TABLE, ("riesz", "--lambda", "5", "--gamma", "1"), "results",
+     [{"lambda": 5.0, "riesz": 5.0}]),
+    (_TABLE, ("spectrum", "--cutoff", "5"), "entries", [[1.0, 1], [4.0, 1]]),
+    # past the Weyl guess of verify's first cutoff
+    ('{"tabulated":{"entries":[[1,1],[4,1],[1e6,1]],"dimension":1,"volume":1}}',
+     ("verify", "--k-max", "2"), "checked", 2),
+])
+def test_tabulated_entries_past_the_cutoff_are_truncated(capsys, spec, argv, key, expected):
+    # a table reaching past the cutoff exited 2 with "all eigenvalues must
+    # lie strictly below the cutoff"
+    code, out, _ = run_cli(capsys, *argv, "--spec", spec, "--no-timestamp")
+    assert code == (1 if argv[0] == "verify" else 0)  # the table fails the Polya bound
+    assert json.loads(out)[key] == expected
+
+
+def test_tabulated_table_is_validated_past_the_cutoff(capsys):
+    spec = '{"tabulated":{"entries":[[1,1],[9,1],[4,1]]}}'
+    code, out, err = run_cli(capsys, "count", "--spec", spec, "--lambda", "2", "--no-timestamp")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "ValidationError"
+
+
+def test_covering_failure_names_the_last_cutoff_tried(capsys, monkeypatch):
+    # the message named 1.5 times the last cutoff, which was never tried
+    tried = []
+    stream = cli.SpectrumSpec.stream
+    monkeypatch.setattr(cli.SpectrumSpec, "stream",
+                        lambda self, cutoff: tried.append(cutoff) or stream(self, cutoff))
+    code, out, err = run_cli(capsys, "verify", "--spec", _TABLE, "--k-max", "100",
+                             "--no-timestamp")
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "ConfigError",
+                               "message": f"could not cover k_max=100; last cutoff {tried[-1]}"}
+    assert len(tried) == 10 and tried[-1] == tried[-2] * 1.5
+
+
 def test_reproduce_sphere_thin(capsys):
     code, out, _ = run_cli(capsys, "reproduce", "sphere-thin", "--no-timestamp")
     assert code == 0

@@ -18,13 +18,10 @@ from polyaspec import (
     estimate_seeley_constant,
     interval_meta,
     interval_spectrum,
-    jump_points,
-    product_count,
     product_spectrum,
     sphere2_meta,
     sphere2_spectrum,
     tabulated_spectrum,
-    triangle_neumann_counting,
     triangle_neumann_spectrum,
     two_term_bound,
     verify_counting_bound,
@@ -39,6 +36,20 @@ PI2 = math.pi ** 2
 
 def _cf(stream, meta):
     return CountingFunction.from_stream(stream, meta)
+
+
+def product_count(s1, cf2, lam):
+    """Count of the product spectrum below ``lam`` without forming it: the
+    sum over first-factor eigenvalues v of mult(v) * N_2(lam - v)."""
+    lam = float(s1.check_range(lam))
+    below = s1.values < lam
+    return int(np.dot(s1.multiplicities[below], cf2.count_many(lam - s1.values[below])))
+
+
+def jump_points(stream):
+    """One ``(lambda_j, N(lambda_j), N(lambda_j+))`` triple per distinct eigenvalue."""
+    cum = stream.cumulative_counts().tolist()
+    return list(zip(stream.values.tolist(), cum[:-1], cum[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +188,9 @@ def test_closed_form_counting_function():
     cf = CountingFunction.from_stream(
         tri_stream, DomainMeta(2, math.sqrt(3) / 4, "neumann", surface_area=3.0))
     for lam in (1.0, 50.0, 299.0):
-        assert cf.count(lam) == triangle_neumann_counting(lam)
+        # one eigenvalue 16 pi^2 / 9 (m^2 + mn + n^2) per ordered pair m, n >= 0
+        assert cf.count(lam) == sum(16 * PI2 / 9 * (m * m + m * n + n * n) < lam
+                                    for m in range(20) for n in range(20))
     assert cf.count(1.0) == 1
     assert cf.count_right(0.0) == 1
     assert list(cf.jump_values()) == list(tri_stream.values)

@@ -29,7 +29,6 @@ from polyaspec import (
     stream_to_csv,
     stream_to_json_dict,
     tabulated_spectrum,
-    triangle_neumann_counting,
     triangle_neumann_spectrum,
 )
 from polyaspec.spectra import (
@@ -38,6 +37,7 @@ from polyaspec.spectra import (
     DomainMeta,
     EigenvalueStream,
     _aggregate_exact,
+    _stream_from_exact,
 )
 
 PI2 = math.pi ** 2
@@ -114,8 +114,6 @@ def test_sphere_and_triangle_sizes_are_capped(cutoff):
         sphere2_spectrum(cutoff)
     with pytest.raises(DomainError, match="_MAX_MODES"):
         triangle_neumann_spectrum(cutoff)
-    with pytest.raises(DomainError, match="_MAX_MODES"):
-        triangle_neumann_counting(cutoff)
 
 
 def test_interval_rejects_nonpositive_cutoff():
@@ -219,38 +217,83 @@ def test_sphere_counting_identity_k_up_to_100():
 # triangle
 
 
+def _sixths_lattice(limit_q):
+    """Integer pairs (m, n) with m^2 + n^2 - mn < limit_q over the whole
+    square [-2 sqrt(limit_q), 2 sqrt(limit_q)]^2, split into the exceptional
+    lines (n = 2m, m = 2n, n = -m) and the rest with 3 | (m + n); returns the
+    quadratic-form values of each part."""
+    bound = math.ceil(2.0 * math.sqrt(max(limit_q, 1.0)))
+    m, n = np.meshgrid(np.arange(-bound, bound + 1, dtype=np.int64),
+                       np.arange(-bound, bound + 1, dtype=np.int64), indexing="ij")
+    q = m * m + n * n - m * n
+    inside = q.astype(float) < limit_q
+    special = (n == 2 * m) | (m == 2 * n) | (n == -m)
+    regular = inside & ~special & ((m + n) % 3 == 0)
+    return q[regular], q[inside & special]
+
+
+_SIXTHS_SCALE = 16.0 * PI2 / 27.0
+
+
+def _sixths_count(lam):
+    """The triangle's Neumann counting function as a weighted lattice count:
+    1/6 per regular pair, 1/3 per pair on an exceptional line, plus 2/3."""
+    q_regular, q_special = _sixths_lattice(27.0 * lam / (16.0 * PI2) + 1.0)
+    sixths = (int(np.sum(q_regular * _SIXTHS_SCALE < lam))
+              + 2 * int(np.sum(q_special * _SIXTHS_SCALE < lam)) + 4)
+    assert sixths % 6 == 0, f"non-integer count {sixths}/6 at lambda={lam}"
+    return sixths // 6
+
+
+def _sixths_spectrum(cutoff):
+    """The triangle's Neumann stream with each multiplicity the weighted
+    number of lattice pairs at its value, assembled in sixths."""
+    q_regular, q_special = _sixths_lattice(27.0 * cutoff / (16.0 * PI2) + 1.0)
+    # the constant term 2/3 = 4/6 joins the zero mode
+    q, sixths = _aggregate_exact(
+        np.concatenate(([0], q_regular, q_special)),
+        np.concatenate(([4], np.full(q_regular.size, 1), np.full(q_special.size, 2))))
+    assert not np.any(sixths % 6), "non-integer multiplicity"
+    keep = q * _SIXTHS_SCALE < cutoff
+    return _stream_from_exact(16 * q[keep], sixths[keep] // 6, 27, 2, cutoff)
+
+
 def test_triangle_count_at_one():
-    assert triangle_neumann_counting(1.0) == 1
+    assert triangle_neumann_spectrum(2.0).count(1.0) == 1
+    assert _sixths_count(1.0) == 1
 
 
 def test_triangle_first_nonzero_eigenvalue():
-    before = triangle_neumann_counting(TRI_FIRST_NONZERO)
-    after = triangle_neumann_counting(TRI_FIRST_NONZERO + 1e-6)
+    s = triangle_neumann_spectrum(2 * TRI_FIRST_NONZERO)
+    before = s.count(TRI_FIRST_NONZERO)
+    after = s.count(TRI_FIRST_NONZERO + 1e-6)
     assert before == 1
-    assert after > before
+    assert after == 3  # the zero mode and the pairs (1, 0), (0, 1)
 
 
 def test_triangle_flat_below_first_nonzero():
+    s = triangle_neumann_spectrum(TRI_FIRST_NONZERO)
     for lam in (1e-6, 0.5, 5.0, TRI_FIRST_NONZERO * 0.999):
-        assert triangle_neumann_counting(lam) == 1
+        assert s.count(lam) == 1
 
 
 def test_triangle_weyl_ratio_at_1e6():
     lam = 1e6
     target = math.sqrt(3) / (16 * math.pi)
-    assert abs(triangle_neumann_counting(lam) / lam - target) / target < 0.02
+    assert abs(triangle_neumann_spectrum(lam).count(lam) / lam - target) / target < 0.02
 
 
 def test_triangle_rejects_nonpositive():
     with pytest.raises(DomainError):
-        triangle_neumann_counting(0.0)
+        triangle_neumann_spectrum(0.0)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.tuples(st.floats(0.5, 400.0), st.floats(0.5, 400.0)))
 def test_triangle_counting_nondecreasing_integer(lams):
     lo, hi = sorted(lams)
-    n_lo, n_hi = triangle_neumann_counting(lo), triangle_neumann_counting(hi)
+    s = triangle_neumann_spectrum(400.0)
+    n_lo, n_hi = s.count(lo), s.count(hi)
     assert isinstance(n_lo, int) and isinstance(n_hi, int)
     assert n_lo <= n_hi
 
@@ -259,7 +302,36 @@ def test_triangle_stream_agrees_with_closed_form(rng):
     cutoff = 500.0
     stream = triangle_neumann_spectrum(cutoff)
     for lam in rng.uniform(0.1, cutoff, 50):
-        assert stream.count(lam) == triangle_neumann_counting(lam)
+        assert stream.count(lam) == _sixths_count(lam)
+
+
+def _lattice_cutoff(q, form, step):
+    """The triangle value at q = m^2 + mn + n^2, as 16 pi^2 q / 9 or as the
+    stream computes it, or one of its float neighbours."""
+    value = 16.0 * PI2 * q / 9.0 if form == "closed" else 48 * q * (PI2 / 27)
+    return value if step is None else math.nextafter(value, step)
+
+
+TRIANGLE_CUTOFFS = st.one_of(
+    st.floats(0.01, 3e4),
+    st.builds(_lattice_cutoff, st.integers(1, 1500), st.sampled_from(["closed", "stream"]),
+              st.sampled_from([None, -math.inf, math.inf])),
+    # the composite-count bench (the square-triangle bundle's 1e4 is an example)
+    st.floats(3000.0, 6000.0).map(lambda c: c * 1.0001),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cutoff=TRIANGLE_CUTOFFS)
+@example(cutoff=1e4 * 1.0001)
+@example(cutoff=_lattice_cutoff(3, "stream", None))
+@example(cutoff=_lattice_cutoff(7, "closed", math.inf))
+def test_triangle_matches_sixths_reference(cutoff):
+    s, ref = triangle_neumann_spectrum(cutoff), _sixths_spectrum(cutoff)
+    assert s.values.tobytes() == ref.values.tobytes()
+    assert np.array_equal(s.multiplicities, ref.multiplicities)
+    assert np.array_equal(s.exact_nums, ref.exact_nums)
+    assert (s.exact_den, s.pi_power, s.cutoff) == (ref.exact_den, ref.pi_power, ref.cutoff)
 
 
 def test_triangle_stream_is_exact_pi_squared_scale():

@@ -15,8 +15,8 @@ the exact comparison (``shift``), and whether every exact comparison fits
 in int64 and below 2^53: the unit interval and (0, pi/24) x S^2 rows are
 int64 rows, the box rows (``shift`` 2) take the float ratio, and the
 three-dimensional box and the 1e7 sphere rows pass 2^53.  The dense
-lattices, the side-10 Neumann square and the unit cube, have build rows
-only.
+lattices, the side-10 Neumann square and the unit cube, and the Neumann
+triangle have build rows only.
 
     python tools/bench_exact_sweep.py --parent OTHER/src > BENCH_exact_sweep.json
 
@@ -63,6 +63,9 @@ _SHAPES = (
      ("neumann",), ("build",)),
     ("box-1-1-1", lambda side: {"box": {"sides": [1, 1, 1], "bc": side}},
      ((10 ** 5, "1e5"),), _BOTH_SIDES, ("build",)),
+    # the one non-box Euclidean generator, whose volume sqrt(3)/4 is not exact
+    ("triangle", lambda side: {"triangle": {}}, ((10 ** 4, "1e4"), (10 ** 5, "1e5")),
+     ("neumann",), ("build",)),
 )
 
 #: name -> (spec, k_max, side, sweep)
@@ -84,11 +87,15 @@ MALLOC_ENV = {"MALLOC_MMAP_THRESHOLD_": "33554432", "MALLOC_TRIM_THRESHOLD_": "6
 def sweep_shape(s, meta, k_max: int, side: str) -> dict:
     """The runs the sweep checks and the path of their exact comparisons:
     ``shift``, whether every lhs = n^d c_den and rhs = rhs_unit k^2 is below
-    ``_INT64_GUARD`` with ``shift`` 0 (``int64``), and below 2^53."""
+    ``_INT64_GUARD`` with ``shift`` 0 (``int64``), and below 2^53.  A domain
+    without an exact volume makes no exact comparison, so those three are
+    None."""
     from polyaspec.polya import _exact_terms, _runs, _sweep_range
     from polyaspec.spectra import _INT64_GUARD
 
     first, last, index = _runs(s, *_sweep_range(s, k_max, side))
+    if meta.exact_volume is None:
+        return {"runs": len(first), "shift": None, "int64": None, "below_2_53": None}
     c_den, rhs_unit, shift = _exact_terms(s, meta)
     at = last if side == "dirichlet" else first
     top = max(int(s.exact_nums[index].max()) ** meta.dimension * c_den,
