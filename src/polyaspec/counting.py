@@ -6,19 +6,27 @@ sit at the eigenvalues; bound checks against monotone bounds therefore only
 need to look at jumps (right limits for upper bounds, values for lower
 bounds).
 
-Every count is an index into the stream's prefix-count array
-``[0, cumsum(multiplicities)]``: ``count_many`` / ``count_right_many``
-answer a whole scan with one ``searchsorted``, and the scalar ``count`` /
+Every count is an entry of a prefix-count array.  ``count_many`` /
+``count_right_many`` index the stream's ``[0, cumsum(multiplicities)]``
+with one ``searchsorted`` over their points, and the scalar ``count`` /
 ``count_right`` are one-point calls of the same.  Right limits need
 ``lambda`` strictly below the cutoff, counts need ``lambda <= cutoff``,
 and a NaN ``lambda`` is a ``DomainError``; ``EigenvalueStream.check_range``
 checks all three.
+
+The scans over jumps (``estimate_seeley_constant`` and
+``polya.verify_counting_bound``) search for no point.  ``_prefix_counts``
+merges every stream of the counting function (a sum's parts, recursively)
+and the scan's own points, at multiplicity 0, with one stable sort; the
+running sum of the merged multiplicities then holds N(p) and N(p+) at every
+distinct point p, and two scalar ``searchsorted`` calls cut the window.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -100,6 +108,45 @@ class SumCountingFunction:
         return min(p.cutoff for p in self.parts)
 
 
+def _streams(cf) -> Iterator[EigenvalueStream]:
+    """The streams whose counts add up to ``cf``'s: a sum's parts,
+    recursively, in order."""
+    if isinstance(cf, SumCountingFunction):
+        for part in cf.parts:
+            yield from _streams(part)
+    else:
+        yield cf.stream
+
+
+def _prefix_counts(cf, probes=()) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(points, below, through)``: the distinct values of ``cf``'s streams
+    and of ``probes``, ascending, with N(p) and N(p+) of ``cf`` at each p.
+
+    The streams' values and the probes, at multiplicity 0, are merged by one
+    stable sort, and the running sum of the merged multiplicities holds
+    every count.  Of equal values the first in that order stands for them,
+    as in ``jump_values``, so a zero and a minus zero keep their sign."""
+    streams = list(_streams(cf))
+    probes = np.asarray(probes, float).ravel()
+    values = np.concatenate([s.values for s in streams] + [probes])
+    order = np.argsort(values, kind="stable")
+    merged = values[order]
+    mults = np.concatenate([s.multiplicities for s in streams]
+                           + [np.zeros(probes.size, np.int64)])
+    cum = np.zeros(merged.size + 1, np.int64)
+    np.cumsum(mults[order], out=cum[1:])
+    first = np.ones(merged.size, bool)
+    first[1:] = merged[1:] != merged[:-1]
+    starts = np.flatnonzero(first)
+    return merged[starts], cum[starts], cum[np.append(starts[1:], merged.size)]
+
+
+def _count_upto(points: np.ndarray, lam: float) -> int:
+    """The number of ``points`` at most ``lam``: 0 for a NaN ``lam``, since
+    no point compares below NaN."""
+    return 0 if math.isnan(lam) else int(np.searchsorted(points, lam, side="right"))
+
+
 def weyl_leading(meta: DomainMeta, lam: float) -> float:
     """Leading Weyl term C_d |Omega| lambda^(d/2)."""
     if lam < 0:
@@ -151,24 +198,32 @@ def estimate_seeley_constant(cf: CountingFunction, meta: DomainMeta, cutoff: flo
     jump at lambda = 0 is always skipped: the normalizer vanishes there and
     the bound is trivial.
 
+    Every count is read from ``_prefix_counts``, with no search per jump.
     Raises ``CoverageError`` when ``cutoff`` exceeds ``cf.cutoff`` (jumps
-    past the counter's cutoff are unknown) or the window holds no jump.
+    past the counter's cutoff are unknown), when the window holds no jump,
+    or on the upper side when a jump sits at ``cf.cutoff`` (a part's jump at
+    a sum's cutoff), where the right limit is unknown.
     """
     if side not in ("upper", "lower"):
         raise DomainError(f"side must be 'upper' or 'lower', got {side!r}")
     if cutoff > cf.cutoff:
         raise CoverageError(
             f"scan window ends at {cutoff}, past the counting function's cutoff {cf.cutoff}")
-    jumps = cf.jump_values()
-    jumps = jumps[(jumps > max(lambda_min, 0.0)) & (jumps <= cutoff)]
+    points, below, through = _prefix_counts(cf)
+    lo = int(np.searchsorted(points, max(lambda_min, 0.0), side="right"))
+    hi = _count_upto(points, cutoff)
+    jumps = points[lo:hi]
     if jumps.size == 0:
         raise CoverageError("no jump points in the scan window; estimate undefined")
+    if side == "upper" and jumps[-1] >= cf.cutoff:
+        raise CoverageError(f"jump {jumps[-1]} is not below the counting function's cutoff "
+                            f"{cf.cutoff}, so its right limit is unknown")
     d = meta.dimension
     lead = c_d(d) * meta.volume * jumps ** (d / 2.0)
     if side == "upper":
-        remainder = cf.count_right_many(jumps).astype(float) - lead
+        remainder = through[lo:hi].astype(float) - lead
     else:
-        remainder = lead - cf.count_many(jumps).astype(float)
+        remainder = lead - below[lo:hi].astype(float)
     ratios = np.maximum(remainder, 0.0) / jumps ** ((d - 1) / 2.0)
     order = np.argsort(ratios)[::-1][:5]
     top = tuple((float(ratios[i]), float(jumps[i])) for i in order)

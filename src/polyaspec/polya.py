@@ -45,10 +45,10 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .constants import omega_d, omega_d_exact
-from .counting import CountingFunction
+from .counting import CountingFunction, _count_upto, _prefix_counts
 from .errors import CoverageError, DomainError, ModeError
 from .pivals import PiRational
-from .spectra import _INT64_GUARD, DomainMeta, EigenvalueStream, _sorted_union
+from .spectra import _INT64_GUARD, DomainMeta, EigenvalueStream
 
 __all__ = [
     "VerificationReport",
@@ -450,6 +450,12 @@ def verify_counting_bound(cf: CountingFunction, bound: Callable[[float], float],
     counter's own jump set; it never replaces it, since a missing jump could
     hide a violation.
 
+    Every count is a prefix-sum entry (``counting._prefix_counts``): the
+    counter's streams (a sum's parts, recursively) and the added points
+    (``jumps``, and ``lambda_min`` or ``lambda_max``, the side's endpoint)
+    are merged by one stable sort, and two scalar ``searchsorted`` calls cut
+    the window; no point is searched for on its own.
+
     ``bound`` is called once, on the whole array of points, and that result
     is used when it is an array of the points' shape; a bound that accepts
     arrays must therefore be elementwise (``np.sqrt``, arithmetic).  When
@@ -461,13 +467,13 @@ def verify_counting_bound(cf: CountingFunction, bound: Callable[[float], float],
 
     Raises ``CoverageError`` when ``lambda_max`` exceeds ``cf.cutoff``, when
     an upper-side point (``lambda_min`` included) is not below ``cf.cutoff``
-    (the right limit there is unknown), or when the window holds no point.
+    (the right limit there is unknown), or when the window holds no point,
+    and ``DomainError`` for a NaN ``lambda_max`` on the lower side.  NaN
+    points in ``jumps`` are never in the window.
     """
     if side not in ("upper", "lower"):
         raise DomainError(f"side must be 'upper' or 'lower', got {side!r}")
-    jump_arr = cf.jump_values()
-    if jumps is not None:
-        jump_arr = _sorted_union(jump_arr, jumps)
+    extra = np.asarray([] if jumps is None else jumps, float).ravel()
     if lambda_max is None:
         lambda_max = float(cf.cutoff)
     if lambda_max > cf.cutoff:
@@ -477,16 +483,30 @@ def verify_counting_bound(cf: CountingFunction, bound: Callable[[float], float],
     if side == "upper":
         # the right-limit check at a jump covers the plateau to its right, so
         # the jump at lambda_min (or at 0, when lambda_min is 0) is included
-        points = jump_arr[(jump_arr >= lambda_min) & (jump_arr <= lambda_max)]
+        points, _, counts = _prefix_counts(cf, np.append(extra, lambda_min)
+                                           if lambda_min > 0 else extra)
+        lo = int(np.searchsorted(points, lambda_min, side="left"))
+        hi = _count_upto(points, lambda_max)
         if lambda_min > 0:
-            points = _sorted_union([lambda_min], points)
-        counts = cf.count_right_many(points).astype(float)
+            # lambda_min is a point even past lambda_max
+            hi = max(hi, lo + 1)
     else:
-        jump_arr = jump_arr[(jump_arr > lambda_min) & (jump_arr <= lambda_max)]
-        points = _sorted_union(jump_arr, [lambda_max])
-        counts = cf.count_many(points).astype(float)
+        if math.isnan(lambda_max):
+            raise DomainError("lambda must be a number, got nan")
+        points, counts, _ = _prefix_counts(cf, np.append(extra, lambda_max))
+        hi = _count_upto(points, lambda_max)
+        lo = int(np.searchsorted(points, lambda_min, side="right"))
+        if lo >= hi:
+            # no jump in (lambda_min, lambda_max]: lambda_max alone, as given
+            # (not a jump's zero of the other sign)
+            lo, points[hi - 1] = hi - 1, lambda_max
+    points, counts = points[lo:hi], counts[lo:hi].astype(float)
     if points.size == 0:
         raise CoverageError("no comparison points in the requested window")
+    if side == "upper" and points[-1] >= cf.cutoff:
+        raise CoverageError(
+            f"lambda={points[-1]} is not below the counting function's cutoff {cf.cutoff}, "
+            "so the right limit N(lambda+) is unknown; regenerate with a larger cutoff")
     # a bound that writes into its argument falls back to the per-point path
     points.flags.writeable = False
     bounds = _bound_values(bound, points)

@@ -13,6 +13,7 @@ every domain this way.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from typing import Callable, NamedTuple, Optional
@@ -35,12 +36,12 @@ def _tabulated_meta(p: dict) -> sp.DomainMeta:
     )
 
 
-def _tabulated_stream(p: dict, cutoff: float) -> sp.EigenvalueStream:
+def _tabulated_table(p: dict) -> sp.EigenvalueStream:
     """The whole table, validated (against the metadata's boundary condition
-    when it is present), then truncated to ``cutoff`` as every generated
-    kind is."""
+    when it is present); ``SpectrumSpec`` builds it once and truncates it to
+    each cutoff, as every generated kind is cut."""
     meta = _tabulated_meta(p) if "dimension" in p and "volume" in p else None
-    return sp.tabulated_spectrum(p["entries"], math.inf, meta).truncated(cutoff)
+    return sp.tabulated_spectrum(p["entries"], math.inf, meta)
 
 
 class _Kind(NamedTuple):
@@ -62,7 +63,7 @@ _KINDS = {
     "sphere2": _Kind((), lambda s, c: sp.sphere2_spectrum(c), lambda s: sp.sphere2_meta()),
     "triangle": _Kind((), lambda s, c: sp.triangle_neumann_spectrum(c),
                       lambda s: sp.triangle_meta()),
-    "tabulated": _Kind(("entries",), lambda s, c: _tabulated_stream(s.params, c),
+    "tabulated": _Kind(("entries",), lambda s, c: s._table.truncated(c),
                        lambda s: _tabulated_meta(s.params)),
     "product": _Kind(
         (),
@@ -94,6 +95,12 @@ class SpectrumSpec:
 
     def stream(self, cutoff: float) -> sp.EigenvalueStream:
         return _KINDS[self.kind].stream(self, cutoff)
+
+    @functools.cached_property
+    def _table(self) -> sp.EigenvalueStream:
+        """A tabulated spec's validated table, so that each cutoff of
+        ``stream_covering_k`` only truncates it."""
+        return _tabulated_table(self.params)
 
     def counting(self, cutoff: float) -> ct.CountingFunction:
         return ct.CountingFunction.from_stream(self.stream(cutoff), self.meta())

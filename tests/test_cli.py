@@ -311,6 +311,9 @@ def _interval(a: str) -> str:
     # more modes below the cutoff than _MAX_MODES
     ("spectrum", "--spec", _interval("1e12"), "--cutoff", "10"),
     ("spectrum", "--spec", _interval("1e100"), "--cutoff", "10"),
+    # a length near 1 whose exact denominator is past float range: a traceback
+    # from the OverflowError of pi**2 / den
+    ("spectrum", "--spec", _interval('"%d/%d"' % (10 ** 200 + 1, 10 ** 200)), "--cutoff", "100"),
 ])
 def test_interval_past_float_range_is_domain_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv, "--no-timestamp")
@@ -396,17 +399,23 @@ def test_tabulated_table_is_validated_past_the_cutoff(capsys):
 
 
 def test_covering_failure_names_the_last_cutoff_tried(capsys, monkeypatch):
-    # the message named 1.5 times the last cutoff, which was never tried
-    tried = []
-    stream = cli.SpectrumSpec.stream
+    # the message named 1.5 times the last cutoff, which was never tried, and
+    # each try parsed and validated the whole table again
+    from polyaspec import spec
+
+    tried, built = [], []
+    stream, tabulate = cli.SpectrumSpec.stream, spec.sp.tabulated_spectrum
     monkeypatch.setattr(cli.SpectrumSpec, "stream",
                         lambda self, cutoff: tried.append(cutoff) or stream(self, cutoff))
+    monkeypatch.setattr(spec.sp, "tabulated_spectrum",
+                        lambda *args: built.append(args) or tabulate(*args))
     code, out, err = run_cli(capsys, "verify", "--spec", _TABLE, "--k-max", "100",
                              "--no-timestamp")
     assert code == 2 and out == ""
     assert json.loads(err) == {"error": "ConfigError",
                                "message": f"could not cover k_max=100; last cutoff {tried[-1]}"}
     assert len(tried) == 10 and tried[-1] == tried[-2] * 1.5
+    assert len(built) == 1
 
 
 def test_reproduce_sphere_thin(capsys):

@@ -29,7 +29,9 @@ from polyaspec import (
 )
 from polyaspec.cli import main
 from polyaspec.reproduce import empirical_weyl_onset, square_triangle_bundle
-from polyaspec.spectra import DomainMeta, EigenvalueStream
+from polyaspec.counting import SeeleyEstimate
+from polyaspec.polya import VerificationReport, _bound_values
+from polyaspec.spectra import DomainMeta, EigenvalueStream, _sorted_union
 
 PI2 = math.pi ** 2
 
@@ -448,3 +450,201 @@ def test_sum_jump_values_match_np_unique(parts):
     nested = SumCountingFunction([SumCountingFunction(cfs[:1]), *cfs[1:]])
     for cf in (SumCountingFunction(cfs), nested):
         assert cf.jump_values().tolist() == expected.tolist()
+
+
+# ---------------------------------------------------------------------------
+# the scans on prefix counts against the search-based scans they replaced
+
+
+def _search_counting_bound(cf, bound, side, lambda_min=0.0, lambda_max=None, jumps=None):
+    """``verify_counting_bound`` as it was before prefix counts: the jump
+    set merged with ``_sorted_union``, the window cut by masks, and one
+    ``searchsorted`` count per part and point."""
+    if side not in ("upper", "lower"):
+        raise DomainError(f"side must be 'upper' or 'lower', got {side!r}")
+    jump_arr = cf.jump_values()
+    if jumps is not None:
+        jump_arr = _sorted_union(jump_arr, jumps)
+    if lambda_max is None:
+        lambda_max = float(cf.cutoff)
+    if lambda_max > cf.cutoff:
+        raise CoverageError("window past the counting function's cutoff")
+    if side == "upper":
+        points = jump_arr[(jump_arr >= lambda_min) & (jump_arr <= lambda_max)]
+        if lambda_min > 0:
+            points = _sorted_union([lambda_min], points)
+        counts = cf.count_right_many(points).astype(float)
+    else:
+        jump_arr = jump_arr[(jump_arr > lambda_min) & (jump_arr <= lambda_max)]
+        points = _sorted_union(jump_arr, [lambda_max])
+        counts = cf.count_many(points).astype(float)
+    if points.size == 0:
+        raise CoverageError("no comparison points in the requested window")
+    points.flags.writeable = False
+    bounds = _bound_values(bound, points)
+    margins = bounds - counts if side == "upper" else counts - bounds
+    rel = margins / np.maximum(np.abs(bounds), 1.0)
+    bad = margins < 0
+    failures = tuple(zip(points[bad].tolist(), counts[bad].tolist(), bounds[bad].tolist()))
+    worst = int(np.argmin(rel))
+    return VerificationReport(
+        mode="counting_jumps", checked=int(points.size), requested=int(points.size),
+        verdict="fails" if failures else "holds", worst_margin=float(rel[worst]),
+        worst_location=float(points[worst]), failures=failures, margins=rel)
+
+
+def _search_seeley_constant(cf, meta, cutoff, side, lambda_min=0.0):
+    """``estimate_seeley_constant`` as it was before prefix counts."""
+    if side not in ("upper", "lower"):
+        raise DomainError(f"side must be 'upper' or 'lower', got {side!r}")
+    if cutoff > cf.cutoff:
+        raise CoverageError("scan window past the counting function's cutoff")
+    jumps = cf.jump_values()
+    jumps = jumps[(jumps > max(lambda_min, 0.0)) & (jumps <= cutoff)]
+    if jumps.size == 0:
+        raise CoverageError("no jump points in the scan window; estimate undefined")
+    d = meta.dimension
+    lead = c_d(d) * meta.volume * jumps ** (d / 2.0)
+    if side == "upper":
+        remainder = cf.count_right_many(jumps).astype(float) - lead
+    else:
+        remainder = lead - cf.count_many(jumps).astype(float)
+    ratios = np.maximum(remainder, 0.0) / jumps ** ((d - 1) / 2.0)
+    order = np.argsort(ratios)[::-1][:5]
+    top = tuple((float(ratios[i]), float(jumps[i])) for i in order)
+    best = order[0]
+    return SeeleyEstimate(side, float(ratios[best]), float(jumps[best]), top, int(jumps.size))
+
+
+#: values on a grid of quarters, so that parts share jumps and a part's
+#: jump can sit at another part's cutoff
+_QUARTERS = st.integers(0, 160)
+
+
+@st.composite
+def _scan_counting_functions(draw):
+    """A counting function of one to three tabulated streams (float or
+    exact, with a zero or a minus zero among float values, each with its
+    own cutoff), alone, summed, or summed with a sum nested inside."""
+    def leaf():
+        quarters = sorted(set(draw(st.lists(_QUARTERS, max_size=25))))
+        cutoff = draw(_QUARTERS.filter(lambda q: q > max(quarters, default=0))) / 4
+        mults = [draw(st.integers(1, 4)) for _ in quarters]
+        if draw(st.booleans()):
+            values = [Fraction(q, 4) for q in quarters]
+        else:
+            values = [q / 4 for q in quarters]
+            if values and values[0] == 0.0 and draw(st.booleans()):
+                values[0] = -0.0
+        return CountingFunction.from_stream(
+            tabulated_spectrum(list(zip(values, mults)), cutoff), DomainMeta(2, 1.0, "neumann"))
+
+    shape = draw(st.sampled_from(["one", "flat", "nested", "nested-first"]))
+    if shape == "one":
+        return leaf()
+    if shape == "flat":
+        return SumCountingFunction([leaf() for _ in range(draw(st.integers(1, 3)))])
+    if shape == "nested":
+        return SumCountingFunction([leaf(), SumCountingFunction([leaf(), leaf()])])
+    return SumCountingFunction([SumCountingFunction([leaf()]), leaf()])
+
+
+def _scan_point(draw, cf):
+    """A window end or an added jump: on a jump or one float beside it, at
+    0 or minus 0, at or past the cutoff, negative, infinite, NaN or off the
+    grid."""
+    jumps = cf.jump_values().tolist()
+    kind = draw(st.sampled_from(["jump", "below jump", "above jump", "zero", "minus zero",
+                                 "cutoff", "past cutoff", "negative", "inf", "nan", "off grid"]))
+    if kind.endswith("jump") and jumps:
+        jump = draw(st.sampled_from(jumps))
+        return {"jump": jump, "below jump": math.nextafter(jump, -math.inf),
+                "above jump": math.nextafter(jump, math.inf)}[kind]
+    return {"zero": 0.0, "minus zero": -0.0, "cutoff": float(cf.cutoff),
+            "past cutoff": cf.cutoff + 1.0, "negative": -1.0, "inf": math.inf,
+            "nan": math.nan}.get(kind, draw(_QUARTERS) / 4 + 0.125)
+
+
+def _outcome(scan, *args):
+    try:
+        return scan(*args)
+    except (CoverageError, DomainError) as exc:
+        return type(exc)
+
+
+class _Recorded:
+    """An elementwise bound that keeps a copy of the points of its calls."""
+
+    def __init__(self, a, b):
+        self.a, self.b, self.points = a, b, []
+
+    def __call__(self, lam):
+        self.points.append(np.array(lam, float))
+        with np.errstate(all="ignore"):
+            return self.a * lam + self.b * np.sqrt(np.abs(lam))
+
+
+@settings(max_examples=400, deadline=None)
+@given(cf=_scan_counting_functions(), side=st.sampled_from(["upper", "lower"]),
+       a=st.floats(0.0, 2.0), b=st.floats(-3.0, 3.0), data=st.data())
+def test_counting_bound_matches_the_search_reference(cf, side, a, b, data):
+    """Every report field, the margins' bytes, the points the bound sees
+    and the error types, for windows with ends on jumps, at 0, at the
+    cutoff or NaN, and added jumps that are unsorted, repeated, outside the
+    window or NaN."""
+    lambda_min = _scan_point(data.draw, cf)
+    lambda_max = None if data.draw(st.booleans()) else _scan_point(data.draw, cf)
+    ends = (lambda_min, lambda_max)
+    jumps = (None if data.draw(st.booleans()) else
+             [_scan_point(data.draw, cf) for _ in range(data.draw(st.integers(0, 6)))])
+    got_bound, want_bound = _Recorded(a, b), _Recorded(a, b)
+    got = _outcome(verify_counting_bound, cf, got_bound, side, *ends, jumps)
+    want = _outcome(_search_counting_bound, cf, want_bound, side, *ends, jumps)
+    if isinstance(want, type):
+        assert got is want
+        return
+    assert repr(got.to_dict()) == repr(want.to_dict())
+    assert got.margins.tobytes() == want.margins.tobytes()
+    assert [p.tobytes() for p in got_bound.points] == [p.tobytes() for p in want_bound.points]
+
+
+@pytest.mark.parametrize("lambda_min, worst", [(0.0, "-0.0"), (-1.0, "0.0")])
+def test_counting_bound_lower_end_keeps_the_sign_of_its_zero(lambda_min, worst):
+    # lambda_max = -0.0 is the lone point when (lambda_min, lambda_max] holds
+    # no jump, and the zero jump stands for it when the window holds it
+    cf = CountingFunction.from_stream(tabulated_spectrum([(0.0, 1), (1.0, 2)], 5.0),
+                                      DomainMeta(2, 1.0, "neumann"))
+    reports = [scan(cf, _Recorded(1.0, -1.0), "lower", lambda_min, -0.0)
+               for scan in (verify_counting_bound, _search_counting_bound)]
+    assert [repr(r.worst_location) for r in reports] == [worst, worst]
+    assert repr(reports[0].to_dict()) == repr(reports[1].to_dict())
+
+
+@pytest.mark.parametrize("nested", [False, True])
+def test_a_parts_jump_at_the_sums_cutoff_has_no_right_limit(nested):
+    # the sum's cutoff is its first part's, 10, where the second part jumps:
+    # N(10+) of the first part is unknown, so both upper scans refuse
+    meta = DomainMeta(2, 1.0, "neumann")
+    short, long = (CountingFunction.from_stream(tabulated_spectrum(entries, cutoff), meta)
+                   for entries, cutoff in (([(1.0, 1)], 10.0), ([(2.0, 1), (10.0, 3)], 20.0)))
+    cf = SumCountingFunction([short, SumCountingFunction([long])] if nested else [short, long])
+    assert cf.cutoff == 10.0
+    for scan in (verify_counting_bound, _search_counting_bound):
+        with pytest.raises(CoverageError):
+            scan(cf, lambda lam: 10.0 + lam, "upper", 0.5, 10.0)
+        assert scan(cf, lambda lam: lam, "lower", 0.5, 10.0).checked == 3
+    for scan in (estimate_seeley_constant, _search_seeley_constant):
+        with pytest.raises(CoverageError):
+            scan(cf, meta, 10.0, "upper")
+        assert scan(cf, meta, 10.0, "lower").scanned == 3
+
+
+@settings(max_examples=300, deadline=None)
+@given(cf=_scan_counting_functions(), side=st.sampled_from(["upper", "lower"]),
+       d=st.integers(1, 3), data=st.data())
+def test_seeley_constant_matches_the_search_reference(cf, side, d, data):
+    meta = DomainMeta(d, data.draw(st.floats(0.1, 10.0)), "neumann")
+    cutoff, lambda_min = _scan_point(data.draw, cf), _scan_point(data.draw, cf)
+    got = _outcome(estimate_seeley_constant, cf, meta, cutoff, side, lambda_min)
+    want = _outcome(_search_seeley_constant, cf, meta, cutoff, side, lambda_min)
+    assert got is want if isinstance(want, type) else repr(got) == repr(want)

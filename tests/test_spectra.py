@@ -31,12 +31,14 @@ from polyaspec import (
     tabulated_spectrum,
     triangle_neumann_spectrum,
 )
+from polyaspec import spectra
 from polyaspec.spectra import (
     _COUNT_SPAN_FACTOR,
     _INT64_GUARD,
     DomainMeta,
     EigenvalueStream,
     _aggregate_exact,
+    _least_sum_not_below,
     _stream_from_exact,
 )
 
@@ -95,6 +97,18 @@ def test_interval_rejects_lengths_past_float_range(a, bc, cutoff):
         box_spectrum([1, a], bc, cutoff)
     with pytest.raises(DomainError):
         box_meta([a], bc)
+
+
+def test_exact_denominator_past_float_range_is_a_domain_error():
+    # pi**2 / den raised a bare OverflowError in the generators' stream tail
+    # and in product_spectrum; the lengths themselves are fine floats
+    with pytest.raises(DomainError, match="1329 bits"):
+        interval_spectrum(Fraction(10 ** 200 + 1, 10 ** 200), "dirichlet", 100.0)
+    factors = [interval_spectrum(a, "dirichlet", 1e-296)
+               for a in (Fraction(10 ** 150, 3), Fraction(7 ** 178, 2))]
+    assert all(f.exact and f.values.size for f in factors)
+    with pytest.raises(DomainError, match="1996 bits"):
+        product_spectrum(*factors, 1e-296)
 
 
 @pytest.mark.parametrize("a", [1e12, 1e100])
@@ -984,6 +998,151 @@ def test_exact_spectra_across_int64_guard(n, top, bc, pi_power, where, delta, pr
     assert _exact_pairs(s) == oracle
     expected = sorted(float(v) * math.pi ** pi_power for v in oracle)
     assert s.values.tolist() == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+
+# ---------------------------------------------------------------------------
+# exact products in row blocks against the dense pair matrix
+
+
+def _dense_product_reference(s1, s2, cutoff: float) -> EigenvalueStream:
+    """The exact product as ``product_spectrum`` formed it before row blocks:
+    every pair sum in one V1 x V2 matrix, kept where its float value,
+    ``sums * scale``, is below the cutoff."""
+    s1, s2 = s1.truncated(cutoff), s2.truncated(cutoff)
+    den = math.lcm(s1.exact_den, s2.exact_den)
+    factors = (den // s1.exact_den, den // s2.exact_den)
+    top = sum(int(s.exact_nums.max(initial=1)) * f for s, f in zip((s1, s2), factors))
+    dtype = np.int64 if top < _INT64_GUARD else object
+    n1, n2 = (s.exact_nums.astype(dtype) * f for s, f in zip((s1, s2), factors))
+    scale = (math.pi ** s1.pi_power) / den
+    sums = n1[:, None] + n2[None, :]
+    keep = np.asarray(sums * scale, dtype=float) < cutoff
+    mults = (s1.multiplicities[:, None] * s2.multiplicities[None, :])[keep]
+    return _stream_from_exact(sums[keep], mults, den, s1.pi_power, cutoff)
+
+
+def _same_stream(a: EigenvalueStream, b: EigenvalueStream) -> bool:
+    return (a.values.tobytes() == b.values.tobytes()
+            and a.multiplicities.tobytes() == b.multiplicities.tobytes()
+            and a.exact_nums.dtype == b.exact_nums.dtype
+            and a.exact_nums.tolist() == b.exact_nums.tolist()
+            and (a.exact_den, a.pi_power, a.cutoff) == (b.exact_den, b.pi_power, b.cutoff))
+
+
+#: numerator and denominator near 2**31: the lengths P / Q and P pi / Q
+#: give numerators Q**2 l**2 over P**2, past _INT64_GUARD from l = 1 on
+_BIG_Q = 2 ** 31 + 11
+
+
+@st.composite
+def _exact_factors(draw, pi_power: int, cutoff: float):
+    """An exact stream in units of pi**pi_power covering ``cutoff``: an
+    interval p/q or p pi/q, one whose numerators pass _INT64_GUARD, one with
+    no value below the cutoff, the 2-sphere or a table of rationals with
+    multiplicities."""
+    kinds = ["interval", "past guard", "empty"] + (["sphere", "table"] if pi_power == 0 else [])
+    kind = draw(st.sampled_from(kinds))
+    bc = draw(st.sampled_from(["dirichlet", "neumann"]))
+    if kind == "sphere":
+        return sphere2_spectrum(cutoff)
+    if kind == "table":
+        den = draw(st.integers(1, 12))
+        nums = sorted(set(draw(st.lists(st.integers(0, int(cutoff * den) - 1), min_size=1,
+                                        max_size=30))))
+        return tabulated_spectrum([(Fraction(n, den), draw(st.integers(1, 4))) for n in nums],
+                                  cutoff)
+    p, q = {"interval": (draw(st.integers(1, 6)), draw(st.integers(1, 6))),
+            "past guard": (_BIG_Q + 1 + draw(st.integers(0, 2)), _BIG_Q),
+            "empty": (1, 20)}[kind]
+    # 1/20 has no Dirichlet value below 400 pi**2, pi/20 none below 400
+    return interval_spectrum(_length(p, q, pi_power), "dirichlet" if kind == "empty" else bc,
+                             cutoff)
+
+
+@st.composite
+def _product_cases(draw):
+    """Two exact factors with a common pi power and a product cutoff: a
+    fraction of the factors' cutoff, or the float value of a pair sum, or
+    one float beside it, where the keep rule turns."""
+    pi_power = draw(st.sampled_from([0, 2]))
+    top = draw(st.floats(5.0, 150.0))
+    s1, s2 = (draw(_exact_factors(pi_power, top)) for _ in range(2))
+    where = draw(st.sampled_from(["inside", "at", "below", "above"]))
+    cutoff = top * draw(st.floats(0.05, 1.0))
+    if where != "inside" and s1.values.size and s2.values.size:
+        den = math.lcm(s1.exact_den, s2.exact_den)
+        i, j = draw(st.integers(0, s1.values.size - 1)), draw(st.integers(0, s2.values.size - 1))
+        n = (int(s1.exact_nums[i]) * (den // s1.exact_den)
+             + int(s2.exact_nums[j]) * (den // s2.exact_den))
+        value = float(n) * (math.pi ** pi_power / den)
+        value = {"at": value, "below": math.nextafter(value, 0.0),
+                 "above": math.nextafter(value, math.inf)}[where]
+        if 0 < value <= top:
+            cutoff = value
+    return s1, s2, cutoff
+
+
+def test_exact_product_matches_the_dense_reference():
+    """Products formed in row blocks, counted into span slots or handed to
+    the sort, against the dense pair matrix they replaced: values,
+    multiplicities, numerators (and their dtype), denominator, pi power and
+    cutoff bit for bit.  Small block sizes split the rows into many blocks,
+    and the run must take both the counting and the sort branch and give
+    numerators past _INT64_GUARD."""
+    branches, numerators = set(), set()
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_product_cases(), block=st.sampled_from([1, 3, 16, spectra._PAIR_BLOCK]),
+           swap=st.booleans())
+    def check(case, block, swap):
+        s1, s2, cutoff = case
+        if swap:
+            s1, s2 = s2, s1
+        with mock.patch.object(spectra, "_PAIR_BLOCK", block), \
+                mock.patch.object(spectra, "_stream_from_exact",
+                                  wraps=spectra._stream_from_exact) as sort_branch:
+            got = product_spectrum(s1, s2, cutoff)
+        assert _same_stream(got, _dense_product_reference(s1, s2, cutoff))
+        branches.add("sort" if sort_branch.called else "count")
+        numerators.add(got.exact_nums.dtype)
+
+    check()
+    assert branches == {"count", "sort"}
+    assert numerators == {np.dtype(np.int64), np.dtype(object)}
+
+
+@pytest.mark.parametrize("unit, cutoff, cut", [
+    (1.0, 10.0, 10),
+    (1.0, 10.5, 11),
+    (0.1, 0.3, 3),  # 3 * 0.1 rounds above 0.3
+    (2.5942807892657482, 1276453.5996192691, 492026),  # the guess rounds up to 492027
+    # past 2**53 integers share floats; 2**60 - 64 ties to the even 2**60, and
+    # 2**60 + 128 to 2**60 again, below 2**60 + 2**8
+    (2.0 ** -60, 1.0, 2 ** 60 - 64),
+    (1.0, 2.0 ** 60 + 2.0 ** 8, 2 ** 60 + 129),
+    (1.0, math.inf, 2 ** 1024 - 2 ** 970),  # the first integer past float range
+    (1e-300, 1e10, 2 ** 1024 - 2 ** 970),
+    (4.0, math.inf, 2 ** 1022 - 2 ** 968),
+    (5.0, 5e-324, 1),
+    (2.6e-149, 2.2e-318, 1),  # a subnormal cutoff: float steps would crawl
+    (1e300, 5e-324, 1),
+])
+def test_least_sum_not_below_examples(unit, cutoff, cut):
+    assert _least_sum_not_below(unit, cutoff) == cut
+
+
+def _float_below(n: int, unit: float, cutoff: float) -> bool:
+    try:
+        return float(n) * unit < cutoff
+    except OverflowError:
+        return False
+
+
+@settings(max_examples=300, deadline=None)
+@given(unit=st.floats(1e-300, 1e300), cutoff=st.floats(5e-324, 1e308))
+def test_least_sum_not_below_is_the_turn_of_the_keep_rule(unit, cutoff):
+    cut = _least_sum_not_below(unit, cutoff)
+    assert _float_below(cut - 1, unit, cutoff) and not _float_below(cut, unit, cutoff)
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,10 @@ the exact comparison (``shift``), and whether every exact comparison fits
 in int64 and below 2^53: the unit interval and (0, pi/24) x S^2 rows are
 int64 rows, the box rows (``shift`` 2) take the float ratio, and the
 three-dimensional box and the 1e7 sphere rows pass 2^53.  The dense
-lattices, the side-10 Neumann square and the unit cube, and the Neumann
-triangle have build rows only.
+lattices, the side-10 Neumann square and the unit cube, the Neumann unit
+square covering k_max 1e6 and the Neumann triangle have build rows only.
+A build row also records the tracemalloc peak of one more build, in MB
+(``peak_mb``), which holds the scratch memory of ``product_spectrum``.
 
     python tools/bench_exact_sweep.py --parent OTHER/src > BENCH_exact_sweep.json
 
@@ -38,6 +40,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -55,6 +58,9 @@ _SHAPES = (
      ((10 ** 6, "1e6"), (10 ** 7, "1e7")), _BOTH_SIDES, _ALL_SWEEPS),
     ("box-1-1", lambda side: {"box": {"sides": [1, 1], "bc": side}}, ((10 ** 5, "1e5"),),
      _BOTH_SIDES, _ALL_SWEEPS),
+    # the dense product at scale: 1.27e6 kept sums in a pair matrix of 1.62e6
+    ("box-1-1", lambda side: {"box": {"sides": [1, 1], "bc": side}}, ((10 ** 6, "1e6"),),
+     ("neumann",), ("build",)),
     ("box3d", lambda side: {"box": {"sides": ["3/2", 2, "5/7"], "bc": side}},
      ((10 ** 5, "1e5"),), _BOTH_SIDES, _ALL_SWEEPS),
     # dense integer lattices, whose pair sums fill a range hardly wider than
@@ -128,7 +134,13 @@ def time_row(name: str, repeat: int) -> dict:
         start = time.perf_counter()
         run()
         times.append((time.perf_counter() - start) * 1e3)
-    return {"times_ms": times, **sweep_shape(s, meta, k_max, side)}
+    peak = {}
+    if sweep == "build":
+        tracemalloc.start()
+        run()
+        peak = {"peak_mb": round(tracemalloc.get_traced_memory()[1] / 2 ** 20, 3)}
+        tracemalloc.stop()
+    return {"times_ms": times, **peak, **sweep_shape(s, meta, k_max, side)}
 
 
 def summary(times: list[float]) -> dict:
@@ -178,14 +190,17 @@ def compare(parent_src: Path, rounds: int, repeat: int) -> dict:
     for name, (spec, k_max, side, sweep) in ROWS.items():
         ms, outs = time_sides(__file__, name, parent_src, rounds, repeat)
         shape = {k: outs["change"][k] for k in ("runs", "shift", "int64", "below_2_53")}
+        peak = ({"peak_mb": {label: outs[label]["peak_mb"] for label in ("parent", "change")}}
+                if sweep == "build" else {})
         rows.append({"row": name, "spec": spec, "k_max": k_max, "side": side,
                      "sweep": sweep, **shape,
                      "command": command(name, repeat),
                      "parent_ms": ms["parent"], "change_ms": ms["change"],
-                     "speedup": round(ms["parent"]["median"] / ms["change"]["median"], 2)})
+                     "speedup": round(ms["parent"]["median"] / ms["change"]["median"], 2),
+                     **peak})
     return {
         "what": "in-process medians of one per-eigenvalue sweep or one stream build, "
-                "parent -> change; "
+                "with the tracemalloc peak of one build (peak_mb), parent -> change; "
                 f"{rounds} fresh interpreters per side, alternating, {repeat} timed "
                 "calls each after one warm-up call",
         "malloc_env": MALLOC_ENV,
