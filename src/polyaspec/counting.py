@@ -138,7 +138,10 @@ def _prefix_counts(cf, probes=()) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     first = np.ones(merged.size, bool)
     first[1:] = merged[1:] != merged[:-1]
     starts = np.flatnonzero(first)
-    return merged[starts], cum[starts], cum[np.append(starts[1:], merged.size)]
+    # a point's counts are the running sums at its group's first entry and
+    # past its last
+    ends = cum[np.append(starts, merged.size)]
+    return merged[starts], ends[:-1], ends[1:]
 
 
 def _count_upto(points: np.ndarray, lam: float) -> int:

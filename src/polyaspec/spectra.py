@@ -317,7 +317,8 @@ def _slot_counts(blocks: Iterable[tuple[np.ndarray, np.ndarray]], lo: int,
     multiplicities, from blocks of (numerator - lo, multiplicity) pairs:
     each multiplicity is added into its slot of a span-long int64 array,
     and the nonzero slots are read off.  Slots past the span go to one
-    spare slot, which is dropped."""
+    spare slot, which is dropped; the blocks' slot arrays are clipped in
+    place."""
     counts = np.zeros(span + 1, np.int64)
     for slots, mults in blocks:
         np.add.at(counts, np.minimum(slots, span, out=slots), mults)
@@ -547,6 +548,18 @@ def _pair_blocks(n1: np.ndarray, m1: np.ndarray, n2: np.ndarray, m2: np.ndarray,
         start = stop
 
 
+def _kept_pairs(n1: np.ndarray, m1: np.ndarray, n2: np.ndarray, m2: np.ndarray,
+                widths: np.ndarray, cut: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sums of ``_pair_blocks`` below ``cut``, with their multiplicities,
+    each concatenated into one array (the blocks are freed on return)."""
+    nums, mults = [n1[:0]], [m1[:0]]
+    for sums, pair_mults in _pair_blocks(n1, m1, n2, m2, widths):
+        keep = sums < cut
+        nums.append(sums[keep])
+        mults.append(pair_mults[keep])
+    return np.concatenate(nums), np.concatenate(mults)
+
+
 def product_spectrum(s1: EigenvalueStream, s2: EigenvalueStream,
                      cutoff: float) -> EigenvalueStream:
     """Pairwise sums of two spectra below ``cutoff``, multiplicities multiplied.
@@ -560,11 +573,12 @@ def product_spectrum(s1: EigenvalueStream, s2: EigenvalueStream,
     n is below the integer cut of ``_least_sum_not_below``, so each row of
     the first factor keeps a prefix of the second's numerators, found by one
     ``searchsorted``.  The kept sums are formed in row blocks of at most
-    ``_PAIR_BLOCK`` pairs: dense int64 sums (the ``_COUNT_SPAN_FACTOR`` rule
-    of ``_aggregate_exact``) are counted into their span slots block by
-    block, in O(block + span) scratch memory, and any others go to the sort
-    of ``_aggregate_exact``.  Other inputs take the float pair sums, merged
-    within ``FLOAT_MERGE_RTOL``.
+    ``_PAIR_BLOCK`` pairs.  When they pass one block and are dense int64
+    sums (the ``_COUNT_SPAN_FACTOR`` rule of ``_aggregate_exact``), they are
+    counted into their span slots block by block, in O(block + span)
+    scratch memory; otherwise ``_aggregate_exact`` counts or sorts them.
+    Other inputs take the float pair sums, merged within
+    ``FLOAT_MERGE_RTOL``.
     """
     if not cutoff > 0:
         raise DomainError(f"cutoff must be positive, got {cutoff}")
@@ -606,13 +620,8 @@ def product_spectrum(s1: EigenvalueStream, s2: EigenvalueStream,
                 blocks = _pair_blocks(n1 - lo, m1, n2, m2, widths)
                 return _stream_from_distinct(*_slot_counts(blocks, lo, span), den,
                                              s1.pi_power, cutoff)
-        # otherwise the kept sums go to the sort of _aggregate_exact
-        nums, mults = [n1[:0]], [m1[:0]]
-        for sums, pair_mults in _pair_blocks(n1, m1, n2, m2, widths):
-            keep = sums < cut
-            nums.append(sums[keep])
-            mults.append(pair_mults[keep])
-        return _stream_from_exact(np.concatenate(nums), np.concatenate(mults), den,
+        # otherwise _aggregate_exact counts or sorts the kept sums
+        return _stream_from_exact(*_kept_pairs(n1, m1, n2, m2, widths, cut), den,
                                   s1.pi_power, cutoff)
 
     vals, mults = _pair_sums(s1.values, s1.multiplicities, s2.values, s2.multiplicities,

@@ -1083,11 +1083,11 @@ def _product_cases(draw):
 
 
 def test_exact_product_matches_the_dense_reference():
-    """Products formed in row blocks, counted into span slots or handed to
-    the sort, against the dense pair matrix they replaced: values,
-    multiplicities, numerators (and their dtype), denominator, pi power and
-    cutoff bit for bit.  Small block sizes split the rows into many blocks,
-    and the run must take both the counting and the sort branch and give
+    """Products formed in row blocks, counted into span slots block by
+    block or handed to _aggregate_exact, against the dense pair matrix they
+    replaced: values, multiplicities, numerators (and their dtype),
+    denominator, pi power and cutoff bit for bit.  Small block sizes split
+    the rows into many blocks, and the run must take both branches and give
     numerators past _INT64_GUARD."""
     branches, numerators = set(), set()
 
@@ -1100,14 +1100,14 @@ def test_exact_product_matches_the_dense_reference():
             s1, s2 = s2, s1
         with mock.patch.object(spectra, "_PAIR_BLOCK", block), \
                 mock.patch.object(spectra, "_stream_from_exact",
-                                  wraps=spectra._stream_from_exact) as sort_branch:
+                                  wraps=spectra._stream_from_exact) as aggregated:
             got = product_spectrum(s1, s2, cutoff)
         assert _same_stream(got, _dense_product_reference(s1, s2, cutoff))
-        branches.add("sort" if sort_branch.called else "count")
+        branches.add("aggregate" if aggregated.called else "blocks")
         numerators.add(got.exact_nums.dtype)
 
     check()
-    assert branches == {"count", "sort"}
+    assert branches == {"aggregate", "blocks"}
     assert numerators == {np.dtype(np.int64), np.dtype(object)}
 
 
