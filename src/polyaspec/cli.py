@@ -69,9 +69,9 @@ def _emit_text(write: Callable, args) -> None:
 
 
 def _emit_csv(header: list[str], columns, args) -> None:
-    """A table given as columns, through ``csvtext.write_columns``: float
-    and integer arrays are formatted a block at a time, each number as
-    ``repr`` spells it; any other column is written by ``repr`` per cell."""
+    """A table given as float or integer array columns, through
+    ``csvtext.write_columns``: formatted a block at a time, each number as
+    ``repr`` spells it."""
     from .csvtext import write_columns
 
     _emit_text(functools.partial(write_columns, header=header, columns=columns), args)

@@ -11,8 +11,7 @@ does.  The digits are laid out as ``repr`` lays them out: positional with
 at least one fractional digit for 1e-4 <= |x| < 1e16, ``d.ddde+XX`` (at
 least two exponent digits) otherwise, and ``0.0``, ``-0.0``, ``inf``,
 ``-inf`` and ``nan`` as they are.  An integer array is written from the
-same digit tables.  Any other column, such as a list, is written cell by
-cell with ``repr``.
+same digit tables.  Any other column, such as a list, is a ``ValueError``.
 
 A block of rows is laid out in one uint64 frame with a fixed number of
 words per cell and NUL bytes wherever a cell is shorter than its words;
@@ -299,29 +298,20 @@ def _int_words(x: np.ndarray) -> np.ndarray:
     return words
 
 
-def _text_words(cells: list) -> np.ndarray:
-    """The uint64 frame of the ``repr`` of each cell, with a last byte free
-    for the separator."""
-    text = np.array([repr(v).encode() for v in cells], dtype=bytes)
-    width = text.dtype.itemsize
-    words = np.zeros((len(cells), width // 8 + 1), dtype=np.uint64)
-    words.view(np.uint8)[:, :width] = text.view(np.uint8).reshape(len(cells), width)
-    return words
-
-
-def _column(values):
-    """A float64 or int64 array, or a list of cells for ``repr``."""
+def _column(values) -> np.ndarray:
+    """A 1-D float or integer array as float64 or int64; any other column is
+    a ``ValueError``."""
     if isinstance(values, np.ndarray) and values.ndim == 1:
         if values.dtype.kind == "f":
             return values.astype(np.float64, copy=False)
         if values.dtype.kind == "i" or (values.dtype.kind == "u" and values.dtype.itemsize < 8):
             return values.astype(np.int64, copy=False)
-        return values.tolist()
-    return list(values)
+    got = values.dtype if isinstance(values, np.ndarray) else type(values).__name__
+    raise ValueError(f"a column must be a 1-D float or integer array, got {got}")
 
 
-def _is_float(column) -> bool:
-    return isinstance(column, np.ndarray) and column.dtype == np.float64
+def _is_float(column: np.ndarray) -> bool:
+    return column.dtype == np.float64
 
 
 def _block_text(runs: list, seps: np.ndarray) -> str:
@@ -337,7 +327,7 @@ def _block_text(runs: list, seps: np.ndarray) -> str:
             # the cells' words as (row, column, word), as the frame holds them
             words = _float_words(cells.ravel(), marks).T.reshape(len(cells), len(run), -1)
         else:
-            words = (_int_words if isinstance(run[0], np.ndarray) else _text_words)(run[0])
+            words = _int_words(run[0])
             words[:, -1] |= marks
             words = words[:, None, :]
         parts.append(words)
@@ -354,8 +344,8 @@ def _block_text(runs: list, seps: np.ndarray) -> str:
 def write_columns(fp, header, columns) -> None:
     """Write ``header`` and the rows of ``columns``, all of one length, to
     the text file ``fp`` as CSV: cells joined by commas, each line ending in
-    LF, each number as ``repr`` spells it.  A column is a float or integer
-    array, or any other sequence, whose cells are written with ``repr``."""
+    LF, each number as ``repr`` spells it.  A column is a 1-D float or
+    integer array; anything else is a ``ValueError``."""
     columns = [_column(c) for c in columns]
     if len(columns) != len(header):
         raise ValueError(f"{len(header)} column names for {len(columns)} columns")

@@ -29,11 +29,9 @@ __all__ = ["SpectrumSpec", "build_spec", "stream_covering_k"]
 def _tabulated_meta(p: dict) -> sp.DomainMeta:
     if "dimension" not in p or "volume" not in p:
         raise ConfigError("tabulated specs need 'dimension' and 'volume' for metadata")
-    return sp.DomainMeta(
-        int(p["dimension"]), float(p["volume"]),
-        sp.BoundaryCondition(p.get("bc", "dirichlet")),
-        surface_area=p.get("surface_area"),
-    )
+    return sp.DomainMeta(p["dimension"], float(p["volume"]),
+                         sp.BoundaryCondition(p.get("bc", "dirichlet")),
+                         surface_area=p.get("surface_area"))
 
 
 def _tabulated_table(p: dict) -> sp.EigenvalueStream:
@@ -71,12 +69,32 @@ _KINDS = {
         lambda s: sp.product_meta(*(child.meta() for child in s.children))),
 }
 
-#: what a missing parameter should have been, for the error message
-_NEEDS = {
-    "a": "a length 'a'",
-    "bc": "a boundary condition 'bc'",
-    "sides": "a nonempty 'sides' list",
-    "entries": "an 'entries' list",
+
+def _is_length(value) -> bool:
+    """A length is a number or a string such as ``"pi/24"``; a bool is neither."""
+    return isinstance(value, (int, float, str)) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
+
+
+#: each known parameter's check, and what a missing or failing one should
+#: have been, for the error message
+_PARAMS = {
+    "a": (_is_length, "a length 'a'"),
+    "bc": (lambda v: isinstance(v, str) and v in {bc.value for bc in sp.BoundaryCondition},
+           "a boundary condition 'bc' (dirichlet, neumann or closed)"),
+    "sides": (lambda v: isinstance(v, list) and v and all(map(_is_length, v)),
+              "a nonempty 'sides' list of lengths"),
+    "entries": (lambda v: isinstance(v, list), "an 'entries' list"),
+    "dimension": (lambda v: isinstance(v, int) and not isinstance(v, bool),
+                  "an integer 'dimension'"),
+    "volume": (_is_finite, "a finite number 'volume'"),
+    "surface_area": (_is_finite, "a finite number 'surface_area'"),
 }
 
 
@@ -123,9 +141,12 @@ def build_spec(node) -> SpectrumSpec:
         params = {}
     if not isinstance(params, dict):
         raise ConfigError(f"{kind!r} parameters must be an object")
-    for key in _KINDS[kind].needs:
-        if key not in params or (key == "sides" and not params[key]):
-            raise ConfigError(f"{kind!r} needs {_NEEDS[key]}")
+    # the parameters a kind needs, and every known parameter given
+    for key in _KINDS[kind].needs + tuple(k for k in params if k in _PARAMS):
+        check, what = _PARAMS[key]
+        if key not in params or not check(params[key]):
+            got = f", got {params[key]!r}" if key in params else ""
+            raise ConfigError(f"{kind!r} needs {what}{got}")
     if kind == "triangle" and params.get("bc", "neumann") != "neumann":
         raise ConfigError(f"the 'triangle' spectrum is Neumann only, got bc {params['bc']!r}")
     return SpectrumSpec(kind, params)

@@ -4,12 +4,13 @@ The generators cover the model families with closed-form spectra: intervals,
 rectangular boxes, the unit-side equilateral triangle (Neumann, one value
 per ordered pair of its lattice) and the round 2-sphere.  ``product_spectrum``
 composes two spectra by pairwise sums, which is how product domains get
-their eigenvalues; exact products cut their sums at an integer and form
-them in row blocks, with no pair matrix.  A box is the product of its
-sides' intervals, so ``box_spectrum`` folds ``product_spectrum`` over
-``interval_spectrum`` streams.  A box whose sides mix kinds (a float with an exact length, or
-p/q with p pi/q) takes each side's values as that interval computes
-them, which can differ from a direct sum of the modes by an ulp or two.
+their eigenvalues: it forms them in row blocks, with no pair matrix, and
+exact products cut their sums at an integer and count dense ones into
+slots.  A box is the product of its sides' intervals, so ``box_spectrum``
+folds ``product_spectrum`` over ``interval_spectrum`` streams.  A box whose
+sides mix kinds (a float with an exact length, or p/q with p pi/q) takes
+each side's values as that interval computes them, which can differ from a
+direct sum of the modes by an ulp or two.
 
 A stream records eigenvalues strictly below a cutoff, with multiplicities.
 When the generating lengths are rational, or rational multiples of pi, the
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import reduce
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -90,10 +91,10 @@ class DomainMeta:
     def __post_init__(self):
         if self.dimension < 1:
             raise DomainError(f"dimension must be >= 1, got {self.dimension}")
-        if not self.volume > 0:
-            raise DomainError(f"volume must be positive, got {self.volume}")
-        if self.surface_area is not None and not self.surface_area > 0:
-            raise DomainError("surface_area, when present, must be positive")
+        if not 0 < self.volume < math.inf:
+            raise DomainError(f"volume must be positive and finite, got {self.volume}")
+        if self.surface_area is not None and not 0 < self.surface_area < math.inf:
+            raise DomainError("surface_area, when present, must be positive and finite")
         object.__setattr__(self, "bc", BoundaryCondition(self.bc))
 
 
@@ -260,55 +261,30 @@ class EigenvalueStream:
 # aggregation helpers
 
 
-def _aggregate_float(values: np.ndarray, mults: np.ndarray, rtol: float = FLOAT_MERGE_RTOL):
-    """Merge coinciding values up to a relative tolerance; exact-coincidence
-    in the generators makes the tolerance a safety net, not a crutch."""
+def _aggregate_float(values: np.ndarray, mults: np.ndarray):
+    """Merge coinciding values up to ``FLOAT_MERGE_RTOL`` relative;
+    exact-coincidence in the generators makes the tolerance a safety net,
+    not a crutch."""
     if values.size == 0:
         return values.astype(float), mults.astype(np.int64)
     order = np.argsort(values, kind="stable")
     v = values[order]
     m = mults[order]
-    gaps = np.diff(v) > rtol * np.maximum(np.abs(v[1:]), np.abs(v[:-1]))
+    gaps = np.diff(v) > FLOAT_MERGE_RTOL * np.maximum(np.abs(v[1:]), np.abs(v[:-1]))
     starts = np.concatenate(([0], np.nonzero(gaps)[0] + 1))
     agg_v = v[starts]
     agg_m = np.add.reduceat(m, starts)
     return agg_v, agg_m
 
 
-#: int64 numerators whose span max - min + 1 is at most this many times
-#: their count N are aggregated by counting into span slots.  Measured
-#: against the stable sort on the pair sums of exact boxes at k_max 1e5
-#: (N about 130k): counting was 2.8x faster at span / N 2.6, 1.4x faster at
-#: 7.7 and 1.4x slower at 15, so the crossover sits near 10; on a product
-#: of N = 1.4k it was already slower at 7.9.  4 keeps a margin below both.
+#: int64 pair sums whose span max - min + 1 is at most this many times
+#: their count N are counted into span slots by ``product_spectrum``.
+#: Measured against the stable sort on the pair sums of exact boxes at
+#: k_max 1e5 (N about 130k): counting was 2.8x faster at span / N 2.6, 1.4x
+#: faster at 7.7 and 1.4x slower at 15, so the crossover sits near 10; on a
+#: product of N = 1.4k it was already slower at 7.9.  4 keeps a margin
+#: below both.
 _COUNT_SPAN_FACTOR = 4
-
-
-def _aggregate_exact(nums, mults) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct integer numerators, ascending, with summed (positive)
-    multiplicities.
-
-    Dense int64 numerators, whose span is at most ``_COUNT_SPAN_FACTOR``
-    times their count, are counted: each multiplicity is added in int64 into
-    its numerator's slot of a span-long array, and the nonzero slots are
-    read off in order, in O(N + span) with no sort.  Any other input,
-    including Python ints past ``_INT64_GUARD``, takes one stable sort (linear
-    on the already sorted numerators of the 1-D generators) and the places
-    where the sorted numerators change.
-    """
-    nums = _numerators(nums)
-    mults = np.asarray(mults, np.int64)
-    if nums.dtype != object and nums.size:
-        lo = int(nums.min())
-        span = int(nums.max()) - lo + 1
-        if span <= _COUNT_SPAN_FACTOR * nums.size:
-            return _slot_counts([(nums - lo, mults)], lo, span)
-    order = np.argsort(nums, kind="stable")
-    nums = nums[order]
-    first = np.ones(nums.size, bool)
-    first[1:] = nums[1:] != nums[:-1]
-    starts = np.flatnonzero(first)
-    return nums[starts], np.add.reduceat(mults[order], starts)
 
 
 def _slot_counts(blocks: Iterable[tuple[np.ndarray, np.ndarray]], lo: int,
@@ -355,8 +331,21 @@ def _exact_unit(den: int, pi_power: int) -> float:
 def _stream_from_exact(nums, mults, den: int, pi_power: int,
                        cutoff: float) -> EigenvalueStream:
     """Aggregate integer numerators (over a common denominator) into a stream;
-    value i is ``nums[i] * (pi**pi_power / den)``."""
-    return _stream_from_distinct(*_aggregate_exact(nums, mults), den, pi_power, cutoff)
+    value i is ``nums[i] * (pi**pi_power / den)``.  One stable sort (linear
+    on the already sorted numerators of the 1-D generators) and the places
+    where the sorted numerators change give the distinct numerators with
+    their summed multiplicities; Python ints past ``_INT64_GUARD`` sort the
+    same way."""
+    nums = _numerators(nums)
+    order = np.argsort(nums, kind="stable")
+    nums = nums[order]
+    first = np.ones(nums.size, bool)
+    first[1:] = nums[1:] != nums[:-1]
+    starts = np.flatnonzero(first)
+    uniq, counts = nums[starts], np.add.reduceat(np.asarray(mults, np.int64)[order], starts)
+    # the sorted copies go before the stream's own arrays are built
+    del nums, order, first, starts
+    return _stream_from_distinct(uniq, counts, den, pi_power, cutoff)
 
 
 def _stream_from_distinct(uniq, counts, den: int, pi_power: int,
@@ -478,15 +467,6 @@ def triangle_neumann_spectrum(cutoff: float) -> EigenvalueStream:
     return _stream_from_exact(48 * q, np.ones(q.size, np.int64), 27, 2, cutoff)
 
 
-def _pair_sums(x1: np.ndarray, m1: np.ndarray, x2: np.ndarray, m2: np.ndarray,
-               below: Callable[[np.ndarray], np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Pairwise sums x1[i] + x2[j] with multiplied multiplicities, in
-    row-major order, kept where ``below`` marks them under the cutoff."""
-    sums = x1[:, None] + x2[None, :]
-    keep = below(sums)
-    return sums[keep], (m1[:, None] * m2[None, :])[keep]
-
-
 def _least_sum_not_below(unit: float, cutoff: float) -> int:
     """The least integer n with ``float(n) * unit >= cutoff``.
 
@@ -521,20 +501,20 @@ def _least_sum_not_below(unit: float, cutoff: float) -> int:
     return cut
 
 
-#: most pair sums formed at once by an exact ``product_spectrum``: a block
-#: of rows holds at most this many in each of its two int64 scratch arrays,
-#: 64 KB, below glibc's default 128 KB mmap threshold.  Best of 3 runs on a
-#: noisy 2-vCPU x86-64 host, at 2048 / 4096 / 8192 / 16384 / 32768: the
-#: side-10 Neumann square at cutoff 1e4 (80k kept sums) built in 1.9 / 1.8 /
-#: 1.75 / 1.7 / 2.6 ms (at 32768 the blocks page-fault), box [1, 1] Neumann
+#: most pair sums formed at once by ``product_spectrum``: a block of rows
+#: holds at most this many in each of its two 8-byte scratch arrays, 64 KB,
+#: below glibc's default 128 KB mmap threshold.  Best of 3 runs on a noisy
+#: 2-vCPU x86-64 host, at 2048 / 4096 / 8192 / 16384 / 32768: the side-10
+#: Neumann square at cutoff 1e4 (80k kept sums) built in 1.9 / 1.8 / 1.75 /
+#: 1.7 / 2.6 ms (at 32768 the blocks page-fault), box [1, 1] Neumann
 #: covering k_max 1e5 in 3.0 / 3.0 / 2.85 / 2.85 / 3.0 ms and covering
 #: k_max 1e6 in 54 / 43 / 42 / 40 / 42.5 ms.
 _PAIR_BLOCK = 1 << 13
 
 
-def _pair_blocks(n1: np.ndarray, m1: np.ndarray, n2: np.ndarray, m2: np.ndarray,
+def _pair_blocks(x1: np.ndarray, m1: np.ndarray, x2: np.ndarray, m2: np.ndarray,
                  widths: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The sums n1[i] + n2[j] with multiplied multiplicities, flat and in
+    """The sums x1[i] + x2[j] with multiplied multiplicities, flat and in
     row-major order, a block of rows at a time: row i runs over
     j < widths[r] for the block's first row r.  The widths do not increase,
     so each block holds every j < widths[i] of its rows, in a rectangle of
@@ -543,21 +523,21 @@ def _pair_blocks(n1: np.ndarray, m1: np.ndarray, n2: np.ndarray, m2: np.ndarray,
     while start < rows:
         width = int(widths[start])
         stop = min(rows, start + max(1, _PAIR_BLOCK // width))
-        yield ((n1[start:stop, None] + n2[:width]).ravel(),
+        yield ((x1[start:stop, None] + x2[:width]).ravel(),
                (m1[start:stop, None] * m2[:width]).ravel())
         start = stop
 
 
-def _kept_pairs(n1: np.ndarray, m1: np.ndarray, n2: np.ndarray, m2: np.ndarray,
-                widths: np.ndarray, cut: int) -> tuple[np.ndarray, np.ndarray]:
+def _kept_pairs(x1: np.ndarray, m1: np.ndarray, x2: np.ndarray, m2: np.ndarray,
+                widths: np.ndarray, cut) -> tuple[np.ndarray, np.ndarray]:
     """The sums of ``_pair_blocks`` below ``cut``, with their multiplicities,
     each concatenated into one array (the blocks are freed on return)."""
-    nums, mults = [n1[:0]], [m1[:0]]
-    for sums, pair_mults in _pair_blocks(n1, m1, n2, m2, widths):
-        keep = sums < cut
-        nums.append(sums[keep])
+    sums, mults = [x1[:0]], [m1[:0]]
+    for block, pair_mults in _pair_blocks(x1, m1, x2, m2, widths):
+        keep = block < cut
+        sums.append(block[keep])
         mults.append(pair_mults[keep])
-    return np.concatenate(nums), np.concatenate(mults)
+    return np.concatenate(sums), np.concatenate(mults)
 
 
 def product_spectrum(s1: EigenvalueStream, s2: EigenvalueStream,
@@ -567,18 +547,20 @@ def product_spectrum(s1: EigenvalueStream, s2: EigenvalueStream,
     Both inputs must cover [0, cutoff); otherwise sums below the cutoff
     would be silently missing.
 
-    Two exact spectra with the same pi power give an exact product, whose
-    numerators are the sums over the common denominator.  A sum n is kept
-    when ``float(n) * pi**pi_power / den`` is below the cutoff, that is when
-    n is below the integer cut of ``_least_sum_not_below``, so each row of
-    the first factor keeps a prefix of the second's numerators, found by one
-    ``searchsorted``.  The kept sums are formed in row blocks of at most
-    ``_PAIR_BLOCK`` pairs.  When they pass one block and are dense int64
-    sums (the ``_COUNT_SPAN_FACTOR`` rule of ``_aggregate_exact``), they are
-    counted into their span slots block by block, in O(block + span)
-    scratch memory; otherwise ``_aggregate_exact`` counts or sorts them.
-    Other inputs take the float pair sums, merged within
-    ``FLOAT_MERGE_RTOL``.
+    Every product forms its sums x1[i] + x2[j] in row blocks of at most
+    ``_PAIR_BLOCK`` pairs, and row i runs over the columns with
+    ``x2[j] <= cut - x1[i]``, found by one ``searchsorted``.  Two exact
+    spectra with the same pi power give an exact product: x are the
+    numerators over the common denominator, and a sum n is kept when
+    ``float(n) * pi**pi_power / den`` is below the cutoff, that is when n
+    is below the integer ``cut`` of ``_least_sum_not_below``.  Dense int64
+    sums (span at most ``_COUNT_SPAN_FACTOR`` times their count) are counted
+    into their span slots block by block, in O(block + span) scratch
+    memory; other exact sums are sorted by ``_stream_from_exact``.  Other
+    inputs sum their float values, with the cutoff as ``cut``: a float sum
+    below it has ``x2[j] <= fl(cutoff - x1[i])``, so the rows hold every
+    kept sum, and those at or past the cutoff are dropped before the sums
+    are merged within ``FLOAT_MERGE_RTOL``.
     """
     if not cutoff > 0:
         raise DomainError(f"cutoff must be positive, got {cutoff}")
@@ -589,8 +571,9 @@ def product_spectrum(s1: EigenvalueStream, s2: EigenvalueStream,
         )
     s1 = s1.truncated(cutoff)
     s2 = s2.truncated(cutoff)
-
-    if s1.exact and s2.exact and s1.pi_power == s2.pi_power:
+    m1, m2 = s1.multiplicities, s2.multiplicities
+    exact = s1.exact and s2.exact and s1.pi_power == s2.pi_power
+    if exact:
         # both denominators are in lowest terms; past the guard the sums
         # are taken over Python ints, and a factor past int64 overflows even
         # on a zero numerator, so each top numerator counts as 1 at least
@@ -598,35 +581,33 @@ def product_spectrum(s1: EigenvalueStream, s2: EigenvalueStream,
         factors = (den // s1.exact_den, den // s2.exact_den)
         top = sum(int(s.exact_nums.max(initial=1)) * f for s, f in zip((s1, s2), factors))
         dtype = np.int64 if top < _INT64_GUARD else object
-        n1, n2 = (s.exact_nums.astype(dtype) * f for s, f in zip((s1, s2), factors))
+        x1, x2 = (s.exact_nums.astype(dtype) * f for s, f in zip((s1, s2), factors))
         cut = _least_sum_not_below(_exact_unit(den, s1.pi_power), cutoff)
         if dtype is np.int64:
             # every int64 sum is below the guard, so this cut keeps the same sums
             cut = min(cut, _INT64_GUARD)
-        # row i keeps the sums n1[i] + n2[j] < cut, its first widths[i] columns
-        widths = np.searchsorted(n2, cut - n1)
-        m1, m2 = s1.multiplicities, s2.multiplicities
-        # fewer kept sums fit in one block, and _aggregate_exact counts them
-        # if they are dense
-        if dtype is np.int64 and (kept := int(widths.sum())) > _PAIR_BLOCK:
-            # the kept sums run from the first pair to the largest end of
-            # the rows, which come first
-            rows = np.count_nonzero(widths)
-            lo = int(n1[0] + n2[0])
-            span = int((n1[:rows] + n2[widths[:rows] - 1]).max()) - lo + 1
-            if span <= _COUNT_SPAN_FACTOR * kept:
-                # a block's sums past its rows' widths are at least cut, so
-                # they fall past the span and are dropped there
-                blocks = _pair_blocks(n1 - lo, m1, n2, m2, widths)
-                return _stream_from_distinct(*_slot_counts(blocks, lo, span), den,
-                                             s1.pi_power, cutoff)
-        # otherwise _aggregate_exact counts or sorts the kept sums
-        return _stream_from_exact(*_kept_pairs(n1, m1, n2, m2, widths, cut), den,
-                                  s1.pi_power, cutoff)
-
-    vals, mults = _pair_sums(s1.values, s1.multiplicities, s2.values, s2.multiplicities,
-                             lambda sums: sums < cutoff)
-    return EigenvalueStream(*_aggregate_float(vals, mults), cutoff)
+    else:
+        x1, x2, cut = s1.values, s2.values, cutoff
+    # row i holds the sums x1[i] + x2[j] <= cut, its first widths[i] columns
+    widths = np.searchsorted(x2, cut - x1, side="right")
+    if not exact:
+        return EigenvalueStream(*_aggregate_float(*_kept_pairs(x1, m1, x2, m2, widths, cut)),
+                                cutoff)
+    if dtype is np.int64 and (kept := int(widths.sum())) > 0:
+        # the sums run from the first pair to the largest end of the rows,
+        # which come first
+        rows = np.count_nonzero(widths)
+        lo = int(x1[0] + x2[0])
+        span = int((x1[:rows] + x2[widths[:rows] - 1]).max()) - lo + 1
+        if span <= _COUNT_SPAN_FACTOR * kept:
+            # a block's sums past its rows' widths are above the cut, so
+            # they fall past the span and are dropped there; a sum at the
+            # cut is dropped with the values at or past the cutoff
+            blocks = _pair_blocks(x1 - lo, m1, x2, m2, widths)
+            return _stream_from_distinct(*_slot_counts(blocks, lo, span), den,
+                                         s1.pi_power, cutoff)
+    return _stream_from_exact(*_kept_pairs(x1, m1, x2, m2, widths, cut), den,
+                              s1.pi_power, cutoff)
 
 
 def tabulated_spectrum(entries: Iterable, cutoff: float,

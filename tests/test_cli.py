@@ -6,6 +6,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from polyaspec import cli, stream_from_csv
@@ -143,13 +144,18 @@ def _csv_writer_text(header, rows) -> str:
 
 
 @pytest.mark.parametrize("rows", [
-    [[0.0, 3, -1.5, 1e300], [5e-324, -0, math.inf, math.nan], [2 ** 70, 0.1, 1 / 3, -7]],
+    [[0.0, 3, -1.5, 1e300], [5e-324, -0, math.inf, math.nan], [2.0 ** 70, 2 ** 62, 1 / 3, -7.0],
+     [0.1, -2 ** 63, -0.0, 1e16]],
     [],
 ])
 def test_csv_rows_match_csv_writer(capsys, rows):
+    """The arrays ``count --output csv`` writes: float lambdas, int64
+    counts, float bounds and margins."""
     header = ["lambda", "count", "bound", "margin"]
     args = argparse.Namespace(out=None)
-    cli._emit_csv(header, [[row[i] for row in rows] for i in range(len(header))], args)
+    columns = [np.array([row[i] for row in rows], dtype)
+               for i, dtype in enumerate([float, np.int64, float, float])]
+    cli._emit_csv(header, columns, args)
     assert capsys.readouterr().out == _csv_writer_text(header, rows)
 
 
@@ -344,6 +350,29 @@ def test_out_of_range_sizes_and_gammas_are_domain_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv, "--no-timestamp")
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == "DomainError"
+
+
+@pytest.mark.parametrize("spec", [
+    # a TypeError traceback (exit 1)
+    '{"box":{"sides":5,"bc":"neumann"}}',
+    '{"tabulated":{"entries":5}}',
+    '{"tabulated":{"entries":[[0,1]],"dimension":1,"volume":1,"surface_area":"x"}}',
+    # a bare ValueError
+    *[spec % '"bc":"robin"' for spec in ('{"interval":{"a":1,%s}}', '{"box":{"sides":[1],%s}}',
+                                        '{"tabulated":{"entries":[[1,1]],%s}}')],
+    '{"tabulated":{"entries":[[1,1]],"dimension":"x","volume":1}}',
+    '{"tabulated":{"entries":[[1,1]],"dimension":1,"volume":"abc"}}',
+    # read as 2, as the length 1, and as an infinite volume
+    '{"tabulated":{"entries":[[1,1]],"dimension":2.5,"volume":1}}',
+    '{"interval":{"a":true,"bc":"dirichlet"}}',
+    '{"box":{"sides":[1,true],"bc":"dirichlet"}}',
+    '{"tabulated":{"entries":[[1,1]],"dimension":1,"volume":1e400}}',
+])
+def test_malformed_spec_parameters_are_config_errors(capsys, spec):
+    code, out, err = run_cli(capsys, "spectrum", "--spec", spec, "--cutoff", "10",
+                             "--no-timestamp")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "ConfigError"
 
 
 def test_bad_spec_json_is_config_error(capsys):

@@ -93,16 +93,20 @@ def test_integer_columns_and_blocks(monkeypatch):
     assert buf.getvalue() == want
 
 
-def test_other_columns_are_written_by_repr():
+@pytest.mark.parametrize("column", [
+    [2**70, True, -0], (0.1, 2.5, 7), np.array([True, False, True]),
+    np.array([2**64 - 1, 0, 1], np.uint64), np.array([1, "x", 2.5], object),
+    np.zeros((3, 1)), np.array(["a", "b", "c"])])
+def test_other_columns_are_value_errors(column):
     buf = io.StringIO()
-    write_columns(buf, ["p", "q", "r"], [[2**70, True, -0], np.array([True, False, True]),
-                                         (0.1, 2.5, 7)])
-    assert buf.getvalue() == "p,q,r\n1180591620717411303424,True,0.1\nTrue,False,2.5\n0,True,7\n"
+    with pytest.raises(ValueError, match="1-D float or integer array"):
+        write_columns(buf, ["p", "q"], [np.zeros(3), column])
+    assert buf.getvalue() == ""
 
 
 def test_shapes_are_checked():
     buf = io.StringIO()
-    write_columns(buf, ["a", "b"], [np.array([]), []])
+    write_columns(buf, ["a", "b"], [np.array([]), np.array([], np.int64)])
     assert buf.getvalue() == "a,b\n"
     with pytest.raises(ValueError):
         write_columns(io.StringIO(), ["a", "b"], [np.zeros(2), np.zeros(3)])

@@ -33,11 +33,9 @@ from polyaspec import (
 )
 from polyaspec import spectra
 from polyaspec.spectra import (
-    _COUNT_SPAN_FACTOR,
     _INT64_GUARD,
     DomainMeta,
     EigenvalueStream,
-    _aggregate_exact,
     _least_sum_not_below,
     _stream_from_exact,
 )
@@ -264,9 +262,10 @@ def _sixths_spectrum(cutoff):
     number of lattice pairs at its value, assembled in sixths."""
     q_regular, q_special = _sixths_lattice(27.0 * cutoff / (16.0 * PI2) + 1.0)
     # the constant term 2/3 = 4/6 joins the zero mode
-    q, sixths = _aggregate_exact(
-        np.concatenate(([0], q_regular, q_special)),
-        np.concatenate(([4], np.full(q_regular.size, 1), np.full(q_special.size, 2))))
+    q, where = np.unique(np.concatenate(([0], q_regular, q_special)), return_inverse=True)
+    sixths = np.zeros(q.size, np.int64)
+    np.add.at(sixths, where,
+              np.concatenate(([4], np.full(q_regular.size, 1), np.full(q_special.size, 2))))
     assert not np.any(sixths % 6), "non-integer multiplicity"
     keep = q * _SIXTHS_SCALE < cutoff
     return _stream_from_exact(16 * q[keep], sixths[keep] // 6, 27, 2, cutoff)
@@ -466,6 +465,13 @@ def test_tabulated_bc_mismatch():
         tabulated_spectrum([(1, 1)], 10.0, DomainMeta(2, 1.0, "neumann"))
     with pytest.raises(ModeError):
         tabulated_spectrum([(0, 1)], 10.0, DomainMeta(2, 1.0, "dirichlet"))
+
+
+@pytest.mark.parametrize("volume, surface_area", [
+    (math.inf, None), (math.nan, None), (0.0, None), (1.0, math.inf), (1.0, 0.0)])
+def test_domain_meta_needs_finite_positive_sizes(volume, surface_area):
+    with pytest.raises(DomainError):
+        DomainMeta(2, volume, "neumann", surface_area=surface_area)
 
 
 def test_csv_round_trip(rng):
@@ -1084,10 +1090,10 @@ def _product_cases(draw):
 
 def test_exact_product_matches_the_dense_reference():
     """Products formed in row blocks, counted into span slots block by
-    block or handed to _aggregate_exact, against the dense pair matrix they
-    replaced: values, multiplicities, numerators (and their dtype),
+    block or sorted by _stream_from_exact, against the dense pair matrix
+    they replaced: values, multiplicities, numerators (and their dtype),
     denominator, pi power and cutoff bit for bit.  Small block sizes split
-    the rows into many blocks, and the run must take both branches and give
+    the rows into many blocks, and the run must take both routes and give
     numerators past _INT64_GUARD."""
     branches, numerators = set(), set()
 
@@ -1100,15 +1106,96 @@ def test_exact_product_matches_the_dense_reference():
             s1, s2 = s2, s1
         with mock.patch.object(spectra, "_PAIR_BLOCK", block), \
                 mock.patch.object(spectra, "_stream_from_exact",
-                                  wraps=spectra._stream_from_exact) as aggregated:
+                                  wraps=spectra._stream_from_exact) as sorted_route:
             got = product_spectrum(s1, s2, cutoff)
         assert _same_stream(got, _dense_product_reference(s1, s2, cutoff))
-        branches.add("aggregate" if aggregated.called else "blocks")
+        branches.add("sorted" if sorted_route.called else "counted")
         numerators.add(got.exact_nums.dtype)
 
     check()
-    assert branches == {"aggregate", "blocks"}
+    assert branches == {"sorted", "counted"}
     assert numerators == {np.dtype(np.int64), np.dtype(object)}
+
+
+def _dense_float_reference(s1, s2, cutoff: float) -> EigenvalueStream:
+    """The float product as ``product_spectrum`` formed it before row blocks:
+    every pair sum of the float values in one V1 x V2 matrix, kept where it
+    is below the cutoff, in row-major order, merged within
+    ``FLOAT_MERGE_RTOL``."""
+    s1, s2 = s1.truncated(cutoff), s2.truncated(cutoff)
+    sums = s1.values[:, None] + s2.values[None, :]
+    keep = sums < cutoff
+    mults = (s1.multiplicities[:, None] * s2.multiplicities[None, :])[keep]
+    return EigenvalueStream(*spectra._aggregate_float(sums[keep], mults), cutoff)
+
+
+_FLOAT_LENGTHS = st.floats(0.2, 3.0).filter(lambda a: not a.is_integer())
+
+
+@st.composite
+def _float_factors(draw, cutoff: float):
+    """A float stream covering ``cutoff``: an interval of float length or a
+    table of floats with multiplicities."""
+    if draw(st.booleans()):
+        return interval_spectrum(draw(_FLOAT_LENGTHS), draw(BCS), cutoff)
+    values = sorted(set(draw(st.lists(st.floats(0.0, cutoff, exclude_max=True), min_size=1,
+                                      max_size=30))))
+    return tabulated_spectrum([(v, draw(st.integers(1, 4))) for v in values], cutoff)
+
+
+@st.composite
+def _float_product_cases(draw):
+    """Two factors whose product is float-valued, and a product cutoff:
+    float factors; a float and an exact one; exact ones in units of pi**0
+    and pi**2; or equal float sides (an interval or a square times the same
+    interval), whose coincident sums the merge joins.  The cutoff is a
+    fraction of the factors' cutoff, a pair sum's float value or one float
+    beside it, or infinite (the factors then claim to cover it)."""
+    top = draw(st.floats(5.0, 150.0))
+    kind = draw(st.sampled_from(["float", "mixed", "pi powers", "equal sides"]))
+    if kind == "float":
+        s1, s2 = draw(_float_factors(top)), draw(_float_factors(top))
+    elif kind == "mixed":
+        s1, s2 = draw(_float_factors(top)), draw(_exact_factors(draw(st.sampled_from([0, 2])), top))
+    elif kind == "pi powers":
+        s1, s2 = draw(_exact_factors(0, top)), draw(_exact_factors(2, top))
+    else:
+        a, bc = draw(_FLOAT_LENGTHS), draw(BCS)
+        s1 = box_spectrum([a] * draw(st.integers(1, 2)), bc, top)
+        s2 = interval_spectrum(a, bc, top)
+    where = draw(st.sampled_from(["inside", "at", "below", "above", "infinite"]))
+    cutoff = top * draw(st.floats(0.05, 1.0))
+    if where == "infinite":
+        s1, s2 = (EigenvalueStream(s.values, s.multiplicities, math.inf, s.exact_nums,
+                                   s.exact_den, s.pi_power) for s in (s1, s2))
+        cutoff = math.inf
+    elif where != "inside" and s1.values.size and s2.values.size:
+        value = (s1.values[draw(st.integers(0, s1.values.size - 1))]
+                 + s2.values[draw(st.integers(0, s2.values.size - 1))])
+        value = {"at": value, "below": math.nextafter(value, 0.0),
+                 "above": math.nextafter(value, math.inf)}[where]
+        if 0 < value <= top:
+            cutoff = float(value)
+    return s1, s2, cutoff
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_float_product_cases(), block=st.sampled_from([1, 3, 16, spectra._PAIR_BLOCK]),
+       swap=st.booleans())
+def test_float_product_matches_the_dense_reference(case, block, swap):
+    """Float products formed in row blocks against the dense pair matrix
+    they replaced: values, multiplicities and cutoff bit for bit.  Small
+    block sizes split the rows into many blocks."""
+    s1, s2, cutoff = case
+    if swap:
+        s1, s2 = s2, s1
+    with mock.patch.object(spectra, "_PAIR_BLOCK", block):
+        got = product_spectrum(s1, s2, cutoff)
+    expected = _dense_float_reference(s1, s2, cutoff)
+    assert not got.exact
+    assert got.values.tobytes() == expected.values.tobytes()
+    assert got.multiplicities.tobytes() == expected.multiplicities.tobytes()
+    assert got.cutoff == expected.cutoff
 
 
 @pytest.mark.parametrize("unit, cutoff, cut", [
@@ -1151,21 +1238,17 @@ def test_least_sum_not_below_is_the_turn_of_the_keep_rule(unit, cutoff):
 
 @st.composite
 def _numerator_draws(draw):
-    """(numerators, multiplicities, the span asked for): dense int64 ones
-    whose span is within the counting bound, at it, or one past it; sparse
-    ones; a single entry; none; and Python ints past ``_INT64_GUARD``, dense
-    among themselves."""
-    kind = draw(st.sampled_from(["dense", "at bound", "past bound", "sparse", "single",
-                                 "empty", "past guard"]))
+    """(numerators, multiplicities): dense int64 ones, whose span is a small
+    multiple of their count; sparse ones; a single entry; none; and Python
+    ints past ``_INT64_GUARD``, dense among themselves."""
+    kind = draw(st.sampled_from(["dense", "spread", "sparse", "single", "empty",
+                                 "past guard"]))
     n = {"single": 1, "empty": 0}.get(kind, draw(st.integers(2, 40)))
     lo = draw(st.integers(-2 ** 40, 2 ** 40))
     if kind == "past guard":
         lo = _INT64_GUARD + draw(st.integers(-3, 2 ** 40))
-    span = {"at bound": _COUNT_SPAN_FACTOR * n, "past bound": _COUNT_SPAN_FACTOR * n + 1,
-            "sparse": 2 ** 50}.get(kind, max(n, 1))
+    span = {"spread": 5 * n, "sparse": 2 ** 50}.get(kind, max(n, 1))
     nums = draw(st.lists(st.integers(lo, lo + span - 1), min_size=n, max_size=n))
-    if kind in ("at bound", "past bound"):
-        nums[:2] = [lo, lo + span - 1]
     # multiplicities past 2**53, whose sums a float accumulator would round
     mults = draw(st.lists(st.one_of(st.integers(1, 10 ** 6), st.integers(2 ** 53, 2 ** 57)),
                           min_size=n, max_size=n))
@@ -1173,31 +1256,22 @@ def _numerator_draws(draw):
     return np.array(draw(st.permutations(nums)), dtype=dtype), np.array(mults, np.int64)
 
 
-def test_aggregate_exact_matches_counter_oracle():
-    """Both aggregation branches against a Counter: counting when the
-    numerators are int64 and their span is at most _COUNT_SPAN_FACTOR times
-    their count, one stable sort otherwise.  Every draw kind reaches its
-    branch, and the run must take both."""
-    branches = set()
-
-    @settings(max_examples=200, deadline=None)
-    @given(draw=_numerator_draws())
-    def check(draw):
-        nums, mults = draw
-        reference = Counter()
-        for n, m in zip(nums.tolist(), mults.tolist()):
-            reference[n] += m
-        with mock.patch("numpy.argsort", wraps=np.argsort) as argsort:
-            uniq, counts = _aggregate_exact(nums, mults)
-        assert uniq.tolist() == sorted(reference)
-        assert counts.tolist() == [reference[n] for n in sorted(reference)]
-        assert counts.dtype == np.int64
-        past_guard = nums.size and max(map(abs, nums.tolist())) >= _INT64_GUARD
-        assert uniq.dtype == (object if past_guard else np.int64)
-        span = max(nums.tolist(), default=0) - min(nums.tolist(), default=0) + 1
-        counted = nums.size and not past_guard and span <= _COUNT_SPAN_FACTOR * nums.size
-        assert argsort.called != bool(counted)
-        branches.add("count" if counted else "sort")
-
-    check()
-    assert branches == {"count", "sort"}
+@settings(max_examples=200, deadline=None)
+@given(draw=_numerator_draws())
+def test_stream_from_exact_matches_counter_oracle(draw):
+    """The stable sort of _stream_from_exact against a Counter: distinct
+    numerators ascending, with summed int64 multiplicities, and numerators
+    that stay int64 unless one passes _INT64_GUARD.  The stream itself is
+    not built, so numerators may be negative."""
+    nums, mults = draw
+    reference = Counter()
+    for n, m in zip(nums.tolist(), mults.tolist()):
+        reference[n] += m
+    with mock.patch.object(spectra, "_stream_from_distinct",
+                           side_effect=lambda uniq, counts, *_: (uniq, counts)):
+        uniq, counts = _stream_from_exact(nums, mults, 1, 0, 1.0)
+    assert uniq.tolist() == sorted(reference)
+    assert counts.tolist() == [reference[n] for n in sorted(reference)]
+    assert counts.dtype == np.int64
+    past_guard = nums.size and max(map(abs, nums.tolist())) >= _INT64_GUARD
+    assert uniq.dtype == (object if past_guard else np.int64)

@@ -16,7 +16,9 @@ in int64 and below 2^53: the unit interval and (0, pi/24) x S^2 rows are
 int64 rows, the box rows (``shift`` 2) take the float ratio, and the
 three-dimensional box and the 1e7 sphere rows pass 2^53.  The dense
 lattices, the side-10 Neumann square and the unit cube, the Neumann unit
-square covering k_max 1e6 and the Neumann triangle have build rows only.
+square covering k_max 1e6, the Neumann triangle and the Neumann float boxes
+(no exact values, so their ``shift`` and int64 fields are None) have build
+rows only.
 A build row also records the tracemalloc peak of one more build, in MB
 (``peak_mb``), which holds the scratch memory of ``product_spectrum``.
 
@@ -72,6 +74,14 @@ _SHAPES = (
     # the one non-box Euclidean generator, whose volume sqrt(3)/4 is not exact
     ("triangle", lambda side: {"triangle": {}}, ((10 ** 4, "1e4"), (10 ** 5, "1e5")),
      ("neumann",), ("build",)),
+    # float boxes, whose products sum float values: the Riesz box of
+    # riesz-scan, a rectangle of composite-count and a three-dimensional box
+    ("box-6.1-8.7", lambda side: {"box": {"sides": [6.1, 8.7], "bc": side}},
+     ((10 ** 4, "1e4"), (10 ** 5, "1e5")), ("neumann",), ("build",)),
+    ("box-6.37-4.21", lambda side: {"box": {"sides": [6.37, 4.21], "bc": side}},
+     ((10 ** 4, "1e4"), (10 ** 5, "1e5")), ("neumann",), ("build",)),
+    ("box-4.1-3.3-2.6", lambda side: {"box": {"sides": [4.1, 3.3, 2.6], "bc": side}},
+     ((10 ** 4, "1e4"),), ("neumann",), ("build",)),
 )
 
 #: name -> (spec, k_max, side, sweep)
