@@ -99,11 +99,14 @@ def c_d_exact(d: int) -> PiRational:
 
 
 def omega_d(d: int) -> float:
-    return float(omega_d_exact(d))
+    try:
+        return float(omega_d_exact(d))
+    except OverflowError:  # pi**(d / 2) past float range
+        raise DomainError(f"omega_d at d = {d} leaves float range") from None
 
 
 def c_d(d: int) -> float:
-    return float(c_d_exact(d))
+    return l_gamma_d(0.0, d)
 
 
 def l_gamma_d(gamma: float, d: int) -> float:
@@ -111,10 +114,13 @@ def l_gamma_d(gamma: float, d: int) -> float:
     if not 0 <= gamma < math.inf:
         raise DomainError(f"gamma must be finite and >= 0, got {gamma}")
     two_gamma = 2.0 * gamma
-    if float(two_gamma).is_integer():
-        return float(l_gamma_d_exact(int(two_gamma), d))
-    log_ratio = math.lgamma(gamma + 1.0) - math.lgamma(gamma + 1.0 + d / 2.0)
-    return math.exp(log_ratio) / (4.0 * math.pi) ** (d / 2.0)
+    try:
+        if float(two_gamma).is_integer():
+            return float(l_gamma_d_exact(int(two_gamma), d))
+        log_ratio = math.lgamma(gamma + 1.0) - math.lgamma(gamma + 1.0 + d / 2.0)
+        return math.exp(log_ratio) / (4.0 * math.pi) ** (d / 2.0)
+    except OverflowError:
+        raise DomainError(f"L_gamma,d at gamma = {gamma}, d = {d} leaves float range") from None
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ import numpy as np
 
 from .constants import c_d
 from .errors import CoverageError, DomainError
-from .spectra import DomainMeta, EigenvalueStream, _sorted_union
+from .spectra import DomainMeta, EigenvalueStream, _run_starts, _sorted_union
 
 __all__ = [
     "CountingFunction",
@@ -135,9 +135,7 @@ def _prefix_counts(cf, probes=()) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                            + [np.zeros(probes.size, np.int64)])
     cum = np.zeros(merged.size + 1, np.int64)
     np.cumsum(mults[order], out=cum[1:])
-    first = np.ones(merged.size, bool)
-    first[1:] = merged[1:] != merged[:-1]
-    starts = np.flatnonzero(first)
+    starts = np.flatnonzero(_run_starts(merged))
     # a point's counts are the running sums at its group's first entry and
     # past its last
     ends = cum[np.append(starts, merged.size)]

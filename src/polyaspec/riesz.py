@@ -30,7 +30,8 @@ import numpy as np
 from .constants import l_gamma_d
 from .errors import ConfigError, CoverageError, DomainError, ModeError
 from .polya import polya_weyl_term
-from .spectra import BoundaryCondition, DomainMeta, EigenvalueStream, _sorted_union
+from .spectra import (BoundaryCondition, DomainMeta, EigenvalueStream, _run_starts,
+                      _sorted_union)
 
 __all__ = [
     "riesz_mean",
@@ -142,14 +143,6 @@ def _lagrange(points: np.ndarray) -> np.ndarray:
 # a parent's node values, times its transpose, are its interpolant at the
 # nodes of both children.
 _CHILDREN = np.vstack([_lagrange((_NODES_UNIT - 1.0) / 2.0), _lagrange((_NODES_UNIT + 1.0) / 2.0)])
-
-
-def _run_starts(ids: np.ndarray) -> np.ndarray:
-    """True where a sorted array of interval numbers starts a new run."""
-    new = np.empty(ids.size, dtype=bool)
-    new[:1] = True
-    np.not_equal(ids[1:], ids[:-1], out=new[1:])
-    return new
 
 
 def _riesz_tree(s: EigenvalueStream, gamma: float, lams: np.ndarray,

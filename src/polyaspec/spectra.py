@@ -5,7 +5,7 @@ rectangular boxes, the unit-side equilateral triangle (Neumann, one value
 per ordered pair of its lattice) and the round 2-sphere.  ``product_spectrum``
 composes two spectra by pairwise sums, which is how product domains get
 their eigenvalues: it forms them in row blocks, with no pair matrix, and
-exact products cut their sums at an integer and count dense ones into
+exact products bound their sums by an integer and count dense ones into
 slots.  A box is the product of its sides' intervals, so ``box_spectrum``
 folds ``product_spectrum`` over ``interval_spectrum`` streams.  A box whose
 sides mix kinds (a float with an exact length, or p/q with p pi/q) takes
@@ -18,14 +18,16 @@ stream also carries its values exactly as integer numerators over one
 common denominator, in units of ``pi**pi_power`` (``exact_nums``,
 ``exact_den``), enabling integer-only inequality checks downstream.
 Numerators are int64 until one reaches ``_INT64_GUARD``; past it they are
-Python ints in an object array.
+Python ints in an object array.  Generators and products only bound
+their lattices from above; ``_stream_from_distinct`` alone decides which
+exact values are below the cutoff, by their float value
+``float(n) * (pi**pi_power / den)``.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import sys
 from collections.abc import Sized
 from dataclasses import dataclass
 from enum import Enum
@@ -309,9 +311,16 @@ def _sorted_union(*parts) -> np.ndarray:
     scratch.  Unsorted parts still come out right, only slower."""
     merged = np.sort(np.concatenate([np.asarray(p, float).ravel() for p in parts]),
                      kind="stable")
-    first = np.ones(merged.size, bool)
-    first[1:] = merged[1:] != merged[:-1]
-    return merged[first]
+    return merged[_run_starts(merged)]
+
+
+def _run_starts(arr: np.ndarray) -> np.ndarray:
+    """True where a sorted array starts a new run of equal entries (a zero
+    and a minus zero are equal)."""
+    new = np.empty(arr.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(arr[1:], arr[:-1], out=new[1:])
+    return new
 
 
 def _exact_unit(den: int, pi_power: int) -> float:
@@ -339,20 +348,20 @@ def _stream_from_exact(nums, mults, den: int, pi_power: int,
     nums = _numerators(nums)
     order = np.argsort(nums, kind="stable")
     nums = nums[order]
-    first = np.ones(nums.size, bool)
-    first[1:] = nums[1:] != nums[:-1]
-    starts = np.flatnonzero(first)
+    starts = np.flatnonzero(_run_starts(nums))
     uniq, counts = nums[starts], np.add.reduceat(np.asarray(mults, np.int64)[order], starts)
     # the sorted copies go before the stream's own arrays are built
-    del nums, order, first, starts
+    del nums, order, starts
     return _stream_from_distinct(uniq, counts, den, pi_power, cutoff)
 
 
 def _stream_from_distinct(uniq, counts, den: int, pi_power: int,
                           cutoff: float) -> EigenvalueStream:
     """The stream of distinct ascending numerators ``uniq`` with their
-    multiplicities, keeping the values below ``cutoff``."""
-    values = np.asarray(uniq * _exact_unit(den, pi_power), dtype=float)
+    multiplicities, keeping the values below ``cutoff``: the one keep rule
+    of exact values.  A value past float range is inf, so it is dropped."""
+    with np.errstate(over="ignore"):
+        values = np.asarray(uniq * _exact_unit(den, pi_power), dtype=float)
     keep = values < cutoff
     return EigenvalueStream(values[keep], counts[keep], cutoff, uniq[keep], den, pi_power)
 
@@ -390,8 +399,12 @@ def interval_spectrum(a, bc: BoundaryCondition, cutoff: float) -> EigenvalueStre
     Dirichlet modes start at l = 1, Neumann at l = 0.  ``a`` may be a float,
     an int, a Fraction, or a symbolic string like ``"pi/24"``; symbolic and
     rational lengths produce exact streams, whose numerators are l**2 times
-    the numerator w of pi**2 / a**2.  They are int64 until w * l**2 at the
-    top mode reaches ``_INT64_GUARD``.  A length and cutoff with more than
+    the numerator w of pi**2 / a**2.  Their modes run up to
+    ``int(top) + 2``, top = sqrt(cutoff / (pi**2 / a**2)), a bound past
+    every kept mode, and ``_stream_from_exact`` keeps those below the
+    cutoff; the numerators are Python ints when w times the square of that
+    bound reaches ``_INT64_GUARD``.  Float lengths keep the modes whose
+    float value is below the cutoff.  A length and cutoff with more than
     ``_MAX_MODES`` modes raise ``DomainError``.
     """
     bc = BoundaryCondition(bc)
@@ -406,14 +419,13 @@ def interval_spectrum(a, bc: BoundaryCondition, cutoff: float) -> EigenvalueStre
         raise DomainError(f"interval length {a} below cutoff {cutoff} has {top:.3g} modes, "
                           f"more than _MAX_MODES = {_MAX_MODES}")
     modes = np.arange(start, int(top) + 3, dtype=np.int64)
-    values = coeff_float * modes.astype(float) ** 2
-    modes, values = modes[values < cutoff], values[values < cutoff]
     ones = np.ones(modes.size, np.int64)
     if coeff is None:
-        return EigenvalueStream(values, ones, cutoff)
+        values = coeff_float * modes.astype(float) ** 2
+        keep = values < cutoff
+        return EigenvalueStream(values[keep], ones[keep], cutoff)
     w = coeff.coeff.numerator
-    # a weight past int64 overflows even on mode 0, so the top mode counts as 1 at least
-    dtype = np.int64 if w * int(modes.max(initial=1)) ** 2 < _INT64_GUARD else object
+    dtype = np.int64 if w * (int(top) + 2) ** 2 < _INT64_GUARD else object
     return _stream_from_exact(w * modes.astype(dtype) ** 2, ones, coeff.coeff.denominator,
                               coeff.pi_power, cutoff)
 
@@ -441,7 +453,6 @@ def sphere2_spectrum(cutoff: float) -> EigenvalueStream:
         raise DomainError(f"the 2-sphere below cutoff {cutoff} has {math.sqrt(cutoff):.3g} "
                           f"distinct eigenvalues, more than _MAX_MODES = {_MAX_MODES}")
     ks = np.arange(math.isqrt(int(cutoff)) + 1, dtype=np.int64)
-    ks = ks[ks * (ks + 1) < cutoff]
     return _stream_from_exact(ks * (ks + 1), 2 * ks + 1, 1, 0, cutoff)
 
 
@@ -465,40 +476,6 @@ def triangle_neumann_spectrum(cutoff: float) -> EigenvalueStream:
     q = (ms[:, None] * (ms[:, None] + ms) + ms * ms).ravel()
     q = q[q < limit + 1]
     return _stream_from_exact(48 * q, np.ones(q.size, np.int64), 27, 2, cutoff)
-
-
-def _least_sum_not_below(unit: float, cutoff: float) -> int:
-    """The least integer n with ``float(n) * unit >= cutoff``.
-
-    This is the keep rule of an exact value, and it is monotone in n, so an
-    exact sum is kept exactly when it is below this cut.  From the float
-    guess ``cutoff / unit`` a few unit steps on Python ints find it, using
-    the same expression; an integer whose float conversion overflows counts
-    as not below.  Past 2**53 the integers share floats, so the guess first
-    moves by whole floats to the least float f with ``f * unit >= cutoff``
-    (products there are normal floats, so these steps are few too), and
-    the integer steps start where the integers turn to f."""
-    def below(n: int) -> bool:
-        try:
-            return float(n) * unit < cutoff
-        except OverflowError:
-            return False
-
-    # an infinite cutoff keeps the sums whose float value is finite
-    f = min(cutoff, sys.float_info.max) / unit
-    if f >= 2 ** 53:
-        while f * unit < cutoff:
-            f = math.nextafter(f, math.inf)
-        while (g := math.nextafter(f, 0.0)) * unit >= cutoff:
-            f = g
-    # the midpoint of f and the float below it; 2**1024 stands for an f of inf
-    cut = (math.floor(math.nextafter(f, 0.0)) + (math.ceil(f) if f < math.inf else 2 ** 1024)
-           + 1) // 2
-    while below(cut):
-        cut += 1
-    while not below(cut - 1):
-        cut -= 1
-    return cut
 
 
 #: most pair sums formed at once by ``product_spectrum``: a block of rows
@@ -552,11 +529,16 @@ def product_spectrum(s1: EigenvalueStream, s2: EigenvalueStream,
     ``x2[j] <= cut - x1[i]``, found by one ``searchsorted``.  Two exact
     spectra with the same pi power give an exact product: x are the
     numerators over the common denominator, and a sum n is kept when
-    ``float(n) * pi**pi_power / den`` is below the cutoff, that is when n
-    is below the integer ``cut`` of ``_least_sum_not_below``.  Dense int64
-    sums (span at most ``_COUNT_SPAN_FACTOR`` times their count) are counted
-    into their span slots block by block, in O(block + span) scratch
-    memory; other exact sums are sorted by ``_stream_from_exact``.  Other
+    ``float(n) * unit`` is below the cutoff, unit = pi**pi_power / den.
+    For b = cutoff / unit a kept n has n < b (1 + 2**-51), so the integer
+    ``cut = floor(b) + (floor(b) >> 50) + 2`` bounds every kept sum, and
+    ``_stream_from_distinct`` drops the sums below it that are not kept.
+    The cut is clamped to ``_INT64_GUARD`` for int64 sums, and for Python
+    ints to 2**1024 - 2**970, the first integer with no float, which is
+    also the cut when b is not below it.  Dense int64 sums (span at most
+    ``_COUNT_SPAN_FACTOR`` times their count) are counted into their span
+    slots block by block, in O(block + span) scratch memory; other exact
+    sums are sorted by ``_stream_from_exact``.  Other
     inputs sum their float values, with the cutoff as ``cut``: a float sum
     below it has ``x2[j] <= fl(cutoff - x1[i])``, so the rows hold every
     kept sum, and those at or past the cutoff are dropped before the sums
@@ -582,10 +564,10 @@ def product_spectrum(s1: EigenvalueStream, s2: EigenvalueStream,
         top = sum(int(s.exact_nums.max(initial=1)) * f for s, f in zip((s1, s2), factors))
         dtype = np.int64 if top < _INT64_GUARD else object
         x1, x2 = (s.exact_nums.astype(dtype) * f for s, f in zip((s1, s2), factors))
-        cut = _least_sum_not_below(_exact_unit(den, s1.pi_power), cutoff)
-        if dtype is np.int64:
-            # every int64 sum is below the guard, so this cut keeps the same sums
-            cut = min(cut, _INT64_GUARD)
+        b = cutoff / _exact_unit(den, s1.pi_power)
+        cut = _INT64_GUARD if dtype is np.int64 else 2 ** 1024 - 2 ** 970
+        if b < cut:
+            cut = min(cut, math.floor(b) + (math.floor(b) >> 50) + 2)
     else:
         x1, x2, cut = s1.values, s2.values, cutoff
     # row i holds the sums x1[i] + x2[j] <= cut, its first widths[i] columns
@@ -601,8 +583,9 @@ def product_spectrum(s1: EigenvalueStream, s2: EigenvalueStream,
         span = int((x1[:rows] + x2[widths[:rows] - 1]).max()) - lo + 1
         if span <= _COUNT_SPAN_FACTOR * kept:
             # a block's sums past its rows' widths are above the cut, so
-            # they fall past the span and are dropped there; a sum at the
-            # cut is dropped with the values at or past the cutoff
+            # they fall past the span and are dropped there; the sums up to
+            # the cut that are not below the cutoff are dropped by
+            # _stream_from_distinct
             blocks = _pair_blocks(x1 - lo, m1, x2, m2, widths)
             return _stream_from_distinct(*_slot_counts(blocks, lo, span), den,
                                          s1.pi_power, cutoff)

@@ -327,6 +327,15 @@ def test_interval_past_float_range_is_domain_error(capsys, argv):
     assert json.loads(err)["error"] == "DomainError"
 
 
+def test_exact_interval_counts_a_mode_just_below_lambda(capsys):
+    # mode 11 of (0, 1/3) is 10747.99919278631 as an exact stream forms it;
+    # a float filter on 9 pi**2 * 121 dropped it, and the count was 10
+    code, out, _ = run_cli(capsys, "count", "--spec", _interval('"1/3"'),
+                           "--lambda", "10747.999192786312", "--no-timestamp")
+    assert code == 0
+    assert json.loads(out)["results"] == [{"count": 11, "lambda": 10747.999192786312}]
+
+
 _SQUARE = '{"box":{"sides":[1,1],"bc":"neumann"}}'
 
 
@@ -345,6 +354,10 @@ _SQUARE = '{"box":{"sides":[1,1],"bc":"neumann"}}'
         ("riesz", "--spec", _SQUARE, "--gamma", gamma, "--lambda", "5"),
         ("riesz", "--spec", _SQUARE, "--gamma", gamma, "--two-term", "--cutoff", "50"),
         ("constants", "--d", "2", "--gamma", gamma))],
+    # pi**1000 in omega_d, and (4 pi)**280.5 in L_gamma,d at a gamma that is
+    # not a half-integer, were OverflowError tracebacks (exit 1)
+    ("constants", "--d", "2000"),
+    ("constants", "--d", "561", "--gamma", "1.3"),
 ])
 def test_out_of_range_sizes_and_gammas_are_domain_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv, "--no-timestamp")

@@ -85,6 +85,19 @@ def test_lgamma_fallback_matches_exact_nearby():
             l_gamma_d(gamma, 2)
 
 
+@pytest.mark.parametrize("fn, args, last", [
+    (omega_d, (1242,), (1241,)),
+    (c_d, (1241,), (1240,)),
+    (lambda d, gamma=1.0: l_gamma_d(gamma, d), (1241,), (1240,)),
+    (lambda d, gamma=1.3: l_gamma_d(gamma, d), (561,), (560,)),
+])
+def test_constants_past_float_range_are_domain_errors(fn, args, last):
+    # a power of pi past float range was a bare OverflowError
+    with pytest.raises(DomainError, match=f"d = {args[0]} leaves float range"):
+        fn(*args)
+    assert 0.0 <= fn(*last) < math.inf
+
+
 # ---------------------------------------------------------------------------
 # profile function and its integral
 

@@ -3,6 +3,8 @@ import io
 import itertools
 import json
 import math
+import re
+import sys
 import warnings
 from collections import Counter
 from fractions import Fraction
@@ -36,7 +38,6 @@ from polyaspec.spectra import (
     _INT64_GUARD,
     DomainMeta,
     EigenvalueStream,
-    _least_sum_not_below,
     _stream_from_exact,
 )
 
@@ -1006,23 +1007,73 @@ def test_exact_spectra_across_int64_guard(n, top, bc, pi_power, where, delta, pr
     assert s.values.tolist() == pytest.approx(expected, rel=1e-15, abs=0.0)
 
 
+@example(sides=[(1, 3)], pi_power=2, bc="dirichlet", modes=[11, 0], where="above")
+@example(sides=[(1, 5)], pi_power=2, bc="dirichlet", modes=[5, 0], where="above")
+@example(sides=[(1, 6)], pi_power=2, bc="neumann", modes=[11, 0], where="above")
+@settings(max_examples=150, deadline=None)
+@given(sides=st.lists(st.tuples(st.integers(1, 39), st.integers(1, 39)), min_size=1,
+                      max_size=2),
+       pi_power=st.sampled_from([0, 2]), bc=BCS,
+       modes=st.lists(st.integers(0, 12), min_size=2, max_size=2),
+       where=st.sampled_from(["below", "at", "above"]))
+def test_exact_intervals_and_boxes_keep_the_modes_below_the_cutoff(sides, pi_power, bc, modes,
+                                                                   where):
+    """The keep rule of exact values on intervals of length p/q or p pi/q,
+    and on boxes of two such sides.  With w the exact pi**2 / a**2 of each
+    side over the sides' common denominator den, the stream holds a mode
+    tuple exactly when ``float(sum w l**2) * (pi**pi_power / den)`` is below
+    the cutoff.  The cutoff is that float of one tuple, or one float either
+    side of it; a float filter on ``pi**2 / a**2 * l**2`` dropped modes
+    below it, as for the length 1/3 at l = 11."""
+    start = 0 if bc == "neumann" else 1
+    weights = [Fraction(q * q, p * p) for p, q in sides]
+    den = math.lcm(*(w.denominator for w in weights))
+    unit = math.pi ** pi_power / den
+    nums = [int(w * den) for w in weights]
+    target = float(sum(n * max(l, start) ** 2 for n, l in zip(nums, modes))) * unit
+    cutoff = {"below": math.nextafter(target, 0.0), "at": target,
+              "above": math.nextafter(target, math.inf)}[where]
+    assume(cutoff > 0)
+    s = box_spectrum([_length(p, q, pi_power) for p, q in sides], bc, cutoff)
+    # every mode tuple up to two past the largest mode of each side
+    axes = [n * np.arange(start, int(p / q * math.sqrt(cutoff / math.pi ** pi_power)) + 3,
+                          dtype=np.int64) ** 2 for n, (p, q) in zip(nums, sides)]
+    sums = sum(np.ix_(*axes)).ravel()
+    kept, counts = np.unique(sums[sums.astype(float) * unit < cutoff], return_counts=True)
+    assert s.exact and s.values.tolist() == (kept.astype(float) * unit).tolist()
+    assert s.multiplicities.tolist() == counts.tolist()
+    assert ([Fraction(n, s.exact_den) for n in s.exact_nums.tolist()]
+            == [Fraction(n, den) for n in kept.tolist()])
+
+
 # ---------------------------------------------------------------------------
 # exact products in row blocks against the dense pair matrix
 
 
+def _float_below(n: int, unit: float, cutoff: float) -> bool:
+    """The keep rule of an exact value n * unit: its float value
+    ``float(n) * unit`` is below the cutoff, and an n past float range
+    is not kept."""
+    try:
+        return float(n) * unit < cutoff
+    except OverflowError:
+        return False
+
+
 def _dense_product_reference(s1, s2, cutoff: float) -> EigenvalueStream:
     """The exact product as ``product_spectrum`` formed it before row blocks:
-    every pair sum in one V1 x V2 matrix, kept where its float value,
-    ``sums * scale``, is below the cutoff."""
+    every pair sum in one V1 x V2 matrix, kept where ``_float_below`` holds,
+    one sum at a time."""
     s1, s2 = s1.truncated(cutoff), s2.truncated(cutoff)
     den = math.lcm(s1.exact_den, s2.exact_den)
     factors = (den // s1.exact_den, den // s2.exact_den)
     top = sum(int(s.exact_nums.max(initial=1)) * f for s, f in zip((s1, s2), factors))
     dtype = np.int64 if top < _INT64_GUARD else object
     n1, n2 = (s.exact_nums.astype(dtype) * f for s, f in zip((s1, s2), factors))
-    scale = (math.pi ** s1.pi_power) / den
+    unit = spectra._exact_unit(den, s1.pi_power)
     sums = n1[:, None] + n2[None, :]
-    keep = np.asarray(sums * scale, dtype=float) < cutoff
+    keep = np.array([_float_below(n, unit, cutoff) for n in sums.ravel().tolist()],
+                    bool).reshape(sums.shape)
     mults = (s1.multiplicities[:, None] * s2.multiplicities[None, :])[keep]
     return _stream_from_exact(sums[keep], mults, den, s1.pi_power, cutoff)
 
@@ -1066,26 +1117,72 @@ def _exact_factors(draw, pi_power: int, cutoff: float):
 
 
 @st.composite
+def _drawn_factor(draw, den: int, pi_power: int, lo: int, hi: int, cutoff: float):
+    """An exact stream over ``den`` in units of pi**pi_power covering
+    ``cutoff``: drawn numerators in [lo, hi], and maybe zero, each value
+    formed as the generators form it; of numerators that share a float
+    value, the least stays."""
+    unit = math.pi ** pi_power / den
+    nums = set(draw(st.lists(st.integers(lo, hi), min_size=1, max_size=6)))
+    by_value = {}
+    for n in sorted(nums | ({0} if draw(st.booleans()) else set())):
+        by_value.setdefault(float(n) * unit, n)
+    return EigenvalueStream(list(by_value), [draw(st.integers(1, 4)) for _ in by_value], cutoff,
+                            list(by_value.values()), den, pi_power)
+
+
+@st.composite
 def _product_cases(draw):
-    """Two exact factors with a common pi power and a product cutoff: a
-    fraction of the factors' cutoff, or the float value of a pair sum, or
-    one float beside it, where the keep rule turns."""
-    pi_power = draw(st.sampled_from([0, 2]))
-    top = draw(st.floats(5.0, 150.0))
-    s1, s2 = (draw(_exact_factors(pi_power, top)) for _ in range(2))
-    where = draw(st.sampled_from(["inside", "at", "below", "above"]))
+    """Two exact factors with a common pi power and a product cutoff.  The
+    factors are generated spectra and tables at cutoffs up to 150, or drawn
+    numerators: past 2**53 over a small denominator in units of pi**2, near
+    2**1023 (pair sums pass float range), or over a denominator near
+    2**1022, whose values are subnormal or nearly so.  The cutoff is a
+    fraction of the factors' cutoff, the float value of a pair sum or one
+    float beside it, where the keep rule turns, a subnormal float, or
+    infinite (the factors then claim to cover it)."""
+    scale = draw(st.sampled_from(["generated", "past 2**53", "near 2**1023", "subnormal"]))
+    if scale == "generated":
+        pi_power = draw(st.sampled_from([0, 2]))
+        top = draw(st.floats(5.0, 150.0))
+        s1, s2 = (draw(_exact_factors(pi_power, top)) for _ in range(2))
+    else:
+        pi_power, dens, lo, hi, top = {
+            "past 2**53": (2, st.integers(2, 12), 2 ** 53, 2 ** 62, 3e19),
+            "near 2**1023": (0, st.just(1), 2 ** 1022, 2 ** 1023, sys.float_info.max),
+            "subnormal": (0, st.integers(2 ** 1021, 2 ** 1023), 1, 8, 2.0 ** -1015),
+        }[scale]
+        den = draw(dens)
+        s1, s2 = (draw(_drawn_factor(den, pi_power, lo, hi, top)) for _ in range(2))
+    where = draw(st.sampled_from(["inside", "at", "below", "above", "subnormal", "infinite"]))
     cutoff = top * draw(st.floats(0.05, 1.0))
-    if where != "inside" and s1.values.size and s2.values.size:
+    if where == "infinite":
+        s1, s2 = (EigenvalueStream(s.values, s.multiplicities, math.inf, s.exact_nums,
+                                   s.exact_den, s.pi_power) for s in (s1, s2))
+        cutoff = math.inf
+    elif where == "subnormal":
+        cutoff = draw(st.floats(5e-324, sys.float_info.min, exclude_max=True))
+    elif where != "inside" and s1.values.size and s2.values.size:
         den = math.lcm(s1.exact_den, s2.exact_den)
         i, j = draw(st.integers(0, s1.values.size - 1)), draw(st.integers(0, s2.values.size - 1))
         n = (int(s1.exact_nums[i]) * (den // s1.exact_den)
              + int(s2.exact_nums[j]) * (den // s2.exact_den))
-        value = float(n) * (math.pi ** pi_power / den)
+        try:
+            value = float(n) * (math.pi ** pi_power / den)
+        except OverflowError:
+            value = math.inf
         value = {"at": value, "below": math.nextafter(value, 0.0),
                  "above": math.nextafter(value, math.inf)}[where]
         if 0 < value <= top:
             cutoff = value
     return s1, s2, cutoff
+
+
+#: numerators past 2**53 whose sum is kept though it is above the float
+#: quotient cutoff / unit: an integer bound of floor(cutoff / unit) + 1
+#: drops it
+_PAST_2_53 = EigenvalueStream([0.0, float(2594073385365405701) * (PI2 / 3)], [1, 1], 3e19,
+                              [0, 2594073385365405701], 3, 2)
 
 
 def test_exact_product_matches_the_dense_reference():
@@ -1094,21 +1191,30 @@ def test_exact_product_matches_the_dense_reference():
     they replaced: values, multiplicities, numerators (and their dtype),
     denominator, pi power and cutoff bit for bit.  Small block sizes split
     the rows into many blocks, and the run must take both routes and give
-    numerators past _INT64_GUARD."""
+    numerators past _INT64_GUARD.  Where two kept sums share a float value,
+    both raise the same ``ValidationError``."""
     branches, numerators = set(), set()
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=400, deadline=None)
+    @example(case=(_PAST_2_53, _PAST_2_53, math.nextafter(8.534159366983726e18, math.inf)),
+             block=spectra._PAIR_BLOCK, swap=False)
     @given(case=_product_cases(), block=st.sampled_from([1, 3, 16, spectra._PAIR_BLOCK]),
            swap=st.booleans())
     def check(case, block, swap):
         s1, s2, cutoff = case
         if swap:
             s1, s2 = s2, s1
+        try:
+            expected = _dense_product_reference(s1, s2, cutoff)
+        except ValidationError as exc:
+            with pytest.raises(ValidationError, match=re.escape(str(exc))):
+                product_spectrum(s1, s2, cutoff)
+            return
         with mock.patch.object(spectra, "_PAIR_BLOCK", block), \
                 mock.patch.object(spectra, "_stream_from_exact",
                                   wraps=spectra._stream_from_exact) as sorted_route:
             got = product_spectrum(s1, s2, cutoff)
-        assert _same_stream(got, _dense_product_reference(s1, s2, cutoff))
+        assert _same_stream(got, expected)
         branches.add("sorted" if sorted_route.called else "counted")
         numerators.add(got.exact_nums.dtype)
 
@@ -1198,42 +1304,23 @@ def test_float_product_matches_the_dense_reference(case, block, swap):
     assert got.cutoff == expected.cutoff
 
 
-@pytest.mark.parametrize("unit, cutoff, cut", [
-    (1.0, 10.0, 10),
-    (1.0, 10.5, 11),
-    (0.1, 0.3, 3),  # 3 * 0.1 rounds above 0.3
-    (2.5942807892657482, 1276453.5996192691, 492026),  # the guess rounds up to 492027
-    # past 2**53 integers share floats; 2**60 - 64 ties to the even 2**60, and
-    # 2**60 + 128 to 2**60 again, below 2**60 + 2**8
-    (2.0 ** -60, 1.0, 2 ** 60 - 64),
-    (1.0, 2.0 ** 60 + 2.0 ** 8, 2 ** 60 + 129),
-    (1.0, math.inf, 2 ** 1024 - 2 ** 970),  # the first integer past float range
-    (1e-300, 1e10, 2 ** 1024 - 2 ** 970),
-    (4.0, math.inf, 2 ** 1022 - 2 ** 968),
-    (5.0, 5e-324, 1),
-    (2.6e-149, 2.2e-318, 1),  # a subnormal cutoff: float steps would crawl
-    (1e300, 5e-324, 1),
-])
-def test_least_sum_not_below_examples(unit, cutoff, cut):
-    assert _least_sum_not_below(unit, cutoff) == cut
-
-
-def _float_below(n: int, unit: float, cutoff: float) -> bool:
-    try:
-        return float(n) * unit < cutoff
-    except OverflowError:
-        return False
-
-
-@settings(max_examples=300, deadline=None)
-@given(unit=st.floats(1e-300, 1e300), cutoff=st.floats(5e-324, 1e308))
-def test_least_sum_not_below_is_the_turn_of_the_keep_rule(unit, cutoff):
-    cut = _least_sum_not_below(unit, cutoff)
-    assert _float_below(cut - 1, unit, cutoff) and not _float_below(cut, unit, cutoff)
-
-
 # ---------------------------------------------------------------------------
 # aggregation of exact numerators
+
+
+@pytest.mark.parametrize("arr, starts", [
+    (np.array([], float), []),
+    (np.array([7], np.int64), [True]),
+    (np.array([-0.0, 0.0, 1.0, 1.0, 2.0]), [True, False, True, False, True]),
+    (np.array([3, 3, 2 ** 70, 2 ** 70, 2 ** 71], dtype=object),
+     [True, False, True, False, True]),
+])
+def test_run_starts_marks_the_first_of_each_run(arr, starts):
+    """The one first-of-run helper of the sorts in spectra, counting and
+    riesz: empty arrays, Python ints past int64, and a minus zero, which
+    joins the run of the zero before or after it."""
+    new = spectra._run_starts(arr)
+    assert new.dtype == bool and new.tolist() == starts
 
 
 @st.composite

@@ -154,7 +154,9 @@ def time_row(name: str, repeat: int) -> dict:
 
 
 def summary(times: list[float]) -> dict:
-    q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
+    # quantiles needs two samples; one sample is its own quartiles
+    q1, median, q3 = (statistics.quantiles(times, n=4, method="inclusive")
+                      if len(times) > 1 else times * 3)
     return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4),
             "n": len(times)}
 
