@@ -99,10 +99,15 @@ def c_d_exact(d: int) -> PiRational:
 
 
 def omega_d(d: int) -> float:
+    """Volume of the unit d-ball as a float; ``DomainError`` where it leaves
+    float range, by overflow or by underflow to 0.0."""
     try:
-        return float(omega_d_exact(d))
+        value = float(omega_d_exact(d))
     except OverflowError:  # pi**(d / 2) past float range
-        raise DomainError(f"omega_d at d = {d} leaves float range") from None
+        value = 0.0
+    if value == 0.0:
+        raise DomainError(f"omega_d at d = {d} leaves float range")
+    return value
 
 
 def c_d(d: int) -> float:
@@ -110,17 +115,23 @@ def c_d(d: int) -> float:
 
 
 def l_gamma_d(gamma: float, d: int) -> float:
-    """Riesz-mean constant Gamma(gamma+1) / ((4 pi)^(d/2) Gamma(gamma+1+d/2))."""
+    """Riesz-mean constant Gamma(gamma+1) / ((4 pi)^(d/2) Gamma(gamma+1+d/2));
+    ``DomainError`` where it leaves float range, by overflow or by underflow
+    to 0.0."""
     if not 0 <= gamma < math.inf:
         raise DomainError(f"gamma must be finite and >= 0, got {gamma}")
     two_gamma = 2.0 * gamma
     try:
         if float(two_gamma).is_integer():
-            return float(l_gamma_d_exact(int(two_gamma), d))
-        log_ratio = math.lgamma(gamma + 1.0) - math.lgamma(gamma + 1.0 + d / 2.0)
-        return math.exp(log_ratio) / (4.0 * math.pi) ** (d / 2.0)
+            value = float(l_gamma_d_exact(int(two_gamma), d))
+        else:
+            log_ratio = math.lgamma(gamma + 1.0) - math.lgamma(gamma + 1.0 + d / 2.0)
+            value = math.exp(log_ratio) / (4.0 * math.pi) ** (d / 2.0)
     except OverflowError:
-        raise DomainError(f"L_gamma,d at gamma = {gamma}, d = {d} leaves float range") from None
+        value = 0.0
+    if value == 0.0:
+        raise DomainError(f"L_gamma,d at gamma = {gamma}, d = {d} leaves float range")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +300,18 @@ def _square_deficit_objective(d: int, include_zero: bool, sign: int):
     return obj_vec
 
 
+def _check_finite_end(obj_vec, name: str, d: int, hi: float) -> None:
+    """``DomainError`` unless the objective is finite at ``hi``, the upper
+    end of the search.  The sum, the integral and mu^(d/2) all grow with
+    mu, so an objective finite there is finite on the whole search; past
+    float range it subtracts inf from inf on every grid point."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        end = obj_vec(np.array([hi]))[0]
+    if not np.isfinite(end):
+        raise DomainError(f"{name} at d = {d} leaves float range: its objective overflows "
+                          f"at mu = {hi}, the upper end of the search")
+
+
 @lru_cache(maxsize=None)
 def h1(d: int, grid_step: float = 1e-4) -> HInfimum:
     """Infimum over mu in [1, d-1) of the normalized integral-minus-sum gap
@@ -298,6 +321,7 @@ def h1(d: int, grid_step: float = 1e-4) -> HInfimum:
     lo, hi = 1.0, float(d - 1) - _RIGHT_ENDPOINT_NUDGE
     kinks = [float(l * l) for l in range(1, d) if 1.0 < l * l < hi]
     obj = _square_deficit_objective(d, include_zero=False, sign=-1)
+    _check_finite_end(obj, "h1", d, hi)
     return _piecewise_infimum(obj, lo, hi, kinks, grid_step)
 
 
@@ -310,6 +334,7 @@ def h2(d: int, grid_step: float = 1e-4) -> HInfimum:
     lo, hi = 1.0, 9.0 * (d - 1)
     kinks = [float(l * l) for l in range(1, int(math.isqrt(int(hi))) + 2) if 1.0 < l * l < hi]
     obj = _square_deficit_objective(d, include_zero=True, sign=+1)
+    _check_finite_end(obj, "h2", d, hi)
     return _piecewise_infimum(obj, lo, hi, kinks, grid_step)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,9 +38,18 @@ class PiRational:
             object.__setattr__(self, "pi_power", 0)
 
     def __float__(self) -> float:
-        if self.pi_power >= 0:
-            return float(self.coeff) * math.pi ** self.pi_power
-        return float(self.coeff) / math.pi ** (-self.pi_power)
+        """The coefficient as a float, times or over pi**|pi_power|.  A
+        nonzero coefficient below the normal float range would lose bits,
+        or all of them, before pi**pi_power lifts it: it is scaled near
+        2**-60 first, and ``ldexp`` undoes the scaling on the result."""
+        coeff, power = float(self.coeff), self.pi_power
+        scale = 0
+        if power and abs(coeff) < sys.float_info.min and self.coeff:
+            num, den = self.coeff.numerator, self.coeff.denominator
+            scale = den.bit_length() - abs(num).bit_length() - 60
+            coeff = float(Fraction(num << scale, den))
+        value = coeff * math.pi ** power if power >= 0 else coeff / math.pi ** -power
+        return math.ldexp(value, -scale)
 
     def __mul__(self, other: "PiRational") -> "PiRational":
         other = as_pi_rational(other)

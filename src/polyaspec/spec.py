@@ -42,6 +42,24 @@ def _tabulated_table(p: dict) -> sp.EigenvalueStream:
     return sp.tabulated_spectrum(p["entries"], math.inf, meta)
 
 
+def _product_stream(spec: "SpectrumSpec", cutoff: float) -> sp.EigenvalueStream:
+    """The product of the children's streams.  The children are built at
+    ``spectra._factor_cutoff``, a few ulps past the cutoff, so that an
+    exact child holds every value of a kept sum, as ``box_spectrum``
+    builds its sides.  A child whose stream is a float product (a box or a
+    product) is built again at the cutoff itself: it merges its sums within
+    ``FLOAT_MERGE_RTOL``, and a sum past the cutoff must not join one below
+    it."""
+    lifted = sp._factor_cutoff(cutoff)
+    factors = []
+    for child in spec.children:
+        stream = child.stream(lifted)
+        if not stream.exact and child.kind in ("box", "product"):
+            stream = child.stream(cutoff)
+        factors.append(stream)
+    return sp.product_spectrum(*factors, cutoff)
+
+
 class _Kind(NamedTuple):
     needs: tuple[str, ...]
     stream: Callable[["SpectrumSpec", float], sp.EigenvalueStream]
@@ -64,9 +82,7 @@ _KINDS = {
     "tabulated": _Kind(("entries",), lambda s, c: s._table.truncated(c),
                        lambda s: _tabulated_meta(s.params)),
     "product": _Kind(
-        (),
-        lambda s, c: sp.product_spectrum(*(child.stream(c) for child in s.children), c),
-        lambda s: sp.product_meta(*(child.meta() for child in s.children))),
+        (), _product_stream, lambda s: sp.product_meta(*(child.meta() for child in s.children))),
 }
 
 

@@ -32,7 +32,6 @@ from collections.abc import Sized
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import reduce
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -120,6 +119,13 @@ def _numerators(nums) -> np.ndarray:
     return arr if max(map(abs, arr.tolist())) >= _INT64_GUARD else arr.astype(np.int64)
 
 
+def _check_increasing(values: np.ndarray) -> None:
+    """``ValidationError`` unless the float values strictly increase (NaN
+    fails, since every comparison with NaN is false)."""
+    if not (values[1:] > values[:-1]).all():
+        raise ValidationError("eigenvalues must be strictly increasing numbers")
+
+
 @dataclass(frozen=True)
 class EigenvalueStream:
     """Increasing (value, multiplicity) pairs below a cutoff.
@@ -127,6 +133,16 @@ class EigenvalueStream:
     ``exact_nums``, when present, holds the same values exactly: value i is
     ``exact_nums[i] / exact_den * pi**pi_power``, kept in lowest terms.  The
     float ``values`` are derived from them by the generators.
+
+    A stream made by this constructor is validated in full: tabulated, CSV
+    and JSON input and any direct construction.  The generators,
+    ``product_spectrum`` and ``truncated`` build theirs through
+    ``_built``, since their construction already guarantees nonnegative
+    values below the cutoff, positive int64 multiplicities and distinct
+    ascending numerators.  ``_built`` checks only that the float values
+    strictly increase (two exact numerators can round to one float) and,
+    as here, stores the numerators as int64 unless one reaches
+    ``_INT64_GUARD`` and in lowest terms.
     """
 
     values: np.ndarray
@@ -147,12 +163,12 @@ class EigenvalueStream:
         if values.size:
             if not values[0] >= 0:
                 raise ValidationError("eigenvalues must be nonnegative numbers")
-            if not np.all(np.diff(values) > 0):
-                raise ValidationError("eigenvalues must be strictly increasing numbers")
+            _check_increasing(values)
             if not values[-1] < self.cutoff:
                 raise ValidationError("all eigenvalues must lie strictly below the cutoff")
         if np.any(mults < 1):
             raise ValidationError("multiplicities must be positive integers")
+        nums = None
         if self.exact_nums is not None:
             nums = _numerators(self.exact_nums)
             den = self.exact_den
@@ -162,12 +178,40 @@ class EigenvalueStream:
                 raise ValidationError("exact_nums length does not match values")
             if np.any(nums[1:] <= nums[:-1]):
                 raise ValidationError("exact_nums must be strictly increasing")
-            # lowest terms; a lone zero numerator stays as it is
-            g = math.gcd(den, int(np.gcd.reduce(nums)))
+        self._store(values, mults, nums, self.exact_den)
+
+    @classmethod
+    def _built(cls, values: np.ndarray, mults: np.ndarray, cutoff: float, nums=None,
+               den: int = 1, pi_power: int = 0) -> "EigenvalueStream":
+        """A stream from a builder's float64 values and int64 multiplicities,
+        which its construction guarantees valid but for the checks here:
+        the values strictly increase, and ``nums`` go to lowest terms.  A
+        builder chooses int64 numerators only below ``_INT64_GUARD``, so
+        only Python ints go through ``_numerators``, to int64 when all of
+        them are below it."""
+        _check_increasing(values)
+        if nums is not None and nums.dtype == object:
+            nums = _numerators(nums)
+        stream = object.__new__(cls)
+        object.__setattr__(stream, "cutoff", cutoff)
+        object.__setattr__(stream, "pi_power", pi_power)
+        stream._store(values, mults, nums, den)
+        return stream
+
+    def _store(self, values: np.ndarray, mults: np.ndarray, nums: Optional[np.ndarray],
+               den: int) -> None:
+        """Set the arrays read-only, with the numerators and ``den`` divided
+        by their gcd: a lone zero numerator stays as it is, and empty or
+        zero-only numerators take the denominator 1."""
+        if nums is not None:
+            # gcd(1, n) is 1, so a denominator of 1 skips the reduction
+            g = math.gcd(den, int(np.gcd.reduce(nums))) if den > 1 else 1
             if g > 1 and nums.any():
                 nums = _numerators(nums // g)
-            object.__setattr__(self, "exact_nums", _readonly(nums))
-            object.__setattr__(self, "exact_den", den // g)
+            den //= g
+            nums = _readonly(nums)
+        object.__setattr__(self, "exact_nums", nums)
+        object.__setattr__(self, "exact_den", den)
         object.__setattr__(self, "values", _readonly(values))
         object.__setattr__(self, "multiplicities", _readonly(mults))
 
@@ -253,10 +297,12 @@ class EigenvalueStream:
         if cutoff == self.cutoff:
             return self
         self.check_range(cutoff)
+        if not cutoff > 0:
+            raise DomainError(f"cutoff must be positive, got {cutoff}")
         mask = self.values < cutoff
         nums = self.exact_nums[mask] if self.exact else None
-        return EigenvalueStream(self.values[mask], self.multiplicities[mask], cutoff,
-                                nums, self.exact_den, self.pi_power)
+        return EigenvalueStream._built(self.values[mask], self.multiplicities[mask], cutoff,
+                                       nums, self.exact_den, self.pi_power)
 
 
 # ---------------------------------------------------------------------------
@@ -340,11 +386,13 @@ def _exact_unit(den: int, pi_power: int) -> float:
 def _stream_from_exact(nums, mults, den: int, pi_power: int,
                        cutoff: float) -> EigenvalueStream:
     """Aggregate integer numerators (over a common denominator) into a stream;
-    value i is ``nums[i] * (pi**pi_power / den)``.  One stable sort (linear
-    on the already sorted numerators of the 1-D generators) and the places
-    where the sorted numerators change give the distinct numerators with
-    their summed multiplicities; Python ints past ``_INT64_GUARD`` sort the
-    same way."""
+    value i is ``nums[i] * (pi**pi_power / den)``.  One stable sort and the
+    places where the sorted numerators change give the distinct numerators
+    with their summed multiplicities; Python ints past ``_INT64_GUARD`` sort
+    the same way.  The triangle and the exact products that are not
+    counted into slots come here; the interval and 2-sphere lattices ascend
+    and are distinct already, so they go straight to
+    ``_stream_from_distinct``."""
     nums = _numerators(nums)
     order = np.argsort(nums, kind="stable")
     nums = nums[order]
@@ -363,18 +411,20 @@ def _stream_from_distinct(uniq, counts, den: int, pi_power: int,
     with np.errstate(over="ignore"):
         values = np.asarray(uniq * _exact_unit(den, pi_power), dtype=float)
     keep = values < cutoff
-    return EigenvalueStream(values[keep], counts[keep], cutoff, uniq[keep], den, pi_power)
+    return EigenvalueStream._built(values[keep], counts[keep], cutoff, uniq[keep], den,
+                                   pi_power)
 
 
 # ---------------------------------------------------------------------------
 # generators
 
 
-def _interval_weight(a) -> tuple[float, Optional[PiRational], float]:
-    """The length ``a`` as a float, and pi**2 / a**2 exactly (None for an
-    inexact float length) and as a float.  Both floats must be positive and
-    finite, else ``DomainError``: for a length of inf or 1e-300, or an exact
-    1e300, the mode spacing pi**2 / a**2 is 0 or inf in floats."""
+def _interval_weight(a) -> tuple[float, Optional[PiRational], Optional[PiRational], float]:
+    """The length ``a`` as a float and exactly (None for an inexact float
+    length), and pi**2 / a**2 exactly (None likewise) and as a float.  Both
+    floats must be positive and finite, else ``DomainError``: for a length
+    of inf or 1e-300, or an exact 1e300, the mode spacing pi**2 / a**2 is 0
+    or inf in floats."""
     a_pi = as_pi_rational(a)
     try:
         a_float = float(a_pi) if a_pi is not None else float(a)
@@ -389,7 +439,7 @@ def _interval_weight(a) -> tuple[float, Optional[PiRational], float]:
         coeff_float = math.inf
     if not 0 < coeff_float < math.inf:
         raise DomainError(f"pi**2 / a**2 leaves float range for interval length {a}")
-    return a_float, coeff, coeff_float
+    return a_float, a_pi, coeff, coeff_float
 
 
 def interval_spectrum(a, bc: BoundaryCondition, cutoff: float) -> EigenvalueStream:
@@ -401,9 +451,10 @@ def interval_spectrum(a, bc: BoundaryCondition, cutoff: float) -> EigenvalueStre
     rational lengths produce exact streams, whose numerators are l**2 times
     the numerator w of pi**2 / a**2.  Their modes run up to
     ``int(top) + 2``, top = sqrt(cutoff / (pi**2 / a**2)), a bound past
-    every kept mode, and ``_stream_from_exact`` keeps those below the
-    cutoff; the numerators are Python ints when w times the square of that
-    bound reaches ``_INT64_GUARD``.  Float lengths keep the modes whose
+    every kept mode, and ``_stream_from_distinct`` keeps those below the
+    cutoff (the numerators ascend, so there is nothing to aggregate); the
+    numerators are Python ints when w times the square of that bound
+    reaches ``_INT64_GUARD``.  Float lengths keep the modes whose
     float value is below the cutoff.  A length and cutoff with more than
     ``_MAX_MODES`` modes raise ``DomainError``.
     """
@@ -412,7 +463,7 @@ def interval_spectrum(a, bc: BoundaryCondition, cutoff: float) -> EigenvalueStre
         raise DomainError("interval spectra are Dirichlet or Neumann")
     if not cutoff > 0:
         raise DomainError(f"cutoff must be positive, got {cutoff}")
-    _, coeff, coeff_float = _interval_weight(a)
+    _, _, coeff, coeff_float = _interval_weight(a)
     start = 0 if bc is BoundaryCondition.NEUMANN else 1
     top = math.sqrt(cutoff / coeff_float)
     if not top < _MAX_MODES:
@@ -423,24 +474,44 @@ def interval_spectrum(a, bc: BoundaryCondition, cutoff: float) -> EigenvalueStre
     if coeff is None:
         values = coeff_float * modes.astype(float) ** 2
         keep = values < cutoff
-        return EigenvalueStream(values[keep], ones[keep], cutoff)
+        return EigenvalueStream._built(values[keep], ones[keep], cutoff)
     w = coeff.coeff.numerator
     dtype = np.int64 if w * (int(top) + 2) ** 2 < _INT64_GUARD else object
-    return _stream_from_exact(w * modes.astype(dtype) ** 2, ones, coeff.coeff.denominator,
-                              coeff.pi_power, cutoff)
+    return _stream_from_distinct(w * modes.astype(dtype) ** 2, ones, coeff.coeff.denominator,
+                                 coeff.pi_power, cutoff)
+
+
+def _factor_cutoff(cutoff: float) -> float:
+    """The cutoff to build the factors of a product at ``cutoff``: 16 ulps
+    past it, at least 8 * 2**-52 relative.  An exact factor value of a kept
+    sum is at most the sum's value n P / den, for P the one float pi**p,
+    and a float ``float(n) * (P / den)`` takes three roundings of at most
+    2**-53 relative each.  So the factor's float is below
+    ``cutoff (1 + 3 * 2**-52)``, and the factor holds it."""
+    return cutoff + 16 * math.ulp(cutoff)
 
 
 def box_spectrum(sides: Sequence, bc: BoundaryCondition, cutoff: float) -> EigenvalueStream:
     """Spectrum of a rectangular box: the product of its sides' interval
-    spectra, folded from the left with ``product_spectrum``."""
+    spectra, folded from the left with ``product_spectrum``.  The sides,
+    and the partial products that are exact, are built at
+    ``_factor_cutoff``; a float partial product is built at the cutoff
+    itself, since it merges its sums within ``FLOAT_MERGE_RTOL``, and a
+    sum past the cutoff must not join one below it."""
     if BoundaryCondition(bc) is BoundaryCondition.CLOSED:
         raise DomainError("box spectra are Dirichlet or Neumann")
     if not sides:
         raise DomainError("side list must be nonempty")
     if not cutoff > 0:
         raise DomainError(f"cutoff must be positive, got {cutoff}")
-    return reduce(lambda s, t: product_spectrum(s, t, cutoff),
-                  [interval_spectrum(a, bc, cutoff) for a in sides])
+    if len(sides) == 1:
+        return interval_spectrum(sides[0], bc, cutoff)
+    lifted = _factor_cutoff(cutoff)
+    box, *rest = [interval_spectrum(a, bc, lifted) for a in sides]
+    for n, side in enumerate(rest, 1):
+        lift = n < len(rest) and _exact_product(box, side)
+        box = product_spectrum(box, side, lifted if lift else cutoff)
+    return box
 
 
 def sphere2_spectrum(cutoff: float) -> EigenvalueStream:
@@ -453,7 +524,7 @@ def sphere2_spectrum(cutoff: float) -> EigenvalueStream:
         raise DomainError(f"the 2-sphere below cutoff {cutoff} has {math.sqrt(cutoff):.3g} "
                           f"distinct eigenvalues, more than _MAX_MODES = {_MAX_MODES}")
     ks = np.arange(math.isqrt(int(cutoff)) + 1, dtype=np.int64)
-    return _stream_from_exact(ks * (ks + 1), 2 * ks + 1, 1, 0, cutoff)
+    return _stream_from_distinct(ks * (ks + 1), 2 * ks + 1, 1, 0, cutoff)
 
 
 def triangle_neumann_spectrum(cutoff: float) -> EigenvalueStream:
@@ -476,6 +547,11 @@ def triangle_neumann_spectrum(cutoff: float) -> EigenvalueStream:
     q = (ms[:, None] * (ms[:, None] + ms) + ms * ms).ravel()
     q = q[q < limit + 1]
     return _stream_from_exact(48 * q, np.ones(q.size, np.int64), 27, 2, cutoff)
+
+
+#: the first integer with no float (2**1024 rounded down to 53 bits, plus
+#: half an ulp), the bound of every exact sum whose float is finite
+_NO_FLOAT = 2 ** 1024 - 2 ** 970
 
 
 #: most pair sums formed at once by ``product_spectrum``: a block of rows
@@ -517,6 +593,22 @@ def _kept_pairs(x1: np.ndarray, m1: np.ndarray, x2: np.ndarray, m2: np.ndarray,
     return np.concatenate(sums), np.concatenate(mults)
 
 
+def _exact_product(s1: EigenvalueStream, s2: EigenvalueStream) -> bool:
+    """Whether the product of two streams is exact: both are, in units of
+    one power of pi."""
+    return s1.exact and s2.exact and s1.pi_power == s2.pi_power
+
+
+def _count_upto(nums: np.ndarray, bound: int) -> int:
+    """How many of the ascending numerators are at most ``bound``.  int64
+    numerators are below ``_INT64_GUARD``, so a larger bound is clamped to
+    it: numpy compares an int64 array with a Python int past int64 as
+    objects, one by one."""
+    if nums.dtype != object:
+        bound = min(bound, _INT64_GUARD)
+    return int(np.searchsorted(nums, bound, side="right"))
+
+
 def product_spectrum(s1: EigenvalueStream, s2: EigenvalueStream,
                      cutoff: float) -> EigenvalueStream:
     """Pairwise sums of two spectra below ``cutoff``, multiplicities multiplied.
@@ -534,8 +626,13 @@ def product_spectrum(s1: EigenvalueStream, s2: EigenvalueStream,
     ``cut = floor(b) + (floor(b) >> 50) + 2`` bounds every kept sum, and
     ``_stream_from_distinct`` drops the sums below it that are not kept.
     The cut is clamped to ``_INT64_GUARD`` for int64 sums, and for Python
-    ints to 2**1024 - 2**970, the first integer with no float, which is
-    also the cut when b is not below it.  Dense int64 sums (span at most
+    ints to ``_NO_FLOAT``, which is also the cut when b is not below it.
+    The factors are cut by the cut, not by their own floats: a factor
+    value whose float is at or past the cutoff can be part of a kept sum,
+    as mode (1, 0) of the Neumann box pi x 27 pi / 2, 729 / 729, is
+    0.9999999999999999 in the box's unit and 1.0 in its factor's.  So
+    exact factors must cover a little more than the cutoff;
+    ``_factor_cutoff`` gives enough.  Dense int64 sums (span at most
     ``_COUNT_SPAN_FACTOR`` times their count) are counted into their span
     slots block by block, in O(block + span) scratch memory; other exact
     sums are sorted by ``_stream_from_exact``.  Other
@@ -551,30 +648,37 @@ def product_spectrum(s1: EigenvalueStream, s2: EigenvalueStream,
             "product cutoff exceeds an input cutoff "
             f"({s1.cutoff}, {s2.cutoff} < {cutoff}); regenerate the factors"
         )
-    s1 = s1.truncated(cutoff)
-    s2 = s2.truncated(cutoff)
-    m1, m2 = s1.multiplicities, s2.multiplicities
-    exact = s1.exact and s2.exact and s1.pi_power == s2.pi_power
+    exact = _exact_product(s1, s2)
     if exact:
-        # both denominators are in lowest terms; past the guard the sums
-        # are taken over Python ints, and a factor past int64 overflows even
-        # on a zero numerator, so each top numerator counts as 1 at least
+        # both denominators are in lowest terms
         den = math.lcm(s1.exact_den, s2.exact_den)
         factors = (den // s1.exact_den, den // s2.exact_den)
-        top = sum(int(s.exact_nums.max(initial=1)) * f for s, f in zip((s1, s2), factors))
-        dtype = np.int64 if top < _INT64_GUARD else object
-        x1, x2 = (s.exact_nums.astype(dtype) * f for s, f in zip((s1, s2), factors))
         b = cutoff / _exact_unit(den, s1.pi_power)
-        cut = _INT64_GUARD if dtype is np.int64 else 2 ** 1024 - 2 ** 970
+        cut = _NO_FLOAT
         if b < cut:
             cut = min(cut, math.floor(b) + (math.floor(b) >> 50) + 2)
+        ends = [_count_upto(s.exact_nums, cut // f) for s, f in zip((s1, s2), factors)]
+        # past the guard the sums are taken over Python ints, and a factor
+        # past int64 overflows even on a zero numerator, so each top
+        # numerator counts as 1 at least
+        top = sum(int(s.exact_nums[:end].max(initial=1)) * f
+                  for s, f, end in zip((s1, s2), factors, ends))
+        dtype = np.int64 if top < _INT64_GUARD else object
+        if dtype is np.int64:
+            cut = min(cut, _INT64_GUARD)
+        x1, x2 = (s.exact_nums[:end].astype(dtype) * f
+                  for s, f, end in zip((s1, s2), factors, ends))
+        m1, m2 = (s.multiplicities[:end] for s, end in zip((s1, s2), ends))
     else:
+        # values at or past the cutoff start rows and columns that hold no
+        # sum below it
         x1, x2, cut = s1.values, s2.values, cutoff
+        m1, m2 = s1.multiplicities, s2.multiplicities
     # row i holds the sums x1[i] + x2[j] <= cut, its first widths[i] columns
     widths = np.searchsorted(x2, cut - x1, side="right")
     if not exact:
-        return EigenvalueStream(*_aggregate_float(*_kept_pairs(x1, m1, x2, m2, widths, cut)),
-                                cutoff)
+        return EigenvalueStream._built(
+            *_aggregate_float(*_kept_pairs(x1, m1, x2, m2, widths, cut)), cutoff)
     if dtype is np.int64 and (kept := int(widths.sum())) > 0:
         # the sums run from the first pair to the largest end of the rows,
         # which come first
@@ -687,8 +791,9 @@ def interval_meta(a, bc: BoundaryCondition) -> DomainMeta:
 
 
 def box_meta(sides: Sequence, bc: BoundaryCondition) -> DomainMeta:
-    pis = [as_pi_rational(s) for s in sides]
-    floats = [_interval_weight(s)[0] for s in sides]
+    # each side parsed once, with the checks of interval_spectrum
+    weights = [_interval_weight(s) for s in sides]
+    floats, pis = [w[0] for w in weights], [w[1] for w in weights]
     volume = math.prod(floats)
     surface = sum(2.0 * volume / s for s in floats) if len(floats) > 1 else 2.0
     exact = None

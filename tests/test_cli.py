@@ -112,6 +112,39 @@ def test_count_triangle_closed_form(capsys):
     assert json.loads(out)["results"][0]["count"] == 1
 
 
+@pytest.mark.parametrize("spec", [
+    '{"box":{"sides":["pi","27pi/2"],"bc":"neumann"}}',
+    '{"product":[{"interval":{"a":"pi","bc":"neumann"}},'
+    '{"interval":{"a":"27pi/2","bc":"neumann"}}]}',
+])
+@pytest.mark.parametrize("cutoff", [[], ["--cutoff", "2.0"]])
+def test_count_keeps_a_sum_whose_factor_reaches_the_cutoff(capsys, spec, cutoff):
+    """Mode (1, 0) is 729/729 = 0.9999999999999999 in the box's unit but
+    1.0 in its side's, so the side at cutoff 1.0 dropped it and the count
+    at 1.0 read 14, or 15 with a larger cutoff."""
+    code, out, _ = run_cli(capsys, "count", "--spec", spec, "--lambda", "1.0", *cutoff,
+                           "--no-timestamp")
+    assert code == 0
+    assert json.loads(out)["results"] == [{"lambda": 1.0, "count": 15}]
+
+
+@pytest.mark.parametrize("spec", [
+    '{"product":[{"box":{"sides":[3.3,3.3],"bc":"neumann"}},'
+    '{"interval":{"a":7.0,"bc":"neumann"}}]}',
+    '{"box":{"sides":[3.3,3.3,7.0],"bc":"neumann"}}',
+])
+def test_count_keeps_float_factors_of_a_product_at_the_cutoff(capsys, spec):
+    """The eigenvalue 25 pi**2 / 3.3**2 of the square sums to two floats an
+    ulp apart: 22.657494033722127 from modes (5, 0) and 22.65749403372213
+    from (3, 4).  At the larger as lambda, a square built past the cutoff,
+    as exact factors are, would merge the pair into the smaller float with
+    multiplicity 4, and the count would read 191."""
+    code, out, _ = run_cli(capsys, "count", "--spec", spec, "--lambda", "22.65749403372213",
+                           "--no-timestamp")
+    assert code == 0
+    assert json.loads(out)["results"][0]["count"] == 189
+
+
 @pytest.mark.parametrize("bc", ["dirichlet", "closed", "Neumann", None, 1])
 def test_triangle_is_neumann_only(capsys, bc):
     # a Dirichlet request used to run the Neumann sweep and exit 0
@@ -358,6 +391,10 @@ _SQUARE = '{"box":{"sides":[1,1],"bc":"neumann"}}'
     # not a half-integer, were OverflowError tracebacks (exit 1)
     ("constants", "--d", "2000"),
     ("constants", "--d", "561", "--gamma", "1.3"),
+    # h2's objective overflows from d = 190: at d = 200 it ran 20 s on
+    # inf - inf with RuntimeWarnings; and c_d(300) underflowed to 0.0
+    ("constants", "--d", "200"),
+    ("constants", "--d", "300"),
 ])
 def test_out_of_range_sizes_and_gammas_are_domain_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv, "--no-timestamp")

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -23,7 +24,7 @@ from polyaspec import (
     omega_d,
     threshold_a0,
 )
-from polyaspec.constants import _square_deficit_objective
+from polyaspec.constants import _square_deficit_objective, omega_d_exact
 
 PI = math.pi
 
@@ -86,16 +87,64 @@ def test_lgamma_fallback_matches_exact_nearby():
 
 
 @pytest.mark.parametrize("fn, args, last", [
-    (omega_d, (1242,), (1241,)),
-    (c_d, (1241,), (1240,)),
-    (lambda d, gamma=1.0: l_gamma_d(gamma, d), (1241,), (1240,)),
-    (lambda d, gamma=1.3: l_gamma_d(gamma, d), (561,), (560,)),
+    (omega_d, (1242,), None),
+    (c_d, (1241,), None),
+    (lambda d, gamma=1.0: l_gamma_d(gamma, d), (1241,), None),
+    (lambda d, gamma=1.3: l_gamma_d(gamma, d), (561,), None),
+    # the first dimensions whose value underflows to 0.0, which they read
+    # with no error, and the last ones with a (subnormal) value
+    (omega_d, (453,), (452,)),
+    (c_d, (236,), (235,)),
+    (lambda d, gamma=1.0: l_gamma_d(gamma, d), (235,), (234,)),
+    (lambda d, gamma=1.3: l_gamma_d(gamma, d), (234,), (233,)),
 ])
 def test_constants_past_float_range_are_domain_errors(fn, args, last):
     # a power of pi past float range was a bare OverflowError
     with pytest.raises(DomainError, match=f"d = {args[0]} leaves float range"):
         fn(*args)
-    assert 0.0 <= fn(*last) < math.inf
+    if last is not None:
+        assert 0.0 < fn(*last) < math.inf
+
+
+def _mp_omega(d: int):
+    return mpmath.pi ** (mpmath.mpf(d) / 2) / mpmath.gamma(mpmath.mpf(d) / 2 + 1)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 50, 200, 343, 344, 350, 355, 356, 400, 440, 452])
+def test_omega_d_against_mpmath(d):
+    """omega_d to a few ulps of the normal range wherever it is a normal
+    float, the error of math.pi**(d / 2) included: its coefficient
+    1 / Gamma(d / 2 + 1) is subnormal from d = 344 and 0.0 from d = 356 on,
+    and once read 30% off at d = 355 and 0.0 from 356 to 1240."""
+    with mpmath.workdps(40):
+        exact = _mp_omega(d)
+        got = omega_d(d)
+        coeff = omega_d_exact(d)
+        if float(coeff.coeff) >= np.finfo(float).tiny:
+            # bit for bit the plain product where the coefficient is normal
+            assert got == float(coeff.coeff) * PI ** coeff.pi_power
+        if exact >= mpmath.mpf(np.finfo(float).tiny):
+            assert abs(got - exact) <= 2e-14 * exact
+        else:
+            # subnormal: within a unit of the last place the grid has there
+            assert abs(got - exact) <= mpmath.mpf(2.0) ** -1074
+
+
+@pytest.mark.parametrize("d", [100, 200, 230, 235])
+def test_c_d_and_l_gamma_d_against_mpmath(d):
+    with mpmath.workdps(40):
+        for gamma in (0.0, 1.0, 1.5, 1.3):
+            exact = (mpmath.gamma(gamma + 1) / ((4 * mpmath.pi) ** (mpmath.mpf(d) / 2)
+                                                * mpmath.gamma(gamma + 1 + mpmath.mpf(d) / 2)))
+            try:
+                got = l_gamma_d(gamma, d)
+            except DomainError:
+                # only a true underflow
+                assert exact < mpmath.mpf(2.0) ** -1075
+                continue
+            tol = max(2e-14 * exact, mpmath.mpf(2.0) ** -1074)
+            assert abs(got - exact) <= tol, (gamma, got, exact)
+        assert c_d(d) == l_gamma_d(0.0, d)
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +298,19 @@ def test_h_positive_for_d_3_to_8():
     for d in range(3, 9):
         assert h1(d).value > 0
         assert h2(d).value > 0
+
+
+@pytest.mark.parametrize("fn, first", [(h1, 256), (h2, 190)])
+def test_h_past_float_range_is_a_domain_error(fn, first):
+    """From these dimensions the objective overflows at the upper end of the
+    search (d - 1 for h1, 9 (d - 1) for h2), so it subtracted inf from inf
+    on every grid point, with RuntimeWarnings, for 20 s at d = 200.  The
+    dimension before keeps its value, with no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=f"{fn.__name__} at d = {first} leaves float"):
+            fn.__wrapped__(first, 1e-2)
+        assert 0 < fn.__wrapped__(first - 1, 1e-2).value < math.inf
 
 
 def test_h_requires_d_at_least_3():

@@ -1,4 +1,5 @@
 import csv
+import functools
 import io
 import itertools
 import json
@@ -1010,6 +1011,10 @@ def test_exact_spectra_across_int64_guard(n, top, bc, pi_power, where, delta, pr
 @example(sides=[(1, 3)], pi_power=2, bc="dirichlet", modes=[11, 0], where="above")
 @example(sides=[(1, 5)], pi_power=2, bc="dirichlet", modes=[5, 0], where="above")
 @example(sides=[(1, 6)], pi_power=2, bc="neumann", modes=[11, 0], where="above")
+# mode (1, 0) is 729/729 = 0.9999999999999999 in the box's unit but 1.0 in
+# its first side's, so that side, cut by its own floats, dropped it
+@example(sides=[(1, 1), (27, 2)], pi_power=0, bc="neumann", modes=[1, 0], where="above")
+@example(sides=[(1, 1), (7, 1)], pi_power=0, bc="neumann", modes=[1, 0], where="above")
 @settings(max_examples=150, deadline=None)
 @given(sides=st.lists(st.tuples(st.integers(1, 39), st.integers(1, 39)), min_size=1,
                       max_size=2),
@@ -1063,8 +1068,8 @@ def _float_below(n: int, unit: float, cutoff: float) -> bool:
 def _dense_product_reference(s1, s2, cutoff: float) -> EigenvalueStream:
     """The exact product as ``product_spectrum`` formed it before row blocks:
     every pair sum in one V1 x V2 matrix, kept where ``_float_below`` holds,
-    one sum at a time."""
-    s1, s2 = s1.truncated(cutoff), s2.truncated(cutoff)
+    one sum at a time.  The factors are not truncated first: a factor value
+    whose own float is not below the cutoff can be part of a kept sum."""
     den = math.lcm(s1.exact_den, s2.exact_den)
     factors = (den // s1.exact_den, den // s2.exact_den)
     top = sum(int(s.exact_nums.max(initial=1)) * f for s, f in zip((s1, s2), factors))
@@ -1302,6 +1307,123 @@ def test_float_product_matches_the_dense_reference(case, block, swap):
     assert got.values.tobytes() == expected.values.tobytes()
     assert got.multiplicities.tobytes() == expected.multiplicities.tobytes()
     assert got.cutoff == expected.cutoff
+
+
+# ---------------------------------------------------------------------------
+# builder streams against the public constructor
+
+
+def _via_public(cls, values, mults, cutoff, nums=None, den=1, pi_power=0):
+    """``EigenvalueStream._built`` routed through the public constructor,
+    which checks everything."""
+    return cls(values, mults, cutoff, nums, den, pi_power)
+
+
+def _product_of(f1, f2, fraction: float) -> EigenvalueStream:
+    s1, s2 = f1(), f2()
+    return product_spectrum(s1, s2, min(s1.cutoff, s2.cutoff) * fraction)
+
+
+def _truncation_of(build, fraction: float, at_value: bool) -> EigenvalueStream:
+    """The built stream truncated to a fraction of its cutoff, or at one of
+    its positive values."""
+    s = build()
+    positive = s.values[s.values > 0]
+    if at_value and positive.size:
+        return s.truncated(float(positive[int(fraction * (positive.size - 1))]))
+    return s.truncated(s.cutoff * fraction)
+
+
+#: q**2 is about 2**60, so the numerators q**2 l**2 of the lengths p/q and
+#: p pi/q pass _INT64_GUARD from l = 2 on
+_ACROSS_Q = 2 ** 30 + 1
+
+#: two exact factors, one past 2**53, whose sums 2**60 and 2**60 + 1 share
+#: a float
+_SHARED = [EigenvalueStream([0.0, float(n) * (PI2 / 3)], [1, 2], 1e30, [0, n], 3, 2)
+           for n in (2 ** 60, 1)]
+
+
+@st.composite
+def _lengths(draw):
+    """A length p/q or p pi/q, one whose numerators cross _INT64_GUARD, or a
+    float length."""
+    kind = draw(st.sampled_from(["p/q", "p pi/q", "across guard", "float"]))
+    if kind == "float":
+        return draw(_FLOAT_LENGTHS)
+    if kind == "across guard":
+        return _length(_ACROSS_Q + draw(st.integers(1, 3)), _ACROSS_Q,
+                       draw(st.sampled_from([0, 2])))
+    p, q = draw(LENGTHS)
+    return _length(p, q, 0 if kind == "p pi/q" else 2)
+
+
+@st.composite
+def _builds(draw, depth: int = 0):
+    """A builder call, not yet made: an interval, a box of up to three
+    sides, the 2-sphere, the triangle, the product of two builds (exact,
+    float or mixed), the truncation of one, or the product of two exact
+    factors whose sums share a float.  Cutoffs from 0.5 give empty and
+    zero-only exact intervals."""
+    kinds = ["interval", "box", "sphere2", "triangle"]
+    if depth < 1:
+        kinds += ["product", "truncated", "shared float"]
+    kind = draw(st.sampled_from(kinds))
+    cutoff = draw(st.floats(0.5, 120.0))
+    if kind == "interval":
+        return functools.partial(interval_spectrum, draw(_lengths()), draw(BCS), cutoff)
+    if kind == "box":
+        return functools.partial(box_spectrum, draw(st.lists(_lengths(), min_size=1, max_size=3)),
+                                 draw(BCS), cutoff)
+    if kind == "sphere2":
+        return functools.partial(sphere2_spectrum, cutoff)
+    if kind == "triangle":
+        return functools.partial(triangle_neumann_spectrum, cutoff)
+    if kind == "shared float":
+        return functools.partial(product_spectrum, *_SHARED, 1e30)
+    inner = draw(_builds(depth + 1))
+    fraction = draw(st.one_of(st.just(1.0), st.floats(0.01, 1.0)))
+    if kind == "truncated":
+        return functools.partial(_truncation_of, inner, fraction, draw(st.booleans()))
+    return functools.partial(_product_of, inner, draw(_builds(depth + 1)), fraction)
+
+
+def _identical(a: EigenvalueStream, b: EigenvalueStream) -> bool:
+    """Values, multiplicities, numerators (values and dtype), denominator,
+    pi power and cutoff, bit for bit."""
+    same_nums = (a.exact_nums is None and b.exact_nums is None) or (
+        a.exact_nums is not None and b.exact_nums is not None
+        and a.exact_nums.dtype == b.exact_nums.dtype
+        and a.exact_nums.tolist() == b.exact_nums.tolist())
+    return (same_nums and a.values.dtype == b.values.dtype
+            and a.values.tobytes() == b.values.tobytes()
+            and a.multiplicities.dtype == b.multiplicities.dtype
+            and a.multiplicities.tobytes() == b.multiplicities.tobytes()
+            and (a.exact_den, a.pi_power, a.cutoff) == (b.exact_den, b.pi_power, b.cutoff))
+
+
+@example(build=functools.partial(interval_spectrum, "3/2", "dirichlet", 0.5))
+@example(build=functools.partial(interval_spectrum, "3/2", "neumann", 0.5))
+@example(build=functools.partial(product_spectrum, *_SHARED, 1e30))
+@example(build=functools.partial(
+    _truncation_of, functools.partial(interval_spectrum, f"{_ACROSS_Q + 1}/{_ACROSS_Q}",
+                                      "neumann", 60.0), 0.5, False))
+@settings(max_examples=300, deadline=None)
+@given(build=_builds())
+def test_builders_match_the_public_constructor(build):
+    """Every generator, product and truncation builds its stream through
+    ``EigenvalueStream._built``, which skips the checks that construction
+    guarantees.  Routed through the public constructor instead, each
+    builder gives the same stream bit for bit, or raises the same
+    ``ValidationError``, as where two exact sums share a float."""
+    try:
+        with mock.patch.object(EigenvalueStream, "_built", classmethod(_via_public)):
+            expected = build()
+    except ValidationError as exc:
+        with pytest.raises(ValidationError, match=re.escape(str(exc))):
+            build()
+        return
+    assert _identical(build(), expected)
 
 
 # ---------------------------------------------------------------------------

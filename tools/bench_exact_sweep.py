@@ -6,8 +6,10 @@ and of building those streams.
 times one row on the ``polyaspec`` found on the path and prints its median,
 quartiles and every sample in ms as JSON.  A row is one spec at one
 ``k_max`` and one sweep: ``exact`` is ``verify_exact_power``, ``plain``
-is ``verify_dirichlet`` / ``verify_neumann``, and ``build`` is
-``stream_covering_k(build_spec(spec), k_max)``, the generator layer.  The
+is ``verify_dirichlet`` / ``verify_neumann``, ``build`` is
+``stream_covering_k(build_spec(spec), k_max)``, the generator layer, and
+``cli`` is one whole ``polyaspec verify --exact`` job through ``cli.main``
+in process, its JSON written to the null device.  The
 stream is built and the sweep run once before timing, so an ``exact`` or
 ``plain`` row times only the sweep.  Each row also
 records the runs of equal values the sweep checks, the power of pi left in
@@ -16,9 +18,10 @@ in int64 and below 2^53: the unit interval and (0, pi/24) x S^2 rows are
 int64 rows, the box rows (``shift`` 2) take the float ratio, and the
 three-dimensional box and the 1e7 sphere rows pass 2^53.  The dense
 lattices, the side-10 Neumann square and the unit cube, the Neumann unit
-square covering k_max 1e6, the Neumann triangle and the Neumann float boxes
-(no exact values, so their ``shift`` and int64 fields are None) have build
-rows only.
+square covering k_max 1e6, the Neumann triangle, the Neumann float boxes
+(no exact values, so their ``shift`` and int64 fields are None) and the
+thin products (0, pi/6) x S^2 and (0, pi/48) x S^2 that the sphere-exact
+bench workload verifies have build rows only.
 A build row also records the tracemalloc peak of one more build, in MB
 (``peak_mb``), which holds the scratch memory of ``product_spectrum``.
 
@@ -82,6 +85,15 @@ _SHAPES = (
      ((10 ** 4, "1e4"), (10 ** 5, "1e5")), ("neumann",), ("build",)),
     ("box-4.1-3.3-2.6", lambda side: {"box": {"sides": [4.1, 3.3, 2.6], "bc": side}},
      ((10 ** 4, "1e4"),), ("neumann",), ("build",)),
+    # the covering streams of the sphere-exact bench jobs, whose builds are
+    # mostly fixed cost, and one such job end to end
+    *((f"sphere-pi{q}",
+       lambda side, q=q: {"product": [{"interval": {"a": f"pi/{q}", "bc": side}},
+                                      {"sphere2": {}}]},
+       ((10 ** 5, "1e5"),), _BOTH_SIDES, ("build",)) for q in (6, 48)),
+    ("sphere-pi24",
+     lambda side: {"product": [{"interval": {"a": "pi/24", "bc": side}}, {"sphere2": {}}]},
+     ((10 ** 5, "1e5"),), ("dirichlet",), ("cli",)),
 )
 
 #: name -> (spec, k_max, side, sweep)
@@ -122,7 +134,7 @@ def sweep_shape(s, meta, k_max: int, side: str) -> dict:
 
 
 def time_row(name: str, repeat: int) -> dict:
-    from polyaspec import verify_dirichlet, verify_exact_power, verify_neumann
+    from polyaspec import cli, verify_dirichlet, verify_exact_power, verify_neumann
     from polyaspec.spec import build_spec, stream_covering_k
 
     spec, k_max, side, sweep = ROWS[name]
@@ -130,6 +142,12 @@ def time_row(name: str, repeat: int) -> dict:
     if sweep == "build":
         def run():
             return stream_covering_k(build_spec(spec), k_max)
+    elif sweep == "cli":
+        argv = ["verify", "--spec", json.dumps(spec), "--k-max", str(k_max), "--exact",
+                "--no-timestamp", "--out", os.devnull]
+
+        def run():
+            return cli.main(argv)
     elif sweep == "exact":
         def run():
             return verify_exact_power(s, meta, k_max, side)
