@@ -160,13 +160,16 @@ def _cmd_constants(args) -> int:
         out["c_d_minus_1"] = c_d(d - 1)
         out["l_gamma_d_minus_1"] = l_gamma_d(args.gamma, d - 1)
     if d >= 3:
+        # the gains first: b_d leaves float range from d = 173, before h2
+        # (190) and h1 (256) do, and the gains cost microseconds to their
+        # seconds
+        from .constants import a_d_const, b_d_const
+        out["a_d_unit_volume"] = a_d_const(d, 1.0)
+        out["b_d_unit_volume"] = b_d_const(d, 1.0)
         for name, fn in (("h1", h1), ("h2", h2)):
             res = fn(d)
             out[name] = {"value": res.value, "mu": res.mu,
                          "error_estimate": res.error_estimate}
-        from .constants import a_d_const, b_d_const
-        out["a_d_unit_volume"] = a_d_const(d, 1.0)
-        out["b_d_unit_volume"] = b_d_const(d, 1.0)
     _emit_json(out, args)
     return 0
 
@@ -258,13 +261,15 @@ def _make_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True)
     p.add_argument("--k-max", type=int, required=True)
     p.add_argument("--dump", metavar="PATH",
-                   help="write the float sweep's per-k margins, relative in lambda, as CSV "
-                        "(with --exact they can differ from the report's worst_margin, "
-                        "which is relative in lambda^d)")
+                   help="write the plain sweep's per-k margins, relative in lambda, as "
+                        "CSV, each with the sign of its comparison (with --exact they can "
+                        "differ from the report's worst_margin, which is relative in "
+                        "lambda^d)")
     p.add_argument("--exact", action="store_true",
-                   help="decide every comparison exactly, with margins relative in "
-                        "lambda^d; needs exact values and an exact volume (symbolic or "
-                        "rational lengths), else a ModeError")
+                   help="report margins relative in lambda^d; needs exact values and an "
+                        "exact volume (symbolic or rational lengths), else a ModeError.  "
+                        "With or without it, such streams have every comparison decided "
+                        "exactly")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("reproduce", parents=[common], help="run a packaged example")

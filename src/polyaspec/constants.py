@@ -17,6 +17,7 @@ no quadrature or series error.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -209,7 +210,8 @@ def a_d_const(d: int, volume: float) -> float:
         raise DomainError(f"this constant arises only for d >= 3, got {d}")
     if not volume > 0:
         raise DomainError(f"volume must be positive, got {volume}")
-    return 0.5 * (1.0 - ((4 * d - 5) / (4 * d - 4)) ** (d / 2.0)) * c_d(d) * volume
+    return _normal(0.5 * (1.0 - ((4 * d - 5) / (4 * d - 4)) ** (d / 2.0)) * c_d(d) * volume,
+                   "a_d", d)
 
 
 def b_d_const(d: int, volume: float) -> float:
@@ -218,7 +220,16 @@ def b_d_const(d: int, volume: float) -> float:
         raise DomainError(f"this constant arises only for d >= 3, got {d}")
     if not volume > 0:
         raise DomainError(f"volume must be positive, got {volume}")
-    return 0.5 * 3.0 ** (-d) * c_d(d) * volume
+    return _normal(0.5 * 3.0 ** (-d) * c_d(d) * volume, "b_d", d)
+
+
+def _normal(value: float, name: str, d: int) -> float:
+    """``value`` when it is a normal float, else ``DomainError``: a gain
+    that underflows to a subnormal or 0.0, or overflows, leaves float
+    range."""
+    if not sys.float_info.min <= value < math.inf:
+        raise DomainError(f"{name} at d = {d} leaves float range")
+    return value
 
 
 @dataclass(frozen=True)

@@ -15,11 +15,12 @@ decided again at each of its k, which gives its failures (k, lambda_k,
 w_k), its ties and its worst k.  The cost is array operations over the V
 runs up to k_max, plus the k of the failed runs.
 
-Each arithmetic mode has one rule.  On an exact stream (values rational
-multiples of a power of pi) with an exact volume, lambda_k^d is compared
-with w_k^d = c k^2 exactly by ``_exact_signs``: in int64 when the pi powers
-cancel and every product fits under ``_INT64_GUARD``, else by a float
-ratio whose a-priori relative error, (d + |shift| + 6) 2^-52, is far below
+Each arithmetic mode has one sign rule, whatever the report format.  On an
+exact stream (values rational multiples of a power of pi) with an exact
+volume, every comparison is the sign of lambda_k^d - w_k^d, w_k^d = c k^2,
+decided exactly by ``_exact_signs``: in int64 when the pi powers cancel
+and every product fits under ``_INT64_GUARD``, else by a float ratio whose
+a-priori relative error, (d + |shift| + 6) 2^-52, is far below
 ``GUARD_BAND``, so that a ratio more than ``GUARD_BAND`` from 1 has the
 exact sign, and by Python integers and rational bounds on pi inside that
 band.  Only an equality is a tie.  Otherwise the float margin decides, and
@@ -27,13 +28,14 @@ margins within ``EQUALITY_BAND_FLOAT`` (float resolution) are ties.  Ties
 count as satisfied, since the inequalities are non-strict, and in
 ``tie_breaks``.
 
-``verify_dirichlet`` and ``verify_neumann`` report margins relative in
-lambda.  On an exact stream their float margin, off the exact one by far
-less than ``GUARD_BAND``, settles the comparisons outside that band, and
-``_exact_signs`` the rest.  ``verify_exact_power`` needs an exact stream
-and volume, computes no float margin and reports margins relative in
-lambda^d.  ``per_eigenvalue_margins`` applies the float verifiers' rule at
-every k, at O(k_max).
+``verify_dirichlet`` and ``verify_neumann`` report the float margin,
+relative in lambda, raised to at least 0 where the comparison holds and
+pushed below 0 where it breaks; on an exact stream it is off the exact
+margin by far less than ``GUARD_BAND``, so only margins inside that band
+move.  ``verify_exact_power`` needs an exact stream and volume, computes no
+float margin and reports margins relative in lambda^d.
+``per_eigenvalue_margins`` gives the plain verifiers' margin at every k,
+at O(k_max).
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ __all__ = [
     "verify_counting_bound",
 ]
 
-#: relative float margins below this are decided exactly on exact streams
+#: ``_exact_signs`` decides a float ratio this close to 1 in Python integers
 GUARD_BAND = 1e-9
 #: float-valued spectra cannot resolve relative margins below this
 EQUALITY_BAND_FLOAT = 1e-12
@@ -242,70 +244,57 @@ def _runs(s: EigenvalueStream, origin: int, checked: int) -> tuple[np.ndarray, .
     return first, last, np.arange(lo, hi)
 
 
-class _FloatRule:
-    """The rule of ``verify_dirichlet`` / ``verify_neumann``: margins
-    relative in lambda.  The float margin decides; within the band it is
-    decided by ``_exact_signs`` on exact streams with an exact volume and is
-    a tie otherwise."""
+class _Rule:
+    """The rule of one sweep: a sign step and a report format.
 
-    mode = "per_eigenvalue"
+    On a stream with exact values and an exact volume ``_exact_signs``
+    decides every sign; on any other stream the float margin does, and
+    margins within ``EQUALITY_BAND_FLOAT`` are ties.  With ``power`` (exact
+    streams only) margins are relative in lambda^d, from ``_exact_signs``;
+    without it they are the float margins relative in lambda, raised to at
+    least 0 where the comparison holds and pushed below 0 where it breaks.
+    """
 
-    def __init__(self, s: EigenvalueStream, meta: DomainMeta, side: str):
-        self.s, self.meta, self.dirichlet = s, meta, side == "dirichlet"
-        self.exact = s.exact and meta.exact_volume is not None
-        self.band = GUARD_BAND if self.exact else EQUALITY_BAND_FLOAT
-
-    def decide(self, index: np.ndarray, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(signs, margins)`` at each k of ``ks``, whose eigenvalue is
-        ``s.values[index]``: the relative margin (lambda_k - w_k) / w_k
-        (Dirichlet) or (w_k - mu_k) / w_k (Neumann), raised to at least 0
-        where it holds and pushed below 0 where it breaks."""
-        w, values = polya_weyl_term(self.meta, ks.astype(float)), self.s.values[index]
-        margins = (values - w) / w if self.dirichlet else (w - values) / w
-        # outside the band the margin has the comparison's sign
-        signs = (margins > self.band).view(np.int8) - (margins < -self.band).view(np.int8)
-        near = np.nonzero(signs == 0)[0]
-        if near.size:
-            if self.exact:
-                exact = _exact_signs(self.s.exact_nums[index[near]], ks[near],
-                                     self.meta.dimension, *_exact_terms(self.s, self.meta))[0]
-                signs[near] = exact if self.dirichlet else -exact
-            m, broken = margins[near], signs[near] < 0
-            margins[near] = np.where(broken, np.minimum(m, -m - 1e-300), np.maximum(m, 0.0))
-        return signs, margins
-
-    def worst(self, index, at, decided, ks, k_decided) -> tuple[float, int]:
-        # a held run's margins are at least 0 and smallest at its deciding k;
-        # a failed run's reach below 0, where a float margin saturates at -1
-        # once lambda << w_k, so its worst k is the first that attains it
-        margins, where = (decided[1], at) if ks is None else (k_decided[1], ks)
-        i = int(np.argmin(margins))
-        return float(margins[i]), int(where[i])
-
-
-class _ExactRule:
-    """The rule of ``verify_exact_power``: ``_exact_signs`` decides every
-    comparison, and margins are relative in lambda^d."""
-
-    mode = "per_eigenvalue_exact"
-
-    def __init__(self, s: EigenvalueStream, meta: DomainMeta, side: str):
-        if not s.exact or meta.exact_volume is None:
+    def __init__(self, s: EigenvalueStream, meta: DomainMeta, side: str, power: bool):
+        exact = s.exact and meta.exact_volume is not None
+        if power and not exact:
             raise ModeError("exact verification needs exact values and an exact volume")
-        self.s, self.d, self.dirichlet = s, meta.dimension, side == "dirichlet"
-        self.terms = _exact_terms(s, meta)
+        self.s, self.meta, self.dirichlet, self.power = s, meta, side == "dirichlet", power
+        self.mode = "per_eigenvalue_exact" if power else "per_eigenvalue"
+        self.terms = _exact_terms(s, meta) if exact else None
 
     def decide(self, index: np.ndarray, ks: np.ndarray) -> tuple:
-        """``(signs, excess, rounded)`` from ``_exact_signs`` at each k of
-        ``ks``, whose eigenvalue is ``s.values[index]``."""
-        signs, excess, rounded = _exact_signs(self.s.exact_nums[index], ks, self.d, *self.terms)
-        return (signs if self.dirichlet else -signs), excess, rounded
+        """The signs at each k of ``ks``, whose eigenvalue is
+        ``s.values[index]``, then the margins: ``(signs, excess, rounded)``
+        from ``_exact_signs`` with ``power``, else ``(signs, margins)`` with
+        the margin (lambda_k - w_k) / w_k (Dirichlet) or (w_k - mu_k) / w_k
+        (Neumann)."""
+        if self.terms is not None:
+            signs, excess, rounded = _exact_signs(self.s.exact_nums[index], ks,
+                                                  self.meta.dimension, *self.terms)
+            signs = signs if self.dirichlet else -signs
+            if self.power:
+                return signs, excess, rounded
+        w, values = polya_weyl_term(self.meta, ks.astype(float)), self.s.values[index]
+        m = (values - w) / w if self.dirichlet else (w - values) / w
+        if self.terms is None:
+            signs = ((m > EQUALITY_BAND_FLOAT).view(np.int8)
+                     - (m < -EQUALITY_BAND_FLOAT).view(np.int8))
+        return signs, np.where(signs < 0, np.minimum(m, -m - 1e-300), np.maximum(m, 0.0))
 
     def worst(self, index, at, decided, ks, k_decided) -> tuple[float, int]:
-        # a run's margin is smallest at its deciding k, and the worst sits
-        # at the first run whose margin is the smallest
+        if not self.power:
+            # a held run's margins are at least 0 and smallest at its deciding
+            # k; a failed run's reach below 0, where a float margin saturates
+            # at -1 once lambda << w_k, so its worst k is the first that
+            # attains it
+            margins, where = (decided[1], at) if ks is None else (k_decided[1], ks)
+            i = int(np.argmin(margins))
+            return float(margins[i]), int(where[i])
+        # a run's margin in lambda^d is smallest at its deciding k, and the
+        # worst sits at the first run whose margin is the smallest
         signs, excess, rounded = decided
-        d, (c_den, rhs_unit, shift) = self.d, self.terms
+        d, (c_den, rhs_unit, shift) = self.meta.dimension, self.terms
         if shift == 0:
             rel = excess if self.dirichlet else 0.0 - excess
         else:
@@ -338,9 +327,9 @@ class _ExactRule:
 
 
 def _sweep(s: EigenvalueStream, meta: DomainMeta, k_max: int, side: str,
-           rule_type: type) -> VerificationReport:
+           power: bool) -> VerificationReport:
     """The per-eigenvalue sweep over runs of equal values, k = 1..checked,
-    with the rule ``rule_type(s, meta, side)`` of one arithmetic mode.
+    with the rule ``_Rule(s, meta, side, power)``.
 
     ``rule.decide(index, ks)`` decides each k of ``ks``, whose eigenvalue
     is ``s.values[index]``.  Its result starts with the signs: 1 where the
@@ -353,7 +342,7 @@ def _sweep(s: EigenvalueStream, meta: DomainMeta, k_max: int, side: str,
     failures, listed as (k, lambda_k, w_k), and its ties.
     """
     origin, checked = _sweep_range(s, k_max, side)
-    rule = rule_type(s, meta, side)
+    rule = _Rule(s, meta, side, power)
     first, last, index = _runs(s, origin, checked)
     at = last if side == "dirichlet" else first
     decided = rule.decide(index, at)
@@ -387,23 +376,23 @@ def _sweep(s: EigenvalueStream, meta: DomainMeta, k_max: int, side: str,
 def per_eigenvalue_margins(s: EigenvalueStream, meta: DomainMeta, k_max: int,
                            side: str) -> np.ndarray:
     """The relative margin at each k = 1..checked, as ``verify_dirichlet``
-    and ``verify_neumann`` decide it: margins within the band are raised to
-    0 when they hold and pushed below 0 when they break.  Entry k - 1
+    and ``verify_neumann`` decide it: raised to at least 0 where the
+    comparison holds and pushed below 0 where it breaks.  Entry k - 1
     belongs to k.  Cost and size are O(checked)."""
     origin, checked = _sweep_range(s, k_max, side)
     first, last, index = _runs(s, origin, checked)
-    return _FloatRule(s, meta, side).decide(np.repeat(index, last - first + 1),
-                                            np.arange(1, checked + 1))[1]
+    return _Rule(s, meta, side, False).decide(np.repeat(index, last - first + 1),
+                                              np.arange(1, checked + 1))[1]
 
 
 def verify_dirichlet(s: EigenvalueStream, meta: DomainMeta, k_max: int) -> VerificationReport:
     """Check lambda_k >= w_k for k = 1..k_max (or as far as the stream goes)."""
-    return _sweep(s, meta, k_max, "dirichlet", _FloatRule)
+    return _sweep(s, meta, k_max, "dirichlet", False)
 
 
 def verify_neumann(s: EigenvalueStream, meta: DomainMeta, k_max: int) -> VerificationReport:
     """Check mu_k <= w_k for k = 1..k_max; the zero mode passes trivially."""
-    return _sweep(s, meta, k_max, "neumann", _FloatRule)
+    return _sweep(s, meta, k_max, "neumann", False)
 
 
 def verify_exact_power(s: EigenvalueStream, meta: DomainMeta, k_max: int,
@@ -421,7 +410,7 @@ def verify_exact_power(s: EigenvalueStream, meta: DomainMeta, k_max: int,
     operations per run; Python only for in-band comparisons and guard
     fallbacks, whatever ``k_max``.
     """
-    return _sweep(s, meta, k_max, side, _ExactRule)
+    return _sweep(s, meta, k_max, side, True)
 
 
 def _bound_values(bound: Callable, points: np.ndarray) -> np.ndarray:

@@ -318,6 +318,38 @@ def test_verify_thick_sphere_reports_are_pinned(capsys, bc, k_max, code, verdict
     }
 
 
+def _dump_rows(capsys, tmp_path, spec, k_max, *flags):
+    """Run ``verify --dump``; its exit code, its report and its (k, margin
+    text) rows."""
+    dump = tmp_path / "margins.csv"
+    code, out, _ = run_cli(capsys, "verify", "--spec", spec, "--k-max", str(k_max),
+                           "--no-timestamp", "--dump", str(dump), *flags)
+    lines = dump.read_text().splitlines()
+    assert lines[0] == "k,margin"
+    return code, json.loads(out), [(int(k), m) for k, m in
+                                   (line.split(",") for line in lines[1:])]
+
+
+@pytest.mark.parametrize("flags", [(), ("--exact",)])
+def test_verify_dump_negative_rows_are_the_failing_k(capsys, tmp_path, flags):
+    # (0, pi) x S^2 Dirichlet fails at k = 1, 4 and 13 up to 50; the dump's
+    # margins take the exact sweep's signs
+    code, report, rows = _dump_rows(capsys, tmp_path, A_PI_SPEC % "dirichlet", 50, *flags)
+    assert code == 1 and len(rows) == 50
+    failing = [k for k, m in rows if float(m) < 0]
+    assert failing == [int(f[0]) for f in report["failures"]] == [1, 4, 13]
+
+
+@pytest.mark.parametrize("flags", [(), ("--exact",)])
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+def test_verify_dump_all_ties_rows_are_zero(capsys, tmp_path, bc, flags):
+    # 1-D Polya is an equality: every k of the unit interval is a tie
+    spec = json.dumps({"interval": {"a": 1, "bc": bc}})
+    code, report, rows = _dump_rows(capsys, tmp_path, spec, 1000, *flags)
+    assert code == 0 and report["tie_breaks"] == 1000
+    assert rows == [(k, "0.0") for k in range(1, 1001)]
+
+
 def test_verify_failure_exit_code(capsys):
     spec = '{"product":[{"interval":{"a":"pi","bc":"dirichlet"}},{"sphere2":{}}]}'
     code, out, _ = run_cli(capsys, "verify", "--spec", spec, "--k-max", "1",
@@ -392,9 +424,12 @@ _SQUARE = '{"box":{"sides":[1,1],"bc":"neumann"}}'
     ("constants", "--d", "2000"),
     ("constants", "--d", "561", "--gamma", "1.3"),
     # h2's objective overflows from d = 190: at d = 200 it ran 20 s on
-    # inf - inf with RuntimeWarnings; and c_d(300) underflowed to 0.0
+    # inf - inf with RuntimeWarnings, and b_d, subnormal from d = 173, now
+    # stops the command before h2 runs; and c_d(300) underflowed to 0.0
     ("constants", "--d", "200"),
     ("constants", "--d", "300"),
+    # b_d(185) underflowed to 0.0, printed as "b_d_unit_volume": 0.0 with exit 0
+    ("constants", "--d", "185"),
 ])
 def test_out_of_range_sizes_and_gammas_are_domain_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv, "--no-timestamp")

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import mpmath
@@ -272,6 +273,19 @@ def test_ab_positive_and_guarded():
             a_d_const(bad, 1.0)
         with pytest.raises(DomainError):
             b_d_const(bad, 1.0)
+
+
+@pytest.mark.parametrize("fn, first, zero", [(a_d_const, 225, 235), (b_d_const, 173, 181)])
+def test_gains_past_normal_range_are_domain_errors(fn, first, zero):
+    # the gains read a subnormal from ``first`` and 0.0 from ``zero``, with
+    # no error; the dimension before keeps its value, bit for bit
+    for d in (first, zero):
+        with pytest.raises(DomainError, match=f"d = {d} leaves float range"):
+            fn(d, 1.0)
+    last = first - 1
+    gain = (0.5 * (1.0 - ((4 * last - 5) / (4 * last - 4)) ** (last / 2.0))
+            if fn is a_d_const else 0.5 * 3.0 ** (-last))
+    assert fn(last, 1.0) == gain * c_d(last) >= sys.float_info.min
 
 
 def test_h1_objective_at_one_is_3pi_over_16():

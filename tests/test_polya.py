@@ -573,11 +573,12 @@ _PLACEMENTS = (1.0, 1 + 1e-13, 1 - 1e-13, 1 + 1e-10, 1 - 1e-10, "up", "down",
 
 
 @st.composite
-def _per_eigenvalue_cases(draw):
+def _per_eigenvalue_cases(draw, exact_only=False):
     """Float and exact streams whose runs sit on, next to or far from w_k
     at a k inside, just before or just after them, and spec streams
     ((0, p pi/q) x S^2, rational boxes), with k_max below, at and beyond
-    what the stream holds."""
+    what the stream holds.  ``exact_only`` keeps to exact streams with an
+    exact volume."""
     if draw(st.integers(0, 3)) == 0:
         s, meta = stream_covering_k(build_spec(draw(_exact_specs)), draw(st.integers(1, 400)))
         side = meta.bc.value
@@ -586,9 +587,9 @@ def _per_eigenvalue_cases(draw):
         d = draw(st.sampled_from([1, 2, 3]))
         volume = PiRational(draw(st.sampled_from([1, 2, Fraction(1, 6), Fraction(3, 7)])),
                             draw(st.integers(0, 1)))
-        meta = DomainMeta(d, float(volume), side,
-                          exact_volume=draw(st.sampled_from([volume, None])))
-        exact = draw(st.booleans())
+        meta = DomainMeta(d, float(volume), side, exact_volume=(
+            volume if exact_only else draw(st.sampled_from([volume, None]))))
+        exact = exact_only or draw(st.booleans())
         den = draw(st.sampled_from([1, 7, 10 ** 9]))
         mults = draw(st.lists(st.integers(1, 30), min_size=1, max_size=12))
         values, nums, k = [], [], 0
@@ -623,6 +624,26 @@ def test_per_eigenvalue_matches_per_k_reference(case):
     slow, adjusted = _slow_per_eigenvalue(*case)
     assert repr(verify(s, meta, k_max).to_dict()) == repr(slow.to_dict())
     assert per_eigenvalue_margins(*case).tobytes() == adjusted.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_per_eigenvalue_cases(exact_only=True))
+def test_float_margin_outside_the_guard_band_has_the_exact_sign(case):
+    # the plain sweep's margins keep their value, and so its reports and
+    # dumps their bytes, because a float margin more than GUARD_BAND from 0
+    # has the sign of the exact comparison at every k
+    s, meta, k_max, side = case
+    origin, checked = _sweep_range(s, k_max, side)
+    ks = np.arange(1, checked + 1)
+    w = polya_weyl_term(meta, ks)
+    values = s.expanded()[origin:origin + checked]
+    margins = (values - w) / w if side == "dirichlet" else (w - values) / w
+    far = np.nonzero(np.abs(margins) > GUARD_BAND)[0]
+    runs = np.searchsorted(s.cumulative_counts(), far + origin, side="right") - 1
+    d, (c_den, rhs_unit, shift) = meta.dimension, _exact_terms(s, meta)
+    exact = [_exact_sign(n ** d * c_den, rhs_unit * (i + 1) ** 2, shift)
+             for n, i in zip(s.exact_nums[runs].tolist(), far.tolist())]
+    assert (np.sign(margins[far]) == np.multiply(exact, 1 if side == "dirichlet" else -1)).all()
 
 
 @pytest.mark.parametrize("side", ["dirichlet", "neumann"])
