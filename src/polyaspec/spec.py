@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple, Optional
 from . import counting as ct
 from . import spectra as sp
 from .constants import c_d
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, CoverageError, DomainError
 
 __all__ = ["SpectrumSpec", "build_spec", "stream_covering_k"]
 
@@ -171,21 +171,25 @@ def build_spec(node) -> SpectrumSpec:
 def stream_covering_k(spec: SpectrumSpec, k_max: int):
     """Build a stream holding at least k_max eigenvalues (beyond the zero
     mode), with its metadata.  The first cutoff is the Weyl guess with 30%
-    headroom; each retry raises it by half.  A cutoff past float range is a
-    ``DomainError``."""
+    headroom; each retry raises it by half, as often as it takes: the first
+    eigenvalue of a thin product (0, pi/q) x S^2 is q**2, far past the guess
+    for a small k_max.  A table holding fewer than k_max eigenvalues is a
+    ``CoverageError``, and a cutoff past float range a ``DomainError``."""
     meta = spec.meta()
+    if spec.kind == "tabulated":
+        table = spec._table
+        held = table.total_count - (1 if table.index_origin == 0 else 0)
+        if held < k_max:
+            raise CoverageError(f"k_max={k_max} exceeds the {held} eigenvalues of the table")
     d = meta.dimension
     try:
         cutoff = (1.3 * (k_max + 50) / (c_d(d) * meta.volume)) ** (2.0 / d)
     except (OverflowError, ZeroDivisionError):
         cutoff = math.inf
-    for attempt in range(10):
-        if attempt:
-            cutoff *= 1.5
-        if cutoff == math.inf:
-            raise DomainError(f"covering k_max={k_max} needs a cutoff past float range")
+    while cutoff < math.inf:
         stream = spec.stream(cutoff)
         have = stream.total_count - (1 if stream.index_origin == 0 else 0)
         if have >= k_max:
             return stream, meta
-    raise ConfigError(f"could not cover k_max={k_max}; last cutoff {cutoff}")
+        cutoff *= 1.5
+    raise DomainError(f"covering k_max={k_max} needs a cutoff past float range")

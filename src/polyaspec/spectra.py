@@ -639,7 +639,9 @@ def product_spectrum(s1: EigenvalueStream, s2: EigenvalueStream,
     inputs sum their float values, with the cutoff as ``cut``: a float sum
     below it has ``x2[j] <= fl(cutoff - x1[i])``, so the rows hold every
     kept sum, and those at or past the cutoff are dropped before the sums
-    are merged within ``FLOAT_MERGE_RTOL``.
+    are merged within ``FLOAT_MERGE_RTOL``.  These and the sparse exact sums
+    are all held at once, so a product with more than ``_MAX_MODES`` of
+    them raises ``DomainError`` before forming any.
     """
     if not cutoff > 0:
         raise DomainError(f"cutoff must be positive, got {cutoff}")
@@ -676,10 +678,8 @@ def product_spectrum(s1: EigenvalueStream, s2: EigenvalueStream,
         m1, m2 = s1.multiplicities, s2.multiplicities
     # row i holds the sums x1[i] + x2[j] <= cut, its first widths[i] columns
     widths = np.searchsorted(x2, cut - x1, side="right")
-    if not exact:
-        return EigenvalueStream._built(
-            *_aggregate_float(*_kept_pairs(x1, m1, x2, m2, widths, cut)), cutoff)
-    if dtype is np.int64 and (kept := int(widths.sum())) > 0:
+    kept = int(widths.sum())
+    if exact and dtype is np.int64 and kept > 0:
         # the sums run from the first pair to the largest end of the rows,
         # which come first
         rows = np.count_nonzero(widths)
@@ -693,8 +693,13 @@ def product_spectrum(s1: EigenvalueStream, s2: EigenvalueStream,
             blocks = _pair_blocks(x1 - lo, m1, x2, m2, widths)
             return _stream_from_distinct(*_slot_counts(blocks, lo, span), den,
                                          s1.pi_power, cutoff)
-    return _stream_from_exact(*_kept_pairs(x1, m1, x2, m2, widths, cut), den,
-                              s1.pi_power, cutoff)
+    if kept > _MAX_MODES:
+        raise DomainError(f"the product at cutoff {cutoff} forms {kept} pair sums, "
+                          f"more than _MAX_MODES = {_MAX_MODES}")
+    pairs = _kept_pairs(x1, m1, x2, m2, widths, cut)
+    if not exact:
+        return EigenvalueStream._built(*_aggregate_float(*pairs), cutoff)
+    return _stream_from_exact(*pairs, den, s1.pi_power, cutoff)
 
 
 def tabulated_spectrum(entries: Iterable, cutoff: float,

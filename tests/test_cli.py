@@ -512,9 +512,9 @@ def test_tabulated_table_is_validated_past_the_cutoff(capsys):
     assert json.loads(err)["error"] == "ValidationError"
 
 
-def test_covering_failure_names_the_last_cutoff_tried(capsys, monkeypatch):
-    # the message named 1.5 times the last cutoff, which was never tried, and
-    # each try parsed and validated the whole table again
+def test_covering_a_short_table_names_k_max_and_its_count(capsys, monkeypatch):
+    # each of ten cutoff tries truncated the table again before a ConfigError
+    # naming the last cutoff; the table says at once how many it holds
     from polyaspec import spec
 
     tried, built = [], []
@@ -526,10 +526,26 @@ def test_covering_failure_names_the_last_cutoff_tried(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "verify", "--spec", _TABLE, "--k-max", "100",
                              "--no-timestamp")
     assert code == 2 and out == ""
-    assert json.loads(err) == {"error": "ConfigError",
-                               "message": f"could not cover k_max=100; last cutoff {tried[-1]}"}
-    assert len(tried) == 10 and tried[-1] == tried[-2] * 1.5
-    assert len(built) == 1
+    assert json.loads(err) == {"error": "CoverageError",
+                               "message": "k_max=100 exceeds the 3 eigenvalues of the table"}
+    assert tried == [] and len(built) == 1
+
+
+@pytest.mark.parametrize("spec, k_max", [
+    ('{"product":[{"interval":{"a":"pi/1000","bc":"dirichlet"}},{"sphere2":{}}]}', 1),
+    ('{"product":[{"interval":{"a":"pi/1000","bc":"dirichlet"}},{"sphere2":{}}]}', 1000),
+    ('{"product":[{"interval":{"a":"pi/200","bc":"dirichlet"}},{"sphere2":{}}]}', 10),
+    ('{"box":{"sides":[0.001,1,1],"bc":"dirichlet"}}', 5),
+    ('{"box":{"sides":["1/10000",1],"bc":"dirichlet"}}', 1),
+])
+def test_verify_covers_thin_products(capsys, spec, k_max):
+    # the first eigenvalue of (0, pi/q) x S^2 is q**2, far past the Weyl
+    # guess for a small k_max, and ten tries growing it by half fell short
+    # (ConfigError, exit 2)
+    code, out, _ = run_cli(capsys, "verify", "--spec", spec, "--k-max", str(k_max),
+                           "--no-timestamp")
+    assert code == 0
+    assert json.loads(out)["checked"] == k_max
 
 
 def test_reproduce_sphere_thin(capsys):

@@ -528,7 +528,7 @@ def _scan_counting_functions(draw):
     own cutoff), alone, summed, or summed with a sum nested inside."""
     def leaf():
         quarters = sorted(set(draw(st.lists(_QUARTERS, max_size=25))))
-        cutoff = draw(_QUARTERS.filter(lambda q: q > max(quarters, default=0))) / 4
+        cutoff = draw(st.integers(max(quarters, default=0) + 1, 161)) / 4
         mults = [draw(st.integers(1, 4)) for _ in quarters]
         if draw(st.booleans()):
             values = [Fraction(q, 4) for q in quarters]

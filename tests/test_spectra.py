@@ -130,6 +130,25 @@ def test_sphere_and_triangle_sizes_are_capped(cutoff):
         triangle_neumann_spectrum(cutoff)
 
 
+@pytest.mark.parametrize("sides, bc, held", [
+    ([1.1, 1.2], "dirichlet", False),      # float sums
+    (["1/3", "2/7"], "neumann", False),    # sparse exact sums
+    ([1, 1], "dirichlet", True),           # dense exact sums, counted in slots
+])
+def test_product_pair_count_is_capped(monkeypatch, sides, bc, held):
+    # float and sparse exact products held every pair sum at once, with no
+    # bound: the float box [1.1, 1.2, 1.3] covering k_max 1e8 forms 1.2e8
+    # sums, about 5 GiB with their multiplicities and the sort copy
+    factors = [interval_spectrum(a, bc, 1e4) for a in sides]
+    whole = product_spectrum(*factors, 1e4)
+    monkeypatch.setattr(spectra, "_MAX_MODES", whole.total_count - 1)
+    if held:
+        assert product_spectrum(*factors, 1e4).total_count == whole.total_count
+    else:
+        with pytest.raises(DomainError, match="_MAX_MODES"):
+            product_spectrum(*factors, 1e4)
+
+
 def test_interval_rejects_nonpositive_cutoff():
     with pytest.raises(DomainError):
         interval_spectrum(1.0, "dirichlet", 0.0)

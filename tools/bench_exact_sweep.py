@@ -3,8 +3,8 @@ and of building those streams.
 
     PYTHONPATH=src python tools/bench_exact_sweep.py --row interval-1-dirichlet-1e5-exact
 
-times one row on the ``polyaspec`` found on the path and prints its median,
-quartiles and every sample in ms as JSON.  A row is one spec at one
+times one row, and ``--parent`` compares two trees, as ``layer_bench``
+describes.  A row is one spec at one
 ``k_max`` and one sweep: ``exact`` is ``verify_exact_power``, ``plain``
 is ``verify_dirichlet`` / ``verify_neumann``, ``build`` is
 ``stream_covering_k(build_spec(spec), k_max)``, the generator layer, and
@@ -24,32 +24,16 @@ thin products (0, pi/6) x S^2 and (0, pi/48) x S^2 that the sphere-exact
 bench workload verifies have build rows only.
 A build row also records the tracemalloc peak of one more build, in MB
 (``peak_mb``), which holds the scratch memory of ``product_spectrum``.
-
-    python tools/bench_exact_sweep.py --parent OTHER/src > BENCH_exact_sweep.json
-
-times every row in fresh interpreters, alternately on OTHER/src (the
-parent) and on this checkout's src (the change), and prints both sides with
-the host, Python and numpy versions.  Those interpreters run with the fixed
-glibc malloc thresholds of ``MALLOC_ENV``, so that a sweep row does not move
-with the allocator state its build left behind; a ``--row`` run started by
-hand inherits the caller's environment.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
-import platform
-import statistics
-import subprocess
-import sys
-import time
 import tracemalloc
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-
+import layer_bench
 
 _BOTH_SIDES = ("dirichlet", "neumann")
 _ALL_SWEEPS = ("exact", "plain", "build")
@@ -105,13 +89,6 @@ ROWS = {
     for sweep in sweeps
 }
 
-#: glibc malloc settings of every timed interpreter under --parent: with the
-#: dynamic mmap threshold, whether a sweep's k-long temporaries come from
-#: fresh mmapped pages depends on what the build before it freed, which
-#: moved sweep rows by 2x between trees with the same sweep code
-MALLOC_ENV = {"MALLOC_MMAP_THRESHOLD_": "33554432", "MALLOC_TRIM_THRESHOLD_": "67108864"}
-
-
 def sweep_shape(s, meta, k_max: int, side: str) -> dict:
     """The runs the sweep checks and the path of their exact comparisons:
     ``shift``, whether every lhs = n^d c_den and rhs = rhs_unit k^2 is below
@@ -156,12 +133,7 @@ def time_row(name: str, repeat: int) -> dict:
 
         def run():
             return plain(s, meta, k_max)
-    run()
-    times = []
-    for _ in range(repeat):
-        start = time.perf_counter()
-        run()
-        times.append((time.perf_counter() - start) * 1e3)
+    _, times = layer_bench.timed(run, repeat)
     peak = {}
     if sweep == "build":
         tracemalloc.start()
@@ -171,91 +143,21 @@ def time_row(name: str, repeat: int) -> dict:
     return {"times_ms": times, **peak, **sweep_shape(s, meta, k_max, side)}
 
 
-def summary(times: list[float]) -> dict:
-    # quantiles needs two samples; one sample is its own quartiles
-    q1, median, q3 = (statistics.quantiles(times, n=4, method="inclusive")
-                      if len(times) > 1 else times * 3)
-    return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4),
-            "n": len(times)}
-
-
-def command(name: str, repeat: int) -> str:
-    return f"PYTHONPATH=src python tools/bench_exact_sweep.py --row {name} --repeat {repeat}"
-
-
-def time_sides(script: str, name: str, parent_src: Path, rounds: int,
-               repeat: int) -> tuple[dict, dict]:
-    """Time row ``name`` of ``script`` (a tool with this one's ``--row`` and
-    ``--repeat``) in fresh interpreters with ``MALLOC_ENV``, alternately on
-    ``parent_src`` (the parent) and this checkout's src (the change).
-
-    Returns each side's ``summary`` and its last row output less the times.
-    """
-    sides = {"parent": parent_src.resolve(), "change": (ROOT / "src").resolve()}
-    times = {"parent": [], "change": []}
-    outs = {}
-    for r in range(rounds):
-        for label in (("parent", "change") if r % 2 == 0 else ("change", "parent")):
-            env = {**os.environ, **MALLOC_ENV, "PYTHONPATH": str(sides[label])}
-            proc = subprocess.run(
-                [sys.executable, script, "--row", name, "--repeat", str(repeat)],
-                env=env, capture_output=True, text=True, check=True)
-            outs[label] = json.loads(proc.stdout)
-            times[label] += outs[label].pop("times_ms")
-    return {label: summary(t) for label, t in times.items()}, outs
-
-
-def host() -> dict:
-    """The machine and library versions a comparison ran on."""
-    return {
-        "host": {"platform": platform.platform(), "machine": platform.machine(),
-                 "cpus": os.cpu_count()},
-        "python": platform.python_version(),
-        "numpy": __import__("numpy").__version__,
-    }
-
-
 def compare(parent_src: Path, rounds: int, repeat: int) -> dict:
     rows = []
     for name, (spec, k_max, side, sweep) in ROWS.items():
-        ms, outs = time_sides(__file__, name, parent_src, rounds, repeat)
+        timing, outs = layer_bench.time_sides(__file__, name, parent_src, rounds, repeat)
         shape = {k: outs["change"][k] for k in ("runs", "shift", "int64", "below_2_53")}
         peak = ({"peak_mb": {label: outs[label]["peak_mb"] for label in ("parent", "change")}}
                 if sweep == "build" else {})
         rows.append({"row": name, "spec": spec, "k_max": k_max, "side": side,
-                     "sweep": sweep, **shape,
-                     "command": command(name, repeat),
-                     "parent_ms": ms["parent"], "change_ms": ms["change"],
-                     "speedup": round(ms["parent"]["median"] / ms["change"]["median"], 2),
-                     **peak})
-    return {
-        "what": "in-process medians of one per-eigenvalue sweep or one stream build, "
-                "with the tracemalloc peak of one build (peak_mb), parent -> change; "
-                f"{rounds} fresh interpreters per side, alternating, {repeat} timed "
-                "calls each after one warm-up call",
-        "malloc_env": MALLOC_ENV,
-        "command": f"python tools/bench_exact_sweep.py --parent PARENT/src "
-                   f"--rounds {rounds} --repeat {repeat}",
-        **host(),
-        "rows": rows,
-    }
-
-
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--row", choices=sorted(ROWS))
-    parser.add_argument("--parent", type=Path, help="the parent checkout's src directory")
-    parser.add_argument("--repeat", type=int, default=15)
-    parser.add_argument("--rounds", type=int, default=4)
-    args = parser.parse_args()
-    if args.parent is not None:
-        print(json.dumps(compare(args.parent, args.rounds, args.repeat), indent=1))
-    elif args.row is not None:
-        out = time_row(args.row, args.repeat)
-        print(json.dumps({"row": args.row, **summary(out["times_ms"]), **out}))
-    else:
-        parser.error("give --row or --parent")
+                     "sweep": sweep, **shape, **timing, **peak})
+    what = ("in-process medians of one per-eigenvalue sweep or one stream build, "
+            "with the tracemalloc peak of one build (peak_mb), parent -> change; "
+            f"{rounds} fresh interpreters per side, alternating, {repeat} timed "
+            "calls each after one warm-up call")
+    return {**layer_bench.header(what, __file__, rounds, repeat), "rows": rows}
 
 
 if __name__ == "__main__":
-    main()
+    layer_bench.main(__doc__, ROWS, time_row, compare)

@@ -2,47 +2,32 @@
 
     PYTHONPATH=src python tools/bench_riesz.py --row rect-d-two-term-g1.5
 
-times one row on the ``polyaspec`` found on the path and prints its median,
-quartiles and every sample in ms as JSON.  The kernel rows are the 32
-calls of the ``riesz-scan`` benchmark's shapes: each float box of
-``bench/jobs.py`` at gamma 0.5 and 1.5, with the lambdas of one window scan
-(the 4096-point grid and the jumps of a window, in fractions of the shape's
-cutoff) or of the two-term scan (every positive jump up to the cutoff).
-They record the fsum of the Riesz means, to compare the two sides.  The
-scale rows time the whole two-term scan of the box [6.1, 8.7] with Neumann
-conditions up to 2e4, V = 84,783 values, at gamma 1.5 and 2.5, and record
-its onset, worst margin and where it falls.  The few-lambda rows time one
-``riesz_mean_many`` call on that stream at gamma 1.5 with 1 or 16 lambdas
-spread up to 2e4, the traffic of ``riesz_mean`` and ``riesz --lambda``.
-The stream is built and the call made once before timing.
-
-    python tools/bench_riesz.py --parent OTHER/src > BENCH_riesz.json
-
-times every row in fresh interpreters, alternately on OTHER/src (the
-parent) and on this checkout's src (the change), with the fixed malloc
-settings and the runner of ``bench_exact_sweep.py``; the scale rows take a
-fifth of ``--repeat`` calls.
+times one row, and ``--parent`` compares two trees, as ``layer_bench``
+describes.  The kernel rows are the 32 calls of the ``riesz-scan``
+benchmark's shapes: each float box of ``bench/jobs.py`` at gamma 0.5 and
+1.5, with the lambdas of one window scan (the 4096-point grid and the
+jumps of a window, in fractions of the shape's cutoff) or of the two-term
+scan (every positive jump up to the cutoff).  They record the fsum of the
+Riesz means, to compare the two sides.  The scale rows time the whole
+two-term scan of the box [6.1, 8.7] with Neumann conditions up to 2e4, V =
+84,783 values, at gamma 1.5 and 2.5, and record its onset, worst margin
+and where it falls.  The few-lambda rows time one ``riesz_mean_many`` call
+on that stream at gamma 1.5 with 1 or 16 lambdas spread up to 2e4, the
+traffic of ``riesz_mean`` and ``riesz --lambda``.  The stream is built
+before timing.  Under ``--parent`` the scale rows take a fifth of
+``--repeat`` calls.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import math
-import time
 from pathlib import Path
 
 import numpy as np
 
-from bench_exact_sweep import MALLOC_ENV, host, summary, time_sides
+import layer_bench
+from layer_bench import RIESZ_SHAPES
 
-#: the float shapes of the riesz-scan benchmark: sides, bc, cutoff
-SHAPES = {
-    "rect-d": ((7.3, 5.1), "dirichlet", 2400.0),
-    "rect-n": ((6.1, 8.7), "neumann", 1700.0),
-    "box-d": ((3.7, 2.9, 2.3), "dirichlet", 560.0),
-    "box-n": ((4.1, 3.3, 2.6), "neumann", 420.0),
-}
 WINDOWS = ((0.2, 0.6), (0.3, 0.9), (0.5, 1.0))
 WINDOW_GRID = 4096
 #: the two-term scan at scale: sides, bc, cutoff
@@ -54,7 +39,7 @@ FEW = (1, 16)
 ROWS = {
     **{f"{shape}-{lams if lams == 'two-term' else 'window-%g-%g' % lams}-g{gamma}":
        ("kernel", shape, lams, gamma)
-       for shape in SHAPES for lams in (*WINDOWS, "two-term") for gamma in (0.5, 1.5)},
+       for shape in RIESZ_SHAPES for lams in (*WINDOWS, "two-term") for gamma in (0.5, 1.5)},
     **{f"scale-two-term-g{gamma}": ("scale", "scale", "two-term", gamma) for gamma in (1.5, 2.5)},
     **{f"scale-lambdas-{count}-g1.5": ("few", "scale", count, 1.5) for count in FEW},
 }
@@ -79,7 +64,7 @@ def time_row(name: str, repeat: int) -> dict:
         def run():
             return riesz_mean_many(s, gamma, mus)
     else:
-        sides, bc, cutoff = SHAPES[shape]
+        sides, bc, cutoff = RIESZ_SHAPES[shape]
         s = box_spectrum(list(sides), bc, cutoff * 1.0001)
         if lams == "two-term":
             mus = s.values[(s.values > 0) & (s.values <= cutoff)]
@@ -88,12 +73,7 @@ def time_row(name: str, repeat: int) -> dict:
 
         def run():
             return riesz_mean_many(s, gamma, mus)
-    result = run()
-    times = []
-    for _ in range(repeat):
-        start = time.perf_counter()
-        run()
-        times.append((time.perf_counter() - start) * 1e3)
+    result, times = layer_bench.timed(run, repeat)
     if kind == "scale":
         shown = {"lambdas": len(result.points), "lambda_star": result.lambda_star,
                  "worst_margin": result.worst_margin, "worst_lambda": result.worst_lambda}
@@ -102,54 +82,24 @@ def time_row(name: str, repeat: int) -> dict:
     return {"times_ms": times, "values": int(s.values.size), **shown}
 
 
-def command(name: str, repeat: int) -> str:
-    return f"PYTHONPATH=src python tools/bench_riesz.py --row {name} --repeat {repeat}"
-
-
 def compare(parent_src: Path, rounds: int, repeat: int) -> dict:
     rows = []
-    total = {"parent": 0.0, "change": 0.0}
     for name, (kind, shape, lams, gamma) in ROWS.items():
         calls = max(1, repeat // 5) if kind == "scale" else repeat
-        ms, outs = time_sides(__file__, name, parent_src, rounds, calls)
-        if kind == "kernel":
-            for label in total:
-                total[label] += ms[label]["median"]
+        timing, outs = layer_bench.time_sides(__file__, name, parent_src, rounds, calls)
         rows.append({"row": name, "kind": kind, "shape": shape, "lambdas_from": lams,
-                     "gamma": gamma, "command": command(name, calls),
-                     "parent_ms": ms["parent"], "change_ms": ms["change"],
-                     "speedup": round(ms["parent"]["median"] / ms["change"]["median"], 2),
+                     "gamma": gamma, **timing,
                      "parent": outs["parent"], "change": outs["change"]})
-    return {
-        "what": "in-process medians of one riesz_mean_many call (kernel and few-lambda "
-                "rows) or one two-term scan at V = 84,783 (scale rows), parent -> change; "
-                f"{rounds} fresh interpreters per side, alternating, {repeat} timed "
-                "kernel calls or a fifth as many scans each, after one warm-up call",
-        "malloc_env": MALLOC_ENV,
-        "command": f"python tools/bench_riesz.py --parent PARENT/src "
-                   f"--rounds {rounds} --repeat {repeat}",
-        **host(),
-        "kernel_total_ms": {label: round(t, 3) for label, t in total.items()},
-        "kernel_total_speedup": round(total["parent"] / total["change"], 2),
-        "rows": rows,
-    }
-
-
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--row", choices=sorted(ROWS))
-    parser.add_argument("--parent", type=Path, help="the parent checkout's src directory")
-    parser.add_argument("--repeat", type=int, default=15)
-    parser.add_argument("--rounds", type=int, default=4)
-    args = parser.parse_args()
-    if args.parent is not None:
-        print(json.dumps(compare(args.parent, args.rounds, args.repeat), indent=1))
-    elif args.row is not None:
-        out = time_row(args.row, args.repeat)
-        print(json.dumps({"row": args.row, **summary(out["times_ms"]), **out}))
-    else:
-        parser.error("give --row or --parent")
+    kernel_ms, kernel_speedup = layer_bench.total([row for row in rows
+                                                   if row["kind"] == "kernel"])
+    what = ("in-process medians of one riesz_mean_many call (kernel and few-lambda "
+            "rows) or one two-term scan at V = 84,783 (scale rows), parent -> change; "
+            f"{rounds} fresh interpreters per side, alternating, {repeat} timed "
+            "kernel calls or a fifth as many scans each, after one warm-up call")
+    return {**layer_bench.header(what, __file__, rounds, repeat),
+            "kernel_total_ms": kernel_ms, "kernel_total_speedup": kernel_speedup,
+            "rows": rows}
 
 
 if __name__ == "__main__":
-    main()
+    layer_bench.main(__doc__, ROWS, time_row, compare)
