@@ -45,7 +45,7 @@ for k in (1, 5, 20):
 print()
 print("=== two-term refinement: margins at jumps and the empirical onset ===")
 sq_d = box_spectrum([1, 1], "dirichlet", 1.1e4)
-scan = two_term_riesz_scan(sq_d, md, 1.0, 1e4, "dirichlet")
+scan = two_term_riesz_scan(sq_d, md, 1.0, 1e4)
 print(f"unit square, Dirichlet side, gamma = 1, {len(scan.points)} jump points scanned")
 print(f"  empirical onset lambda* = {scan.lambda_star:.4f}")
 print(f"  worst margin {scan.worst_margin:.4f} at lambda = {scan.worst_lambda:.4f}")
@@ -53,6 +53,6 @@ print("  (the onset is a scan artifact, valid only for the scanned window;")
 print("   the refined inequality is asymptotic and carries no explicit onset)")
 
 sq_n = box_spectrum([1, 2], "neumann", 1.1e4)
-scan = two_term_riesz_scan(sq_n, box_meta([1, 2], "neumann"), 1.0, 1e4, "neumann")
+scan = two_term_riesz_scan(sq_n, box_meta([1, 2], "neumann"), 1.0, 1e4)
 print(f"box [1, 2], Neumann side: lambda* = {scan.lambda_star:.4f}, "
       f"final margin {scan.points[-1][3]:.4f}")

@@ -121,8 +121,7 @@ def _cmd_riesz(args) -> int:
             raise ConfigError("--two-term needs --cutoff")
         stream = spec.stream(args.cutoff * 1.0001)
         meta = spec.meta()
-        side = args.side or meta.bc.value
-        scan = rz.two_term_riesz_scan(stream, meta, args.gamma, args.cutoff, side)
+        scan = rz.two_term_riesz_scan(stream, meta, args.gamma, args.cutoff)
         if args.output == "csv":
             _emit_csv(["lambda", "riesz", "bound", "margin"], list(scan.points.T), args)
         else:
@@ -248,8 +247,6 @@ def _make_parser() -> argparse.ArgumentParser:
     p.add_argument("--two-term", action="store_true",
                    help="scan the two-term bound at all jump points up to --cutoff")
     p.add_argument("--cutoff", type=float)
-    p.add_argument("--side", choices=["dirichlet", "neumann"],
-                   help="two-term side (default: from the composition)")
     p.set_defaults(fn=_cmd_riesz)
 
     p = sub.add_parser("constants", parents=[common], help="constant tables")

@@ -486,19 +486,20 @@ class TwoTermScan:
 
 
 def two_term_riesz_scan(s: EigenvalueStream, meta: DomainMeta, gamma: float,
-                        cutoff: float, side: str) -> TwoTermScan:
-    """Scan the two-term Riesz inequality at all jump points up to ``cutoff``.
+                        cutoff: float) -> TwoTermScan:
+    """Scan the two-term Riesz inequality at all jump points up to ``cutoff``,
+    on the side of ``meta.bc``.
 
-    side="dirichlet": bound = L |Omega| lam^(g+d/2) - (1/5) L' |bOmega| lam^(g+(d-1)/2),
-    margin = bound - riesz.  side="neumann": the mirror with + (1/5) and
-    margin = riesz - bound.
+    Dirichlet: bound = L |Omega| lam^(g+d/2) - (1/5) L' |bOmega| lam^(g+(d-1)/2),
+    margin = bound - riesz.  Neumann: the mirror with + (1/5) and
+    margin = riesz - bound.  A closed composition has no two-term bound.
     """
-    if side not in ("dirichlet", "neumann"):
-        raise DomainError(f"side must be 'dirichlet' or 'neumann', got {side!r}")
+    if meta.bc is BoundaryCondition.CLOSED:
+        raise DomainError("two-term Riesz bounds are Dirichlet or Neumann, got closed")
+    side = meta.bc.value
     if meta.surface_area is None:
         raise ConfigError("two-term Riesz bounds need meta.surface_area")
     _require_gamma_ge_1(gamma)
-    _require_bc(meta, BoundaryCondition(side), "this two-term bound")
     if cutoff > s.cutoff:
         raise CoverageError(f"scan cutoff {cutoff} exceeds stream cutoff {s.cutoff}")
     d = meta.dimension
@@ -530,6 +531,10 @@ def two_term_riesz_scan(s: EigenvalueStream, meta: DomainMeta, gamma: float,
 # window scans for the product-argument gap constants
 
 
+#: evenly spaced points of every window scan, besides the jumps inside it
+_WINDOW_GRID = 4096
+
+
 @dataclass(frozen=True)
 class WindowScan:
     value: float
@@ -548,12 +553,12 @@ def _window_grid(s: EigenvalueStream, lo: float, hi: float, grid: int) -> np.nda
 
 
 def _window_infimum(s: EigenvalueStream, meta: DomainMeta, bc: BoundaryCondition, d2: int,
-                    window: tuple[float, float], grid: int) -> WindowScan:
+                    window: tuple[float, float]) -> WindowScan:
     """Infimum over the window grid of the gap between L |Omega| mu^((d1+d2)/2)
     and R_{d2/2}(mu), signed to be nonnegative where the one-term bound for
     ``bc`` holds, normalized by mu^((d1+d2-1)/2)."""
     _require_bc(meta, bc, "this gap scan")
-    mus = _window_grid(s, *window, grid=grid)
+    mus = _window_grid(s, *window, grid=_WINDOW_GRID)
     gamma = d2 / 2.0
     d1 = meta.dimension
     lead = l_gamma_d(gamma, d1) * meta.volume * mus ** ((d1 + d2) / 2.0)
@@ -565,24 +570,24 @@ def _window_infimum(s: EigenvalueStream, meta: DomainMeta, bc: BoundaryCondition
 
 
 def window_infimum_dirichlet(s: EigenvalueStream, meta: DomainMeta, d2: int,
-                             window: tuple[float, float], grid: int = 4096) -> WindowScan:
+                             window: tuple[float, float]) -> WindowScan:
     """Infimum over the window of the normalized Berezin gap
     [L |Omega| mu^((d1+d2)/2) - R_{d2/2}(mu)] / mu^((d1+d2-1)/2)."""
-    return _window_infimum(s, meta, BoundaryCondition.DIRICHLET, d2, window, grid)
+    return _window_infimum(s, meta, BoundaryCondition.DIRICHLET, d2, window)
 
 
 def window_infimum_neumann(s: EigenvalueStream, meta: DomainMeta, d2: int,
-                           window: tuple[float, float], grid: int = 4096) -> WindowScan:
+                           window: tuple[float, float]) -> WindowScan:
     """Infimum over the window of the mirrored normalized gap for Neumann
     spectra: [R_{d2/2}(mu) - L |Omega| mu^((d1+d2)/2)] / mu^((d1+d2-1)/2)."""
-    return _window_infimum(s, meta, BoundaryCondition.NEUMANN, d2, window, grid)
+    return _window_infimum(s, meta, BoundaryCondition.NEUMANN, d2, window)
 
 
 def window_supremum_neumann(s: EigenvalueStream, meta: DomainMeta, d2: int,
-                            window: tuple[float, float], grid: int = 4096) -> WindowScan:
+                            window: tuple[float, float]) -> WindowScan:
     """Supremum over the window of R_{(d2-1)/2}(mu) / mu^((d1+d2-1)/2)."""
     _require_bc(meta, BoundaryCondition.NEUMANN, "this gap scan")
-    mus = _window_grid(s, *window, grid=grid)
+    mus = _window_grid(s, *window, grid=_WINDOW_GRID)
     vals = riesz_mean_many(s, (d2 - 1) / 2.0, mus) / mus ** ((meta.dimension + d2 - 1) / 2.0)
     i = int(np.argmax(vals))
     return WindowScan(float(vals[i]), float(mus[i]), (float(window[0]), float(window[1])))

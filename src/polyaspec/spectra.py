@@ -16,12 +16,13 @@ A stream records eigenvalues strictly below a cutoff, with multiplicities.
 When the generating lengths are rational, or rational multiples of pi, the
 stream also carries its values exactly as integer numerators over one
 common denominator, in units of ``pi**pi_power`` (``exact_nums``,
-``exact_den``), enabling integer-only inequality checks downstream.
-Numerators are int64 until one reaches ``_INT64_GUARD``; past it they are
-Python ints in an object array.  Generators and products only bound
-their lattices from above; ``_stream_from_distinct`` alone decides which
-exact values are below the cutoff, by their float value
-``float(n) * (pi**pi_power / den)``.
+``exact_den``), enabling integer-only inequality checks downstream.  A
+stream keeps the denominator of the lattice it was built over, or the one
+it was given, never reduced.  Numerators are int64 until one reaches
+``_INT64_GUARD``; past it they are Python ints in an object array.
+Generators and products only bound their lattices from above;
+``_stream_from_distinct`` alone decides which exact values are below the
+cutoff, by their float value ``float(n) * (pi**pi_power / den)``.
 """
 
 from __future__ import annotations
@@ -131,8 +132,10 @@ class EigenvalueStream:
     """Increasing (value, multiplicity) pairs below a cutoff.
 
     ``exact_nums``, when present, holds the same values exactly: value i is
-    ``exact_nums[i] / exact_den * pi**pi_power``, kept in lowest terms.  The
-    float ``values`` are derived from them by the generators.
+    ``exact_nums[i] / exact_den * pi**pi_power``.  ``exact_den`` is the
+    denominator of the lattice the stream was built over, or the one it was
+    given, never reduced: a builder's float values are
+    ``exact_nums * (pi**pi_power / exact_den)``, bit for bit.
 
     A stream made by this constructor is validated in full: tabulated, CSV
     and JSON input and any direct construction.  The generators,
@@ -142,7 +145,7 @@ class EigenvalueStream:
     ascending numerators.  ``_built`` checks only that the float values
     strictly increase (two exact numerators can round to one float) and,
     as here, stores the numerators as int64 unless one reaches
-    ``_INT64_GUARD`` and in lowest terms.
+    ``_INT64_GUARD``.
     """
 
     values: np.ndarray
@@ -184,11 +187,11 @@ class EigenvalueStream:
     def _built(cls, values: np.ndarray, mults: np.ndarray, cutoff: float, nums=None,
                den: int = 1, pi_power: int = 0) -> "EigenvalueStream":
         """A stream from a builder's float64 values and int64 multiplicities,
-        which its construction guarantees valid but for the checks here:
-        the values strictly increase, and ``nums`` go to lowest terms.  A
-        builder chooses int64 numerators only below ``_INT64_GUARD``, so
-        only Python ints go through ``_numerators``, to int64 when all of
-        them are below it."""
+        which its construction guarantees valid but for the check here that
+        the values strictly increase; ``nums`` keep ``den``.  A builder
+        chooses int64 numerators only below ``_INT64_GUARD``, so only Python
+        ints go through ``_numerators``, to int64 when all of them are below
+        it."""
         _check_increasing(values)
         if nums is not None and nums.dtype == object:
             nums = _numerators(nums)
@@ -200,17 +203,8 @@ class EigenvalueStream:
 
     def _store(self, values: np.ndarray, mults: np.ndarray, nums: Optional[np.ndarray],
                den: int) -> None:
-        """Set the arrays read-only, with the numerators and ``den`` divided
-        by their gcd: a lone zero numerator stays as it is, and empty or
-        zero-only numerators take the denominator 1."""
-        if nums is not None:
-            # gcd(1, n) is 1, so a denominator of 1 skips the reduction
-            g = math.gcd(den, int(np.gcd.reduce(nums))) if den > 1 else 1
-            if g > 1 and nums.any():
-                nums = _numerators(nums // g)
-            den //= g
-            nums = _readonly(nums)
-        object.__setattr__(self, "exact_nums", nums)
+        """Set the arrays read-only, the numerators over ``den`` as given."""
+        object.__setattr__(self, "exact_nums", None if nums is None else _readonly(nums))
         object.__setattr__(self, "exact_den", den)
         object.__setattr__(self, "values", _readonly(values))
         object.__setattr__(self, "multiplicities", _readonly(mults))
@@ -532,10 +526,11 @@ def triangle_neumann_spectrum(cutoff: float) -> EigenvalueStream:
     16 pi**2 / 9 * (m**2 + m n + n**2), one per ordered pair m, n >= 0
     (Lame 1833; McCartin 2003, SIAM Rev. 45).
 
-    The numerators are 48 q over 27, not the reduced 16 q over 9, so each
-    float value is its numerator times pi**2 / 27: times pi**2 / 9, about a third
-    of the values would move by an ulp.  A cutoff whose lattice square
-    holds more than ``_MAX_MODES`` pairs raises ``DomainError``.
+    The stream keeps the numerators 48 q over 27, the denominator its float
+    values are computed over, not the reduced 16 q over 9: times pi**2 / 9,
+    about a third of the values would move by an ulp.  A cutoff whose
+    lattice square holds more than ``_MAX_MODES`` pairs raises
+    ``DomainError``.
     """
     if not cutoff > 0:
         raise DomainError(f"cutoff must be positive, got {cutoff}")
@@ -652,7 +647,7 @@ def product_spectrum(s1: EigenvalueStream, s2: EigenvalueStream,
         )
     exact = _exact_product(s1, s2)
     if exact:
-        # both denominators are in lowest terms
+        # the sums are over the lcm of the factors' lattice denominators
         den = math.lcm(s1.exact_den, s2.exact_den)
         factors = (den // s1.exact_den, den // s2.exact_den)
         b = cutoff / _exact_unit(den, s1.pi_power)

@@ -128,6 +128,21 @@ def test_count_keeps_a_sum_whose_factor_reaches_the_cutoff(capsys, spec, cutoff)
     assert json.loads(out)["results"] == [{"lambda": 1.0, "count": 15}]
 
 
+def test_count_does_not_depend_on_the_cutoff_the_factors_hold(capsys):
+    """Mode (0, 1) of the Neumann box 3pi x 7pi is 9/441.  Built at the
+    lambda, the side 3pi held only its zero mode, so it was reduced to
+    denominator 1, the box took 49 and kept 1/49, an ulp below its 9/441
+    float: the count read 2 there and 1 with ``--cutoff 1.0``."""
+    spec = '{"box":{"sides":["3pi/1","7pi/1"],"bc":"neumann"}}'
+    counts = []
+    for cutoff in ([], ["--cutoff", "1.0"]):
+        code, out, _ = run_cli(capsys, "count", "--spec", spec,
+                               "--lambda", "0.020408163265306124", *cutoff, "--no-timestamp")
+        assert code == 0
+        counts.append(json.loads(out)["results"][0]["count"])
+    assert counts[0] == counts[1]
+
+
 @pytest.mark.parametrize("spec", [
     '{"product":[{"box":{"sides":[3.3,3.3],"bc":"neumann"}},'
     '{"interval":{"a":7.0,"bc":"neumann"}}]}',
@@ -208,6 +223,20 @@ def test_riesz_values_and_two_term(capsys):
     assert data["lambda_star"] is not None
 
 
+def test_two_term_side_comes_from_the_composition(capsys):
+    """The two-term scan runs on the side of the composition's boundary
+    condition, so ``--side`` is no option; a closed composition has no
+    two-term bound."""
+    with pytest.raises(SystemExit) as exc:
+        main(["riesz", "--spec", '{"box":{"sides":[1,1],"bc":"dirichlet"}}', "--gamma", "1",
+              "--two-term", "--cutoff", "100", "--side", "dirichlet"])
+    assert exc.value.code == 2 and "--side" in capsys.readouterr().err
+    code, out, err = run_cli(capsys, "riesz", "--spec", '{"sphere2":{}}', "--gamma", "1",
+                             "--two-term", "--cutoff", "100", "--no-timestamp")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "DomainError"
+
+
 def test_two_term_csv_matches_the_row_writer(capsys):
     from polyaspec import box_meta, box_spectrum, two_term_riesz_scan
 
@@ -217,7 +246,7 @@ def test_two_term_csv_matches_the_row_writer(capsys):
         "--cutoff", "500", "--output", "csv", "--no-timestamp")
     assert code == 0
     scan = two_term_riesz_scan(box_spectrum(sides, "dirichlet", 500 * 1.0001),
-                               box_meta(sides, "dirichlet"), 1.5, 500.0, "dirichlet")
+                               box_meta(sides, "dirichlet"), 1.5, 500.0)
     assert out == "lambda,riesz,bound,margin\n" + "".join(
         ",".join(map(repr, row)) + "\n" for row in scan.points.tolist())
 

@@ -370,7 +370,7 @@ def _iroot(x, d):
     return r
 
 
-#: odd by 15, so that its square passes _INT64_GUARD and stays out of lowest terms
+#: a factor whose square passes _INT64_GUARD
 _SCALE = 2 ** 32 + 15
 
 
@@ -441,7 +441,7 @@ def _near_bound_stream(side, den, nums, mults):
         nums, mults = [0] + nums, [1] + mults
     values = [n / den * PI2 for n in nums]
     s = EigenvalueStream(values, mults, 2.0 * values[-1] + 1.0, nums, den, 2)
-    assert s.exact_den == den  # lowest terms already
+    assert s.exact_den == den  # kept as given
     return s, DomainMeta(1, 2.0, side, exact_volume=_LENGTH_2)
 
 

@@ -507,7 +507,7 @@ def test_kroger_range_error():
 def test_two_term_scan_square_dirichlet():
     s = box_spectrum([1, 1], "dirichlet", 1.1e4)
     meta = box_meta([1, 1], "dirichlet")
-    scan = two_term_riesz_scan(s, meta, 1.0, 1e4, "dirichlet")
+    scan = two_term_riesz_scan(s, meta, 1.0, 1e4)
     assert scan.lambda_star is not None
     tail = [m for (lam, _, _, m) in scan.points if lam >= scan.lambda_star]
     assert all(m >= 0 for m in tail)
@@ -517,7 +517,7 @@ def test_two_term_scan_square_dirichlet():
 def test_two_term_scan_box_neumann():
     s = box_spectrum([1, 2], "neumann", 1.1e4)
     meta = box_meta([1, 2], "neumann")
-    scan = two_term_riesz_scan(s, meta, 1.0, 1e4, "neumann")
+    scan = two_term_riesz_scan(s, meta, 1.0, 1e4)
     assert scan.lambda_star is not None
     assert scan.points[-1][3] >= 0
 
@@ -528,13 +528,13 @@ def test_two_term_scan_requires_surface_area():
 
     meta = DomainMeta(2, 4 * PI, "dirichlet")
     with pytest.raises(ConfigError):
-        two_term_riesz_scan(s, meta, 1.0, 50.0, "dirichlet")
+        two_term_riesz_scan(s, meta, 1.0, 50.0)
 
 
 def test_two_term_scan_small_lambda_reported_not_asserted():
     s = box_spectrum([1, 1], "neumann", 100.0)
     meta = box_meta([1, 1], "neumann")
-    scan = two_term_riesz_scan(s, meta, 1.0, 50.0, "neumann")
+    scan = two_term_riesz_scan(s, meta, 1.0, 50.0)
     # margins near zero exist (the zero mode region); they are data, not failures
     assert isinstance(scan.worst_margin, float)
 
@@ -578,7 +578,7 @@ def test_scans_match_the_dense_reference(shape, monkeypatch):
 
     # two-term scans need gamma >= 1
     for gamma in (1.5, 2.5):
-        fast, dense = fast_and_dense(lambda: two_term_riesz_scan(s, meta, gamma, cutoff, bc))
+        fast, dense = fast_and_dense(lambda: two_term_riesz_scan(s, meta, gamma, cutoff))
         assert (fast.lambda_star, fast.worst_lambda, len(fast.points)) == (
             dense.lambda_star, dense.worst_lambda, len(dense.points))
         assert fast.worst_margin == pytest.approx(dense.worst_margin, rel=1e-12, abs=0.0)

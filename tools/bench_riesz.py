@@ -55,7 +55,7 @@ def time_row(name: str, repeat: int) -> dict:
         s, meta = box_spectrum(list(sides), bc, cutoff), box_meta(list(sides), bc)
 
         def run():
-            return two_term_riesz_scan(s, meta, gamma, cutoff, bc)
+            return two_term_riesz_scan(s, meta, gamma, cutoff)
     elif kind == "few":
         sides, bc, cutoff = SCALE
         s = box_spectrum(list(sides), bc, cutoff)
