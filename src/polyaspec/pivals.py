@@ -38,18 +38,7 @@ class PiRational:
             object.__setattr__(self, "pi_power", 0)
 
     def __float__(self) -> float:
-        """The coefficient as a float, times or over pi**|pi_power|.  A
-        nonzero coefficient below the normal float range would lose bits,
-        or all of them, before pi**pi_power lifts it: it is scaled near
-        2**-60 first, and ``ldexp`` undoes the scaling on the result."""
-        coeff, power = float(self.coeff), self.pi_power
-        scale = 0
-        if power and abs(coeff) < sys.float_info.min and self.coeff:
-            num, den = self.coeff.numerator, self.coeff.denominator
-            scale = den.bit_length() - abs(num).bit_length() - 60
-            coeff = float(Fraction(num << scale, den))
-        value = coeff * math.pi ** power if power >= 0 else coeff / math.pi ** -power
-        return math.ldexp(value, -scale)
+        return _ratio_float(self.coeff.numerator, self.coeff.denominator, self.pi_power)
 
     def __mul__(self, other: "PiRational") -> "PiRational":
         other = as_pi_rational(other)
@@ -96,25 +85,50 @@ class PiRational:
         return f"{self.coeff}*{pi}"
 
 
-def _frac(text: str | None, default=Fraction(1)) -> Fraction:
-    if text is None or text == "":
-        return default
-    return Fraction(text)
+def _ratio_float(num: int, den: int, pi_power: int) -> float:
+    """``num / den * pi**pi_power`` as a float: the ratio, correctly rounded,
+    times or over pi**|pi_power|.  A nonzero ratio below the normal float
+    range would lose bits, or all of them, before pi**pi_power lifts it: it
+    is scaled near 2**-60 first, and ``ldexp`` undoes the scaling on the
+    result.  ``OverflowError`` when the ratio or the power of pi leaves
+    float range."""
+    coeff, scale = num / den, 0
+    if pi_power and num and abs(coeff) < sys.float_info.min:
+        scale = den.bit_length() - abs(num).bit_length() - 60
+        coeff = (num << scale) / den
+    value = coeff * math.pi ** pi_power if pi_power >= 0 else coeff / math.pi ** -pi_power
+    return math.ldexp(value, -scale)
+
+
+def _from_ratio(num: int, den: int, pi_power: int) -> PiRational:
+    """``num / den * pi**pi_power`` for ints with ``den != 0``: the one
+    ``Fraction`` an integer derivation builds."""
+    return PiRational(Fraction(num, den), pi_power)
+
+
+def _decimal(text: str | None) -> tuple[int, int]:
+    """A decimal such as ``"24"`` or ``"1.5"`` as an unreduced numerator and
+    denominator; None or an empty string is 1."""
+    if not text:
+        return 1, 1
+    whole, _, frac = text.partition(".")
+    scale = 10 ** len(frac)
+    return int(whole) * scale + (int(frac) if frac else 0), scale
 
 
 def parse_length(text: str) -> PiRational:
     """Parse a symbolic length such as ``"10"``, ``"3/4"``, ``"pi"``,
-    ``"2pi"``, ``"pi/24"`` or ``"1/4pi"`` (meaning 1/(4*pi))."""
+    ``"2pi"``, ``"pi/24"`` or ``"1/4pi"`` (meaning 1/(4*pi)).  The decimals
+    are read as integers, and the one ``Fraction`` of the result is built
+    from their quotient."""
     s = text.strip().lower().replace(" ", "")
-    m = _PLAIN.match(s)
-    if m:
-        return PiRational(_frac(m.group(1)) / _frac(m.group(2)))
-    m = _PI_DEN.match(s)
-    if m:
-        return PiRational(_frac(m.group(1)) / _frac(m.group(2)), -1)
-    m = _PI_NUM.match(s)
-    if m:
-        return PiRational(_frac(m.group(1)) / _frac(m.group(2)), 1)
+    for pattern, pi_power in ((_PLAIN, 0), (_PI_DEN, -1), (_PI_NUM, 1)):
+        m = pattern.match(s)
+        if m:
+            (p, q), (r, t) = _decimal(m.group(1)), _decimal(m.group(2))
+            if r == 0:
+                raise ValidationError(f"length {text!r} divides by zero")
+            return _from_ratio(p * t, q * r, pi_power)
     raise ValidationError(f"cannot parse length {text!r}")
 
 

@@ -49,7 +49,7 @@ import numpy as np
 from .constants import omega_d, omega_d_exact
 from .counting import CountingFunction, _count_upto, _prefix_counts
 from .errors import CoverageError, DomainError, ModeError
-from .pivals import PiRational
+from .pivals import PiRational, _from_ratio, as_pi_rational
 from .spectra import _INT64_GUARD, DomainMeta, EigenvalueStream
 
 __all__ = [
@@ -120,7 +120,22 @@ def polya_weyl_term(meta: DomainMeta, k) -> float:
 
 def polya_constant_exact(dimension: int, exact_volume: PiRational) -> PiRational:
     """(4 pi^2)^d / (omega_d |Omega|)^2 exactly: the c with w_k^d = c k^2."""
-    return PiRational(4, 2) ** dimension / (omega_d_exact(dimension) * exact_volume) ** 2
+    return _from_ratio(*_polya_ratio(dimension, exact_volume))
+
+
+def _polya_ratio(d: int, exact_volume: PiRational) -> tuple[int, int, int]:
+    """``polya_constant_exact(d, exact_volume)`` as ``(num, den, pi_power)``
+    ints in lowest terms, from the numerators and denominators of omega_d
+    and the volume: with omega_d |Omega| = x / y pi^p it is
+    4^d y^2 / x^2 pi^(2d - 2p)."""
+    omega, volume = omega_d_exact(d), as_pi_rational(exact_volume)
+    x = omega.coeff.numerator * volume.coeff.numerator
+    if x == 0:
+        raise ZeroDivisionError("division by zero PiRational")
+    y = omega.coeff.denominator * volume.coeff.denominator
+    num, den = 4 ** d * y * y, x * x
+    g = math.gcd(num, den)
+    return num // g, den // g, 2 * d - 2 * (omega.pi_power + volume.pi_power)
 
 
 def _exact_sign(lhs: int, rhs: int, shift: int) -> int:
@@ -227,9 +242,8 @@ def _exact_terms(s: EigenvalueStream, meta: DomainMeta) -> tuple[int, int, int]:
     of ``_exact_sign(n**d * c_den, rhs_unit * k**2, shift)``, where n is the
     exact numerator of lambda_k and w_k^d = c k^2."""
     d = meta.dimension
-    c = polya_constant_exact(d, meta.exact_volume)
-    return (c.coeff.denominator, c.coeff.numerator * s.exact_den ** d,
-            s.pi_power * d - c.pi_power)
+    c_num, c_den, c_power = _polya_ratio(d, meta.exact_volume)
+    return c_den, c_num * s.exact_den ** d, s.pi_power * d - c_power
 
 
 def _runs(s: EigenvalueStream, origin: int, checked: int) -> tuple[np.ndarray, ...]:

@@ -70,12 +70,12 @@ class _Kind(NamedTuple):
 _KINDS = {
     "interval": _Kind(
         ("a", "bc"),
-        lambda s, c: sp.interval_spectrum(s.params["a"], s.params["bc"], c),
-        lambda s: sp.interval_meta(s.params["a"], s.params["bc"])),
+        lambda s, c: sp._interval_stream(s.params["a"], s.params["bc"], c, s._weigh),
+        lambda s: sp._box_meta([s.params["a"]], s.params["bc"], s._weigh)),
     "box": _Kind(
         ("sides", "bc"),
-        lambda s, c: sp.box_spectrum(s.params["sides"], s.params["bc"], c),
-        lambda s: sp.box_meta(s.params["sides"], s.params["bc"])),
+        lambda s, c: sp._box_stream(s.params["sides"], s.params["bc"], c, s._weigh),
+        lambda s: sp._box_meta(s.params["sides"], s.params["bc"], s._weigh)),
     "sphere2": _Kind((), lambda s, c: sp.sphere2_spectrum(c), lambda s: sp.sphere2_meta()),
     "triangle": _Kind((), lambda s, c: sp.triangle_neumann_spectrum(c),
                       lambda s: sp.triangle_meta()),
@@ -98,11 +98,14 @@ def _is_finite(value) -> bool:
         return False
 
 
+#: the boundary conditions a spec may name
+_BCS = frozenset(bc.value for bc in sp.BoundaryCondition)
+
 #: each known parameter's check, and what a missing or failing one should
 #: have been, for the error message
 _PARAMS = {
     "a": (_is_length, "a length 'a'"),
-    "bc": (lambda v: isinstance(v, str) and v in {bc.value for bc in sp.BoundaryCondition},
+    "bc": (lambda v: isinstance(v, str) and v in _BCS,
            "a boundary condition 'bc' (dirichlet, neumann or closed)"),
     "sides": (lambda v: isinstance(v, list) and v and all(map(_is_length, v)),
               "a nonempty 'sides' list of lengths"),
@@ -123,6 +126,8 @@ class SpectrumSpec:
         self.kind = kind
         self.params = params
         self.children = children or []
+        # the weights of this node's lengths, by (type, length); see _weigh
+        self._weights = {}
 
     def meta(self) -> sp.DomainMeta:
         return _KINDS[self.kind].meta(self)
@@ -135,6 +140,31 @@ class SpectrumSpec:
         """A tabulated spec's validated table, so that each cutoff of
         ``stream_covering_k`` only truncates it."""
         return _tabulated_table(self.params)
+
+    def _weigh(self, a) -> tuple:
+        """``spectra._interval_weight(a)`` for a length of this node, parsed
+        on first use and kept, so that ``meta`` and every cutoff ``stream``
+        tries parse it once.  Equal lengths of one type weigh the same."""
+        key = (type(a), a)
+        if key not in self._weights:
+            self._weights[key] = sp._interval_weight(a)
+        return self._weights[key]
+
+    def _table_count(self) -> Optional[tuple[int, bool]]:
+        """For a spec whose leaves are all tables, the eigenvalues it holds
+        at any cutoff, with multiplicity, and whether the zero mode is one
+        of them; None when a leaf is a generator.  A product holds every
+        pair sum of its factors' entries, and the zero mode when both
+        factors do."""
+        if self.kind == "tabulated":
+            return self._table.total_count, self._table.index_origin == 0
+        if self.kind != "product":
+            return None
+        counts = [child._table_count() for child in self.children]
+        if None in counts:
+            return None
+        (n1, zero1), (n2, zero2) = counts
+        return n1 * n2, zero1 and zero2
 
     def counting(self, cutoff: float) -> ct.CountingFunction:
         return ct.CountingFunction.from_stream(self.stream(cutoff), self.meta())
@@ -173,14 +203,17 @@ def stream_covering_k(spec: SpectrumSpec, k_max: int):
     mode), with its metadata.  The first cutoff is the Weyl guess with 30%
     headroom; each retry raises it by half, as often as it takes: the first
     eigenvalue of a thin product (0, pi/q) x S^2 is q**2, far past the guess
-    for a small k_max.  A table holding fewer than k_max eigenvalues is a
-    ``CoverageError``, and a cutoff past float range a ``DomainError``."""
+    for a small k_max.  A table, or a product of tables, holding fewer than
+    k_max eigenvalues at any cutoff is a ``CoverageError`` before any stream
+    is built, and a cutoff past float range a ``DomainError``."""
     meta = spec.meta()
-    if spec.kind == "tabulated":
-        table = spec._table
-        held = table.total_count - (1 if table.index_origin == 0 else 0)
+    counted = spec._table_count()
+    if counted is not None:
+        total, zero = counted
+        held = total - (1 if zero else 0)
         if held < k_max:
-            raise CoverageError(f"k_max={k_max} exceeds the {held} eigenvalues of the table")
+            what = "table" if spec.kind == "tabulated" else "product of tables"
+            raise CoverageError(f"k_max={k_max} exceeds the {held} eigenvalues of the {what}")
     d = meta.dimension
     try:
         cutoff = (1.3 * (k_max + 50) / (c_d(d) * meta.volume)) ** (2.0 / d)

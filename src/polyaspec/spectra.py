@@ -33,12 +33,12 @@ from collections.abc import Sized
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .errors import CoverageError, DomainError, ModeError, ValidationError
-from .pivals import PiRational, as_pi_rational
+from .pivals import PiRational, _from_ratio, _ratio_float, as_pi_rational
 
 __all__ = [
     "BoundaryCondition",
@@ -319,8 +319,9 @@ def _aggregate_float(values: np.ndarray, mults: np.ndarray):
     return agg_v, agg_m
 
 
-#: int64 pair sums whose span max - min + 1 is at most this many times
-#: their count N are counted into span slots by ``product_spectrum``.
+#: int64 pair sums whose span cut - min + 1, from the least sum to the
+#: integer cut, is at most this many times their count N are counted into
+#: span slots by ``product_spectrum``.
 #: Measured against the stable sort on the pair sums of exact boxes at
 #: k_max 1e5 (N about 130k): counting was 2.8x faster at span / N 2.6, 1.4x
 #: faster at 7.7 and 1.4x slower at 15, so the crossover sits near 10; on a
@@ -380,18 +381,19 @@ def _exact_unit(den: int, pi_power: int) -> float:
 def _stream_from_exact(nums, mults, den: int, pi_power: int,
                        cutoff: float) -> EigenvalueStream:
     """Aggregate integer numerators (over a common denominator) into a stream;
-    value i is ``nums[i] * (pi**pi_power / den)``.  One stable sort and the
-    places where the sorted numerators change give the distinct numerators
-    with their summed multiplicities; Python ints past ``_INT64_GUARD`` sort
-    the same way.  The triangle and the exact products that are not
+    value i is ``nums[i] * (pi**pi_power / den)``.  ``nums`` are int64, or
+    Python ints in an object array, and ``mults`` int64.  One stable sort
+    (linear on the ascending rows of a product's sums) and the places where
+    the sorted numerators change give the distinct numerators with their
+    summed multiplicities; Python ints past ``_INT64_GUARD`` sort the same
+    way.  The triangle and the exact products that are not
     counted into slots come here; the interval and 2-sphere lattices ascend
     and are distinct already, so they go straight to
     ``_stream_from_distinct``."""
-    nums = _numerators(nums)
-    order = np.argsort(nums, kind="stable")
+    order = nums.argsort(kind="stable")
     nums = nums[order]
-    starts = np.flatnonzero(_run_starts(nums))
-    uniq, counts = nums[starts], np.add.reduceat(np.asarray(mults, np.int64)[order], starts)
+    starts = _run_starts(nums).nonzero()[0]
+    uniq, counts = nums[starts], np.add.reduceat(mults[order], starts)
     # the sorted copies go before the stream's own arrays are built
     del nums, order, starts
     return _stream_from_distinct(uniq, counts, den, pi_power, cutoff)
@@ -401,39 +403,55 @@ def _stream_from_distinct(uniq, counts, den: int, pi_power: int,
                           cutoff: float) -> EigenvalueStream:
     """The stream of distinct ascending numerators ``uniq`` with their
     multiplicities, keeping the values below ``cutoff``: the one keep rule
-    of exact values.  A value past float range is inf, so it is dropped."""
+    of exact values.  A value past float range is inf, so it is dropped.
+    The float values ascend with the numerators (the unit is positive), so
+    those kept are a prefix."""
     with np.errstate(over="ignore"):
         values = np.asarray(uniq * _exact_unit(den, pi_power), dtype=float)
-    keep = values < cutoff
-    return EigenvalueStream._built(values[keep], counts[keep], cutoff, uniq[keep], den,
-                                   pi_power)
+    n = int(values.searchsorted(cutoff))
+    return EigenvalueStream._built(values[:n], counts[:n], cutoff, uniq[:n], den, pi_power)
 
 
 # ---------------------------------------------------------------------------
 # generators
 
 
-def _interval_weight(a) -> tuple[float, Optional[PiRational], Optional[PiRational], float]:
+#: an exact quantity ``num / den * pi**pi_power`` as ints, in lowest terms
+#: with ``den > 0``
+_Ratio = tuple[int, int, int]
+
+
+def _interval_weight(a) -> tuple[float, Optional[_Ratio], Optional[_Ratio], float]:
     """The length ``a`` as a float and exactly (None for an inexact float
     length), and pi**2 / a**2 exactly (None likewise) and as a float.  Both
     floats must be positive and finite, else ``DomainError``: for a length
     of inf or 1e-300, or an exact 1e300, the mode spacing pi**2 / a**2 is 0
-    or inf in floats."""
+    or inf in floats.  ``a`` is parsed once, by ``as_pi_rational``, and the
+    rest is integer arithmetic on its numerator and denominator."""
     a_pi = as_pi_rational(a)
+    a_exact = coeff = None
+    if a_pi is not None:
+        a_exact = (a_pi.coeff.numerator, a_pi.coeff.denominator, a_pi.pi_power)
     try:
-        a_float = float(a_pi) if a_pi is not None else float(a)
+        a_float = _ratio_float(*a_exact) if a_exact is not None else float(a)
     except OverflowError:
         a_float = math.inf
     if not 0 < a_float < math.inf:
         raise DomainError(f"interval length must be positive and finite, got {a}")
-    coeff = PiRational(1, 2) / (a_pi * a_pi) if a_pi is not None else None
     try:
-        coeff_float = float(coeff) if coeff is not None else math.pi ** 2 / a_float ** 2
+        if a_exact is not None:
+            num, den, power = a_exact
+            # num > 0, so den**2 / num**2 is in lowest terms with a positive
+            # denominator
+            coeff = (den * den, num * num, 2 - 2 * power)
+            coeff_float = _ratio_float(*coeff)
+        else:
+            coeff_float = math.pi ** 2 / a_float ** 2
     except (OverflowError, ZeroDivisionError):
         coeff_float = math.inf
     if not 0 < coeff_float < math.inf:
         raise DomainError(f"pi**2 / a**2 leaves float range for interval length {a}")
-    return a_float, a_pi, coeff, coeff_float
+    return a_float, a_exact, coeff, coeff_float
 
 
 def interval_spectrum(a, bc: BoundaryCondition, cutoff: float) -> EigenvalueStream:
@@ -452,12 +470,19 @@ def interval_spectrum(a, bc: BoundaryCondition, cutoff: float) -> EigenvalueStre
     float value is below the cutoff.  A length and cutoff with more than
     ``_MAX_MODES`` modes raise ``DomainError``.
     """
+    return _interval_stream(a, bc, cutoff, _interval_weight)
+
+
+def _interval_stream(a, bc: BoundaryCondition, cutoff: float,
+                     weigh: Callable) -> EigenvalueStream:
+    """``interval_spectrum``, with ``weigh(a)`` for ``_interval_weight(a)``:
+    a spec node passes one that parses each of its lengths once."""
     bc = BoundaryCondition(bc)
     if bc is BoundaryCondition.CLOSED:
         raise DomainError("interval spectra are Dirichlet or Neumann")
     if not cutoff > 0:
         raise DomainError(f"cutoff must be positive, got {cutoff}")
-    _, _, coeff, coeff_float = _interval_weight(a)
+    _, _, coeff, coeff_float = weigh(a)
     start = 0 if bc is BoundaryCondition.NEUMANN else 1
     top = math.sqrt(cutoff / coeff_float)
     if not top < _MAX_MODES:
@@ -469,10 +494,10 @@ def interval_spectrum(a, bc: BoundaryCondition, cutoff: float) -> EigenvalueStre
         values = coeff_float * modes.astype(float) ** 2
         keep = values < cutoff
         return EigenvalueStream._built(values[keep], ones[keep], cutoff)
-    w = coeff.coeff.numerator
-    dtype = np.int64 if w * (int(top) + 2) ** 2 < _INT64_GUARD else object
-    return _stream_from_distinct(w * modes.astype(dtype) ** 2, ones, coeff.coeff.denominator,
-                                 coeff.pi_power, cutoff)
+    w, den, pi_power = coeff
+    if w * (int(top) + 2) ** 2 >= _INT64_GUARD:
+        modes = modes.astype(object)
+    return _stream_from_distinct(w * modes ** 2, ones, den, pi_power, cutoff)
 
 
 def _factor_cutoff(cutoff: float) -> float:
@@ -492,6 +517,12 @@ def box_spectrum(sides: Sequence, bc: BoundaryCondition, cutoff: float) -> Eigen
     ``_factor_cutoff``; a float partial product is built at the cutoff
     itself, since it merges its sums within ``FLOAT_MERGE_RTOL``, and a
     sum past the cutoff must not join one below it."""
+    return _box_stream(sides, bc, cutoff, _interval_weight)
+
+
+def _box_stream(sides: Sequence, bc: BoundaryCondition, cutoff: float,
+                weigh: Callable) -> EigenvalueStream:
+    """``box_spectrum``, with ``weigh`` as ``_interval_stream`` takes it."""
     if BoundaryCondition(bc) is BoundaryCondition.CLOSED:
         raise DomainError("box spectra are Dirichlet or Neumann")
     if not sides:
@@ -499,9 +530,9 @@ def box_spectrum(sides: Sequence, bc: BoundaryCondition, cutoff: float) -> Eigen
     if not cutoff > 0:
         raise DomainError(f"cutoff must be positive, got {cutoff}")
     if len(sides) == 1:
-        return interval_spectrum(sides[0], bc, cutoff)
+        return _interval_stream(sides[0], bc, cutoff, weigh)
     lifted = _factor_cutoff(cutoff)
-    box, *rest = [interval_spectrum(a, bc, lifted) for a in sides]
+    box, *rest = [_interval_stream(a, bc, lifted, weigh) for a in sides]
     for n, side in enumerate(rest, 1):
         lift = n < len(rest) and _exact_product(box, side)
         box = product_spectrum(box, side, lifted if lift else cutoff)
@@ -579,13 +610,24 @@ def _pair_blocks(x1: np.ndarray, m1: np.ndarray, x2: np.ndarray, m2: np.ndarray,
 def _kept_pairs(x1: np.ndarray, m1: np.ndarray, x2: np.ndarray, m2: np.ndarray,
                 widths: np.ndarray, cut) -> tuple[np.ndarray, np.ndarray]:
     """The sums of ``_pair_blocks`` below ``cut``, with their multiplicities,
-    each concatenated into one array (the blocks are freed on return)."""
+    each concatenated into one array when there are several blocks (the
+    blocks are freed on return)."""
     sums, mults = [x1[:0]], [m1[:0]]
     for block, pair_mults in _pair_blocks(x1, m1, x2, m2, widths):
         keep = block < cut
         sums.append(block[keep])
         mults.append(pair_mults[keep])
+    if len(sums) == 2:
+        return sums[1], mults[1]
     return np.concatenate(sums), np.concatenate(mults)
+
+
+def _scaled(nums: np.ndarray, factor: int, dtype) -> np.ndarray:
+    """Numerators times ``factor``, as ``dtype``; the array itself when
+    that changes nothing."""
+    if nums.dtype != dtype:
+        nums = nums.astype(dtype)
+    return nums if factor == 1 else nums * factor
 
 
 def _exact_product(s1: EigenvalueStream, s2: EigenvalueStream) -> bool:
@@ -595,13 +637,16 @@ def _exact_product(s1: EigenvalueStream, s2: EigenvalueStream) -> bool:
 
 
 def _count_upto(nums: np.ndarray, bound: int) -> int:
-    """How many of the ascending numerators are at most ``bound``.  int64
-    numerators are below ``_INT64_GUARD``, so a larger bound is clamped to
-    it: numpy compares an int64 array with a Python int past int64 as
-    objects, one by one."""
+    """How many of the ascending numerators are at most ``bound``: all of
+    them when the last one is, as for the factors of a product built at
+    ``_factor_cutoff``.  int64 numerators are below ``_INT64_GUARD``, so a
+    larger bound is clamped to it: numpy compares an int64 array with a
+    Python int past int64 as objects, one by one."""
+    if not nums.size or int(nums[-1]) <= bound:
+        return nums.size
     if nums.dtype != object:
         bound = min(bound, _INT64_GUARD)
-    return int(np.searchsorted(nums, bound, side="right"))
+    return int(nums.searchsorted(bound, side="right"))
 
 
 def product_spectrum(s1: EigenvalueStream, s2: EigenvalueStream,
@@ -627,8 +672,9 @@ def product_spectrum(s1: EigenvalueStream, s2: EigenvalueStream,
     as mode (1, 0) of the Neumann box pi x 27 pi / 2, 729 / 729, is
     0.9999999999999999 in the box's unit and 1.0 in its factor's.  So
     exact factors must cover a little more than the cutoff;
-    ``_factor_cutoff`` gives enough.  Dense int64 sums (span at most
-    ``_COUNT_SPAN_FACTOR`` times their count) are counted into their span
+    ``_factor_cutoff`` gives enough.  Dense int64 sums (from the least one
+    to the cut at most ``_COUNT_SPAN_FACTOR`` times their count) are
+    counted into their span
     slots block by block, in O(block + span) scratch memory; other exact
     sums are sorted by ``_stream_from_exact``.  Other
     inputs sum their float values, with the cutoff as ``cut``: a float sum
@@ -657,13 +703,13 @@ def product_spectrum(s1: EigenvalueStream, s2: EigenvalueStream,
         ends = [_count_upto(s.exact_nums, cut // f) for s, f in zip((s1, s2), factors)]
         # past the guard the sums are taken over Python ints, and a factor
         # past int64 overflows even on a zero numerator, so each top
-        # numerator counts as 1 at least
-        top = sum(int(s.exact_nums[:end].max(initial=1)) * f
+        # numerator (the last one kept, as they ascend) counts as 1 at least
+        top = sum(max(int(s.exact_nums[end - 1]) if end else 0, 1) * f
                   for s, f, end in zip((s1, s2), factors, ends))
         dtype = np.int64 if top < _INT64_GUARD else object
         if dtype is np.int64:
             cut = min(cut, _INT64_GUARD)
-        x1, x2 = (s.exact_nums[:end].astype(dtype) * f
+        x1, x2 = (_scaled(s.exact_nums[:end], f, dtype)
                   for s, f, end in zip((s1, s2), factors, ends))
         m1, m2 = (s.multiplicities[:end] for s, end in zip((s1, s2), ends))
     else:
@@ -672,14 +718,12 @@ def product_spectrum(s1: EigenvalueStream, s2: EigenvalueStream,
         x1, x2, cut = s1.values, s2.values, cutoff
         m1, m2 = s1.multiplicities, s2.multiplicities
     # row i holds the sums x1[i] + x2[j] <= cut, its first widths[i] columns
-    widths = np.searchsorted(x2, cut - x1, side="right")
+    widths = x2.searchsorted(cut - x1, side="right")
     kept = int(widths.sum())
     if exact and dtype is np.int64 and kept > 0:
-        # the sums run from the first pair to the largest end of the rows,
-        # which come first
-        rows = np.count_nonzero(widths)
-        lo = int(x1[0] + x2[0])
-        span = int((x1[:rows] + x2[widths[:rows] - 1]).max()) - lo + 1
+        # the sums run from the first pair to the cut at most
+        lo = int(x1[0]) + int(x2[0])
+        span = cut - lo + 1
         if span <= _COUNT_SPAN_FACTOR * kept:
             # a block's sums past its rows' widths are above the cut, so
             # they fall past the span and are dropped there; the sums up to
@@ -791,16 +835,22 @@ def interval_meta(a, bc: BoundaryCondition) -> DomainMeta:
 
 
 def box_meta(sides: Sequence, bc: BoundaryCondition) -> DomainMeta:
-    # each side parsed once, with the checks of interval_spectrum
-    weights = [_interval_weight(s) for s in sides]
-    floats, pis = [w[0] for w in weights], [w[1] for w in weights]
+    return _box_meta(sides, bc, _interval_weight)
+
+
+def _box_meta(sides: Sequence, bc: BoundaryCondition, weigh: Callable) -> DomainMeta:
+    """``box_meta``, with ``weigh`` as ``_interval_stream`` takes it; each
+    side is weighed once, with the checks of ``interval_spectrum``, and the
+    exact volume is the product of their integer ratios, one ``Fraction``
+    built from it."""
+    weights = [weigh(s) for s in sides]
+    floats = [w[0] for w in weights]
     volume = math.prod(floats)
     surface = sum(2.0 * volume / s for s in floats) if len(floats) > 1 else 2.0
     exact = None
-    if all(p is not None for p in pis):
-        exact = PiRational(1)
-        for p in pis:
-            exact = exact * p
+    if all(w[1] is not None for w in weights):
+        nums, dens, powers = zip(*(w[1] for w in weights))
+        exact = _from_ratio(math.prod(nums), math.prod(dens), sum(powers))
     return DomainMeta(len(floats), volume, BoundaryCondition(bc),
                       surface_area=surface, exact_volume=exact)
 

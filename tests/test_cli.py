@@ -541,9 +541,18 @@ def test_tabulated_table_is_validated_past_the_cutoff(capsys):
     assert json.loads(err)["error"] == "ValidationError"
 
 
-def test_covering_a_short_table_names_k_max_and_its_count(capsys, monkeypatch):
+@pytest.mark.parametrize("spec_text, held, what, tables", [
+    (_TABLE, 3, "table", 1),
+    # every pair sum of two three-entry tables, none of them the zero mode
+    (f'{{"product":[{_TABLE},{_TABLE}]}}', 9, "product of tables", 2),
+    (f'{{"product":[{_TABLE},{{"product":[{_TABLE},{_TABLE}]}}]}}', 27, "product of tables", 3),
+])
+def test_covering_a_short_table_names_k_max_and_its_count(capsys, monkeypatch, spec_text,
+                                                          held, what, tables):
     # each of ten cutoff tries truncated the table again before a ConfigError
-    # naming the last cutoff; the table says at once how many it holds
+    # naming the last cutoff, and a product of tables grew the cutoff to
+    # float range before a DomainError naming no count; a table, and a
+    # product of tables, say at once how many they hold
     from polyaspec import spec
 
     tried, built = [], []
@@ -552,12 +561,25 @@ def test_covering_a_short_table_names_k_max_and_its_count(capsys, monkeypatch):
                         lambda self, cutoff: tried.append(cutoff) or stream(self, cutoff))
     monkeypatch.setattr(spec.sp, "tabulated_spectrum",
                         lambda *args: built.append(args) or tabulate(*args))
-    code, out, err = run_cli(capsys, "verify", "--spec", _TABLE, "--k-max", "100",
+    code, out, err = run_cli(capsys, "verify", "--spec", spec_text, "--k-max", "100",
                              "--no-timestamp")
     assert code == 2 and out == ""
-    assert json.loads(err) == {"error": "CoverageError",
-                               "message": "k_max=100 exceeds the 3 eigenvalues of the table"}
-    assert tried == [] and len(built) == 1
+    message = f"k_max=100 exceeds the {held} eigenvalues of the {what}"
+    assert json.loads(err) == {"error": "CoverageError", "message": message}
+    assert tried == [] and len(built) == tables
+
+
+def test_covering_a_product_of_tables_counts_the_zero_mode_once(capsys):
+    # two Neumann tables with the zero mode: their product holds 3 * 3 = 9
+    # eigenvalues, the zero mode among them, so 8 beyond it
+    table = '{"tabulated":{"entries":[[0,1],[1,1],[4,1]],"dimension":1,"volume":1,"bc":"neumann"}}'
+    product = f'{{"product":[{table},{table}]}}'
+    code, out, _ = run_cli(capsys, "verify", "--spec", product, "--k-max", "8", "--no-timestamp")
+    assert code in (0, 1) and json.loads(out)["checked"] == 8
+    code, _, err = run_cli(capsys, "verify", "--spec", product, "--k-max", "9", "--no-timestamp")
+    assert code == 2 and json.loads(err) == {
+        "error": "CoverageError",
+        "message": "k_max=9 exceeds the 8 eigenvalues of the product of tables"}
 
 
 @pytest.mark.parametrize("spec, k_max", [

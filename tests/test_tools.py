@@ -24,6 +24,7 @@ _SUMMARY = {"row", "median", "q1", "q3", "n", "times_ms"}
      {"peak_mb", "runs", "shift", "int64", "below_2_53"}),
     ("bench_exact_sweep", "sphere-pi24-dirichlet-1e5-cli",
      {"runs", "shift", "int64", "below_2_53"}),
+    ("bench_exact_sweep", "sphere-thin-cli", {"runs", "shift", "int64", "below_2_53"}),
     ("bench_counting", "seeley-7/2x9/2", {"result"}),
     ("bench_io", "read-7/2x9/2", {"values", "same"}),
     ("bench_riesz", "scale-lambdas-1-g1.5", {"values", "lambdas", "fsum"}),

@@ -9,7 +9,9 @@ describes.  A row is one spec at one
 is ``verify_dirichlet`` / ``verify_neumann``, ``build`` is
 ``stream_covering_k(build_spec(spec), k_max)``, the generator layer, and
 ``cli`` is one whole ``polyaspec verify --exact`` job through ``cli.main``
-in process, its JSON written to the null device.  The
+in process, its JSON written to the null device; ``sphere-thin-cli`` is
+one ``polyaspec reproduce sphere-thin`` the same way, its sweep shape that
+of the bundle's Dirichlet stream.  The
 stream is built and the sweep run once before timing, so an ``exact`` or
 ``plain`` row times only the sweep.  Each row also
 records the runs of equal values the sweep checks, the power of pi left in
@@ -88,6 +90,11 @@ ROWS = {
     for side in sides
     for sweep in sweeps
 }
+# the bundle end to end: both sides of (0, pi/24) x S^2 at k_max 1e5, each
+# swept exactly and plainly, and its threshold and failure cases
+ROWS["sphere-thin-cli"] = (
+    {"product": [{"interval": {"a": "pi/24", "bc": "dirichlet"}}, {"sphere2": {}}]},
+    10 ** 5, "dirichlet", "bundle")
 
 def sweep_shape(s, meta, k_max: int, side: str) -> dict:
     """The runs the sweep checks and the path of their exact comparisons:
@@ -122,6 +129,11 @@ def time_row(name: str, repeat: int) -> dict:
     elif sweep == "cli":
         argv = ["verify", "--spec", json.dumps(spec), "--k-max", str(k_max), "--exact",
                 "--no-timestamp", "--out", os.devnull]
+
+        def run():
+            return cli.main(argv)
+    elif sweep == "bundle":
+        argv = ["reproduce", "sphere-thin", "--no-timestamp", "--out", os.devnull]
 
         def run():
             return cli.main(argv)
