@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from typing import Callable, Optional
@@ -32,7 +33,7 @@ from . import polya as pv
 from . import riesz as rz
 from . import spectra as sp
 from .constants import c_d, h1, h2, l_gamma_d, omega_d
-from .errors import ConfigError, PolyaspecError
+from .errors import ConfigError, DomainError, PolyaspecError
 from .reproduce import sphere_thin_bundle, square_triangle_bundle
 from .spec import SpectrumSpec, build_spec, stream_covering_k
 
@@ -81,6 +82,15 @@ def _emit_csv(header: list[str], columns, args) -> None:
 # subcommands
 
 
+def _lambda_cutoff(lams: list[float]) -> float:
+    """The largest of ``lams``, refusing a NaN anywhere; the least positive
+    float when none is positive, as N and R_gamma vanish at lambda <= 0."""
+    if any(math.isnan(lam) for lam in lams):
+        raise DomainError("lambda must be a number, got nan")
+    top = max(lams)
+    return top if top > 0 else math.ulp(0.0)
+
+
 def _cmd_spectrum(args) -> int:
     spec = build_spec(args.spec)
     stream = spec.stream(args.cutoff)
@@ -94,7 +104,7 @@ def _cmd_spectrum(args) -> int:
 def _cmd_count(args) -> int:
     spec = build_spec(args.spec)
     lams = [float(x) for x in args.lam]
-    cutoff = max(lams) if args.cutoff is None else args.cutoff
+    cutoff = _lambda_cutoff(lams) if args.cutoff is None else args.cutoff
     cf = spec.counting(cutoff)
     rows = []
     # tolist() keeps the counts Python ints, which JSON can serialise
@@ -135,7 +145,7 @@ def _cmd_riesz(args) -> int:
     lams = [float(x) for x in args.lam]
     if not lams:
         raise ConfigError("give at least one --lambda or use --two-term")
-    stream = spec.stream(max(lams))
+    stream = spec.stream(_lambda_cutoff(lams))
     means = rz.riesz_mean_many(stream, args.gamma, lams)
     if args.output == "csv":
         _emit_csv(["lambda", "riesz"], [np.array(lams), means], args)

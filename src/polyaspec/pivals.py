@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ValidationError
@@ -26,10 +26,12 @@ _PI_DEN = re.compile(r"^([0-9]+(?:\.[0-9]+)?)/([0-9]+(?:\.[0-9]+)?)?(?:\*|\s)?pi
 
 @dataclass(frozen=True)
 class PiRational:
-    """The exact quantity ``coeff * pi**pi_power``."""
+    """The exact quantity ``coeff * pi**pi_power``; ``str`` shows the
+    ``text`` a ``parse_length`` result keeps, which no comparison reads."""
 
     coeff: Fraction
     pi_power: int = 0
+    text: str | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.coeff, Fraction):
@@ -79,6 +81,8 @@ class PiRational:
         return self.coeff
 
     def __str__(self) -> str:
+        if self.text is not None:
+            return self.text
         if self.pi_power == 0:
             return str(self.coeff)
         pi = "pi" if self.pi_power == 1 else f"pi**{self.pi_power}"
@@ -120,7 +124,7 @@ def parse_length(text: str) -> PiRational:
     """Parse a symbolic length such as ``"10"``, ``"3/4"``, ``"pi"``,
     ``"2pi"``, ``"pi/24"`` or ``"1/4pi"`` (meaning 1/(4*pi)).  The decimals
     are read as integers, and the one ``Fraction`` of the result is built
-    from their quotient."""
+    from their quotient; the result keeps ``text``."""
     s = text.strip().lower().replace(" ", "")
     for pattern, pi_power in ((_PLAIN, 0), (_PI_DEN, -1), (_PI_NUM, 1)):
         m = pattern.match(s)
@@ -128,7 +132,7 @@ def parse_length(text: str) -> PiRational:
             (p, q), (r, t) = _decimal(m.group(1)), _decimal(m.group(2))
             if r == 0:
                 raise ValidationError(f"length {text!r} divides by zero")
-            return _from_ratio(p * t, q * r, pi_power)
+            return PiRational(Fraction(p * t, q * r), pi_power, text)
     raise ValidationError(f"cannot parse length {text!r}")
 
 

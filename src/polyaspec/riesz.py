@@ -492,10 +492,12 @@ def two_term_riesz_scan(s: EigenvalueStream, meta: DomainMeta, gamma: float,
 
     Dirichlet: bound = L |Omega| lam^(g+d/2) - (1/5) L' |bOmega| lam^(g+(d-1)/2),
     margin = bound - riesz.  Neumann: the mirror with + (1/5) and
-    margin = riesz - bound.  A closed composition has no two-term bound.
+    margin = riesz - bound.  Closed and 1-D compositions have no two-term bound.
     """
     if meta.bc is BoundaryCondition.CLOSED:
         raise DomainError("two-term Riesz bounds are Dirichlet or Neumann, got closed")
+    if meta.dimension < 2:
+        raise DomainError(f"two-term Riesz bounds need dimension >= 2, got {meta.dimension}")
     side = meta.bc.value
     if meta.surface_area is None:
         raise ConfigError("two-term Riesz bounds need meta.surface_area")

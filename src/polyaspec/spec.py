@@ -6,9 +6,10 @@ A spec is the recursive JSON form used by the command line, e.g.
 
 ``build_spec`` validates it into a ``SpectrumSpec``, whose ``stream`` and
 ``meta`` build the eigenvalue stream and the domain metadata of the same
-domain; ``stream_covering_k`` grows the cutoff until the stream holds
-k_max eigenvalues.  The command line and the reproduction bundles build
-every domain this way.
+domain by the public generators of ``spectra``, from lengths that
+``build_spec`` parsed once; ``stream_covering_k`` grows the cutoff until
+the stream holds k_max eigenvalues.  The command line and the reproduction
+bundles build every domain this way.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import math
 from typing import Callable, NamedTuple, Optional
 
 from . import counting as ct
+from . import pivals
 from . import spectra as sp
 from .constants import c_d
 from .errors import ConfigError, CoverageError, DomainError
@@ -68,14 +70,12 @@ class _Kind(NamedTuple):
 
 #: every spectrum kind: required parameters, stream builder, metadata builder
 _KINDS = {
-    "interval": _Kind(
-        ("a", "bc"),
-        lambda s, c: sp._interval_stream(s.params["a"], s.params["bc"], c, s._weigh),
-        lambda s: sp._box_meta([s.params["a"]], s.params["bc"], s._weigh)),
-    "box": _Kind(
-        ("sides", "bc"),
-        lambda s, c: sp._box_stream(s.params["sides"], s.params["bc"], c, s._weigh),
-        lambda s: sp._box_meta(s.params["sides"], s.params["bc"], s._weigh)),
+    "interval": _Kind(("a", "bc"),
+                      lambda s, c: sp.interval_spectrum(s.params["a"], s.params["bc"], c),
+                      lambda s: sp.interval_meta(s.params["a"], s.params["bc"])),
+    "box": _Kind(("sides", "bc"),
+                 lambda s, c: sp.box_spectrum(s.params["sides"], s.params["bc"], c),
+                 lambda s: sp.box_meta(s.params["sides"], s.params["bc"])),
     "sphere2": _Kind((), lambda s, c: sp.sphere2_spectrum(c), lambda s: sp.sphere2_meta()),
     "triangle": _Kind((), lambda s, c: sp.triangle_neumann_spectrum(c),
                       lambda s: sp.triangle_meta()),
@@ -89,6 +89,11 @@ _KINDS = {
 def _is_length(value) -> bool:
     """A length is a number or a string such as ``"pi/24"``; a bool is neither."""
     return isinstance(value, (int, float, str)) and not isinstance(value, bool)
+
+
+def _parsed(length):
+    """A string length parsed into a ``PiRational``; a number as it is."""
+    return pivals.parse_length(length) if isinstance(length, str) else length
 
 
 def _is_finite(value) -> bool:
@@ -126,8 +131,6 @@ class SpectrumSpec:
         self.kind = kind
         self.params = params
         self.children = children or []
-        # the weights of this node's lengths, by (type, length); see _weigh
-        self._weights = {}
 
     def meta(self) -> sp.DomainMeta:
         return _KINDS[self.kind].meta(self)
@@ -140,15 +143,6 @@ class SpectrumSpec:
         """A tabulated spec's validated table, so that each cutoff of
         ``stream_covering_k`` only truncates it."""
         return _tabulated_table(self.params)
-
-    def _weigh(self, a) -> tuple:
-        """``spectra._interval_weight(a)`` for a length of this node, parsed
-        on first use and kept, so that ``meta`` and every cutoff ``stream``
-        tries parse it once.  Equal lengths of one type weigh the same."""
-        key = (type(a), a)
-        if key not in self._weights:
-            self._weights[key] = sp._interval_weight(a)
-        return self._weights[key]
 
     def _table_count(self) -> Optional[tuple[int, bool]]:
         """For a spec whose leaves are all tables, the eigenvalues it holds
@@ -195,6 +189,10 @@ def build_spec(node) -> SpectrumSpec:
             raise ConfigError(f"{kind!r} needs {what}{got}")
     if kind == "triangle" and params.get("bc", "neumann") != "neumann":
         raise ConfigError(f"the 'triangle' spectrum is Neumann only, got bc {params['bc']!r}")
+    if kind == "interval":
+        params = {**params, "a": _parsed(params["a"])}
+    elif kind == "box":
+        params = {**params, "sides": [_parsed(a) for a in params["sides"]]}
     return SpectrumSpec(kind, params)
 
 

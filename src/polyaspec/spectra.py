@@ -10,7 +10,8 @@ slots.  A box is the product of its sides' intervals, so ``box_spectrum``
 folds ``product_spectrum`` over ``interval_spectrum`` streams.  A box whose
 sides mix kinds (a float with an exact length, or p/q with p pi/q) takes
 each side's values as that interval computes them, which can differ from a
-direct sum of the modes by an ulp or two.
+direct sum of the modes by an ulp or two.  Each call parses its string
+lengths; a spec node (``polyaspec.spec``) passes its lengths parsed once.
 
 A stream records eigenvalues strictly below a cutoff, with multiplicities.
 When the generating lengths are rational, or rational multiples of pi, the
@@ -33,7 +34,7 @@ from collections.abc import Sized
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -459,9 +460,9 @@ def interval_spectrum(a, bc: BoundaryCondition, cutoff: float) -> EigenvalueStre
     lattice every box is a product of.
 
     Dirichlet modes start at l = 1, Neumann at l = 0.  ``a`` may be a float,
-    an int, a Fraction, or a symbolic string like ``"pi/24"``; symbolic and
-    rational lengths produce exact streams, whose numerators are l**2 times
-    the numerator w of pi**2 / a**2.  Their modes run up to
+    an int, a Fraction, a PiRational or a symbolic string like ``"pi/24"``;
+    symbolic and rational lengths produce exact streams, whose numerators
+    are l**2 times the numerator w of pi**2 / a**2.  Their modes run up to
     ``int(top) + 2``, top = sqrt(cutoff / (pi**2 / a**2)), a bound past
     every kept mode, and ``_stream_from_distinct`` keeps those below the
     cutoff (the numerators ascend, so there is nothing to aggregate); the
@@ -470,19 +471,12 @@ def interval_spectrum(a, bc: BoundaryCondition, cutoff: float) -> EigenvalueStre
     float value is below the cutoff.  A length and cutoff with more than
     ``_MAX_MODES`` modes raise ``DomainError``.
     """
-    return _interval_stream(a, bc, cutoff, _interval_weight)
-
-
-def _interval_stream(a, bc: BoundaryCondition, cutoff: float,
-                     weigh: Callable) -> EigenvalueStream:
-    """``interval_spectrum``, with ``weigh(a)`` for ``_interval_weight(a)``:
-    a spec node passes one that parses each of its lengths once."""
     bc = BoundaryCondition(bc)
     if bc is BoundaryCondition.CLOSED:
         raise DomainError("interval spectra are Dirichlet or Neumann")
     if not cutoff > 0:
         raise DomainError(f"cutoff must be positive, got {cutoff}")
-    _, _, coeff, coeff_float = weigh(a)
+    _, _, coeff, coeff_float = _interval_weight(a)
     start = 0 if bc is BoundaryCondition.NEUMANN else 1
     top = math.sqrt(cutoff / coeff_float)
     if not top < _MAX_MODES:
@@ -517,12 +511,6 @@ def box_spectrum(sides: Sequence, bc: BoundaryCondition, cutoff: float) -> Eigen
     ``_factor_cutoff``; a float partial product is built at the cutoff
     itself, since it merges its sums within ``FLOAT_MERGE_RTOL``, and a
     sum past the cutoff must not join one below it."""
-    return _box_stream(sides, bc, cutoff, _interval_weight)
-
-
-def _box_stream(sides: Sequence, bc: BoundaryCondition, cutoff: float,
-                weigh: Callable) -> EigenvalueStream:
-    """``box_spectrum``, with ``weigh`` as ``_interval_stream`` takes it."""
     if BoundaryCondition(bc) is BoundaryCondition.CLOSED:
         raise DomainError("box spectra are Dirichlet or Neumann")
     if not sides:
@@ -530,9 +518,9 @@ def _box_stream(sides: Sequence, bc: BoundaryCondition, cutoff: float,
     if not cutoff > 0:
         raise DomainError(f"cutoff must be positive, got {cutoff}")
     if len(sides) == 1:
-        return _interval_stream(sides[0], bc, cutoff, weigh)
+        return interval_spectrum(sides[0], bc, cutoff)
     lifted = _factor_cutoff(cutoff)
-    box, *rest = [_interval_stream(a, bc, lifted, weigh) for a in sides]
+    box, *rest = [interval_spectrum(a, bc, lifted) for a in sides]
     for n, side in enumerate(rest, 1):
         lift = n < len(rest) and _exact_product(box, side)
         box = product_spectrum(box, side, lifted if lift else cutoff)
@@ -835,15 +823,10 @@ def interval_meta(a, bc: BoundaryCondition) -> DomainMeta:
 
 
 def box_meta(sides: Sequence, bc: BoundaryCondition) -> DomainMeta:
-    return _box_meta(sides, bc, _interval_weight)
-
-
-def _box_meta(sides: Sequence, bc: BoundaryCondition, weigh: Callable) -> DomainMeta:
-    """``box_meta``, with ``weigh`` as ``_interval_stream`` takes it; each
-    side is weighed once, with the checks of ``interval_spectrum``, and the
-    exact volume is the product of their integer ratios, one ``Fraction``
-    built from it."""
-    weights = [weigh(s) for s in sides]
+    """Each side is weighed once, with the checks of ``interval_spectrum``,
+    and the exact volume is the product of their integer ratios, one
+    ``Fraction`` built from it."""
+    weights = [_interval_weight(s) for s in sides]
     floats = [w[0] for w in weights]
     volume = math.prod(floats)
     surface = sum(2.0 * volume / s for s in floats) if len(floats) > 1 else 2.0

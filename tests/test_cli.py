@@ -279,6 +279,49 @@ def test_riesz_rows_keep_the_given_lambda_order(capsys):
     assert [r["riesz"] for r in rows] == pytest.approx([0.0, 0.0, r6, 0.0], rel=1e-14, abs=0.0)
 
 
+_LAMBDA_CMDS = [("count",), ("riesz", "--gamma", "1.5")]
+
+
+@pytest.mark.parametrize("cmd", _LAMBDA_CMDS)
+@pytest.mark.parametrize("lams", [("nan", "5"), ("5", "nan"), ("0", "nan")])
+def test_a_nan_lambda_is_one_error_wherever_it_stands(capsys, cmd, lams):
+    # the default cutoff was max(lambdas): nan first made it nan, and the
+    # command said "cutoff must be positive, got nan"
+    argv = [*cmd, "--spec", '{"box":{"sides":[1,1],"bc":"neumann"}}', "--no-timestamp"]
+    for lam in lams:
+        argv += ["--lambda", lam]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "DomainError",
+                               "message": "lambda must be a number, got nan"}
+
+
+@pytest.mark.parametrize("cmd", _LAMBDA_CMDS)
+@pytest.mark.parametrize("spec", ['{"box":{"sides":[1,1],"bc":"neumann"}}',
+                                  '{"interval":{"a":"pi/24","bc":"dirichlet"}}',
+                                  '{"product":[{"triangle":{}},{"sphere2":{}}]}'])
+def test_nonpositive_lambdas_count_and_sum_nothing(capsys, cmd, spec):
+    # the default cutoff was max(lambdas), so a list with no positive
+    # lambda exited 2 with "cutoff must be positive"; N and R_gamma vanish
+    code, out, err = run_cli(capsys, *cmd, "--spec", spec, "--lambda", "0",
+                             "--lambda=-2", "--lambda=-1e300", "--no-timestamp")
+    assert code == 0 and err == ""
+    key = cmd[0] if cmd[0] == "riesz" else "count"
+    assert [(r["lambda"], r[key]) for r in json.loads(out)["results"]] == [
+        (0.0, 0), (-2.0, 0), (-1e300, 0)]
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+def test_two_term_scan_of_an_interval_names_the_dimension(capsys, bc):
+    # the boundary term's L_gamma,d-1 failed as "dimension must be >= 1, got 0"
+    code, out, err = run_cli(capsys, "riesz", "--spec",
+                             '{"interval":{"a":2,"bc":"%s"}}' % bc, "--gamma", "1",
+                             "--two-term", "--cutoff", "50", "--no-timestamp")
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "DomainError",
+                               "message": "two-term Riesz bounds need dimension >= 2, got 1"}
+
+
 def test_constants_json(capsys):
     code, out, _ = run_cli(capsys, "constants", "--d", "3", "--gamma", "1.5",
                            "--no-timestamp")
