@@ -93,7 +93,8 @@ def compare(parent_src: Path, rounds: int, repeat: int) -> dict:
             f"rows), parent -> change; {rounds} fresh interpreters per side, "
             f"alternating, {repeat} timed calls each after one warm-up call")
     return {**layer_bench.header(what, __file__, rounds, repeat),
-            **layer_bench.totals(rows, ("scan", "seeley")), "rows": rows}
+            **layer_bench.totals({op: [row for row in rows if row["op"] == op]
+                                    for op in ("scan", "seeley")}), "rows": rows}
 
 
 if __name__ == "__main__":

@@ -114,12 +114,12 @@ def total(rows: list[dict]) -> tuple[dict, float]:
     return {label: round(t, 3) for label, t in ms.items()}, round(ms["parent"] / ms["change"], 2)
 
 
-def totals(rows: list[dict], ops: tuple[str, ...]) -> dict:
-    """The ``total`` of the rows of each op, as ``total_ms`` and
+def totals(groups: dict[str, list[dict]]) -> dict:
+    """The ``total`` of each named group of rows, as ``total_ms`` and
     ``total_speedup``."""
-    sums = {op: total([row for row in rows if row["op"] == op]) for op in ops}
-    return {"total_ms": {op: ms for op, (ms, _) in sums.items()},
-            "total_speedup": {op: speedup for op, (_, speedup) in sums.items()}}
+    sums = {name: total(rows) for name, rows in groups.items()}
+    return {"total_ms": {name: ms for name, (ms, _) in sums.items()},
+            "total_speedup": {name: speedup for name, (_, speedup) in sums.items()}}
 
 
 def header(what: str, script: str, rounds: int, repeat: int) -> dict:
