@@ -83,10 +83,14 @@ def _emit_csv(header: list[str], columns, args) -> None:
 
 
 def _lambda_cutoff(lams: list[float]) -> float:
-    """The largest of ``lams``, refusing a NaN anywhere; the least positive
-    float when none is positive, as N and R_gamma vanish at lambda <= 0."""
+    """The largest of ``lams``, refusing a NaN or an infinity anywhere (JSON
+    has neither); the least positive float when none is positive, as N and
+    R_gamma vanish at lambda <= 0."""
     if any(math.isnan(lam) for lam in lams):
         raise DomainError("lambda must be a number, got nan")
+    for lam in lams:
+        if math.isinf(lam):
+            raise DomainError(f"lambda must be finite, got {lam}")
     top = max(lams)
     return top if top > 0 else math.ulp(0.0)
 
@@ -104,8 +108,8 @@ def _cmd_spectrum(args) -> int:
 def _cmd_count(args) -> int:
     spec = build_spec(args.spec)
     lams = [float(x) for x in args.lam]
-    cutoff = _lambda_cutoff(lams) if args.cutoff is None else args.cutoff
-    cf = spec.counting(cutoff)
+    top = _lambda_cutoff(lams)
+    cf = spec.counting(top if args.cutoff is None else args.cutoff)
     rows = []
     # tolist() keeps the counts Python ints, which JSON can serialise
     for lam, count in zip(lams, cf.count_many(lams).tolist()):
@@ -114,7 +118,8 @@ def _cmd_count(args) -> int:
             bound = ct.weyl_leading(cf.meta, lam)
             sign = 1.0 if cf.meta.bc is sp.BoundaryCondition.DIRICHLET else -1.0
             row["bound"] = bound
-            row["margin"] = sign * (bound - row["count"])
+            # + 0.0 makes the -0.0 of a zero Neumann margin 0.0
+            row["margin"] = sign * (bound - row["count"]) + 0.0
         rows.append(row)
     if args.output == "csv":
         header = ["lambda", "count"] + (["bound", "margin"] if args.weyl else [])

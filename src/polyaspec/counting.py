@@ -180,7 +180,8 @@ class SeeleyEstimate:
 
     ``value`` is the smallest C such that the two-term bound with constant C
     holds at every scanned jump; ``top`` lists the five largest normalized
-    remainders with their locations, to expose non-convergence.
+    remainders with their locations, to expose non-convergence, the lower
+    jump first among equal remainders (``achieved_at`` is the first).
     """
 
     side: str
@@ -188,6 +189,17 @@ class SeeleyEstimate:
     achieved_at: float
     top: tuple[tuple[float, float], ...]
     scanned: int
+
+
+def _largest(values: np.ndarray, count: int) -> np.ndarray:
+    """The indices of the ``count`` largest of the nonempty ``values``,
+    largest first and the lower index first among equal values, as a full
+    stable sort orders them, from a partial selection."""
+    count = min(count, values.size)
+    cut = -np.partition(-values, count - 1)[count - 1]
+    above = np.flatnonzero(values > cut)
+    chosen = np.concatenate([above, np.flatnonzero(values == cut)[:count - above.size]])
+    return chosen[np.argsort(-values[chosen], kind="stable")]
 
 
 def estimate_seeley_constant(cf: CountingFunction, meta: DomainMeta, cutoff: float,
@@ -226,7 +238,7 @@ def estimate_seeley_constant(cf: CountingFunction, meta: DomainMeta, cutoff: flo
     else:
         remainder = lead - below[lo:hi].astype(float)
     ratios = np.maximum(remainder, 0.0) / jumps ** ((d - 1) / 2.0)
-    order = np.argsort(ratios)[::-1][:5]
+    order = _largest(ratios, 5)
     top = tuple((float(ratios[i]), float(jumps[i])) for i in order)
     best = order[0]
     return SeeleyEstimate(side, float(ratios[best]), float(jumps[best]), top, int(jumps.size))

@@ -13,13 +13,13 @@ least two exponent digits) otherwise, and ``0.0``, ``-0.0``, ``inf``,
 ``-inf`` and ``nan`` as they are.  An integer array is written from the
 same digit tables.  Any other column, such as a list, is a ``ValueError``.
 
-A block of rows is laid out in one uint64 frame, each cell in as few words
-as the widest cell of its columns needs, NULs filling the rest: a float's
-17 digits contiguous from byte 4 (8 after a "-0.000"), a slot for the dot
-shifted in by decimal arithmetic, the sign and prefix right before them,
-the exponent and separator ending the last word; an integer's sign, then
-its digits up to the separator.  One ``bytes.translate`` drops the NULs,
-one ``decode`` makes the text.  Scratch memory is bounded by ``_BLOCK``.
+A block, the rows that ``_BLOCK`` cells of its widest run of columns fill,
+is one uint64 frame: each cell in as few words as the widest cell of its
+run needs, NULs in the rest.  A float has its 17 digits from byte 4 (8 after
+"-0.000"), a dot slot shifted in by decimal arithmetic, its sign and
+prefix right before them, and its exponent and separator ending the last
+word; an integer has its sign first and its digits up to the separator.
+One ``bytes.translate`` drops the NULs.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 
 __all__ = ["write_columns"]
 
-#: cells laid out per block; it keeps the scratch arrays under 2 MB
+#: cells of the widest run of columns per block, keeping scratch under 2 MB
 _BLOCK = 1 << 13
 
 _U = np.uint64
@@ -362,7 +362,7 @@ def write_columns(fp, header, columns) -> None:
         else:
             runs.append([column])
     seps = _words(f"{'':\0<7}{sep}" for sep in "," * (len(columns) - 1) + "\n")
-    step = max(1, _BLOCK // len(columns))
+    step = max(1, _BLOCK // max(len(run) for run in runs))
     ends = np.cumsum([len(run) for run in runs])
     marks = [np.tile(seps[end - len(run):end], step) for run, end in zip(runs, ends)]
     for start in range(0, rows, step):

@@ -105,6 +105,19 @@ def test_count_with_weyl_columns(capsys):
     assert lines[2].startswith("43.0,49,")
 
 
+@pytest.mark.parametrize("lam", ["0", "-0.0"])
+def test_a_zero_neumann_weyl_margin_is_plus_zero(capsys, lam):
+    # the margin at lambda 0 was -1.0 * (0.0 - 0), printed as -0.0
+    argv = ["count", "--spec", '{"box":{"sides":["pi/24",1e4,3],"bc":"neumann"}}',
+            f"--lambda={lam}", "--weyl", "--no-timestamp"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert '"margin": 0.0' in out and json.loads(out)["results"][0]["margin"] == 0.0
+    code, out, _ = run_cli(capsys, *argv, "--output", "csv")
+    assert code == 0
+    assert out.splitlines() == ["lambda,count,bound,margin", f"{float(lam)!r},0,0.0,0.0"]
+
+
 def test_count_triangle_closed_form(capsys):
     code, out, _ = run_cli(capsys, "count", "--spec", '{"triangle":{}}',
                            "--lambda", "1", "--no-timestamp")
@@ -270,13 +283,12 @@ def test_riesz_rows_keep_the_given_lambda_order(capsys):
     r6 = 6 ** 1.5 + 3 * 4 ** 1.5
     assert [lam for lam, _ in rows] == [6.0, 2.0, 6.0, 0.0]
     assert [r for _, r in rows] == pytest.approx([r6, 2 ** 1.5, r6, 0.0], rel=1e-14)
-    # lambdas below the first value, -inf among them, are exact zeros
+    # lambdas below the first value are exact zeros
     code, out, _ = run_cli(capsys, "riesz", "--spec", '{"sphere2":{}}', "--gamma", "1.5",
-                           "--lambda", "-1", "--lambda=-inf", "--lambda", "6",
-                           "--lambda=-1e300", "--no-timestamp")
+                           "--lambda", "-1", "--lambda", "6", "--lambda=-1e300", "--no-timestamp")
     assert code == 0
     rows = json.loads(out)["results"]
-    assert [r["riesz"] for r in rows] == pytest.approx([0.0, 0.0, r6, 0.0], rel=1e-14, abs=0.0)
+    assert [r["riesz"] for r in rows] == pytest.approx([0.0, r6, 0.0], rel=1e-14, abs=0.0)
 
 
 _LAMBDA_CMDS = [("count",), ("riesz", "--gamma", "1.5")]
@@ -294,6 +306,19 @@ def test_a_nan_lambda_is_one_error_wherever_it_stands(capsys, cmd, lams):
     assert code == 2 and out == ""
     assert json.loads(err) == {"error": "DomainError",
                                "message": "lambda must be a number, got nan"}
+
+
+@pytest.mark.parametrize("cmd", [*_LAMBDA_CMDS, ("count", "--cutoff", "10")])
+@pytest.mark.parametrize("output", ["json", "csv"])
+@pytest.mark.parametrize("lam", ["-inf", "inf"])
+def test_an_infinite_lambda_is_refused(capsys, cmd, output, lam):
+    # -inf was echoed as -Infinity, which is not JSON, with exit status 0
+    argv = [*cmd, "--spec", '{"sphere2":{}}', "--lambda", "3", f"--lambda={lam}",
+            "--output", output, "--no-timestamp"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "DomainError",
+                               "message": f"lambda must be finite, got {float(lam)}"}
 
 
 @pytest.mark.parametrize("cmd", _LAMBDA_CMDS)

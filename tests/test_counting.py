@@ -29,7 +29,7 @@ from polyaspec import (
 )
 from polyaspec.cli import main
 from polyaspec.reproduce import empirical_weyl_onset, square_triangle_bundle
-from polyaspec.counting import SeeleyEstimate
+from polyaspec.counting import SeeleyEstimate, _largest
 from polyaspec.polya import VerificationReport, _bound_values
 from polyaspec.spectra import DomainMeta, EigenvalueStream, _sorted_union
 
@@ -510,7 +510,7 @@ def _search_seeley_constant(cf, meta, cutoff, side, lambda_min=0.0):
     else:
         remainder = lead - cf.count_many(jumps).astype(float)
     ratios = np.maximum(remainder, 0.0) / jumps ** ((d - 1) / 2.0)
-    order = np.argsort(ratios)[::-1][:5]
+    order = np.argsort(-ratios, kind="stable")[:5]
     top = tuple((float(ratios[i]), float(jumps[i])) for i in order)
     best = order[0]
     return SeeleyEstimate(side, float(ratios[best]), float(jumps[best]), top, int(jumps.size))
@@ -637,6 +637,26 @@ def test_a_parts_jump_at_the_sums_cutoff_has_no_right_limit(nested):
         with pytest.raises(CoverageError):
             scan(cf, meta, 10.0, "upper")
         assert scan(cf, meta, 10.0, "lower").scanned == 3
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([0.0, 0.0, 0.0, 0.5, 1.0, 1.0, 2.5, 7.0]), min_size=1,
+                max_size=40), st.integers(1, 8))
+def test_top_ratios_are_a_stable_sort_head(values, count):
+    # ties everywhere, and often fewer than ``count`` positive values, so
+    # the zeros fill the head
+    ratios = np.array(values)
+    assert _largest(ratios, count).tolist() == np.argsort(-ratios, kind="stable")[:count].tolist()
+
+
+def test_tied_top_ratios_list_the_lower_jump_first():
+    # one positive remainder: the zeros after it come in jump order
+    entries = [(1.0, 10)] + [(v, 1) for v in (2.0, 3.0, 4.0, 5.0, 6.0, 7.0)]
+    cf = CountingFunction.from_stream(tabulated_spectrum(entries, 8.0),
+                                      DomainMeta(2, 100.0, "neumann"))
+    est = estimate_seeley_constant(cf, cf.meta, 7.0, "upper")
+    assert est.top[0][0] > 0.0 and [ratio for ratio, _ in est.top[1:]] == [0.0] * 4
+    assert [jump for _, jump in est.top] == [1.0, 2.0, 3.0, 4.0, 5.0]
 
 
 @settings(max_examples=300, deadline=None)

@@ -5,6 +5,7 @@ import io
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -91,6 +92,74 @@ def test_integer_columns_and_blocks(monkeypatch):
     want = "a,b,c,d\n" + "".join(f"{a!r},{b},{c},{d!r}\n" for a, b, c, d in zip(
         floats.tolist(), ints.tolist(), small.tolist(), floats[::-1].tolist()))
     assert buf.getvalue() == want
+
+
+#: the longest cells: positional below 1e-3 and exponent form below 1e-99,
+#: with 17 digits and a sign
+_LONGEST = [-0.00012345678901234567, -1.2345678901234567e-308, 0.00012345678901234567,
+            1.2345678901234567e-308, -1234567890123456.8, -9.876543210987654e+123]
+
+
+def _table_text(columns) -> str:
+    return "".join(",".join(repr(v) for v in row) + "\n" for row in zip(*columns))
+
+
+@pytest.mark.parametrize("block", [7, 12, 1 << 13])
+def test_float_runs_across_blocks(monkeypatch, block):
+    # four float columns of widths that change from block to block, the
+    # longest cells among them, and rows that cross block boundaries
+    monkeypatch.setattr(csvtext, "_BLOCK", block)
+    rng = np.random.default_rng(block)
+    n = 101
+    columns = [rng.standard_normal(n) * 10.0 ** rng.integers(-6, 20, n) for _ in range(4)]
+    columns[1][::9] = np.resize(_LONGEST, columns[1][::9].size)
+    columns[2][50:] = rng.integers(0, 9, n - 50)  # short cells: narrower blocks
+    columns[3][::13] = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -1e-4, 1e16][:8]
+    assert all(len(repr(v)) <= 24 for v in columns[1].tolist())
+    buf = io.StringIO()
+    write_columns(buf, ["a", "b", "c", "d"], columns)
+    assert buf.getvalue() == "a,b,c,d\n" + _table_text([c.tolist() for c in columns])
+
+
+@pytest.mark.parametrize("block", [5, 16])
+def test_longest_cells_mixed_with_integer_columns(monkeypatch, block):
+    monkeypatch.setattr(csvtext, "_BLOCK", block)
+    floats = np.array(_LONGEST * 4)
+    ints = np.arange(floats.size, dtype=np.int64) * -(10**17) + 7
+    columns = [floats, ints, floats[::-1].copy(), -floats, ints[::-1].copy() // 3]
+    buf = io.StringIO()
+    write_columns(buf, list("abcde"), columns)
+    want = [[float(v) for v in floats], ints.tolist(), floats[::-1].tolist(),
+            (-floats).tolist(), (ints[::-1] // 3).tolist()]
+    assert buf.getvalue() == "a,b,c,d,e\n" + _table_text(want)
+
+
+def test_scratch_memory_of_a_riesz_table():
+    # the riesz --two-term table of the 7.3 x 5.1 Dirichlet rectangle: 7014
+    # rows, 4 float columns; the layout of 48 bytes per cell peaked at 1.78
+    # MB of scratch, however many blocks
+    from polyaspec import box_meta, box_spectrum, riesz
+
+    stream = box_spectrum([7.3, 5.1], "dirichlet", 2400.0 * 1.0001)
+    scan = riesz.two_term_riesz_scan(stream, box_meta([7.3, 5.1], "dirichlet"), 1.0, 2400.0)
+    columns = list(scan.points.T)
+    assert len(columns[0]) > 3 * csvtext._BLOCK // 4
+
+    class Sink:
+        chars = 0
+
+        def write(self, text):
+            self.chars += len(text)
+
+    sink = Sink()
+    write_columns(sink, ["lambda", "riesz", "bound", "margin"], columns)  # tables built
+    tracemalloc.start()
+    try:
+        write_columns(sink, ["lambda", "riesz", "bound", "margin"], columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.78 * 2**20
 
 
 @pytest.mark.parametrize("column", [
