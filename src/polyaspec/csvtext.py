@@ -116,11 +116,11 @@ def _tables() -> dict:
 
 
 def _mul_hi(a: tuple, b: tuple) -> np.ndarray:
-    """The high 64 bits of a * b for uint64 arrays a < 2^63 and b < 2^59
+    """The high 64 bits of a * b for uint64 arrays a < 2^63 and b < 2^60
     given as their (low, high) 32-bit limbs; the low 64 bits are numpy's
     wrapping a * b."""
     cross = a[1] * b[0]
-    cross += a[0] * b[1]  # below 2^63 + 2^59, so it does not wrap
+    cross += a[0] * b[1]  # below 2^63 + 2^60, so it does not wrap
     mid = a[0] * b[0]
     mid >>= _S32
     mid += cross & _M32
@@ -231,7 +231,7 @@ def _float_words(x: np.ndarray, seps: np.ndarray) -> np.ndarray:
         f *= np.where(short, _U(10), _U(1))
         row = k + (16 - _E_MIN)
         row -= short
-    # y: the 17 digits with a 0 slot for the dot after the digits before it
+    # y: the 17 digits with a zero slot for the dot after those before it
     y = f * _U(10) - f % tables["dot_unit"][row] * _U(9)
     quads = np.empty((5, x.size), dtype=np.uint64)
     np.floor_divide(y, _U(100), out=quads[4])
@@ -254,10 +254,10 @@ def _float_words(x: np.ndarray, seps: np.ndarray) -> np.ndarray:
     # the exponents of the digit words as doubles (exact: no byte exceeds
     # 9), the last word first, and at least to one digit past the dot
     last = (words[first + 2].astype(np.float64).view(np.int64) >> 52) + _WORD_BITS[2]
-    short = np.flatnonzero(last == _WORD_BITS[2])
-    if short.size:
-        digits = words[first:first + 2, short].astype(np.float64).view(np.int64)
-        last[short] = ((digits >> 52) + _WORD_BITS[:2]).max(axis=0)
+    early = np.flatnonzero(last == _WORD_BITS[2])
+    if early.size:
+        digits = words[first:first + 2, early].astype(np.float64).view(np.int64)
+        last[early] = ((digits >> 52) + _WORD_BITS[:2]).max(axis=0)
     end = np.maximum((last >> 3) - (1024 // 8 - 1 + 4 * (start % 2)), tables["min_end"][row])
     # the characters, the dot, the sign and prefix, and the exponent suffix
     # and the separator at the end of the last word

@@ -94,8 +94,7 @@ def test_integer_columns_and_blocks(monkeypatch):
     assert buf.getvalue() == want
 
 
-#: the longest cells: positional below 1e-3 and exponent form below 1e-99,
-#: with 17 digits and a sign
+#: the longest cells, 23 and 24 characters, both signs, and other long ones
 _LONGEST = [-0.00012345678901234567, -1.2345678901234567e-308, 0.00012345678901234567,
             1.2345678901234567e-308, -1234567890123456.8, -9.876543210987654e+123]
 
@@ -114,8 +113,7 @@ def test_float_runs_across_blocks(monkeypatch, block):
     columns = [rng.standard_normal(n) * 10.0 ** rng.integers(-6, 20, n) for _ in range(4)]
     columns[1][::9] = np.resize(_LONGEST, columns[1][::9].size)
     columns[2][50:] = rng.integers(0, 9, n - 50)  # short cells: narrower blocks
-    columns[3][::13] = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -1e-4, 1e16][:8]
-    assert all(len(repr(v)) <= 24 for v in columns[1].tolist())
+    columns[3][::13] = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -1e-4, 1e16]
     buf = io.StringIO()
     write_columns(buf, ["a", "b", "c", "d"], columns)
     assert buf.getvalue() == "a,b,c,d\n" + _table_text([c.tolist() for c in columns])
@@ -146,10 +144,8 @@ def test_scratch_memory_of_a_riesz_table():
     assert len(columns[0]) > 3 * csvtext._BLOCK // 4
 
     class Sink:
-        chars = 0
-
         def write(self, text):
-            self.chars += len(text)
+            pass
 
     sink = Sink()
     write_columns(sink, ["lambda", "riesz", "bound", "margin"], columns)  # tables built
