@@ -115,7 +115,8 @@ def _cmd_count(args) -> int:
     for lam, count in zip(lams, cf.count_many(lams).tolist()):
         row = {"lambda": lam, "count": count}
         if args.weyl:
-            bound = ct.weyl_leading(cf.meta, lam)
+            # N is 0 at lambda <= 0, and so is the bound, which refuses lambda < 0
+            bound = ct.weyl_leading(cf.meta, lam if lam > 0 else 0.0)
             sign = 1.0 if cf.meta.bc is sp.BoundaryCondition.DIRICHLET else -1.0
             row["bound"] = bound
             # + 0.0 makes the -0.0 of a zero Neumann margin 0.0
@@ -295,11 +296,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except PolyaspecError as exc:
-        code = type(exc).__name__
-        print(json.dumps({"error": code, "message": str(exc)}), file=sys.stderr)
-        return 2
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (PolyaspecError, ValueError, OSError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 2
 

@@ -61,16 +61,6 @@ class PiRational:
             raise ZeroDivisionError("0 ** negative")
         return PiRational(self.coeff ** n, self.pi_power * n)
 
-    def __add__(self, other: "PiRational") -> "PiRational":
-        other = as_pi_rational(other)
-        if self.coeff == 0:
-            return other
-        if other.coeff == 0:
-            return self
-        if self.pi_power != other.pi_power:
-            raise ValueError("cannot add PiRationals with different pi powers")
-        return PiRational(self.coeff + other.coeff, self.pi_power)
-
     @property
     def is_rational(self) -> bool:
         return self.pi_power == 0 or self.coeff == 0

@@ -17,7 +17,8 @@ one to its left directly, and every value further down reaches it through
 the nodes of one pair of intervals at least one width apart, with a
 relative error of at most 4.0e-16 (3^gamma + 2.94 4^gamma).  Gammas above
 4, and lambdas so few that summing every value below them costs at most n
-terms per value, take the direct sum, O(L V).
+terms per value, take the direct sum, O(L V): the same near-field kernel
+with every lambda's band starting at the first value.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ _NODES = 21
 _FAR_GAMMA = 4
 #: near-field terms per lambda, on average, that set the depth of the tree
 _LEAF = 32
-#: terms per slice of a direct sum; sizes its scratch matrices
+#: terms per slice of ``_near_sums``; sizes its scratch matrices
 _SLICE = 1 << 16
 
 
@@ -157,7 +158,8 @@ def _riesz_tree(s: EigenvalueStream, gamma: float, lams: np.ndarray,
     to its left, is summed directly (``_near_sums``); the values further
     down come from ``_far_field``.  Only lambdas above the first value and
     below +inf enter the tree, so it spans [values[0], max lambda].  Where
-    the far field does not pay or could overflow, the whole sum is direct.
+    the far field does not pay or could overflow, the whole sum is direct:
+    ``_near_sums`` with every band starting at the first value.
     """
     # exact zeros at and below the first value; +inf exceeds every value
     out = np.where(idx > 0, np.inf, 0.0)
@@ -181,7 +183,7 @@ def _riesz_tree(s: EigenvalueStream, gamma: float, lams: np.ndarray,
     # and at most _NODES terms per value, fewer than anterpolation costs
     if (gamma > _FAR_GAMMA or (e + 2) * gamma + np.log2(s.cumulative_counts()[top]) > 1000
             or int(tops.sum()) <= _NODES * top):
-        out[order] = _direct_sums(values, mults, gamma, lams, tops)
+        out[order] = _near_sums(values, mults, gamma, lams, None, tops)
         return out
     # centres base + (i + 1/2) 2^(e - l) must fit 53 bits and widths stay normal
     cap = max(0, min(52 - (int(abs(np.ldexp(base, -e))) + 1).bit_length(), e + 1020))
@@ -208,68 +210,54 @@ def _riesz_tree(s: EigenvalueStream, gamma: float, lams: np.ndarray,
 
 
 def _near_sums(values: np.ndarray, mults: np.ndarray, gamma: float, lams: np.ndarray,
-               first: np.ndarray, stop: np.ndarray) -> np.ndarray:
+               first: Optional[np.ndarray], stop: np.ndarray) -> np.ndarray:
     """sum m (lambda - v)^gamma over values[first:stop] for each lambda, where
-    values[stop:] are the values at or above lambda.
+    values[stop:] are the values at or above lambda.  ``first`` None starts
+    every band at the first value, the direct sum, and then ``stop`` is sorted.
 
     Rows are sorted by the width of their band and summed in slices of at
     most ``_SLICE`` terms (or one row) whose widths differ by at most a
     half, each padded to its widest row; the padding reads values at or
     above lambda, or +inf past the last value, and max(gap, 0) makes those
-    terms 0.
+    terms 0.  With ``first`` None a slice is one broadcast subtract and one
+    matrix-vector product; otherwise its rows are gathered from strided views.
     """
     out = np.zeros(lams.size)
-    width = stop - first
-    rows = np.argsort(width)
-    width = width[rows]
+    if first is None:
+        rows, width = np.arange(lams.size), stop
+    else:
+        width = stop - first
+        rows = np.argsort(width)
+        width = width[rows]
     widest = int(width[-1]) if rows.size else 0
     if not widest:
         return out
-    # the widest values and weights from each index on, as rows of a strided view
-    pad = max(0, int(first.max()) + widest - values.size)
-    if pad:
-        values = np.concatenate([values, np.full(pad, np.inf)])
-        mults = np.concatenate([mults, np.zeros(pad)])
-    window = np.lib.stride_tricks.sliding_window_view
-    value_rows, weight_rows = window(values, widest), window(mults, widest)
+    if first is not None:
+        # the widest values and weights from each index on, as rows of a strided view
+        pad = max(0, int(first.max()) + widest - values.size)
+        if pad:
+            values = np.concatenate([values, np.full(pad, np.inf)])
+            mults = np.concatenate([mults, np.zeros(pad)])
+        window = np.lib.stride_tricks.sliding_window_view
+        value_rows, weight_rows = window(values, widest), window(mults, widest)
     i = int(np.searchsorted(width, 1))
     while i < rows.size:
         w = int(width[i]) * 3 // 2 or 1
         end = min(int(np.searchsorted(width, w, side="right")), i + max(1, _SLICE // w))
         w = int(width[end - 1])
-        take, at = rows[i:end], first[rows[i:end]]
-        gaps = value_rows[at, :w]
-        np.subtract(lams[take, None], gaps, out=gaps)
-        np.maximum(gaps, 0.0, out=gaps)
-        _gap_powers(gaps, gamma)
-        out[take] = np.einsum("ij,ij->i", gaps, weight_rows[at, :w])
-        i = end
-    return out
-
-
-def _direct_sums(values: np.ndarray, mults: np.ndarray, gamma: float, lams: np.ndarray,
-                 tops: np.ndarray) -> np.ndarray:
-    """sum m (lambda - v)^gamma over the values below each of the sorted
-    ``lams``; ``tops`` holds how many values lie below each, at least 1.
-
-    Every row starts at the first value, so a slice of rows is one broadcast
-    subtract and one matrix-vector product.  A slice holds consecutive
-    lambdas whose tops differ by at most a half, at most ``_SLICE`` terms
-    (or one row), padded to its largest top; the padding reads values at or
-    above lambda, and max(gap, 0) makes those terms 0.
-    """
-    out = np.empty(lams.size)
-    i = 0
-    while i < lams.size:
-        w = int(tops[i]) * 3 // 2
-        end = min(int(np.searchsorted(tops, w, side="right")), i + max(1, _SLICE // w))
-        w = int(tops[end - 1])
-        gaps = np.subtract.outer(lams[i:end], values[:w])
-        # only the padding past the slice's least top can be negative
-        pad = gaps[:, int(tops[i]):]
+        take = rows[i:end]
+        if first is None:
+            gaps = np.subtract.outer(lams[take], values[:w])
+        else:
+            at = first[take]
+            gaps = value_rows[at, :w]
+            np.subtract(lams[take, None], gaps, out=gaps)
+        # gaps inside a band are positive; only the padding past the narrowest can be negative
+        pad = gaps[:, int(width[i]):]
         np.maximum(pad, 0.0, out=pad)
         _gap_powers(gaps, gamma)
-        out[i:end] = gaps @ mults[:w]
+        out[take] = (gaps @ mults[:w] if first is None
+                     else np.einsum("ij,ij->i", gaps, weight_rows[at, :w]))
         i = end
     return out
 

@@ -118,6 +118,29 @@ def test_a_zero_neumann_weyl_margin_is_plus_zero(capsys, lam):
     assert out.splitlines() == ["lambda,count,bound,margin", f"{float(lam)!r},0,0.0,0.0"]
 
 
+@pytest.mark.parametrize("spec", ['{"sphere2":{}}', '{"box":{"sides":[1,1],"bc":"neumann"}}'])
+@pytest.mark.parametrize("lams", [("3", "-1", "-0"), ("-1e300", "-0", "3")])
+def test_count_weyl_rows_at_negative_lambdas_are_zero(capsys, spec, lams):
+    # weyl_leading refused a negative lambda and failed the whole command;
+    # N is 0 there, and the bound, taken at lambda 0, is 0.0 as well
+    argv = ["count", "--spec", spec, *(f"--lambda={lam}" for lam in lams), "--weyl",
+            "--no-timestamp"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    rows = json.loads(out)["results"]
+    _, plain, _ = run_cli(capsys, *argv[:-2], "--no-timestamp")
+    assert [(r["lambda"], r["count"]) for r in rows] == [
+        (r["lambda"], r["count"]) for r in json.loads(plain)["results"]]
+    for lam, row in zip(lams, rows):
+        if float(lam) <= 0:
+            assert (row["count"], row["bound"], row["margin"]) == (0, 0.0, 0.0)
+            assert math.copysign(1.0, row["bound"]) == math.copysign(1.0, row["margin"]) == 1.0
+    code, out, _ = run_cli(capsys, *argv, "--output", "csv")
+    assert code == 0
+    assert out.splitlines() == ["lambda,count,bound,margin"] + [
+        ",".join(repr(row[h]) for h in ("lambda", "count", "bound", "margin")) for row in rows]
+
+
 def test_count_triangle_closed_form(capsys):
     code, out, _ = run_cli(capsys, "count", "--spec", '{"triangle":{}}',
                            "--lambda", "1", "--no-timestamp")
@@ -561,6 +584,43 @@ def test_bad_spec_json_is_config_error(capsys):
     code, _, err = run_cli(capsys, "count", "--spec", "{not json", "--lambda", "1")
     assert code == 2
     assert "error" in json.loads(err)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("riesz", "--spec", '{"sphere2":{}}', "--gamma", "1", "--two-term"),
+     "--two-term needs --cutoff"),
+    (("riesz", "--spec", '{"sphere2":{}}', "--gamma", "1", "--cutoff", "10"),
+     "give at least one --lambda or use --two-term"),
+    (("verify", "--spec", '{"product":[{"sphere2":{}},{"sphere2":{}}]}', "--k-max", "10"),
+     "verification needs a Dirichlet or Neumann composition"),
+])
+def test_incomplete_requests_are_config_errors(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv, "--no-timestamp")
+    assert code == 2 and out == ""
+    assert err == json.dumps({"error": "ConfigError", "message": message}) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("count", "--spec", '{"sphere2":{}}', "--lambda", "7"),
+    ("constants", "--d", "2"),
+    ("verify", "--spec", THIN_SPHERE_SPEC, "--k-max", "20"),
+])
+def test_json_out_file_holds_what_stdout_prints(capsys, tmp_path, argv):
+    path = tmp_path / "out.json"
+    code, out, _ = run_cli(capsys, *argv, "--no-timestamp")
+    assert code == 0
+    code, empty, err = run_cli(capsys, *argv, "--no-timestamp", "--out", str(path))
+    assert code == 0 and empty == err == ""
+    assert path.read_text() == out
+
+
+def test_unwritable_out_is_an_os_error(capsys, tmp_path):
+    path = tmp_path / "missing" / "out.json"
+    code, out, err = run_cli(capsys, "constants", "--d", "2", "--out", str(path))
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "error": "FileNotFoundError",
+        "message": f"[Errno 2] No such file or directory: '{path}'"}
 
 
 @pytest.mark.parametrize("argv", [

@@ -400,6 +400,22 @@ def test_threshold_neumann_d3plus_wiring():
     assert res.a0 == min(v for v in res.branches.values())
 
 
+def test_threshold_neumann_d3plus_without_onset_is_incomplete():
+    res = threshold_a0(ThresholdRequest(
+        ThresholdCase.NEUMANN_THIN_D3PLUS, volume=1.5, c_remainder=2.0, dimension=3))
+    full = threshold_a0(ThresholdRequest(
+        ThresholdCase.NEUMANN_THIN_D3PLUS, volume=1.5, c_remainder=2.0,
+        c1_onset=4.0, dimension=3))
+    assert res.branches["small_lambda"] is None and not res.complete
+    assert res.conditional_on == (
+        "two-term remainder constant C",
+        "existence of a finite Weyl onset constant (not supplied)")
+    known = {k: v for k, v in full.branches.items() if k != "small_lambda"}
+    assert {k: v for k, v in res.branches.items() if k != "small_lambda"} == known
+    assert res.a0 == min(known.values())
+    assert res.binding_branch == min(known, key=known.get)
+
+
 def test_threshold_manifold_d3plus_wiring():
     res = threshold_a0(ThresholdRequest(
         ThresholdCase.MANIFOLD_DIRICHLET_D1EQ1_D2GE3, volume=4.0, c_remainder=1.5, dimension=3))

@@ -497,6 +497,46 @@ def test_exact_power_margin_past_float_range(side):
         assert rep.worst_margin == -math.inf and rep.worst_location == 1.0
 
 
+@pytest.mark.parametrize("verify", [
+    lambda s, meta: verify_exact_power(s, meta, 49, "dirichlet"),
+    lambda s, meta: verify_dirichlet(s, meta, 49)])
+@pytest.mark.parametrize("lowered", [None, 20])
+def test_numerators_past_float_range_are_decided_exactly(monkeypatch, verify, lowered):
+    # the interval (0, pi) has lambda_k = w_k = k^2, given here as the
+    # numerators k^2 10^400 over 10^400: no float holds them, so _to_float
+    # takes its OverflowError branch and _exact_sign decides every k; one
+    # numerator lowered by 1 breaks the inequality at that k alone
+    den = 10 ** 400
+    nums = [k * k * den - (k == lowered) for k in range(1, 50)]
+    s = EigenvalueStream([float(k * k) for k in range(1, 50)], [1] * 49, 2500.0, nums, den, 0)
+    meta = interval_meta("pi", "dirichlet")
+    assert meta.exact_volume == PiRational(1, 1)
+    ratios = [Fraction(n, den) / (k * k) for k, n in enumerate(nums, 1)]
+    to_float, sign = polya._to_float, polya._exact_sign
+    overflowed, decided = [], []
+
+    def spy_to_float(ints):
+        out = to_float(ints)
+        overflowed.append(bool(np.isinf(out).all()))
+        return out
+
+    def spy_sign(lhs, rhs, shift):
+        decided.append(rhs // den)
+        return sign(lhs, rhs, shift)
+
+    monkeypatch.setattr(polya, "_to_float", spy_to_float)
+    monkeypatch.setattr(polya, "_exact_sign", spy_sign)
+    rep = verify(s, meta)
+    assert any(overflowed)
+    assert sorted(set(decided)) == [k * k for k in range(1, 50)]
+    assert rep.checked == 49
+    assert rep.tie_breaks == sum(r == 1 for r in ratios) == 49 - (lowered is not None)
+    assert [f[0] for f in rep.failures] == [float(k) for k, r in enumerate(ratios, 1) if r < 1]
+    assert rep.holds == (lowered is None)
+    if lowered is None:
+        assert (rep.worst_margin, rep.worst_location) == (0.0, 1.0)
+
+
 _bcs = st.sampled_from(["dirichlet", "neumann"])
 _exact_specs = st.one_of(
     # boxes with rational sides

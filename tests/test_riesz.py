@@ -539,6 +539,29 @@ def test_two_term_scan_small_lambda_reported_not_asserted():
     assert isinstance(scan.worst_margin, float)
 
 
+def test_two_term_scan_ending_below_the_bound_has_no_onset():
+    # the unit square's first three Dirichlet values, the second 50 times
+    # over: the margin holds at the first two jumps and breaks at the last
+    s = box_spectrum([1, 1], "dirichlet", 100.0)
+    s = EigenvalueStream(s.values[:3], [1, 50, 1], 100.0)
+    scan = two_term_riesz_scan(s, box_meta([1, 1], "dirichlet"), 1.0, 90.0)
+    margins = scan.points[:, 3]
+    assert scan.points[:, 0].tolist() == s.values.tolist()
+    assert (margins[:-1] >= 0).all() and margins[-1] < 0
+    assert scan.lambda_star is None
+    assert (scan.worst_margin, scan.worst_lambda) == (margins[-1], s.values[-1])
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+def test_two_term_scan_coverage_errors(bc):
+    # the first positive value is 2 pi^2 (Dirichlet) or pi^2 (Neumann)
+    s, meta = box_spectrum([1, 1], bc, 100.0), box_meta([1, 1], bc)
+    with pytest.raises(CoverageError, match="exceeds stream cutoff 100.0"):
+        two_term_riesz_scan(s, meta, 1.0, 100.5)
+    with pytest.raises(CoverageError, match="no positive jump points"):
+        two_term_riesz_scan(s, meta, 1.0, 9.5)
+
+
 def _dense_reference(s, gamma, lams, idx):
     """The plain direct sum in place of ``riesz._riesz_tree``: blocks of 32
     sorted lambdas, each summing the gaps to every value below its top

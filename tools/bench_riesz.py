@@ -12,9 +12,10 @@ Riesz means, to compare the two sides.  The scale rows time the whole
 two-term scan of the box [6.1, 8.7] with Neumann conditions up to 2e4, V =
 84,783 values, at gamma 1.5 and 2.5, and record its onset, worst margin
 and where it falls.  The few-lambda rows time one ``riesz_mean_many`` call
-on that stream at gamma 1.5 with 1 or 16 lambdas spread up to 2e4, the
-traffic of ``riesz_mean`` and ``riesz --lambda``.  The stream is built
-before timing.  Under ``--parent`` the scale rows take a fifth of
+on that stream with 1 or 16 lambdas spread up to 2e4, the traffic of
+``riesz_mean`` and ``riesz --lambda``: at gamma 1.5 they sum directly as
+too few for the tree, and at gamma 5 as above ``_FAR_GAMMA``.  The stream
+is built before timing.  Under ``--parent`` the scale rows take a fifth of
 ``--repeat`` calls.
 """
 
@@ -32,8 +33,8 @@ WINDOWS = ((0.2, 0.6), (0.3, 0.9), (0.5, 1.0))
 WINDOW_GRID = 4096
 #: the two-term scan at scale: sides, bc, cutoff
 SCALE = ((6.1, 8.7), "neumann", 2e4)
-#: lambda counts of the few-lambda rows on the scale stream
-FEW = (1, 16)
+#: lambda counts and gammas of the few-lambda rows on the scale stream
+FEW = ((1, 1.5), (16, 1.5), (16, 5.0))
 
 #: name -> (kind, shape, lambdas: a window or "two-term", gamma)
 ROWS = {
@@ -41,7 +42,8 @@ ROWS = {
        ("kernel", shape, lams, gamma)
        for shape in RIESZ_SHAPES for lams in (*WINDOWS, "two-term") for gamma in (0.5, 1.5)},
     **{f"scale-two-term-g{gamma}": ("scale", "scale", "two-term", gamma) for gamma in (1.5, 2.5)},
-    **{f"scale-lambdas-{count}-g1.5": ("few", "scale", count, 1.5) for count in FEW},
+    **{f"scale-lambdas-{count}-g{gamma:g}": ("few", "scale", count, gamma)
+       for count, gamma in FEW},
 }
 
 
