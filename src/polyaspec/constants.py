@@ -243,15 +243,14 @@ _RIGHT_ENDPOINT_NUDGE = 1e-9
 _GOLDEN_XTOL = 1e-10
 
 
-def _golden_min(f: Callable[[float], float], lo: float, hi: float,
-                xtol: float = _GOLDEN_XTOL) -> tuple[float, float, float]:
+def _golden_min(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float, float]:
     """Golden-section minimum of f on [lo, hi]; returns (x, f(x), bracket)."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > xtol:
+    while b - a > _GOLDEN_XTOL:
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)

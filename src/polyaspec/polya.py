@@ -7,13 +7,13 @@ finite sweep: per eigenvalue up to k_max, or at counting-function jumps
 against a monotone bound.
 
 Both per-eigenvalue verifiers are one sweep over runs of equal values, not
-over k.  Within a run w_k rises with k, so the comparison can only worsen
-along a Dirichlet run and only improve along a Neumann one: the run's last
-k (Dirichlet) or first k (Neumann), its deciding k, settles it.  A run that
-holds there holds at every k and can tie only there.  Only a failed run is
-decided again at each of its k, which gives its failures (k, lambda_k,
-w_k), its ties and its worst k.  The cost is array operations over the V
-runs up to k_max, plus the k of the failed runs.
+over k.  Within a run w_k rises with k, so the comparison and its margin
+can only worsen along a Dirichlet run and only improve along a Neumann
+one: the run's last k (Dirichlet) or first k (Neumann), its deciding k,
+settles it.  A run that holds there holds at every k and can tie only
+there.  Only a failed run is decided again at each of its k, which gives
+its failures (k, lambda_k, w_k) and its ties.  The cost is array
+operations over the V runs up to k_max, plus the k of the failed runs.
 
 Each arithmetic mode has one sign rule, whatever the report format.  On an
 exact stream (values rational multiples of a power of pi) with an exact
@@ -29,13 +29,13 @@ count as satisfied, since the inequalities are non-strict, and in
 ``tie_breaks``.
 
 ``verify_dirichlet`` and ``verify_neumann`` report the float margin,
-relative in lambda, raised to at least 0 where the comparison holds and
-pushed below 0 where it breaks; on an exact stream it is off the exact
-margin by far less than ``GUARD_BAND``, so only margins inside that band
-move.  ``verify_exact_power`` needs an exact stream and volume, computes no
-float margin and reports margins relative in lambda^d.
-``per_eigenvalue_margins`` gives the plain verifiers' margin at every k,
-at O(k_max).
+relative in lambda; on an exact stream it is off the exact margin by far
+less than ``GUARD_BAND``.  ``verify_exact_power`` needs an exact stream and
+volume, computes no float margin and reports margins relative in lambda^d.
+Both formats raise a margin to at least 0 where the comparison holds and
+push it below 0 where it breaks, and name as the worst point the deciding k
+of the first run whose margin is the smallest.  ``per_eigenvalue_margins``
+gives the plain verifiers' margin at every k, at O(k_max).
 """
 
 from __future__ import annotations
@@ -189,7 +189,7 @@ def _exact_signs(nums: np.ndarray, ks: np.ndarray, d: int, c_den: int, rhs_unit:
     if shift == 0 and nums.dtype != object and max(lhs_top, rhs_top, c_den) < _INT64_GUARD:
         rhs = rhs_unit * ks * ks
         diff = nums ** d * c_den - rhs
-        return np.sign(diff), diff / rhs, rounded
+        return np.sign(diff).astype(np.int8), diff / rhs, rounded
     # a product past float range is inf and its ratio inf or nan: undecided
     with np.errstate(over="ignore", invalid="ignore"):
         n_float, k_float = _to_float(nums), ks.astype(float)
@@ -200,7 +200,7 @@ def _exact_signs(nums: np.ndarray, ks: np.ndarray, d: int, c_den: int, rhs_unit:
         ratio = lhs * _to_float(c_den) / rhs * math.pi ** shift
         excess = ratio - 1.0
     decided = np.isfinite(ratio) & np.isfinite(rhs) & (np.abs(excess) > GUARD_BAND)
-    signs = np.where(decided, np.sign(excess), 0.0).astype(np.int64)
+    signs = np.where(decided, np.sign(excess), 0.0).astype(np.int8)
     undecided = np.nonzero(~decided)[0]
     signs[undecided] = [_exact_sign(n ** d * c_den, rhs_unit * k * k, shift)
                         for n, k in zip(nums[undecided].tolist(), ks[undecided].tolist())]
@@ -258,6 +258,15 @@ def _runs(s: EigenvalueStream, origin: int, checked: int) -> tuple[np.ndarray, .
     return first, last, np.arange(lo, hi)
 
 
+def _on_side(signs: np.ndarray, margins: np.ndarray) -> np.ndarray:
+    """Each margin raised to at least 0 where its comparison holds, below 0 where it breaks."""
+    out, broken = np.maximum(margins, 0.0), signs < 0
+    if broken.any():
+        low = margins[broken]
+        out[broken] = np.minimum(low, -low - 1e-300)
+    return out
+
+
 class _Rule:
     """The rule of one sweep: a sign step and a report format.
 
@@ -265,8 +274,8 @@ class _Rule:
     decides every sign; on any other stream the float margin does, and
     margins within ``EQUALITY_BAND_FLOAT`` are ties.  With ``power`` (exact
     streams only) margins are relative in lambda^d, from ``_exact_signs``;
-    without it they are the float margins relative in lambda, raised to at
-    least 0 where the comparison holds and pushed below 0 where it breaks.
+    without it they are the float margins relative in lambda.  Either way
+    ``_on_side`` puts the margins it reports on the side of their signs.
     """
 
     def __init__(self, s: EigenvalueStream, meta: DomainMeta, side: str, power: bool):
@@ -277,67 +286,57 @@ class _Rule:
         self.mode = "per_eigenvalue_exact" if power else "per_eigenvalue"
         self.terms = _exact_terms(s, meta) if exact else None
 
-    def decide(self, index: np.ndarray, ks: np.ndarray) -> tuple:
-        """The signs at each k of ``ks``, whose eigenvalue is
-        ``s.values[index]``, then the margins: ``(signs, excess, rounded)``
-        from ``_exact_signs`` with ``power``, else ``(signs, margins)`` with
-        the margin (lambda_k - w_k) / w_k (Dirichlet) or (w_k - mu_k) / w_k
-        (Neumann)."""
+    def decide(self, index: np.ndarray, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
+        """``(signs, margins, final)`` at each k of ``ks``, whose eigenvalue
+        is ``s.values[index]``.  The margins are (lambda_k - w_k) / w_k
+        (Dirichlet) or (w_k - mu_k) / w_k (Neumann), or with ``power`` the
+        same in lambda^d from ``_exact_signs``; ``final`` is False when those
+        are estimates."""
         if self.terms is not None:
             signs, excess, rounded = _exact_signs(self.s.exact_nums[index], ks,
                                                   self.meta.dimension, *self.terms)
             signs = signs if self.dirichlet else -signs
             if self.power:
-                return signs, excess, rounded
+                # with pi left over the float may round across 0; the exact sign decides
+                rel = (np.copysign(excess, signs) if self.terms[2]
+                       else excess if self.dirichlet else 0.0 - excess)
+                return signs, rel, rounded
         w, values = polya_weyl_term(self.meta, ks.astype(float)), self.s.values[index]
         m = (values - w) / w if self.dirichlet else (w - values) / w
         if self.terms is None:
             signs = ((m > EQUALITY_BAND_FLOAT).view(np.int8)
                      - (m < -EQUALITY_BAND_FLOAT).view(np.int8))
-        return signs, np.where(signs < 0, np.minimum(m, -m - 1e-300), np.maximum(m, 0.0))
+        return signs, m, True
 
-    def worst(self, index, at, decided, ks, k_decided) -> tuple[float, int]:
-        if not self.power:
-            # a held run's margins are at least 0 and smallest at its deciding
-            # k; a failed run's reach below 0, where a float margin saturates
-            # at -1 once lambda << w_k, so its worst k is the first that
-            # attains it
-            margins, where = (decided[1], at) if ks is None else (k_decided[1], ks)
-            i = int(np.argmin(margins))
-            return float(margins[i]), int(where[i])
-        # a run's margin in lambda^d is smallest at its deciding k, and the
-        # worst sits at the first run whose margin is the smallest
-        signs, excess, rounded = decided
+    def worst(self, index: np.ndarray, ks: np.ndarray, decided: tuple) -> tuple[float, int]:
+        """The smallest margin of ``decided = self.decide(index, ks)`` on the
+        side of its sign, and its k, the first run winning a tie; margins
+        that are not ``final`` are recomputed in Python integers."""
+        signs, margins, final = decided
+        margins = _on_side(signs, margins)
+        if final:
+            i = int(margins.argmin())
+            return float(margins[i]), int(ks[i])
         d, (c_den, rhs_unit, shift) = self.meta.dimension, self.terms
-        if shift == 0:
-            rel = excess if self.dirichlet else 0.0 - excess
-        else:
-            # the float may round across 0; the exact sign decides
-            rel = np.copysign(excess, signs)
-        if rounded:
-            # every lhs and rhs is below 2^53, so ``rel`` is ``exact_rel``
-            i = int(np.argmin(rel))
-            return float(rel[i]), int(at[i])
 
         def exact_rel(i: int) -> float:
             lhs = int(self.s.exact_nums[index[i]]) ** d * c_den
-            rhs = rhs_unit * int(at[i]) ** 2
+            rhs = rhs_unit * int(ks[i]) ** 2
             try:
                 if shift == 0:
                     return (lhs - rhs) / rhs if self.dirichlet else (rhs - lhs) / rhs
                 return math.copysign(lhs / rhs * math.pi ** shift - 1.0, signs[i])
-            except OverflowError:
-                # lhs / rhs past float range
+            except OverflowError:  # lhs / rhs past float range
                 return math.copysign(math.inf, signs[i])
 
-        # ``rel`` is off ``exact_rel`` by far less than 1e-12 max(1, |rel|),
-        # so the first smallest margin sits among the runs that close to
-        # the smallest ``rel``
-        finite = np.isfinite(rel)
-        low = float(rel[finite].min()) if finite.any() else 0.0
-        near = ~finite | (rel <= low + 1e-12 * max(1.0, abs(low)))
-        margin, i = min((exact_rel(i), i) for i in np.nonzero(near)[0].tolist())
-        return margin, int(at[i])
+        # the estimates are off ``exact_rel`` by far less than 1e-12 max(1, |margin|), so
+        # the first smallest margin sits among the runs that close to the smallest estimate
+        finite = np.isfinite(margins)
+        low = float(margins[finite].min()) if finite.any() else 0.0
+        near = np.nonzero(~finite | (margins <= low + 1e-12 * max(1.0, abs(low))))[0]
+        exact = _on_side(signs[near], np.array([exact_rel(i) for i in near.tolist()]))
+        i = int(np.argmin(exact))
+        return float(exact[i]), int(ks[near[i]])
 
 
 def _sweep(s: EigenvalueStream, meta: DomainMeta, k_max: int, side: str,
@@ -346,13 +345,14 @@ def _sweep(s: EigenvalueStream, meta: DomainMeta, k_max: int, side: str,
     with the rule ``_Rule(s, meta, side, power)``.
 
     ``rule.decide(index, ks)`` decides each k of ``ks``, whose eigenvalue
-    is ``s.values[index]``.  Its result starts with the signs: 1 where the
-    inequality holds strictly, 0 at a tie and -1 where it breaks; the rest
-    is the rule's margin data, which ``rule.worst`` reads.
-    w_k rises with k, so the sign falls along a Dirichlet run and rises
-    along a Neumann one: the run's last or first k, its deciding k, decides
-    it, and a run that holds there holds at every k and can tie only there.
-    Only a failed run is decided again at each of its k, which gives its
+    is ``s.values[index]``: its signs are 1 where the inequality holds
+    strictly, 0 at a tie and -1 where it breaks.  w_k rises with k, so the
+    sign and the margin fall along a Dirichlet run and rise along a Neumann
+    one: the run's last or first k, its deciding k, decides it, and a run
+    that holds there holds at every k and can tie only there.  In both
+    formats the worst point is the deciding k of the first run whose margin
+    is the smallest, also where a failed run's float margins saturate at -1
+    before it.  Only a failed run is decided again at each of its k, for its
     failures, listed as (k, lambda_k, w_k), and its ties.
     """
     origin, checked = _sweep_range(s, k_max, side)
@@ -362,19 +362,17 @@ def _sweep(s: EigenvalueStream, meta: DomainMeta, k_max: int, side: str,
     decided = rule.decide(index, at)
     failed = decided[0] < 0
     failures, tie_breaks = (), int(np.count_nonzero(decided[0] == 0))
-    ks = k_decided = None
     if failed.any():
         lengths = last[failed] - first[failed] + 1
         starts = np.cumsum(lengths) - lengths
         ks = np.arange(int(lengths.sum())) + np.repeat(first[failed] - starts, lengths)
         runs = np.repeat(index[failed], lengths)
-        k_decided = rule.decide(runs, ks)
-        broken = k_decided[0] < 0
-        broken_ks = ks[broken].astype(float)
-        failures = tuple(zip(broken_ks.tolist(), s.values[runs[broken]].tolist(),
+        signs = rule.decide(runs, ks)[0]
+        broken_ks = ks[signs < 0].astype(float)
+        failures = tuple(zip(broken_ks.tolist(), s.values[runs[signs < 0]].tolist(),
                              polya_weyl_term(meta, broken_ks).tolist()))
-        tie_breaks += int(np.count_nonzero(k_decided[0] == 0))
-    worst_margin, worst_k = rule.worst(index, at, decided, ks, k_decided)
+        tie_breaks += int(np.count_nonzero(signs == 0))
+    worst_margin, worst_k = rule.worst(index, at, decided)
     return VerificationReport(
         mode=rule.mode,
         checked=checked,
@@ -395,8 +393,8 @@ def per_eigenvalue_margins(s: EigenvalueStream, meta: DomainMeta, k_max: int,
     belongs to k.  Cost and size are O(checked)."""
     origin, checked = _sweep_range(s, k_max, side)
     first, last, index = _runs(s, origin, checked)
-    return _Rule(s, meta, side, False).decide(np.repeat(index, last - first + 1),
-                                              np.arange(1, checked + 1))[1]
+    rule = _Rule(s, meta, side, False)
+    return _on_side(*rule.decide(np.repeat(index, last - first + 1), np.arange(1, checked + 1))[:2])
 
 
 def verify_dirichlet(s: EigenvalueStream, meta: DomainMeta, k_max: int) -> VerificationReport:
@@ -420,9 +418,10 @@ def verify_exact_power(s: EigenvalueStream, meta: DomainMeta, k_max: int,
     are relative in the d-th power: the correctly rounded (lhs - rhs) / rhs
     when the pi powers cancel, else the float lhs / rhs * pi^shift - 1 with
     the exact sign, and +-inf with that sign when lhs / rhs passes float
-    range.  The worst margin sits at a run's deciding k.  The cost is array
-    operations per run; Python only for in-band comparisons and guard
-    fallbacks, whatever ``k_max``.
+    range; a failure whose margin rounds to 0 reads -1e-300.  The worst
+    margin sits at a run's deciding k.  The cost is array operations per
+    run; Python only for in-band comparisons and guard fallbacks, whatever
+    ``k_max``.
     """
     return _sweep(s, meta, k_max, side, True)
 

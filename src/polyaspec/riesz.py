@@ -392,8 +392,14 @@ def _far_field(values: np.ndarray, mults: np.ndarray, gamma: float, lams: np.nda
     return coef[0] + u * b1 - b2
 
 
-def _one_term_bound(meta: DomainMeta, gamma: float, lam: float) -> float:
+def _one_term_bound(meta: DomainMeta, gamma: float, lam):
     return l_gamma_d(gamma, meta.dimension) * meta.volume * lam ** (gamma + meta.dimension / 2.0)
+
+
+def _margin(meta: DomainMeta, bound, riesz):
+    """bound - riesz on a Dirichlet composition, riesz - bound otherwise:
+    nonnegative where the bound holds."""
+    return bound - riesz if meta.bc is BoundaryCondition.DIRICHLET else riesz - bound
 
 
 def _require_gamma_ge_1(gamma: float) -> None:
@@ -410,14 +416,14 @@ def berezin_margin(s: EigenvalueStream, meta: DomainMeta, gamma: float, lam: flo
     """Upper Riesz bound for Dirichlet spectra: bound minus Riesz mean."""
     _require_gamma_ge_1(gamma)
     _require_bc(meta, BoundaryCondition.DIRICHLET, "the Berezin bound")
-    return _one_term_bound(meta, gamma, lam) - riesz_mean(s, gamma, lam)
+    return _margin(meta, _one_term_bound(meta, gamma, lam), riesz_mean(s, gamma, lam))
 
 
 def laptev_neumann_margin(s: EigenvalueStream, meta: DomainMeta, gamma: float, lam: float) -> float:
     """Lower Riesz bound for Neumann spectra: Riesz mean minus bound."""
     _require_gamma_ge_1(gamma)
     _require_bc(meta, BoundaryCondition.NEUMANN, "the Laptev bound")
-    return riesz_mean(s, gamma, lam) - _one_term_bound(meta, gamma, lam)
+    return _margin(meta, _one_term_bound(meta, gamma, lam), riesz_mean(s, gamma, lam))
 
 
 def li_yau_checks(s: EigenvalueStream, meta: DomainMeta, k: int) -> tuple[float, float]:
@@ -497,14 +503,10 @@ def two_term_riesz_scan(s: EigenvalueStream, meta: DomainMeta, gamma: float,
     if lams.size == 0:
         raise CoverageError("no positive jump points below the scan cutoff")
     riesz = riesz_mean_many(s, gamma, lams)
-    lead = l_gamma_d(gamma, d) * meta.volume * lams ** (gamma + d / 2.0)
+    lead = _one_term_bound(meta, gamma, lams)
     corr = 0.2 * l_gamma_d(gamma, d - 1) * meta.surface_area * lams ** (gamma + (d - 1) / 2.0)
-    if side == "dirichlet":
-        bound = lead - corr
-        margin = bound - riesz
-    else:
-        bound = lead + corr
-        margin = riesz - bound
+    bound = lead - corr if side == "dirichlet" else lead + corr
+    margin = _margin(meta, bound, riesz)
     neg = np.nonzero(margin < 0)[0]
     if neg.size == 0:
         lambda_star = float(lams[0])
@@ -550,11 +552,8 @@ def _window_infimum(s: EigenvalueStream, meta: DomainMeta, bc: BoundaryCondition
     _require_bc(meta, bc, "this gap scan")
     mus = _window_grid(s, *window, grid=_WINDOW_GRID)
     gamma = d2 / 2.0
-    d1 = meta.dimension
-    lead = l_gamma_d(gamma, d1) * meta.volume * mus ** ((d1 + d2) / 2.0)
-    riesz = riesz_mean_many(s, gamma, mus)
-    gap = lead - riesz if bc is BoundaryCondition.DIRICHLET else riesz - lead
-    vals = gap / mus ** ((d1 + d2 - 1) / 2.0)
+    gap = _margin(meta, _one_term_bound(meta, gamma, mus), riesz_mean_many(s, gamma, mus))
+    vals = gap / mus ** ((meta.dimension + d2 - 1) / 2.0)
     i = int(np.argmin(vals))
     return WindowScan(float(vals[i]), float(mus[i]), (float(window[0]), float(window[1])))
 

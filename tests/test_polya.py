@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import mpmath
@@ -326,6 +327,9 @@ def _slow_exact_power(s, meta, k_max, side):
             rel = math.copysign(r.numerator / r.denominator * math.pi ** shift - 1.0, sign)
         if side == "neumann":
             sign, rel = -sign, (-rel if rel else rel)
+        if sign < 0 and rel >= 0:
+            # a broken comparison whose float margin rounds to 0 reads below it
+            rel = -rel - 1e-300
         if rel < worst_margin:
             worst_margin = rel
             worst_k = k
@@ -593,6 +597,11 @@ def _slow_per_eigenvalue(s, meta, k_max, side):
     failures = [(float(i + 1), float(values[i]), float(w[i]))
                 for i in np.nonzero(adjusted < 0)[0]]
     worst = int(np.argmin(adjusted))
+    if side == "dirichlet":
+        # the worst run is named at its last k, where its margin is
+        # smallest too: a failed run's margins can saturate at -1 before it
+        cum = s.cumulative_counts()
+        worst = min(int(cum[np.searchsorted(cum, worst, side="right")]), checked) - 1
     report = VerificationReport(
         mode="per_eigenvalue",
         checked=checked,
@@ -772,6 +781,59 @@ def test_exact_sweep_calls_python_only_inside_the_guard_band(monkeypatch, side):
     # one call per in-band run, at its k
     assert sorted(math.isqrt(rhs // rhs_unit) for _, rhs, _ in calls) == [2, 4, 6, 8]
     assert rep.to_dict() == _slow_exact_power(s, meta, 8, side).to_dict()
+
+
+@pytest.mark.parametrize("side, sweep", _SIDES_AND_SWEEPS)
+def test_a_failure_among_ties_is_the_worst_point(side, sweep):
+    # (0, pi) as k^2 10^400 / 10^400, with k = 20 moved one step across its
+    # bound: its margin in lambda^d, -1 / (400 10^400), underflows to -0.0,
+    # and still reads below the 48 ties' 0.0
+    den = 10 ** 400
+    nums = [k * k * den + (k == 20) * (-1 if side == "dirichlet" else 1) for k in range(1, 50)]
+    values, mults = [float(k * k) for k in range(1, 50)], [1] * 49
+    if side == "neumann":
+        nums, values, mults = [0] + nums, [0.0] + values, [1] + mults
+    s = EigenvalueStream(values, mults, 2500.0, nums, den, 0)
+    rep = _sweep_of(sweep, side)(s, interval_meta("pi", side), 49)
+    assert rep.verdict == "fails" and [f[0] for f in rep.failures] == [20.0]
+    assert rep.tie_breaks == 48
+    assert rep.worst_location == 20.0 and rep.worst_margin < 0
+
+
+def test_saturated_margins_name_the_deciding_k():
+    # one value 1 on k = 1..1e5 against w_k = 1e12 k^2: every k fails, and
+    # from k = 135 on the float margin in lambda is -1.0, as the run's
+    # deciding k's margin in lambda^d is
+    k_max = 10 ** 5
+    s = EigenvalueStream([1.0], [k_max], 2.0, [10 ** 20], 10 ** 20, 0)
+    meta = DomainMeta(1, PI * 1e-6, "dirichlet", exact_volume=PiRational(Fraction(1, 10 ** 6), 1))
+    seconds = {}
+    for sweep in ("exact", "plain"):
+        verify, times = _sweep_of(sweep, "dirichlet"), []
+        for _ in range(3):
+            start = time.perf_counter()
+            rep = verify(s, meta, k_max)
+            times.append(time.perf_counter() - start)
+        assert len(rep.failures) == k_max
+        assert (rep.worst_margin, rep.worst_location) == (-1.0, float(k_max))
+        seconds[sweep] = min(times)
+    assert seconds["exact"] <= 2 * seconds["plain"]
+
+
+#: the q of the sphere-exact benchmark workload's (0, pi/q) x S^2
+_SPHERE_Q = (6, 8, 10, 12, 16, 20, 24, 32, 40, 48)
+
+
+@pytest.mark.parametrize("side", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("a", ["pi", "2pi", "4pi"] + [f"pi/{q}" for q in _SPHERE_Q])
+def test_both_formats_name_the_same_worst_point(a, side):
+    k_max = 10 ** 4
+    spec = {"product": [{"interval": {"a": a, "bc": side}}, {"sphere2": {}}]}
+    s, meta = stream_covering_k(build_spec(spec), k_max)
+    exact = verify_exact_power(s, meta, k_max, side)
+    plain = _sweep_of("plain", side)(s, meta, k_max)
+    assert exact.worst_location == plain.worst_location
+    assert exact.verdict == plain.verdict
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,9 @@ lattices, the side-10 Neumann square and the unit cube, the Neumann unit
 square covering k_max 1e6, the Neumann triangle, the Neumann float boxes
 (no exact values, so their ``shift`` and int64 fields are None) and the
 thin products (0, pi/6) x S^2 and (0, pi/48) x S^2 that the sphere-exact
-bench workload verifies have build rows only.
+bench workload verifies have build rows only.  The thick products
+(0, pi) x S^2 and (0, 4pi) x S^2 have sweep rows only: theirs fail, at 3
+and 893 k on the Dirichlet side and at 1 and 1473 on the Neumann side.
 A build row also records the tracemalloc peak of one more build, in MB
 (``peak_mb``), which holds the scratch memory of ``product_spectrum``.
 """
@@ -80,6 +82,11 @@ _SHAPES = (
     ("sphere-pi24",
      lambda side: {"product": [{"interval": {"a": "pi/24", "bc": side}}, {"sphere2": {}}]},
      ((10 ** 5, "1e5"),), ("dirichlet",), ("cli",)),
+    # thick products, whose sweeps fail and decide their failed runs again
+    # at each k
+    *((f"thick-{a}",
+       lambda side, a=a: {"product": [{"interval": {"a": a, "bc": side}}, {"sphere2": {}}]},
+       ((10 ** 5, "1e5"),), _BOTH_SIDES, ("exact", "plain")) for a in ("pi", "4pi")),
 )
 
 #: name -> (spec, k_max, side, sweep)
